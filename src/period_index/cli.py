@@ -14,7 +14,8 @@ produce byte-identical files.
 Exit codes: 0 success; 1 verification failure; 2 malformed input or
 unmet hypotheses; 3 search bounds exhausted (histogram on stderr);
 4 internal inconsistency (a guaranteed check failed — a bug signal,
-never a legitimate mathematical outcome)."""
+never a legitimate mathematical outcome).  verify answers 0 or 1 for
+any JSON file and 2 only when the file cannot be read or parsed."""
 
 from __future__ import annotations
 
@@ -467,22 +468,7 @@ def main(argv=None) -> int:
         return 2
     except SieveExhausted as e:
         print("search exhausted: %s" % e, file=sys.stderr)
-        st = e.stats
-        print(
-            "histogram: scanned=%d no_generator=%d generators=%d "
-            "divisibility=%d/%d pairs_tried=%d order_rejected=%d conjugate_rejected=%d"
-            % (
-                st.scanned,
-                st.no_generator,
-                st.unit_adjusted,
-                st.divisibility_hits,
-                st.divisibility_checked,
-                st.pairs_tried,
-                st.order_rejected,
-                st.conjugate_rejected,
-            ),
-            file=sys.stderr,
-        )
+        print("histogram: " + e.stats.summary(), file=sys.stderr)
         return 3
     except LemmaFailure as e:
         print("internal inconsistency: %s" % e, file=sys.stderr)

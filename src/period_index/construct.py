@@ -30,10 +30,13 @@ Three construction routes share one assembly path:
                        agree after doubling even though raw readings may
                        differ.
 
-Certificates embed every load-bearing residue and witness, so
-verify_certificate re-derives each claim with plain field arithmetic:
-no search, no sieve, no randomness.  Serialization is canonical JSON
-with all integers as decimal strings and local invariants as "k/n".
+One derivation, _derive, turns the curve data and the pair generators
+into the certificate body and runs every hard check of the claims
+algebra.  construct feeds it the pair the sieve finds; verify_certificate
+parses the inputs a certificate records, feeds them to the same
+derivation and diffs the recorded certificate against the result path by
+path: no search, no sieve, no randomness.  Serialization is canonical
+JSON with all integers as decimal strings and local invariants as "k/n".
 """
 
 from __future__ import annotations
@@ -47,10 +50,8 @@ from typing import Optional
 
 from .cyclo import (
     CycloElem,
-    GaloisAuto,
     context,
     field_norm,
-    galois_apply,
     is_probable_prime,
     is_totally_positive,
     reduce_at,
@@ -73,12 +74,11 @@ from .localfield import (
     invariant_order,
     is_one_mod,
     places_over,
-    residue_power_order,
     tame_invariant,
     valuation,
     wild_modulus,
 )
-from .sieve import SievePair, find_pair
+from .sieve import find_pair, residue_order_profile
 
 SCHEMA = "period-index-certificate/1"
 
@@ -90,16 +90,26 @@ _UPPER_RULE = "index-divides-level-times-symbol-order"
 _DOUBLING_LAW = "target-level-invariant-is-twice-raw"
 
 
-class InputError(ValueError):
+class _Named:
+    """Mixin for failures that name certificate paths: the field a check
+    derives first, then the inputs it reads."""
+
+    def __init__(self, msg: str, *paths: str):
+        super().__init__(msg)
+        self.paths = paths
+
+
+class InputError(_Named, ValueError):
     """Bad hypotheses or malformed input data (user-fixable)."""
 
 
-class LemmaFailure(RuntimeError):
+class LemmaFailure(_Named, RuntimeError):
     """A consistency check that the theory guarantees has failed.
 
     Every condition checked under this exception is a theorem given the
-    sieve conditions, so a failure indicates an implementation bug or
-    corrupted input, never a legitimate mathematical outcome."""
+    sieve conditions, so in construct a failure indicates an
+    implementation bug; in verify it means the recorded inputs are
+    corrupt, never a legitimate mathematical outcome."""
 
 
 # =====================================================================
@@ -179,31 +189,38 @@ def lichtenbaum_check(period: int, index: int) -> bool:
 # =====================================================================
 
 
-def _check_ell(n: int, ell: int):
-    if ell < 1 or n % ell != 0:
-        raise InputError("symbol target %d does not divide the level %d" % (ell, n))
-
-
 def _require_rational_data(cv: CurveL, mw_gens: list):
     if not cv.is_rational_model():
-        raise InputError("rational claims need a model with rational coefficients")
+        raise InputError(
+            "rational claims need a model with rational coefficients",
+            "inputs.curve.coefficients",
+        )
     for i, g in enumerate(mw_gens):
         if g is not None and not (g[0].is_rational() and g[1].is_rational()):
-            raise InputError("generator %d is not rational; claims are made over Q" % i)
+            raise InputError(
+                "generator %d is not rational; claims are made over Q" % i,
+                "inputs.curve.mw_generators[%d]" % i,
+            )
 
 
-def _abs_norm(x: CycloElem) -> int:
-    nm = field_norm(x)
-    if nm.denominator != 1:
-        raise LemmaFailure("norm of an integral element is not an integer")
-    return abs(int(nm))
+# the inputs every check on the normed pair reads
+_PAIR = ("pair.first.pi", "pair.second.pi")
+_SUPPORT = ("obstruction.support",) + _PAIR
+_WITNESSES = "pair.first.conditions.generators_divisible.witnesses"
 
 
-def _factor_over(value: int, primes) -> list:
+def _lemma(holds: bool, msg: str, *paths: str):
+    """Raise LemmaFailure naming the paths unless a guaranteed fact holds."""
+    if not holds:
+        raise LemmaFailure(msg, *paths)
+
+
+def _factor_over(value: Fraction, primes) -> list:
     """Factor |value| over the given primes exactly; the remainder must
     be a unit, since the normed pair is a monomial in the two generators
     and their conjugates."""
-    rest, out = abs(value), []
+    _lemma(value.denominator == 1, "norm of an integral element is not an integer", *_SUPPORT)
+    rest, out = abs(value.numerator), []
     for q in sorted(set(primes)):
         e = 0
         while rest % q == 0:
@@ -211,8 +228,7 @@ def _factor_over(value: int, primes) -> list:
             e += 1
         if e:
             out.append([_s(q), _s(e)])
-    if rest != 1:
-        raise LemmaFailure("normed pair has support outside the sieved pair")
+    _lemma(rest == 1, "normed pair has support outside the sieved pair", *_SUPPORT)
     return out
 
 
@@ -260,50 +276,109 @@ def _curve_block(cv: CurveL, basis: TorsionBasis, mw_gens: list) -> dict:
     }
 
 
-def _first_conditions(cand, target_n: int) -> dict:
+def _pinned_conditions(level: int, p: int) -> dict:
     return {
-        "prime_norm": {"norm": _s(_abs_norm(cand.pi))},
-        "congruent_one_mod_wild": {"modulus": _s(wild_modulus(cand.n))},
+        "prime_norm": {"norm": _s(p)},
+        "congruent_one_mod_wild": {"modulus": _s(wild_modulus(level))},
         "totally_positive": True,
         "vanishes_at_own_place": True,
-        "generators_divisible": {
-            "level": _s(target_n),
-            "witnesses": [[_s(i), fp_point_obj(w)] for i, w in cand.divisibility],
-        },
-    }
-
-
-def _second_conditions(pair: SievePair) -> dict:
-    cand = pair.second
-    return {
-        "prime_norm": {"norm": _s(_abs_norm(cand.pi))},
-        "congruent_one_mod_wild": {"modulus": _s(wild_modulus(cand.n))},
-        "totally_positive": True,
-        "vanishes_at_own_place": True,
-        "residue_order_at_first_place": _s(pair.residue_order),
-        "conjugate_orders": [[_s(t), _s(o)] for t, o in pair.conjugate_orders],
     }
 
 
 # =====================================================================
-# The assembly path shared by every route
+# Route preconditions, shared by construct and verify
 # =====================================================================
 
 
-def _certify(
-    cv: CurveL,
-    basis: TorsionBasis,
-    rep: dict,
-    mw_gens: list,
-    *,
-    mode: str,
-    doubled: bool,
-    target_n: int,
-    target_ell: int,
-    prime_bound: int,
-    unit_window: int = 1,
-    coeff_bound: Optional[int] = None,
+def _preconditions(
+    cv: CurveL, basis: TorsionBasis, mw_gens: list, declared_order: Optional[int], *,
+    mode: str, doubled: bool, target_n: int, target_ell: int,
 ) -> dict:
+    """Check a route's hypotheses on the curve data and return the Galois
+    action the claims use.  Errors name the certificate fields that
+    record each hypothesis."""
+    N = cv.n
+    if mode not in ("A", "B"):
+        raise InputError("mode must be A or B", "context.mode")
+    if doubled:
+        if target_n < 2 or target_n & (target_n - 1):
+            raise InputError(
+                "doubling applies to levels that are powers of two", "context.n", "route.kind"
+            )
+        if target_ell not in (1, 2):
+            raise InputError(
+                "symbol target %d is handled by the direct modes; doubling is only needed "
+                "for targets 1 and 2" % target_ell, "context.ell", "route.kind",
+            )
+    elif target_ell < 1 or target_n % target_ell:
+        raise InputError(
+            "symbol target %d does not divide the level %d" % (target_ell, target_n),
+            "context.ell", "context.n",
+        )
+    elif target_n % 2 == 0 and target_n > 2 and target_ell % 4:
+        raise InputError(
+            "even level %d with symbol target %d needs doubled data: construct at level %d "
+            "and route through even_adjust" % (target_n, target_ell, 2 * target_n),
+            "context.ell", "context.n", "route.kind",
+        )
+    level = 2 * target_n if doubled else target_n
+    if N != level:
+        raise InputError(
+            "the %s route requires curve data at level %d, got level %d"
+            % ("doubled" if doubled else "direct", level, N), "context.n", "inputs.curve.level",
+        )
+    if declared_order is not None and declared_order != N:
+        raise InputError(
+            "declared stable subgroup order %d != %d" % (declared_order, N),
+            "inputs.curve.stable_subgroup_order",
+        )
+    if doubled or mode == "B" or context(N).degree == 1:
+        _require_rational_data(cv, mw_gens)
+    if mode == "A" and not doubled:
+        return dict(_IDENTITY_REP)
+    rep = galois_representation(basis)
+    if not is_upper_triangular(rep):
+        raise InputError(
+            "the route needs a stable subgroup: the basis action must be upper triangular",
+            "inputs.curve.torsion_basis",
+        )
+    return rep
+
+
+# =====================================================================
+# The derivation shared by construct and verify
+# =====================================================================
+
+
+def _pair_member(pi: CycloElem, level: int, path: str) -> tuple:
+    """(p, place) of a pair generator, after its pinned conditions: a
+    prime norm p, the wild congruence, total positivity, and valuation one
+    at the distinguished place over p."""
+    cond, pi_path = path + ".conditions.", path + ".pi"
+    nm = field_norm(pi)
+    p, m = abs(nm.numerator), wild_modulus(level)
+    _lemma(nm.denominator == 1 and is_probable_prime(p),
+           "generator norm %s is not a prime" % nm, cond + "prime_norm", pi_path)
+    _lemma(is_one_mod(pi, m), "generator is not congruent to 1 mod %d" % m,
+           cond + "congruent_one_mod_wild", pi_path)
+    _lemma(is_totally_positive(pi), "generator is not totally positive",
+           cond + "totally_positive", pi_path)
+    place = distinguished_place(level, p)
+    _lemma(reduce_at(pi, p, place.omega) % p == 0, "generator is a unit at its own place",
+           cond + "vanishes_at_own_place", pi_path)
+    return p, place
+
+
+def _derive(
+    cv: CurveL, basis: TorsionBasis, rep: dict, mw_gens: list,
+    pi: CycloElem, pi_prime: CycloElem, witnesses: tuple, *,
+    mode: str, doubled: bool, target_n: int, target_ell: int,
+) -> dict:
+    """The prime-power certificate for a pair of generators and the
+    divisibility witnesses ((index, point) per declared generator) at the
+    first one's place.  Runs every hard check of the claims algebra; a
+    failure raises LemmaFailure naming the derived field and the inputs it
+    reads."""
     N = cv.n
     ell_sym = 2 * target_ell if doubled else target_ell
     rational_claims = doubled or mode == "B" or context(N).degree == 1
@@ -312,51 +387,59 @@ def _certify(
     # the root-of-unity action, since the pairing of the basis is pinned.
     for t, M in rep.items():
         det = (M[0][0] * M[1][1] - M[0][1] * M[1][0]) % N
-        if det != t % N:
-            raise LemmaFailure("matrix determinant %d at t=%d is off" % (det, t))
+        _lemma(det == t % N, "matrix determinant %d at t=%d is off" % (det, t),
+               "class.representation", "inputs.curve.torsion_basis")
 
-    # the only search in the pipeline
-    pair = find_pair(cv, N, prime_bound, mw_gens, target_n, unit_window, coeff_bound)
-    v, vp = pair.first.place, pair.second.place
-    p, pp = pair.first.p, pair.second.p
+    # --- the pinned conditions on both pair members ---
+    p, v = _pair_member(pi, N, "pair.first")
+    pp, vp = _pair_member(pi_prime, N, "pair.second")
+    _lemma(p != pp, "pair members sit over the same prime %d" % p, "pair.second.p", *_PAIR)
+    _lemma(len(witnesses) == len(mw_gens), "need one witness per declared generator",
+           _WITNESSES, "inputs.curve.mw_generators")
+    try:
+        cfp = reduce_curve(cv, v)
+    except CurveError as e:
+        raise LemmaFailure(str(e), _WITNESSES, "pair.first.pi", "inputs.curve.coefficients")
+    for (i, W), g in zip(witnesses, mw_gens):
+        on_curve = W is None or (max(W) < p and cfp.on_curve(W))
+        _lemma(on_curve and cfp.mul(target_n, W) == reduce_point(cv, g, v),
+               "witness does not divide the generator down", "%s[%d]" % (_WITNESSES, i),
+               "inputs.curve.mw_generators[%d]" % i, "pair.first.pi")
+    residue_order, conjugate_orders = residue_order_profile(pi_prime, v)
+    sc = "pair.second.conditions."
+    _lemma(residue_order == N, "second generator must have full order %d at the first place" % N,
+           sc + "residue_order_at_first_place", *_PAIR)
+    _lemma(all(o == 1 for _, o in conjugate_orders),
+           "a proper conjugate is not an n-th power residue at the first place",
+           sc + "conjugate_orders", *_PAIR)
 
-    xi = build_xi(pair.first.pi, pair.second.pi, N, ell_sym)
+    xi = build_xi(pi, pi_prime, N, ell_sym)
     nf = twisted_norm(rep, xi.a, xi.b)
     first, second = nf.first(), nf.second()
-    one = CycloElem.rational(N, 1)
+    factors = {"c": nf.c, "cprime": nf.cprime, "d": nf.d, "dprime": nf.dprime}
 
     # --- hard consistency checks: theorems under the pair conditions ---
-    if is_upper_triangular(rep) and nf.d != one:
-        raise LemmaFailure("norm factor d differs from 1 under a triangular action")
-    vals = {
-        "c": valuation(nf.c, v),
-        "cprime": valuation(nf.cprime, v),
-        "d": valuation(nf.d, v),
-        "dprime": valuation(nf.dprime, v),
-    }
-    if vals["c"] != 1 or vals["cprime"] or vals["d"] or vals["dprime"]:
-        raise LemmaFailure("valuations at v are not (1, 0, 0, 0): %r" % (vals,))
+    _lemma(nf.d == CycloElem.rational(N, 1) or not is_upper_triangular(rep),
+           "norm factor d differs from 1 under a triangular action",
+           "class.norm_factors.d", *_PAIR, "inputs.curve.torsion_basis")
+    vals = {k: valuation(x, v) for k, x in factors.items()}
+    _lemma(list(vals.values()) == [1, 0, 0, 0], "valuations at v are not (1, 0, 0, 0): %r" % vals,
+           "obstruction.v_row.valuations", *_PAIR)
 
     inv_v = tame_invariant(first, second, v)
-    if invariant_order(inv_v) != ell_sym:
-        raise LemmaFailure(
-            "v-invariant has order %d, expected the symbol target %d"
-            % (invariant_order(inv_v), ell_sym)
-        )
+    _lemma(invariant_order(inv_v) == ell_sym,
+           "v-invariant has order %d, expected the symbol target %d"
+           % (invariant_order(inv_v), ell_sym), "obstruction.v_row.order", *_PAIR, "context.ell")
     subs = {
-        "c_d": tame_invariant(nf.c, nf.d, v),
-        "c_dprime": tame_invariant(nf.c, nf.dprime, v),
-        "cprime_d": tame_invariant(nf.cprime, nf.d, v),
-        "cprime_dprime": tame_invariant(nf.cprime, nf.dprime, v),
+        "%s_%s" % (a, b): tame_invariant(factors[a], factors[b], v)
+        for a in ("c", "cprime")
+        for b in ("d", "dprime")
     }
-    if sum(subs.values()) % 1 != inv_v:
-        raise LemmaFailure("sub-symbols at v do not add up to the invariant")
-    if subs["c_d"] != 0:
-        raise LemmaFailure("<c, d> is nonzero at v despite d = 1")
-
-    inv_vp = tame_invariant(first, second, vp)
-    if invariant_order(inv_vp) != invariant_order(inv_v):
-        raise LemmaFailure("symbol order at v' differs from the order at v")
+    _lemma(sum(subs.values()) % 1 == inv_v and subs["c_d"] == 0,
+           "sub-symbols at v do not add up to the invariant with <c, d> = 0",
+           "obstruction.v_row.sub_symbols", *_PAIR)
+    _lemma(invariant_order(tame_invariant(first, second, vp)) == invariant_order(inv_v),
+           "symbol order at v' differs from the order at v", "obstruction.local_rows", *_PAIR)
 
     # --- local rows at every place over the pair ---
     local = {}
@@ -379,16 +462,16 @@ def _certify(
     target_invs = {}
     for q, w0 in ((p, v), (pp, vp)):
         invs = [inv for (qq, _), (_, inv) in local.items() if qq == q]
-        if consistency == "equal" and len(set(invs)) != 1:
-            raise LemmaFailure("conjugate places over %d disagree" % q)
-        if consistency == "doubles-equal" and len({(2 * i) % 1 for i in invs}) != 1:
-            raise LemmaFailure("doubled readings over %d disagree" % q)
-        if consistency == "independent":
+        if consistency == "equal":
+            agree = len(set(invs)) == 1
+        elif consistency == "doubles-equal":
+            agree = len({(2 * i) % 1 for i in invs}) == 1
+        else:
             # the seed pair is supported at the two pinned primes only, so
             # proper conjugate places see two units
-            for (qq, om), (_, inv) in local.items():
-                if qq == q and om != w0.omega and inv != 0:
-                    raise LemmaFailure("unit-unit place over %d has a nonzero row" % q)
+            agree = all(inv == 0 for (qq, om), (_, inv) in local.items() if qq == q and om != w0.omega)
+        _lemma(agree, "conjugate places over %d break the %s rule" % (q, consistency),
+               "obstruction.local_rows", *_PAIR)
         raw = local[(q, w0.omega)][1]
         t_inv = (2 * raw) % 1 if doubled else raw
         target_invs[q] = t_inv
@@ -410,21 +493,19 @@ def _certify(
             if ambiguous
             else sum(target_invs.values())
         )
-        if check % 1 != 0:
-            raise LemmaFailure("descended rows break the product formula")
+        _lemma(check % 1 == 0, "descended rows break the product formula",
+               "obstruction.reciprocity_sum", *_PAIR)
         global_order = lcm(*(invariant_order(i) for i in target_invs.values()))
     else:
         global_order = lcm(*(invariant_order(i) for _, (_, i) in local.items()))
-    if global_order != target_ell:
-        raise LemmaFailure(
-            "global obstruction order %d differs from the target %d"
-            % (global_order, target_ell)
-        )
+    _lemma(global_order == target_ell,
+           "global obstruction order %d differs from the target %d" % (global_order, target_ell),
+           "obstruction.global_order", *_PAIR, "context.ell")
 
     # --- places away from the pair ---
     m_wild = wild_modulus(N)
-    if not (is_one_mod(first, m_wild) and is_one_mod(second, m_wild)):
-        raise LemmaFailure("normed pair lost the wild congruence")
+    _lemma(is_one_mod(first, m_wild) and is_one_mod(second, m_wild),
+           "normed pair lost the wild congruence", "obstruction.wild", *_PAIR)
     wild = {
         "modulus": _s(m_wild),
         "first_congruent": True,
@@ -434,8 +515,8 @@ def _certify(
     if context(N).degree == 1:
         a0, b0 = first.rational_value(), second.rational_value()
         arch_inv = archimedean_invariant(a0, b0)
-        if arch_inv != 0:
-            raise LemmaFailure("real place is obstructed despite total positivity")
+        _lemma(arch_inv == 0, "real place is obstructed despite total positivity",
+               "obstruction.archimedean", *_PAIR)
         arch = {
             "kind": "real",
             "first_positive": True,
@@ -448,21 +529,20 @@ def _certify(
     for q in _unit_probe_primes(N, max(p, pp)):
         w = distinguished_place(N, q)
         inv = tame_invariant(first, second, w)
-        if inv != 0:
-            raise LemmaFailure("unit-unit invariant at %d is nonzero" % q)
+        _lemma(inv == 0, "unit-unit invariant at %d is nonzero" % q, "obstruction.unit_rows", *_PAIR)
         unit_rows.append(_row(w, inv))
 
     support = {
-        "first": _factor_over(_abs_norm(first), (p, pp)),
-        "second": _factor_over(_abs_norm(second), (p, pp)),
+        "first": _factor_over(field_norm(first), (p, pp)),
+        "second": _factor_over(field_norm(second), (p, pp)),
     }
 
     # --- period rows: every proper multiple of the class stays nonzero ---
     period_rows = []
     for m in range(1, target_n):
         val_m = valuation(first ** m, v)
-        if val_m != m or val_m % target_n == 0:
-            raise LemmaFailure("power %d has valuation %d at v" % (m, val_m))
+        _lemma(val_m == m and val_m % target_n != 0, "power %d has valuation %d at v" % (m, val_m),
+               "period.rows", *_PAIR)
         period_rows.append({"m": _s(m), "valuation": _s(val_m)})
 
     # --- index rows: shifts to every smaller candidate level stay nonzero ---
@@ -472,16 +552,17 @@ def _certify(
         if target_ell % ellp:
             continue
         shifted = (ellp * inv_target_v) % 1
-        if shifted == 0:
-            raise LemmaFailure("shift by %d kills the invariant at v" % ellp)
+        _lemma(shifted != 0,
+               "index lower bound unproven: shift by %d kills the invariant at v" % ellp,
+               "index_lower.rows", *_PAIR, "context.ell")
         lower_rows.append(
             {"ell_prime": _s(ellp), "shifted_invariant": _inv_str(shifted, target_n)}
         )
 
     period_claim = target_n
     index_claim = target_n * target_ell
-    if not lichtenbaum_check(period_claim, index_claim):
-        raise LemmaFailure("claims fail the duality bound")
+    _lemma(lichtenbaum_check(period_claim, index_claim), "claims fail the duality bound",
+           "lichtenbaum_ok", "context.n", "context.ell")
 
     if doubled:
         route = {
@@ -495,12 +576,7 @@ def _certify(
             "doubling_law": _DOUBLING_LAW,
         }
     else:
-        if N % 2:
-            exactness = "odd-level"
-        elif N == 2:
-            exactness = "quaternion"
-        else:
-            exactness = "two-torsion-ambiguous"
+        exactness = "odd-level" if N % 2 else ("quaternion" if N == 2 else "two-torsion-ambiguous")
         route = {
             "kind": "direct",
             "construction_level": _s(N),
@@ -544,15 +620,25 @@ def _certify(
         "pair": {
             "first": {
                 "p": _s(p),
-                "pi": elem_coeffs(pair.first.pi),
+                "pi": elem_coeffs(pi),
                 "place": place_obj(v),
-                "conditions": _first_conditions(pair.first, target_n),
+                "conditions": {
+                    **_pinned_conditions(N, p),
+                    "generators_divisible": {
+                        "level": _s(target_n),
+                        "witnesses": [[_s(i), fp_point_obj(w)] for i, w in witnesses],
+                    },
+                },
             },
             "second": {
                 "p": _s(pp),
-                "pi": elem_coeffs(pair.second.pi),
+                "pi": elem_coeffs(pi_prime),
                 "place": place_obj(vp),
-                "conditions": _second_conditions(pair),
+                "conditions": {
+                    **_pinned_conditions(N, pp),
+                    "residue_order_at_first_place": _s(residue_order),
+                    "conjugate_orders": [[_s(t), _s(o)] for t, o in conjugate_orders],
+                },
             },
         },
         "class": {
@@ -564,10 +650,7 @@ def _certify(
             "representation": _rep_obj(rep),
             "upper_triangular": is_upper_triangular(rep),
             "norm_factors": {
-                "c": elem_coeffs(nf.c),
-                "cprime": elem_coeffs(nf.cprime),
-                "d": elem_coeffs(nf.d),
-                "dprime": elem_coeffs(nf.dprime),
+                **{k: elem_coeffs(x) for k, x in factors.items()},
                 "exponents": _exponents_obj(nf),
             },
             "normed_pair": {
@@ -606,6 +689,26 @@ def _certify(
 # =====================================================================
 
 
+def _construct(
+    cv: CurveL,
+    basis: TorsionBasis,
+    mw_gens: list,
+    prime_bound: int,
+    unit_window: int,
+    coeff_bound: Optional[int],
+    declared_order: Optional[int],
+    **route,
+) -> dict:
+    rep = _preconditions(cv, basis, mw_gens, declared_order, **route)
+    # the only search in the pipeline
+    pair = find_pair(
+        cv, cv.n, prime_bound, mw_gens, route["target_n"], unit_window, coeff_bound
+    )
+    return _derive(
+        cv, basis, rep, mw_gens, pair.first.pi, pair.second.pi, pair.first.divisibility, **route
+    )
+
+
 def certify_mode_A(
     cv: CurveL,
     basis: TorsionBasis,
@@ -624,29 +727,9 @@ def certify_mode_A(
     admitted when the symbol target is a multiple of 4, where the
     ambiguity cannot move the claims — otherwise the caller must provide
     doubled-level data and route through even_adjust."""
-    n = cv.n
-    _check_ell(n, ell)
-    if n % 2 == 0 and n > 2 and ell % 4 != 0:
-        raise InputError(
-            "even level %d with symbol target %d needs doubled data: "
-            "construct at level %d and route through even_adjust" % (n, ell, 2 * n)
-        )
-    if declared_order is not None and declared_order != n:
-        raise InputError("declared stable subgroup order %d != %d" % (declared_order, n))
-    if context(n).degree == 1:
-        _require_rational_data(cv, mw_gens)
-    return _certify(
-        cv,
-        basis,
-        dict(_IDENTITY_REP),
-        mw_gens,
-        mode="A",
-        doubled=False,
-        target_n=n,
-        target_ell=ell,
-        prime_bound=prime_bound,
-        unit_window=unit_window,
-        coeff_bound=coeff_bound,
+    return _construct(
+        cv, basis, mw_gens, prime_bound, unit_window, coeff_bound, declared_order,
+        mode="A", doubled=False, target_n=cv.n, target_ell=ell,
     )
 
 
@@ -664,34 +747,9 @@ def certify_mode_B(
 
     Requires a stable subgroup: the action on the pinned basis must be
     upper triangular (the trivial action at level 2 qualifies)."""
-    n = cv.n
-    _check_ell(n, ell)
-    _require_rational_data(cv, mw_gens)
-    rep = galois_representation(basis)
-    if not is_upper_triangular(rep):
-        raise InputError(
-            "corestriction route needs a stable subgroup: the basis action "
-            "must be upper triangular"
-        )
-    if n % 2 == 0 and n > 2 and ell % 4 != 0:
-        raise InputError(
-            "even level %d with symbol target %d needs doubled data: "
-            "construct at level %d and route through even_adjust" % (n, ell, 2 * n)
-        )
-    if declared_order is not None and declared_order != n:
-        raise InputError("declared stable subgroup order %d != %d" % (declared_order, n))
-    return _certify(
-        cv,
-        basis,
-        rep,
-        mw_gens,
-        mode="B",
-        doubled=False,
-        target_n=n,
-        target_ell=ell,
-        prime_bound=prime_bound,
-        unit_window=unit_window,
-        coeff_bound=coeff_bound,
+    return _construct(
+        cv, basis, mw_gens, prime_bound, unit_window, coeff_bound, declared_order,
+        mode="B", doubled=False, target_n=cv.n, target_ell=ell,
     )
 
 
@@ -715,42 +773,9 @@ def even_adjust(
     readings and turns the order-2*ell raw invariant into an exact
     order-ell one.  Only ell in {1, 2} needs this: targets divisible by
     4 are immune to the ambiguity and stay with the direct modes."""
-    if n < 2 or n & (n - 1):
-        raise InputError("doubling applies to levels that are powers of two")
-    if ell not in (1, 2):
-        raise InputError(
-            "symbol target %d is handled by the direct modes; doubling is "
-            "only needed for targets 1 and 2" % ell
-        )
-    if cv.n != 2 * n:
-        raise InputError(
-            "doubling requires curve data at level %d, got level %d" % (2 * n, cv.n)
-        )
-    if declared_order is not None and declared_order != 2 * n:
-        raise InputError(
-            "declared stable subgroup order %d != %d" % (declared_order, 2 * n)
-        )
-    _require_rational_data(cv, mw_gens)
-    rep = galois_representation(basis)
-    if not is_upper_triangular(rep):
-        raise InputError(
-            "doubling route needs a stable cyclic subgroup of order %d: the "
-            "basis action must be upper triangular" % (2 * n)
-        )
-    if mode not in ("A", "B"):
-        raise InputError("mode must be A or B")
-    return _certify(
-        cv,
-        basis,
-        rep,
-        mw_gens,
-        mode=mode,
-        doubled=True,
-        target_n=n,
-        target_ell=ell,
-        prime_bound=prime_bound,
-        unit_window=unit_window,
-        coeff_bound=coeff_bound,
+    return _construct(
+        cv, basis, mw_gens, prime_bound, unit_window, coeff_bound, declared_order,
+        mode=mode, doubled=True, target_n=n, target_ell=ell,
     )
 
 
@@ -800,7 +825,12 @@ def compose_coprime(left: dict, right: dict, allow_different_jacobians: bool = F
     p1, i1 = int(left["summary"]["period"]), int(left["summary"]["index"])
     p2, i2 = int(right["summary"]["period"]), int(right["summary"]["index"])
     if gcd(p1, p2) != 1:
-        raise InputError("periods %d and %d share a factor" % (p1, p2))
+        raise InputError(
+            "periods %d and %d share a factor" % (p1, p2),
+            "coprimality",
+            "parts[0].summary.period",
+            "parts[1].summary.period",
+        )
     digests = set(_leaf_digests(left)) | set(_leaf_digests(right))
     match = len(digests) == 1
     if not match and not allow_different_jacobians:
@@ -810,7 +840,7 @@ def compose_coprime(left: dict, right: dict, allow_different_jacobians: bool = F
         )
     period, index = p1 * p2, i1 * i2
     if not lichtenbaum_check(period, index):
-        raise LemmaFailure("composed claims fail the duality bound")
+        raise LemmaFailure("composed claims fail the duality bound", "lichtenbaum_ok")
     return {
         "schema": SCHEMA,
         "kind": "composite",
@@ -827,846 +857,240 @@ def compose_coprime(left: dict, right: dict, allow_different_jacobians: bool = F
 
 
 # =====================================================================
-# Verification: independent re-derivation, no search
+# Verification: parse the inputs, re-derive, diff
 # =====================================================================
 
 _NAT_RE = re.compile(r"^\d+$")
 _COEFF_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
-_INV_RE = re.compile(r"^(\d+)/([1-9]\d*)$")
+
+_TOP_KEYS = (
+    "schema", "kind", "context", "route", "inputs", "pair", "class", "obstruction",
+    "period", "index_upper", "index_lower", "lichtenbaum_ok", "summary",
+)
+_CURVE_KEYS = ("level", "coefficients", "torsion_basis", "mw_generators", "stable_subgroup_order")
+
+# Derived fields that are a direct function of a few inputs: a diff there
+# also names those inputs, since the edit may sit on either side.
+_READS = {
+    "context.claims_field": ("context.mode",),
+    "route.target_level": ("context.n",),
+    "route.raw_symbol_order_at_v": ("context.ell",),
+    "pair.first.p": ("pair.first.pi",),
+    "pair.second.p": ("pair.second.pi",),
+    "class.seed_pair.power_exponent": ("context.ell",),
+    "summary.index": ("context.n", "context.ell"),
+}
+# what a diff inside each claim section leaves unproven
+_CLAIMS = {"period": "period", "index_upper": "index upper bound", "index_lower": "index lower bound"}
 
 
-def _join(path: str, key) -> str:
-    if isinstance(key, int):
-        return "%s[%d]" % (path, key)
-    return "%s.%s" % (path, key) if path else str(key)
+def _at(path: str, rel: str) -> str:
+    """The trace path of rel inside the certificate at path."""
+    if not rel:
+        return path or "certificate"
+    if not path:
+        return rel
+    return path + rel if rel.startswith("[") else "%s.%s" % (path, rel)
 
 
-class _Tracer:
-    def __init__(self):
-        self.trace = []
+def _field(cert: dict, path: str):
+    """The value at a dotted path of the certificate."""
+    cur, at = cert, ""
+    for key in path.split("."):
+        if not isinstance(cur, dict):
+            raise InputError("expected an object", at)
+        at = _at(at, key)
+        if key not in cur:
+            raise InputError("missing field", at)
+        cur = cur[key]
+    return cur
 
-    def fail(self, path: str, msg: str):
-        self.trace.append((path, msg))
 
-    # --- typed getters: record a failure and return None on mismatch ---
-
-    def keys(self, obj, expected, path) -> bool:
-        if not isinstance(obj, dict):
-            self.fail(path, "expected an object")
-            return False
-        missing = sorted(set(expected) - set(obj))
-        extra = sorted(set(obj) - set(expected))
-        if missing or extra:
-            self.fail(
-                path,
-                "field set mismatch: missing %r, unexpected %r" % (missing, extra),
-            )
-            return False
-        return True
-
-    def nat(self, obj, key, path) -> Optional[int]:
-        v = obj.get(key) if isinstance(obj, dict) else None
-        if not isinstance(v, str) or not _NAT_RE.match(v):
-            self.fail(_join(path, key), "expected an unsigned decimal string")
-            return None
-        return int(v)
-
-    def literal(self, obj, key, want, path) -> bool:
-        v = obj.get(key) if isinstance(obj, dict) else None
-        if v != want:
-            self.fail(_join(path, key), "expected %r, found %r" % (want, v))
-            return False
-        return True
-
-    def inv(self, obj, key, level, path) -> Optional[Fraction]:
-        v = obj.get(key) if isinstance(obj, dict) else None
-        m = _INV_RE.match(v) if isinstance(v, str) else None
-        if not m or int(m.group(2)) != level or not 0 <= int(m.group(1)) < level:
-            self.fail(_join(path, key), "expected an invariant written over %d" % level)
-            return None
-        return Fraction(int(m.group(1)), level)
-
-    def elem(self, level, raw, path) -> Optional[CycloElem]:
-        deg = context(level).degree
-        if (
-            not isinstance(raw, list)
-            or len(raw) != deg
-            or not all(isinstance(c, str) and _COEFF_RE.match(c) for c in raw)
-        ):
-            self.fail(path, "expected %d exact coordinates" % deg)
-            return None
-        return CycloElem(level, [Fraction(c) for c in raw])
-
-    def point(self, level, raw, path) -> tuple:
-        """(ok, point) where point is None for the origin."""
-        if raw == "infinity":
-            return True, None
-        if not isinstance(raw, dict) or set(raw) != {"x", "y"}:
-            self.fail(path, "expected a point object or \"infinity\"")
-            return False, None
-        x = self.elem(level, raw["x"], _join(path, "x"))
-        y = self.elem(level, raw["y"], _join(path, "y"))
-        if x is None or y is None:
-            return False, None
-        return True, (x, y)
-
-    def fp_point(self, raw, p, path) -> tuple:
-        if raw == "infinity":
-            return True, None
-        if (
-            not isinstance(raw, list)
-            or len(raw) != 2
-            or not all(isinstance(c, str) and _NAT_RE.match(c) for c in raw)
-            or not all(int(c) < p for c in raw)
-        ):
-            self.fail(path, "expected a residue point or \"infinity\"")
-            return False, None
-        return True, (int(raw[0]), int(raw[1]))
-
-    def place(self, obj, level, path) -> Optional[Place]:
-        if not self.keys(obj, ("level", "p", "root"), path):
-            return None
-        lv, p, root = (
-            self.nat(obj, "level", path),
-            self.nat(obj, "p", path),
-            self.nat(obj, "root", path),
+def _keys(obj, expected, path: str):
+    if not isinstance(obj, dict):
+        raise InputError("expected an object", path)
+    missing = sorted(set(expected) - set(obj))
+    extra = sorted(set(obj) - set(expected))
+    if missing or extra:
+        raise InputError(
+            "field set mismatch: missing %r, unexpected %r" % (missing, extra), path
         )
-        if None in (lv, p, root):
-            return None
-        if lv != level:
-            self.fail(_join(path, "level"), "expected level %d" % level)
-            return None
-        try:
-            return Place(level, p, root)
-        except ValueError as e:
-            self.fail(path, "not a split place: %s" % e)
-            return None
+
+
+def _nat(cert: dict, path: str) -> int:
+    v = _field(cert, path)
+    if not isinstance(v, str) or not _NAT_RE.match(v):
+        raise InputError("expected an unsigned decimal string", path)
+    return int(v)
+
+
+def _elem(level: int, raw, path: str) -> CycloElem:
+    deg = context(level).degree
+    if (
+        not isinstance(raw, list)
+        or len(raw) != deg
+        or not all(isinstance(c, str) and _COEFF_RE.match(c) for c in raw)
+    ):
+        raise InputError("expected %d exact coordinates" % deg, path)
+    return CycloElem(level, [Fraction(c) for c in raw])
+
+
+def _point(level: int, raw, path: str) -> LPoint:
+    if raw == "infinity":
+        return None
+    if not isinstance(raw, dict) or set(raw) != {"x", "y"}:
+        raise InputError('expected a point object or "infinity"', path)
+    return _elem(level, raw["x"], path + ".x"), _elem(level, raw["y"], path + ".y")
+
+
+def _fp_point(raw, path: str):
+    if raw == "infinity":
+        return None
+    if (
+        not isinstance(raw, list)
+        or len(raw) != 2
+        or not all(isinstance(c, str) and _NAT_RE.match(c) for c in raw)
+    ):
+        raise InputError('expected a residue point or "infinity"', path)
+    return int(raw[0]), int(raw[1])
+
+
+def _list(cert: dict, path: str) -> list:
+    v = _field(cert, path)
+    if not isinstance(v, list):
+        raise InputError("expected a list", path)
+    return v
+
+
+def _rederive(cert: dict) -> dict:
+    """Parse the inputs a prime-power certificate records and derive the
+    certificate they determine."""
+    _keys(cert, _TOP_KEYS, "")
+    n, ell = _nat(cert, "context.n"), _nat(cert, "context.ell")
+    mode = _field(cert, "context.mode")
+    kind = _field(cert, "route.kind")
+    if kind not in ("direct", "doubled"):
+        raise InputError("unknown route kind %r" % (kind,), "route.kind")
+
+    curve = _field(cert, "inputs.curve")
+    if content_digest(curve) != _field(cert, "inputs.digest"):
+        raise InputError(
+            "stored digest does not match the curve block", "inputs.digest", "inputs.curve"
+        )
+    _keys(curve, _CURVE_KEYS, "inputs.curve")
+    level = _nat(cert, "inputs.curve.level")
+    try:
+        context(level)
+    except ValueError as e:
+        raise InputError(str(e), "inputs.curve.level")
+    coeffs = _list(cert, "inputs.curve.coefficients")
+    if len(coeffs) != 5:
+        raise InputError("expected the five model coefficients", "inputs.curve.coefficients")
+    try:
+        cv = curve_over(
+            level,
+            [_elem(level, c, "inputs.curve.coefficients[%d]" % i) for i, c in enumerate(coeffs)],
+        )
+    except CurveError as e:
+        raise InputError(str(e), "inputs.curve.coefficients")
+    tb = _field(cert, "inputs.curve.torsion_basis")
+    _keys(tb, ("S", "T"), "inputs.curve.torsion_basis")
+    S = _point(level, tb["S"], "inputs.curve.torsion_basis.S")
+    T = _point(level, tb["T"], "inputs.curve.torsion_basis.T")
+    try:
+        basis = make_basis(cv, level, S, T)
+    except (BasisError, ValueError, ArithmeticError) as e:
+        raise InputError("basis rejected: %s" % e, "inputs.curve.torsion_basis")
+    gens = []
+    for i, raw in enumerate(_list(cert, "inputs.curve.mw_generators")):
+        gp = "inputs.curve.mw_generators[%d]" % i
+        g = _point(level, raw, gp)
+        if not cv.on_curve(g):
+            raise InputError("declared generator is not on the curve", gp)
+        gens.append(g)
+    declared_order = _nat(cert, "inputs.curve.stable_subgroup_order")
+
+    pi = _elem(level, _field(cert, "pair.first.pi"), "pair.first.pi")
+    pi_prime = _elem(level, _field(cert, "pair.second.pi"), "pair.second.pi")
+    witnesses = []
+    for i, entry in enumerate(_list(cert, _WITNESSES)):
+        wp = "%s[%d]" % (_WITNESSES, i)
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise InputError("expected [index, point]", wp)
+        witnesses.append((i, _fp_point(entry[1], wp + "[1]")))
+
+    route = dict(mode=mode, doubled=kind == "doubled", target_n=n, target_ell=ell)
+    rep = _preconditions(cv, basis, gens, declared_order, **route)
+    return _derive(cv, basis, rep, gens, pi, pi_prime, tuple(witnesses), **route)
+
+
+def _show(value) -> str:
+    text = json.dumps(value, sort_keys=True)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _diff(recorded, derived, rel: str, path: str, trace: list):
+    """Append a trace line wherever the recorded certificate at path
+    differs from the derived one below rel.  Values of different JSON
+    types differ, so true and 1 do not match."""
+    if isinstance(recorded, dict) and isinstance(derived, dict):
+        missing = sorted(set(derived) - set(recorded))
+        extra = sorted(set(recorded) - set(derived))
+        if missing or extra:
+            msg = "field set mismatch: missing %r, unexpected %r" % (missing, extra)
+            trace.append((_at(path, rel), msg))
+        for key in sorted(set(derived) & set(recorded)):
+            _diff(recorded[key], derived[key], _at(rel, key), path, trace)
+    elif (
+        isinstance(recorded, list)
+        and isinstance(derived, list)
+        and len(recorded) == len(derived)
+    ):
+        for i, (r, d) in enumerate(zip(recorded, derived)):
+            _diff(r, d, _at(rel, "[%d]" % i), path, trace)
+    elif type(recorded) is not type(derived) or recorded != derived:
+        msg = "recorded %s, recomputed %s" % (_show(recorded), _show(derived))
+        if rel in _READS:
+            msg += " from " + ", ".join(_at(path, r) for r in _READS[rel])
+        claim = _CLAIMS.get(rel.split(".")[0])
+        trace.append((_at(path, rel), "%s unproven: %s" % (claim, msg) if claim else msg))
+
+
+def _check(cert, path: str, trace: list):
+    """Append (path, message) to trace for every failure in the
+    certificate at path (empty for the root); never raises."""
+    try:
+        if not isinstance(cert, dict):
+            raise InputError("certificate must be an object", "")
+        kind = cert.get("kind")
+        if kind == "prime-power":
+            derived = _rederive(cert)
+        elif kind == "composite":
+            parts = _list(cert, "parts")
+            if len(parts) != 2:
+                raise InputError("expected exactly two sub-certificates", "parts")
+            mark = len(trace)
+            for i, part in enumerate(parts):
+                _check(part, _at(path, "parts[%d]" % i), trace)
+            if len(trace) > mark:
+                return
+            derived = compose_coprime(*parts, allow_different_jacobians=True)
+        elif kind == "trivial":
+            derived = make_trivial_certificate()
+        else:
+            raise InputError("unknown certificate kind %r" % (kind,), "kind")
+        _diff(cert, derived, "", path, trace)
+    except (InputError, LemmaFailure) as e:
+        trace.extend((_at(path, rel), str(e)) for rel in e.paths or ("",))
+    except Exception as e:  # any certificate gets a verdict, never a traceback
+        trace.append((_at(path, ""), "check failed: %s: %s" % (type(e).__name__, e)))
 
 
 def verify_certificate(cert) -> tuple:
-    """(ok, trace).  Re-derives every claim in the certificate from its
-    embedded witnesses using field arithmetic only.  The trace lists
-    (path, message) pairs for everything that failed."""
-    t = _Tracer()
-    if not isinstance(cert, dict):
-        t.fail("", "certificate must be an object")
-        return False, t.trace
-    kind = cert.get("kind")
-    if kind == "prime-power":
-        _verify_prime_power(cert, t, "")
-    elif kind == "composite":
-        _verify_composite(cert, t, "")
-    elif kind == "trivial":
-        _verify_trivial(cert, t, "")
-    else:
-        t.fail("kind", "unknown certificate kind %r" % kind)
-    return not t.trace, t.trace
-
-
-def _verify_trivial(cert, t: _Tracer, path: str):
-    if not t.keys(cert, ("schema", "kind", "summary", "lichtenbaum_ok"), path or "certificate"):
-        return
-    t.literal(cert, "schema", SCHEMA, path)
-    t.literal(cert, "kind", "trivial", path)
-    t.literal(cert, "lichtenbaum_ok", True, path)
-    sm = cert["summary"]
-    sp = _join(path, "summary")
-    if t.keys(sm, ("period", "index", "places"), sp):
-        t.literal(sm, "period", "1", sp)
-        t.literal(sm, "index", "1", sp)
-        t.literal(sm, "places", [], sp)
-
-
-def _verify_composite(cert, t: _Tracer, path: str):
-    keys = ("schema", "kind", "parts", "coprimality", "jacobians_match", "summary", "lichtenbaum_ok")
-    if not t.keys(cert, keys, path or "certificate"):
-        return
-    t.literal(cert, "schema", SCHEMA, path)
-    parts = cert["parts"]
-    if not isinstance(parts, list) or len(parts) != 2:
-        t.fail(_join(path, "parts"), "expected exactly two sub-certificates")
-        return
-    periods, indices, places = [], [], []
-    for i, part in enumerate(parts):
-        pp = _join(_join(path, "parts"), i)
-        pkind = part.get("kind") if isinstance(part, dict) else None
-        if pkind == "prime-power":
-            _verify_prime_power(part, t, pp)
-        elif pkind == "composite":
-            _verify_composite(part, t, pp)
-        elif pkind == "trivial":
-            _verify_trivial(part, t, pp)
-        else:
-            t.fail(_join(pp, "kind"), "unknown certificate kind %r" % pkind)
-            return
-        try:
-            periods.append(int(part["summary"]["period"]))
-            indices.append(int(part["summary"]["index"]))
-            places.extend(part["summary"]["places"])
-        except (KeyError, TypeError, ValueError):
-            t.fail(_join(pp, "summary"), "unreadable summary")
-            return
-    cp = cert["coprimality"]
-    cpp = _join(path, "coprimality")
-    if t.keys(cp, ("left_period", "right_period", "gcd"), cpp):
-        t.literal(cp, "left_period", str(periods[0]), cpp)
-        t.literal(cp, "right_period", str(periods[1]), cpp)
-        t.literal(cp, "gcd", "1", cpp)
-    if gcd(periods[0], periods[1]) != 1:
-        t.fail(cpp, "component periods %d and %d share a factor" % tuple(periods))
-    digests = set(_leaf_digests(cert))
-    t.literal(cert, "jacobians_match", len(digests) == 1, path)
-    period, index = periods[0] * periods[1], indices[0] * indices[1]
-    sm = cert["summary"]
-    sp = _join(path, "summary")
-    if t.keys(sm, ("period", "index", "places"), sp):
-        t.literal(sm, "period", str(period), sp)
-        t.literal(sm, "index", str(index), sp)
-        t.literal(sm, "places", places, sp)
-    t.literal(cert, "lichtenbaum_ok", lichtenbaum_check(period, index), path)
-
-
-def _verify_prime_power(cert, t: _Tracer, path: str):
-    top = (
-        "schema",
-        "kind",
-        "context",
-        "route",
-        "inputs",
-        "pair",
-        "class",
-        "obstruction",
-        "period",
-        "index_upper",
-        "index_lower",
-        "lichtenbaum_ok",
-        "summary",
-    )
-    if not t.keys(cert, top, path or "certificate"):
-        return
-    t.literal(cert, "schema", SCHEMA, path)
-
-    # ---- context and route pin the levels everything else hangs on ----
-    ctx = cert["context"]
-    cxp = _join(path, "context")
-    if not t.keys(ctx, ("n", "ell", "mode", "zeta_pairing_power", "claims_field"), cxp):
-        return
-    n_t = t.nat(ctx, "n", cxp)
-    ell_t = t.nat(ctx, "ell", cxp)
-    mode = ctx["mode"]
-    if mode not in ("A", "B"):
-        t.fail(_join(cxp, "mode"), "mode must be A or B")
-        return
-    t.literal(ctx, "zeta_pairing_power", "1", cxp)
-    if n_t is None or ell_t is None:
-        return
-    if ell_t < 1 or n_t % ell_t:
-        t.fail(_join(cxp, "ell"), "must divide %s" % _join(cxp, "n"))
-        return
-
-    route = cert["route"]
-    rp = _join(path, "route")
-    rkind = route.get("kind") if isinstance(route, dict) else None
-    if rkind == "direct":
-        if not t.keys(route, ("kind", "construction_level", "symbol_exactness"), rp):
-            return
-        N = t.nat(route, "construction_level", rp)
-        if N is None:
-            return
-        if N != n_t:
-            t.fail(_join(rp, "construction_level"), "must equal %s for the direct route" % _join(cxp, "n"))
-            return
-        want = "odd-level" if N % 2 else ("quaternion" if N == 2 else "two-torsion-ambiguous")
-        t.literal(route, "symbol_exactness", want, rp)
-        ell_sym = ell_t
-        doubled = False
-        if N % 2 == 0 and N > 2 and ell_t % 4 != 0:
-            t.fail(_join(cxp, "ell"), "even direct level needs a symbol target divisible by 4")
-    elif rkind == "doubled":
-        rkeys = (
-            "kind",
-            "construction_level",
-            "target_level",
-            "raw_symbol_order_at_v",
-            "stable_generator_rational",
-            "doubling_law",
-        )
-        if not t.keys(route, rkeys, rp):
-            return
-        N = t.nat(route, "construction_level", rp)
-        if N is None:
-            return
-        if N != 2 * n_t:
-            t.fail(_join(rp, "construction_level"), "must equal twice %s for the doubled route" % _join(cxp, "n"))
-            return
-        t.literal(route, "target_level", str(n_t), rp)
-        t.literal(route, "raw_symbol_order_at_v", str(2 * ell_t), rp)
-        t.literal(route, "doubling_law", _DOUBLING_LAW, rp)
-        if n_t & (n_t - 1) or ell_t not in (1, 2):
-            t.fail(_join(cxp, "n"), "doubled route needs a power-of-two target with ell in {1, 2}")
-            return
-        ell_sym = 2 * ell_t
-        doubled = True
-    else:
-        t.fail(_join(rp, "kind"), "unknown route kind %r" % rkind)
-        return
-    try:
-        deg = context(N).degree
-    except Exception as e:
-        t.fail(_join(rp, "construction_level"), "unsupported level: %s" % e)
-        return
-    rational_claims = doubled or mode == "B" or deg == 1
-    t.literal(ctx, "claims_field", "rational" if rational_claims else "cyclotomic", cxp)
-
-    # ---- inputs: curve, basis, generators, digest ----
-    inp = cert["inputs"]
-    inpp = _join(path, "inputs")
-    if not t.keys(inp, ("curve", "digest"), inpp):
-        return
-    curve = inp["curve"]
-    cvp = _join(inpp, "curve")
-    ckeys = ("level", "coefficients", "torsion_basis", "mw_generators", "stable_subgroup_order")
-    if not t.keys(curve, ckeys, cvp):
-        return
-    if canonical_json(curve) != canonical_json(json.loads(canonical_json(curve))):
-        t.fail(cvp, "curve block does not round-trip canonically")
-    if content_digest(curve) != inp.get("digest"):
-        t.fail(_join(inpp, "digest"), "stored digest does not match the hash of %s" % _join(inpp, "curve"))
-    lv = t.nat(curve, "level", cvp)
-    if lv is None:
-        return
-    if lv != N:
-        t.fail(
-            _join(cvp, "level"),
-            "curve level %d does not match %s = %d" % (lv, _join(rp, "construction_level"), N),
-        )
-        return
-    t.literal(curve, "stable_subgroup_order", str(N), cvp)
-    coeffs = curve["coefficients"]
-    if not isinstance(coeffs, list) or len(coeffs) != 5:
-        t.fail(_join(cvp, "coefficients"), "expected the five model coefficients")
-        return
-    parsed = [
-        t.elem(N, c, _join(_join(cvp, "coefficients"), i)) for i, c in enumerate(coeffs)
-    ]
-    if any(c is None for c in parsed):
-        return
-    try:
-        cv = curve_over(N, parsed)
-    except CurveError as e:
-        t.fail(_join(cvp, "coefficients"), str(e))
-        return
-    tb = curve["torsion_basis"]
-    tbp = _join(cvp, "torsion_basis")
-    if not t.keys(tb, ("S", "T"), tbp):
-        return
-    ok_s, S = t.point(N, tb["S"], _join(tbp, "S"))
-    ok_t, T = t.point(N, tb["T"], _join(tbp, "T"))
-    if not (ok_s and ok_t):
-        return
-    try:
-        basis = make_basis(cv, N, S, T)
-    except (BasisError, ValueError, ArithmeticError) as e:
-        t.fail(tbp, "basis rejected: %s" % e)
-        return
-    if basis.T != T:
-        t.fail(_join(tbp, "T"), "stored basis is not pairing-normalized")
-        return
-    raw_gens = curve["mw_generators"]
-    gp = _join(cvp, "mw_generators")
-    if not isinstance(raw_gens, list):
-        t.fail(gp, "expected a list of points")
-        return
-    gens = []
-    for i, raw in enumerate(raw_gens):
-        ok, g = t.point(N, raw, _join(gp, i))
-        if not ok:
-            return
-        if not cv.on_curve(g):
-            t.fail(_join(gp, i), "declared generator is not on the curve")
-            return
-        gens.append(g)
-    if mode == "B" or doubled:
-        if not cv.is_rational_model():
-            t.fail(_join(cvp, "coefficients"), "rational claims need a rational model")
-            return
-        for i, g in enumerate(gens):
-            if g is not None and not (g[0].is_rational() and g[1].is_rational()):
-                t.fail(_join(gp, i), "rational claims need rational generators")
-                return
-    if doubled:
-        t.literal(
-            route,
-            "stable_generator_rational",
-            bool(S[0].is_rational() and S[1].is_rational()),
-            rp,
-        )
-
-    # ---- representation ----
-    if mode == "A" and not doubled:
-        rep = dict(_IDENTITY_REP)
-    else:
-        try:
-            rep = galois_representation(basis)
-        except Exception as e:
-            t.fail(tbp, "no representation on the basis: %s" % e)
-            return
-        if not is_upper_triangular(rep):
-            t.fail(tbp, "basis action is not upper triangular")
-            return
-
-    # ---- pair ----
-    pr = cert["pair"]
-    prp = _join(path, "pair")
-    if not t.keys(pr, ("first", "second"), prp):
-        return
-    members = {}
-    for name in ("first", "second"):
-        mp = _join(prp, name)
-        mb = pr[name]
-        if not t.keys(mb, ("p", "pi", "place", "conditions"), mp):
-            return
-        p = t.nat(mb, "p", mp)
-        if p is None:
-            return
-        if not is_probable_prime(p):
-            t.fail(_join(mp, "p"), "%d is not prime" % p)
-            return
-        pi = t.elem(N, mb["pi"], _join(mp, "pi"))
-        if pi is None:
-            return
-        place = t.place(mb["place"], N, _join(mp, "place"))
-        if place is None:
-            return
-        if place.p != p:
-            t.fail(_join(mp, "place"), "place sits over %d, not over %s" % (place.p, _join(mp, "p")))
-            return
-        try:
-            w0 = distinguished_place(N, p)
-        except Exception as e:
-            t.fail(_join(mp, "p"), "no split place over %d: %s" % (p, e))
-            return
-        if place.omega != w0.omega:
-            t.fail(_join(mp, "place.root"), "root is not the distinguished one")
-            return
-        members[name] = (p, pi, place)
-    (p, pi, v) = members["first"]
-    (pp_, pip, vp) = members["second"]
-    if p == pp_:
-        t.fail(_join(prp, "second.p"), "pair members sit over the same prime")
-        return
-
-    for name, (q, g, w) in members.items():
-        cdp = _join(_join(prp, name), "conditions")
-        cds = pr[name]["conditions"]
-        mark = len(t.trace)
-        common = (
-            "prime_norm",
-            "congruent_one_mod_wild",
-            "totally_positive",
-            "vanishes_at_own_place",
-        )
-        extra = (
-            ("generators_divisible",)
-            if name == "first"
-            else ("residue_order_at_first_place", "conjugate_orders")
-        )
-        if not t.keys(cds, common + extra, cdp):
-            return
-        nm = t.nat(cds["prime_norm"], "norm", _join(cdp, "prime_norm")) if t.keys(
-            cds["prime_norm"], ("norm",), _join(cdp, "prime_norm")
-        ) else None
-        if nm is None:
-            return
-        if _abs_norm(g) != nm or nm != q:
-            t.fail(_join(cdp, "prime_norm.norm"), "generator norm is not the prime")
-        cg = cds["congruent_one_mod_wild"]
-        cgp = _join(cdp, "congruent_one_mod_wild")
-        if t.keys(cg, ("modulus",), cgp):
-            md = t.nat(cg, "modulus", cgp)
-            if md is not None:
-                if md != wild_modulus(N):
-                    t.fail(_join(cgp, "modulus"), "expected the wild modulus %d" % wild_modulus(N))
-                elif not is_one_mod(g, md):
-                    t.fail(cgp, "generator is not congruent to 1")
-        t.literal(cds, "totally_positive", True, cdp)
-        if not is_totally_positive(g):
-            t.fail(_join(cdp, "totally_positive"), "generator is not totally positive")
-        t.literal(cds, "vanishes_at_own_place", True, cdp)
-        if reduce_at(g, w.p, w.omega) % w.p != 0:
-            t.fail(_join(cdp, "vanishes_at_own_place"), "generator is a unit at its own place")
-        if len(t.trace) > mark:
-            # a condition mismatch implicates the generator as much as the
-            # recorded condition, so name both ends of the comparison
-            t.fail(_join(_join(prp, name), "pi"), "recorded conditions disagree with this generator")
-
-    gd = pr["first"]["conditions"]["generators_divisible"]
-    gdp = _join(prp, "first.conditions.generators_divisible")
-    if t.keys(gd, ("level", "witnesses"), gdp):
-        dl = t.nat(gd, "level", gdp)
-        if dl is not None and dl != n_t:
-            t.fail(_join(gdp, "level"), "witness level %d is not %s" % (dl, _join(cxp, "n")))
-        wits = gd["witnesses"]
-        if not isinstance(wits, list) or len(wits) != len(gens):
-            t.fail(_join(gdp, "witnesses"), "need one witness per declared generator")
-        elif dl is not None:
-            cfp = reduce_curve(cv, v)
-            for i, entry in enumerate(wits):
-                wp = _join(_join(gdp, "witnesses"), i)
-                if (
-                    not isinstance(entry, list)
-                    or len(entry) != 2
-                    or entry[0] != str(i)
-                ):
-                    t.fail(wp, "expected [index, point]")
-                    continue
-                ok, W = t.fp_point(entry[1], p, wp)
-                if not ok:
-                    continue
-                if cfp.mul(dl, W) != reduce_point(cv, gens[i], v):
-                    t.fail(wp, "witness does not divide the generator down")
-
-    sc = pr["second"]["conditions"]
-    scp = _join(prp, "second.conditions")
-    ro = sc["residue_order_at_first_place"]
-    if not isinstance(ro, str) or not _NAT_RE.match(ro):
-        t.fail(_join(scp, "residue_order_at_first_place"), "expected an unsigned decimal string")
-        return
-    r = reduce_at(pip, v.p, v.omega) % v.p
-    if int(ro) != N or residue_power_order(r, N, v.p) != N:
-        t.fail(
-            _join(scp, "residue_order_at_first_place"),
-            "second generator must have full order %d at the first place" % N,
-        )
-    conj = sc["conjugate_orders"]
-    units = [u for u in context(N).units if u != 1]
-    if not isinstance(conj, list) or [
-        e[0] for e in conj if isinstance(e, list) and len(e) == 2
-    ] != [str(u) for u in units]:
-        t.fail(_join(scp, "conjugate_orders"), "need one entry per proper conjugate")
-    else:
-        for i, (ts, os_) in enumerate(conj):
-            cop = _join(_join(scp, "conjugate_orders"), i)
-            u = int(ts)
-            ru = reduce_at(galois_apply(GaloisAuto(N, u), pip), v.p, v.omega) % v.p
-            if os_ != "1" or residue_power_order(ru, N, v.p) != 1:
-                t.fail(cop, "conjugate is not an n-th power residue at the first place")
-
-    # ---- class: seed, representation, norm factors ----
-    cl = cert["class"]
-    clp = _join(path, "class")
-    clkeys = ("seed_pair", "representation", "upper_triangular", "norm_factors", "normed_pair")
-    if not t.keys(cl, clkeys, clp):
-        return
-    sd = cl["seed_pair"]
-    sdp = _join(clp, "seed_pair")
-    if not t.keys(sd, ("first", "second", "power_exponent"), sdp):
-        return
-    a = t.elem(N, sd["first"], _join(sdp, "first"))
-    b = t.elem(N, sd["second"], _join(sdp, "second"))
-    if a is None or b is None:
-        return
-    if a != pi:
-        t.fail(_join(sdp, "first"), "differs from %s" % _join(prp, "first.pi"))
-    exp = t.nat(sd, "power_exponent", sdp)
-    if exp is None:
-        return
-    if exp != N // ell_sym:
-        t.fail(_join(sdp, "power_exponent"), "exponent must be %d" % (N // ell_sym))
-        return
-    if b != pip ** exp:
-        t.fail(_join(sdp, "second"), "seed second coordinate is not pi'^%d" % exp)
-        return
-    if cl["representation"] != _rep_obj(rep):
-        t.fail(_join(clp, "representation"), "stored action differs from the recomputed one")
-        return
-    t.literal(cl, "upper_triangular", is_upper_triangular(rep), clp)
-    nf = twisted_norm(rep, a, b)
-    nfo = cl["norm_factors"]
-    nfp = _join(clp, "norm_factors")
-    if not t.keys(nfo, ("c", "cprime", "d", "dprime", "exponents"), nfp):
-        return
-    for key, val in (("c", nf.c), ("cprime", nf.cprime), ("d", nf.d), ("dprime", nf.dprime)):
-        if nfo[key] != elem_coeffs(val):
-            t.fail(_join(nfp, key), "norm factor differs from the recomputed one")
-            return
-    if nfo["exponents"] != _exponents_obj(nf):
-        t.fail(_join(nfp, "exponents"), "exponent table differs from the recomputed one")
-        return
-    first, second = nf.first(), nf.second()
-    npr = cl["normed_pair"]
-    npp = _join(clp, "normed_pair")
-    if not t.keys(npr, ("first", "second"), npp):
-        return
-    if npr["first"] != elem_coeffs(first) or npr["second"] != elem_coeffs(second):
-        t.fail(npp, "normed pair differs from the product of the factors")
-        return
-
-    # ---- obstruction ----
-    ob = cert["obstruction"]
-    obp = _join(path, "obstruction")
-    obkeys = [
-        "local_rows",
-        "v_row",
-        "support",
-        "wild",
-        "archimedean",
-        "unit_rows",
-        "place_consistency",
-        "global_order",
-        "reciprocity_sum",
-    ]
-    if rational_claims:
-        obkeys.append("descended_rows")
-    if not t.keys(ob, tuple(obkeys), obp):
-        return
-    if doubled or (N % 2 == 0 and N > 2):
-        consistency = "doubles-equal"
-    elif mode == "A" and N > 2:
-        consistency = "independent"
-    else:
-        consistency = "equal"
-    t.literal(ob, "place_consistency", consistency, obp)
-
-    expected_places = sorted(
-        [w for q in (p, pp_) for w in places_over(N, q)], key=lambda w: (w.p, w.omega)
-    )
-    lr = ob["local_rows"]
-    lrp = _join(obp, "local_rows")
-    local = {}
-    if not isinstance(lr, list) or len(lr) != len(expected_places):
-        t.fail(lrp, "rows must cover every place over the pair exactly once")
-    else:
-        for i, (row, w) in enumerate(zip(lr, expected_places)):
-            rowp = _join(lrp, i)
-            if not t.keys(row, ("place", "invariant", "order"), rowp):
-                continue
-            pw = t.place(row["place"], N, _join(rowp, "place"))
-            if pw is None:
-                continue
-            if (pw.p, pw.omega) != (w.p, w.omega):
-                t.fail(_join(rowp, "place"), "expected the place (%d, %d)" % (w.p, w.omega))
-                continue
-            inv = tame_invariant(first, second, w)
-            got = t.inv(row, "invariant", N, rowp)
-            if got is None:
-                continue
-            if got != inv:
-                t.fail(_join(rowp, "invariant"), "recomputed %s" % _inv_str(inv, N))
-                continue
-            if row.get("order") != str(invariant_order(inv)):
-                t.fail(_join(rowp, "order"), "order differs from the invariant's")
-                continue
-            local[(pw.p, pw.omega)] = inv
-
-    vr = ob["v_row"]
-    vrp = _join(obp, "v_row")
-    vrkeys = ("place", "invariant", "order", "valuations", "d_is_one", "sub_symbols")
-    inv_v = tame_invariant(first, second, v)
-    if t.keys(vr, vrkeys, vrp):
-        pw = t.place(vr["place"], N, _join(vrp, "place"))
-        if pw is not None and (pw.p, pw.omega) != (v.p, v.omega):
-            t.fail(_join(vrp, "place"), "v_row must sit at the first pair place")
-        got = t.inv(vr, "invariant", N, vrp)
-        if got is not None and got != inv_v:
-            t.fail(_join(vrp, "invariant"), "recomputed %s" % _inv_str(inv_v, N))
-        if invariant_order(inv_v) != ell_sym:
-            t.fail(_join(vrp, "order"), "v-invariant order is not the symbol target %d" % ell_sym)
-        t.literal(vr, "order", str(invariant_order(inv_v)), vrp)
-        vv = vr["valuations"]
-        vvp = _join(vrp, "valuations")
-        if t.keys(vv, ("c", "cprime", "d", "dprime"), vvp):
-            for key, val in (("c", nf.c), ("cprime", nf.cprime), ("d", nf.d), ("dprime", nf.dprime)):
-                t.literal(vv, key, str(valuation(val, v)), vvp)
-            if valuation(nf.c, v) != 1:
-                t.fail(_join(vvp, "c"), "first factor must be a uniformizer at v")
-        t.literal(vr, "d_is_one", True, vrp)
-        if nf.d != CycloElem.rational(N, 1):
-            t.fail(_join(vrp, "d_is_one"), "norm factor d is not 1")
-        sb = vr["sub_symbols"]
-        sbp = _join(vrp, "sub_symbols")
-        if t.keys(sb, ("c_d", "c_dprime", "cprime_d", "cprime_dprime"), sbp):
-            total = Fraction(0)
-            for key, (x, y) in (
-                ("c_d", (nf.c, nf.d)),
-                ("c_dprime", (nf.c, nf.dprime)),
-                ("cprime_d", (nf.cprime, nf.d)),
-                ("cprime_dprime", (nf.cprime, nf.dprime)),
-            ):
-                sv = tame_invariant(x, y, v)
-                total += sv
-                t.literal(sb, key, _inv_str(sv, N), sbp)
-            if total % 1 != inv_v:
-                t.fail(sbp, "sub-symbols do not add up to the v-invariant")
-    inv_vp = tame_invariant(first, second, vp)
-    if invariant_order(inv_vp) != invariant_order(inv_v):
-        t.fail(_join(obp, "local_rows"), "symbol orders at v and v' differ")
-
-    sup = ob["support"]
-    supp = _join(obp, "support")
-    if t.keys(sup, ("first", "second"), supp):
-        try:
-            t.literal(sup, "first", _factor_over(_abs_norm(first), (p, pp_)), supp)
-            t.literal(sup, "second", _factor_over(_abs_norm(second), (p, pp_)), supp)
-        except LemmaFailure as e:
-            t.fail(supp, str(e))
-
-    wd = ob["wild"]
-    wdp = _join(obp, "wild")
-    if t.keys(wd, ("modulus", "first_congruent", "second_congruent", "invariant"), wdp):
-        t.literal(wd, "modulus", str(wild_modulus(N)), wdp)
-        t.literal(wd, "first_congruent", True, wdp)
-        t.literal(wd, "second_congruent", True, wdp)
-        t.literal(wd, "invariant", _inv_str(Fraction(0), N), wdp)
-        if not (is_one_mod(first, wild_modulus(N)) and is_one_mod(second, wild_modulus(N))):
-            t.fail(wdp, "normed pair is not congruent to 1 mod the wild modulus")
-
-    ar = ob["archimedean"]
-    arp = _join(obp, "archimedean")
-    if deg == 1:
-        if t.keys(ar, ("kind", "first_positive", "second_positive", "invariant"), arp):
-            t.literal(ar, "kind", "real", arp)
-            t.literal(ar, "first_positive", is_totally_positive(first), arp)
-            t.literal(ar, "second_positive", is_totally_positive(second), arp)
-            real_inv = archimedean_invariant(first.rational_value(), second.rational_value())
-            t.literal(ar, "invariant", _inv_str(real_inv, N), arp)
-            if real_inv != 0:
-                t.fail(_join(arp, "invariant"), "real place is obstructed")
-    else:
-        if t.keys(ar, ("kind", "invariant"), arp):
-            t.literal(ar, "kind", "complex", arp)
-            t.literal(ar, "invariant", _inv_str(Fraction(0), N), arp)
-
-    ur = ob["unit_rows"]
-    urp = _join(obp, "unit_rows")
-    probes = _unit_probe_primes(N, max(p, pp_))
-    if not isinstance(ur, list) or len(ur) != len(probes):
-        t.fail(urp, "expected one spot-check row per probe prime")
-    else:
-        for i, (row, q) in enumerate(zip(ur, probes)):
-            rowp = _join(urp, i)
-            if not t.keys(row, ("place", "invariant", "order"), rowp):
-                continue
-            w = distinguished_place(N, q)
-            pw = t.place(row["place"], N, _join(rowp, "place"))
-            if pw is None or (pw.p, pw.omega) != (w.p, w.omega):
-                t.fail(_join(rowp, "place"), "expected the probe place over %d" % q)
-                continue
-            inv = tame_invariant(first, second, w)
-            t.literal(row, "invariant", _inv_str(inv, N), rowp)
-            t.literal(row, "order", str(invariant_order(inv)), rowp)
-            if inv != 0:
-                t.fail(_join(rowp, "invariant"), "unit-unit invariant is nonzero")
-
-    # consistency of conjugate places, descent, and the product formula
-    target_invs = {}
-    if len(local) == len(expected_places):
-        for q, w0 in ((p, v), (pp_, vp)):
-            invs = [inv for (qq, _), inv in local.items() if qq == q]
-            if consistency == "equal" and len(set(invs)) != 1:
-                t.fail(lrp, "conjugate places over %d disagree" % q)
-            if consistency == "doubles-equal" and len({(2 * i) % 1 for i in invs}) != 1:
-                t.fail(lrp, "doubled readings over %d disagree" % q)
-            if consistency == "independent":
-                for (qq, om), inv in local.items():
-                    if qq == q and om != w0.omega and inv != 0:
-                        t.fail(lrp, "unit-unit place over %d has a nonzero row" % q)
-            raw = local[(q, w0.omega)]
-            target_invs[q] = (2 * raw) % 1 if doubled else raw
-    ambiguous = not doubled and N % 2 == 0 and N > 2
-    if rational_claims and target_invs:
-        dr = ob["descended_rows"]
-        drp = _join(obp, "descended_rows")
-        if not isinstance(dr, list) or len(dr) != 2:
-            t.fail(drp, "expected one descended row per pair prime")
-        else:
-            for i, (row, q) in enumerate(zip(dr, (p, pp_))):
-                rowp = _join(drp, i)
-                if not t.keys(row, ("p", "invariant", "order"), rowp):
-                    continue
-                t.literal(row, "p", str(q), rowp)
-                t.literal(row, "invariant", _inv_str(target_invs[q], n_t), rowp)
-                t.literal(row, "order", str(invariant_order(target_invs[q])), rowp)
-        check = (
-            sum(((2 * i) % 1 for i in target_invs.values()))
-            if ambiguous
-            else sum(target_invs.values())
-        )
-        if check % 1 != 0:
-            t.fail(_join(obp, "reciprocity_sum"), "product formula fails on the descended rows")
-    t.literal(ob, "reciprocity_sum", "0/1", obp)
-    if target_invs:
-        if rational_claims:
-            glob = lcm(*(invariant_order(i) for i in target_invs.values()))
-        else:
-            glob = lcm(*(invariant_order(i) for i in local.values())) if local else 0
-        t.literal(ob, "global_order", str(glob), obp)
-        if glob != ell_t:
-            t.fail(_join(obp, "global_order"), "global order differs from %s" % _join(cxp, "ell"))
-
-    # ---- period ----
-    pd = cert["period"]
-    pdp = _join(path, "period")
-    if t.keys(pd, ("claim", "first_coordinate_valuation", "rows", "shift_vanishing"), pdp):
-        t.literal(pd, "claim", str(n_t), pdp)
-        t.literal(pd, "first_coordinate_valuation", "1", pdp)
-        if valuation(first, v) != 1:
-            t.fail(_join(pdp, "first_coordinate_valuation"), "recomputed valuation differs")
-        t.literal(pd, "shift_vanishing", _SHIFT_MARKER, pdp)
-        prs = pd["rows"]
-        prsp = _join(pdp, "rows")
-        if not isinstance(prs, list) or len(prs) != n_t - 1:
-            t.fail(prsp, "period evidence must cover every 0 < m < n")
-        else:
-            for i, row in enumerate(prs):
-                m = i + 1
-                rowp = _join(prsp, i)
-                if not t.keys(row, ("m", "valuation"), rowp):
-                    continue
-                t.literal(row, "m", str(m), rowp)
-                val_m = valuation(first ** m, v)
-                t.literal(row, "valuation", str(val_m), rowp)
-                if val_m % n_t == 0:
-                    t.fail(_join(rowp, "valuation"), "valuation %d vanishes mod n" % val_m)
-
-    # ---- index ----
-    iu = cert["index_upper"]
-    iup = _join(path, "index_upper")
-    if t.keys(iu, ("claim", "symbol_order_at_v", "rule"), iup):
-        t.literal(iu, "claim", str(n_t * ell_t), iup)
-        t.literal(iu, "symbol_order_at_v", str(ell_t), iup)
-        t.literal(iu, "rule", _UPPER_RULE, iup)
-        if target_invs and invariant_order(target_invs[p]) != ell_t:
-            t.fail(_join(iup, "symbol_order_at_v"), "recomputed target order differs")
-    il = cert["index_lower"]
-    ilp = _join(path, "index_lower")
-    if t.keys(il, ("claim", "rows", "tate_vanishing"), ilp):
-        t.literal(il, "claim", str(n_t * ell_t), ilp)
-        t.literal(il, "tate_vanishing", _SHIFT_MARKER, ilp)
-        divisors = [d for d in range(1, ell_t) if ell_t % d == 0]
-        ils = il["rows"]
-        ilsp = _join(ilp, "rows")
-        if not isinstance(ils, list) or len(ils) != len(divisors):
-            t.fail(ilsp, "index lower bound unproven: need one shift row per proper divisor")
-        elif target_invs:
-            for i, (row, dv) in enumerate(zip(ils, divisors)):
-                rowp = _join(ilsp, i)
-                if not t.keys(row, ("ell_prime", "shifted_invariant"), rowp):
-                    continue
-                t.literal(row, "ell_prime", str(dv), rowp)
-                shifted = (dv * target_invs[p]) % 1
-                t.literal(row, "shifted_invariant", _inv_str(shifted, n_t), rowp)
-                if shifted == 0:
-                    t.fail(
-                        _join(rowp, "shifted_invariant"),
-                        "index lower bound unproven: shift kills the invariant",
-                    )
-
-    # ---- closing claims ----
-    t.literal(cert, "lichtenbaum_ok", lichtenbaum_check(n_t, n_t * ell_t), path)
-    sm = cert["summary"]
-    smp = _join(path, "summary")
-    if t.keys(sm, ("period", "index", "places"), smp):
-        t.literal(sm, "period", str(n_t), smp)
-        t.literal(sm, "index", str(n_t * ell_t), smp)
-        t.literal(sm, "places", [str(p), str(pp_)], smp)
+    """(ok, trace).  Parses the inputs the certificate records, derives
+    the certificate they determine with the constructor's own derivation,
+    and compares field by field.  The trace lists (path, message) pairs
+    for everything that failed."""
+    trace = []
+    _check(cert, "", trace)
+    return not trace, trace

@@ -202,11 +202,6 @@ def curve_modulus(cv: CurveL, n: int) -> int:
     return m
 
 
-def wild_part_modulus(n: int) -> int:
-    ctx = context(n)
-    return ctx.prime ** (2 * ctx.prime_exp + 1)
-
-
 # ------------------------------------------------------------ reduction
 
 

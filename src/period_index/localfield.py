@@ -167,10 +167,6 @@ def invariant_sum(invs) -> Fraction:
     return sum(invs, Fraction(0)) % 1
 
 
-def normalize_invariant(inv: Fraction) -> Fraction:
-    return inv % 1
-
-
 def archimedean_invariant(a: Fraction, b: Fraction) -> Fraction:
     """Invariant of the real quadratic symbol (a, b)_infinity over Q.
 

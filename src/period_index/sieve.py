@@ -83,10 +83,11 @@ class SieveStats:
 
     def summary(self) -> str:
         return (
-            "scanned=%d generators=%d divisibility=%d/%d "
+            "scanned=%d no_generator=%d generators=%d divisibility=%d/%d "
             "pairs_tried=%d order_rejected=%d conjugate_rejected=%d"
             % (
                 self.scanned,
+                self.no_generator,
                 self.unit_adjusted,
                 self.divisibility_hits,
                 self.divisibility_checked,

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from period_index.cli import main
+from test_acceptance import _leaf_paths, _perturb, _set_path, _trace_names
 
 BOUND = "100000"
 
@@ -207,6 +208,56 @@ def test_compose_needs_the_jacobian_flag(cert_paths, tmp_path, capsys):
     )
     assert "period=6 index=18" in capsys.readouterr().out
     assert main(["verify", str(out)]) == 0
+
+
+# edits of a leaf to another JSON type or to an out-of-range number
+TYPE_EDITS = ("1/2", "-1", "0", [], {}, None, 7)
+
+
+def _rejected_by_name(cert, path, value, tmp_path, capsys) -> bool:
+    mutant = json.loads(json.dumps(cert))
+    _set_path(mutant, path, value)
+    target = tmp_path / "mutant.json"
+    target.write_text(json.dumps(mutant))
+    code = main(["verify", str(target)])
+    return code == 1 and _trace_names(capsys.readouterr().err, path)
+
+
+def test_verify_names_every_edited_leaf(cert_paths, tmp_path, capsys):
+    # every leaf of the (2, 1) certificate under the tamper gate's edit and
+    # each type edit: exit 1 with a trace naming the field, never another
+    # exit code or a traceback
+    _, c2 = cert_paths
+    cert = json.loads(c2.read_text())
+    tried, missed = 0, []
+    for path, old in _leaf_paths(cert):
+        for value in (_perturb(old),) + TYPE_EDITS:
+            if value == old:
+                continue
+            tried += 1
+            if not _rejected_by_name(cert, path, value, tmp_path, capsys):
+                missed.append((path, value))
+    assert tried > 1000
+    assert not missed
+
+
+def test_verify_names_edited_composite_parts(cert_paths, tmp_path, capsys):
+    c3, c2 = cert_paths
+    out = tmp_path / "comp.json"
+    argv = ["compose", str(c3), str(c2), "--out", str(out), "--allow-different-jacobians"]
+    assert main(argv) == 0
+    cert = json.loads(out.read_text())
+    cases = [("parts[%d].inputs.digest" % i, v) for i in (0, 1) for v in ([], {})]
+    cases += [
+        ("parts[%d].summary.%s" % (i, key), v)
+        for i in (0, 1)
+        for key in ("period", "index")
+        for v in ("0", "-1")
+    ]
+    missed = [
+        (path, v) for path, v in cases if not _rejected_by_name(cert, path, v, tmp_path, capsys)
+    ]
+    assert not missed
 
 
 def test_norm_twist_prints_trivial_d(cert_paths, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -340,6 +341,29 @@ def test_digest_pins_the_curve_block(cert33):
     assert not ok
     assert any(path == "inputs.digest" for path, _ in trace)
     assert content_digest(cert33["inputs"]["curve"]) == cert33["inputs"]["digest"]
+
+
+# SHA-256 of the canonical bytes of each acceptance certificate
+GOLDEN = {
+    "cert31": "2b50d6a1f2102ffe06e4d2e96622786ac4e06b115fe3144008e2bd7ca58df216",
+    "cert33": "dc2caee76f69031158ef6fa93c2c0e0df214c2aee87e73980f64a8402e4d7b1a",
+    "cert22": "440347bc9065eb89ba51cd7ed46b7936b2d3104027a8f8ee5a4ec3ba6e6bbade",
+    "composite": "bebc3e69f34cd3c6afda850127204fa1ae290928697e74827b5df7a393ac4660",
+}
+
+
+def test_certificates_match_golden_bytes(cert31, cert33, cert22):
+    certs = {
+        "cert31": cert31,
+        "cert33": cert33,
+        "cert22": cert22,
+        "composite": compose_coprime(cert22, cert33, allow_different_jacobians=True),
+    }
+    digests = {
+        name: hashlib.sha256(canonical_json(cert).encode()).hexdigest()
+        for name, cert in certs.items()
+    }
+    assert digests == GOLDEN
 
 
 def test_canonical_json_is_stable_under_reordering(cert33):
