@@ -15,7 +15,8 @@ Exit codes: 0 success; 1 verification failure; 2 malformed input or
 unmet hypotheses; 3 search bounds exhausted (histogram on stderr);
 4 internal inconsistency (a guaranteed check failed — a bug signal,
 never a legitimate mathematical outcome).  verify answers 0 or 1 for
-any JSON file and 2 only when the file cannot be read or parsed."""
+any JSON file and 2 only when the file cannot be read or parsed;
+compose verifies both inputs first and answers 1 if either fails."""
 
 from __future__ import annotations
 
@@ -385,6 +386,14 @@ def cmd_construct(args) -> int:
 def cmd_compose(args) -> int:
     left = _load_json(args.left)
     right = _load_json(args.right)
+    traces = [verify_certificate(part)[1] for part in (left, right)]
+    for i, trace in enumerate(traces):
+        for path, msg in trace:
+            # name paths as verify names them inside the composite
+            at = "parts[%d]" % i if path == "certificate" else "parts[%d].%s" % (i, path)
+            print("%s: %s" % (at, msg), file=sys.stderr)
+    if any(traces):
+        return 1
     cert = compose_coprime(left, right, allow_different_jacobians=args.allow_different_jacobians)
     _emit(cert, args.out, sys.stdout)
     sm = cert["summary"]

@@ -99,8 +99,9 @@ class CurveL:
         while k:
             if k & 1:
                 acc = self.add(acc, base)
-            base = self.add(base, base)
             k >>= 1
+            if k:
+                base = self.add(base, base)
         return acc
 
     def galois_point(self, auto: GaloisAuto, P: LPoint) -> LPoint:
@@ -313,8 +314,9 @@ class CurveFp:
         while k:
             if k & 1:
                 acc = self.add(acc, base)
-            base = self.add(base, base)
             k >>= 1
+            if k:
+                base = self.add(base, base)
         return acc
 
 
@@ -382,10 +384,16 @@ def group_structure(cfp: CurveFp, points: Optional[list] = None) -> GroupStructu
     N = len(pts) + 1
     fac = factorint(N)
     lam, W = 1, None
+    prev_x = None
     for P in pts:
-        o = _fp_point_order(cfp, P, N, fac)
-        if lam % o == 0:
+        # pts is sorted, so -P (same x) directly follows P, and lam is
+        # already a multiple of ord(P) = ord(-P)
+        if P[0] == prev_x:
             continue
+        prev_x = P[0]
+        if cfp.mul(lam, P) is None:
+            continue
+        o = _fp_point_order(cfp, P, N, fac)
         if W is None:
             lam, W = o, P
         else:

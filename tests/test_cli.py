@@ -210,6 +210,36 @@ def test_compose_needs_the_jacobian_flag(cert_paths, tmp_path, capsys):
     assert main(["verify", str(out)]) == 0
 
 
+def _compose_edited(cert_paths, tmp_path, side, edit):
+    """Run compose with one part edited; (exit code, output written)."""
+    paths = [str(p) for p in cert_paths]
+    cert = json.loads(cert_paths[side].read_text())
+    edit(cert)
+    paths[side] = str(tmp_path / "edited.json")
+    (tmp_path / "edited.json").write_text(json.dumps(cert))
+    out = tmp_path / "comp.json"
+    code = main(["compose", *paths, "--out", str(out), "--allow-different-jacobians"])
+    return code, out.exists()
+
+
+def test_compose_rejects_a_part_without_summary(cert_paths, tmp_path, capsys):
+    code, written = _compose_edited(cert_paths, tmp_path, 1, lambda c: c.pop("summary"))
+    assert (code, written) == (1, False)
+    err = capsys.readouterr().err
+    assert err.startswith("parts[1]: ") and "missing ['summary']" in err
+    assert "parts[0]" not in err
+
+
+def test_compose_rejects_a_part_with_period_zero(cert_paths, tmp_path, capsys):
+    def edit(cert):
+        cert["summary"]["period"] = "0"
+
+    code, written = _compose_edited(cert_paths, tmp_path, 0, edit)
+    assert (code, written) == (1, False)
+    err = capsys.readouterr().err
+    assert "parts[0].summary.period:" in err and "share a factor" not in err
+
+
 # edits of a leaf to another JSON type or to an out-of-range number
 TYPE_EDITS = ("1/2", "-1", "0", [], {}, None, 7)
 

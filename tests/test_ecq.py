@@ -211,6 +211,62 @@ def test_group_structure_certified():
             assert len(spans) == N  # the two generators really span
 
 
+def _reference_group_structure(cfp):
+    """group_structure as it was when it took the order of every point:
+    the sieve's witnesses depend on which generators it returns."""
+    pts = enumerate_points(cfp)
+    N = len(pts) + 1
+    fac = factorint(N)
+    lam, W = 1, None
+    for P in pts:
+        o = ecq._fp_point_order(cfp, P, N, fac)
+        if lam % o == 0:
+            continue
+        if W is None:
+            lam, W = o, P
+        else:
+            W, lam = ecq._merge_orders(cfp, W, lam, P, o)
+        if lam == N:
+            break
+    d1 = N // lam
+    if d1 == 1:
+        return (1, lam, None, W)
+    cyclic = set()
+    acc = None
+    for _ in range(lam):
+        cyclic.add(acc)
+        acc = cfp.add(acc, W)
+    fac_d1 = factorint(d1)
+    for P in pts:
+        o = ecq._fp_point_order(cfp, P, N, fac)
+        if o % d1 != 0:
+            continue
+        T = cfp.mul(o // d1, P)
+        if all(cfp.mul(d1 // q, T) not in cyclic for q in fac_d1):
+            return (d1, lam, T, W)
+    raise AssertionError("no independent generator found")
+
+
+def test_group_structure_matches_reference():
+    rng = random.Random(3303)
+    primes = [p for p in range(3, 300) if all(p % q for q in range(2, p))]
+    non_cyclic = two_torsion = 0
+    for _ in range(300):
+        p = rng.choice(primes)
+        while True:
+            try:
+                cfp = CurveFp(p, *(rng.randrange(p) for _ in range(5)))
+                break
+            except CurveError:
+                continue
+        st = group_structure(cfp)
+        assert (st.d1, st.d2, st.g1, st.g2) == _reference_group_structure(cfp), cfp
+        non_cyclic += st.d1 > 1
+        two_torsion += any(cfp.neg(P) == P for P in enumerate_points(cfp))
+    # the sample reaches the second loop and the self-negating points
+    assert non_cyclic >= 20 and two_torsion >= 100
+
+
 def test_multiplication_image_matches_bruteforce():
     cfp = CurveFp(13, 0, 0, 0, -1, 0)
     pts = enumerate_points(cfp)

@@ -10,6 +10,7 @@ from period_index.cyclo import (
     is_totally_positive,
     reduce_at,
 )
+from period_index import ecq
 from period_index.ecq import curve_over, point_over, reduce_curve, reduce_point
 from period_index.localfield import (
     distinguished_place,
@@ -110,6 +111,23 @@ def test_divisibility_witnesses_multiply_back():
     cfp = reduce_curve(cv2, v)
     for idx, w in divisibility_data(cv2, v, gens2, 2):
         assert cfp.mul(2, w) == reduce_point(cv2, gens2[idx], v)
+
+
+def test_divisibility_data_addition_budget(monkeypatch):
+    # taking the order of every point of E(F_p) costs 1,259,328 additions
+    # here; one lam*P = O test per pair {P, -P} costs 135,088
+    calls = [0]
+    add = ecq.CurveFp.add
+
+    def counted(self, P, Q):
+        calls[0] += 1
+        return add(self, P, Q)
+
+    monkeypatch.setattr(ecq.CurveFp, "add", counted)
+    cv4, gens4 = _fix4()
+    got = divisibility_data(cv4, distinguished_place(4, 13441), gens4, 2)
+    assert got == ((0, (2117, 2573)), (1, (1672, 6652)))
+    assert calls[0] <= 200_000
 
 
 def test_residue_order_profile_frozen():
