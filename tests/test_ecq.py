@@ -231,6 +231,7 @@ def _reference_group_structure(cfp):
     d1 = N // lam
     if d1 == 1:
         return (1, lam, None, W)
+    assert lam % d1 == 0 and (cfp.p - 1) % d1 == 0
     cyclic = set()
     acc = None
     for _ in range(lam):
