@@ -320,23 +320,53 @@ class CurveFp:
         return acc
 
 
-def enumerate_points(cfp: CurveFp) -> list[tuple[int, int]]:
-    """All affine points, sorted.  Complete-the-square in y, then read
-    square roots off a precomputed table (p is odd)."""
+def _square_roots(p: int) -> memoryview:
+    """roots[g] is the square root of g mod p in [0, p/2), or -1 when g is
+    not a square: a C int per residue (all bits set is -1), no object per
+    entry."""
+    roots = memoryview(bytearray(b"\xff" * (4 * p))).cast("i")
+    for z in range((p + 1) // 2):
+        roots[z * z % p] = z
+    return roots
+
+
+def _affine_points(cfp: CurveFp, roots: memoryview):
+    """The affine points one at a time, in sorted order.  Complete the
+    square in y, then read square roots off the table (p is odd)."""
     p = cfp.p
-    roots: list[list[int]] = [[] for _ in range(p)]
-    for z in range(p):
-        roots[z * z % p].append(z)
     inv2 = (p + 1) // 2
-    pts = []
     for x in range(p):
         s = (cfp.a1 * x + cfp.a3) % p
-        g = (s * s + 4 * (x ** 3 + cfp.a2 * x * x + cfp.a4 * x + cfp.a6)) % p
-        for z in roots[g]:
-            y = (z - s) * inv2 % p
-            pts.append((x, y))
-    pts.sort()
-    return pts
+        z = roots[(s * s + 4 * (x ** 3 + cfp.a2 * x * x + cfp.a4 * x + cfp.a6)) % p]
+        if z < 0:
+            continue
+        y = (z - s) * inv2 % p
+        if z == 0:
+            yield (x, y)
+            continue
+        y_neg = (-z - s) * inv2 % p
+        yield (x, min(y, y_neg))
+        yield (x, max(y, y_neg))
+
+
+class _PointWalk:
+    """The sorted affine points of E(F_p), generated anew on each pass
+    instead of held: a list of them is some 1.5 MB at p ~ 13000."""
+
+    def __init__(self, cfp: CurveFp):
+        self.cfp, self.roots = cfp, _square_roots(cfp.p)
+        self.count = sum(1 for _ in self)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return _affine_points(self.cfp, self.roots)
+
+
+def enumerate_points(cfp: CurveFp) -> list[tuple[int, int]]:
+    """All affine points, sorted."""
+    return list(_affine_points(cfp, _square_roots(cfp.p)))
 
 
 def count_points(cfp: CurveFp) -> int:
@@ -379,8 +409,8 @@ class GroupStructure:
     g2: FpPoint
 
 
-def group_structure(cfp: CurveFp, points: Optional[list] = None) -> GroupStructure:
-    pts = enumerate_points(cfp) if points is None else points
+def group_structure(cfp: CurveFp) -> GroupStructure:
+    pts = _PointWalk(cfp)
     N = len(pts) + 1
     fac = factorint(N)
     lam, W = 1, None
@@ -421,32 +451,40 @@ def group_structure(cfp: CurveFp, points: Optional[list] = None) -> GroupStructu
     raise CurveError("no independent generator found; group order miscounted?")
 
 
-def multiplication_image(cfp: CurveFp, st: GroupStructure, n: int) -> dict:
-    """The subgroup n*E(F_p) as a dict point -> (i, j) with witness data:
-    point = n*(i*g1 + j*g2).  Includes the zero section under key None."""
-    out = {}
+def _image_walk(cfp: CurveFp, st: GroupStructure, n: int):
+    """(n*(i*g1 + j*g2), i, j) for i < d1 (i = 0 if g1 is None), j < d2,
+    i outer: every point of n*E(F_p), some more than once."""
     nG1 = cfp.mul(n, st.g1) if st.g1 is not None else None
     nG2 = cfp.mul(n, st.g2)
     P1: FpPoint = None
     for i in range(st.d1 if st.g1 is not None else 1):
         P2 = P1
         for j in range(st.d2):
-            if P2 not in out:
-                out[P2] = (i, j)
+            yield P2, i, j
             P2 = cfp.add(P2, nG2)
         P1 = cfp.add(P1, nG1)
+
+
+def multiplication_image(cfp: CurveFp, st: GroupStructure, n: int) -> dict:
+    """The subgroup n*E(F_p) as a dict point -> (i, j) with witness data:
+    point = n*(i*g1 + j*g2).  Includes the zero section under key None."""
+    out = {}
+    for P, i, j in _image_walk(cfp, st, n):
+        if P not in out:
+            out[P] = (i, j)
     return out
 
 
 def divisibility_witness(cfp: CurveFp, st: GroupStructure, n: int, P: FpPoint):
-    """If P lies in n*E(F_p), return Q with nQ = P, else None."""
-    img = multiplication_image(cfp, st, n)
-    if P not in img:
-        return None
-    i, j = img[P]
-    Q = cfp.add(cfp.mul(i, st.g1) if st.g1 is not None else None, cfp.mul(j, st.g2))
-    assert cfp.mul(n, Q) == P
-    return Q
+    """If P lies in n*E(F_p), return Q with nQ = P, else None.  Q comes
+    from the first (i, j) of the walk that hits P, the pair
+    multiplication_image records; the walk stops there, no image is held."""
+    for R, i, j in _image_walk(cfp, st, n):
+        if R == P:
+            Q = cfp.add(cfp.mul(i, st.g1) if st.g1 is not None else None, cfp.mul(j, st.g2))
+            assert cfp.mul(n, Q) == P
+            return Q
+    return None
 
 
 # =====================================================================

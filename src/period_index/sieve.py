@@ -46,7 +46,6 @@ from .ecq import (
     bad_set as _bad_reduction_primes,
     curve_modulus,
     divisibility_witness,
-    enumerate_points,
     group_structure,
     reduce_curve,
     reduce_point,
@@ -199,8 +198,7 @@ def divisibility_data(
     """Witnesses that every declared generator reduces into
     target_level * E(F_p) at the place; None if any fails."""
     cfp = reduce_curve(cv, place)
-    pts = enumerate_points(cfp)
-    st = group_structure(cfp, pts)
+    st = group_structure(cfp)
     out = []
     for idx, g in enumerate(gens):
         gbar = reduce_point(cv, g, place)

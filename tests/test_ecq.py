@@ -170,6 +170,32 @@ def test_count_matches_naive_scan():
         assert count_points(cfp) == naive + 1
 
 
+def test_point_walk_matches_naive_sorted_scan():
+    # the walk yields the points in the order of a sorted naive scan, with
+    # and without a 2-torsion point (one root) and with a1, a3 nonzero
+    rng = random.Random(3333)
+    for _ in range(40):
+        p = rng.choice([3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+        while True:
+            cs = [rng.randrange(p) for _ in range(5)]
+            try:
+                cfp = CurveFp(p, *cs)
+                break
+            except CurveError:
+                continue
+        naive = [
+            (x, y)
+            for x in range(p)
+            for y in range(p)
+            if (y * y + cfp.a1 * x * y + cfp.a3 * y) % p
+            == (x ** 3 + cfp.a2 * x * x + cfp.a4 * x + cfp.a6) % p
+        ]
+        walk = ecq._PointWalk(cfp)
+        assert enumerate_points(cfp) == naive
+        assert list(walk) == naive and list(walk) == naive  # each pass anew
+        assert len(walk) == len(naive)
+
+
 def test_group_structure_frozen():
     st = group_structure(CurveFp(5, 0, 0, 0, -1, 0))
     assert (st.d1, st.d2) == (2, 4)
@@ -276,8 +302,11 @@ def test_multiplication_image_matches_bruteforce():
         img = multiplication_image(cfp, st, n)
         brute = {cfp.mul(n, P) for P in pts} | {None}
         assert set(img) == brute
-        for P in list(brute)[:6]:
+        for P in brute:
+            # the witness is the one the image's first (i, j) gives
+            i, j = img[P]
             Q = divisibility_witness(cfp, st, n, P)
+            assert Q == cfp.add(cfp.mul(i, st.g1), cfp.mul(j, st.g2))
             assert cfp.mul(n, Q) == P
         outside = [P for P in pts if P not in brute]
         for P in outside[:4]:

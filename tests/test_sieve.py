@@ -1,6 +1,8 @@
 """Sieve tests: frozen first hits for the three fixture curves plus
 re-validation of every condition from the raw outputs alone."""
 
+import tracemalloc
+
 import pytest
 
 from period_index.cyclo import (
@@ -128,6 +130,21 @@ def test_divisibility_data_addition_budget(monkeypatch):
     got = divisibility_data(cv4, distinguished_place(4, 13441), gens4, 2)
     assert got == ((0, (2117, 2573)), (1, (1672, 6652)))
     assert calls[0] <= 200_000
+
+
+def test_divisibility_data_lists_no_points():
+    # listing E(F_p) (a square-root list per residue, then every point)
+    # peaked at 0.33 MB here; walking the points without a list and
+    # stopping the witness search at its hit peaks at 0.08 MB
+    cv4, gens4 = _fix4()
+    place = distinguished_place(4, 2113)
+    tracemalloc.start()
+    try:
+        divisibility_data(cv4, place, gens4, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150_000
 
 
 def test_residue_order_profile_frozen():
