@@ -906,15 +906,23 @@ def _field(cert: dict, path: str):
     return cur
 
 
+def _field_set(obj: dict, expected, rel: str):
+    """(message, paths) of a field-set mismatch of the object at rel: its
+    own path, then one per missing or unexpected key; None if they agree."""
+    missing = sorted(set(expected) - set(obj))
+    extra = sorted(set(obj) - set(expected))
+    if not (missing or extra):
+        return None
+    msg = "field set mismatch: missing %r, unexpected %r" % (missing, extra)
+    return msg, [rel] + [_at(rel, key) for key in missing + extra]
+
+
 def _keys(obj, expected, path: str):
     if not isinstance(obj, dict):
         raise InputError("expected an object", path)
-    missing = sorted(set(expected) - set(obj))
-    extra = sorted(set(obj) - set(expected))
-    if missing or extra:
-        raise InputError(
-            "field set mismatch: missing %r, unexpected %r" % (missing, extra), path
-        )
+    mismatch = _field_set(obj, expected, path)
+    if mismatch:
+        raise InputError(mismatch[0], *mismatch[1])
 
 
 def _nat(cert: dict, path: str) -> int:
@@ -1034,11 +1042,9 @@ def _diff(recorded, derived, rel: str, path: str, trace: list):
     differs from the derived one below rel.  Values of different JSON
     types differ, so true and 1 do not match."""
     if isinstance(recorded, dict) and isinstance(derived, dict):
-        missing = sorted(set(derived) - set(recorded))
-        extra = sorted(set(recorded) - set(derived))
-        if missing or extra:
-            msg = "field set mismatch: missing %r, unexpected %r" % (missing, extra)
-            trace.append((_at(path, rel), msg))
+        mismatch = _field_set(recorded, derived, rel)
+        if mismatch:
+            trace.extend((_at(path, r), mismatch[0]) for r in mismatch[1])
         for key in sorted(set(derived) & set(recorded)):
             _diff(recorded[key], derived[key], _at(rel, key), path, trace)
     elif (

@@ -1,7 +1,8 @@
 """Exact arithmetic in prime-power cyclotomic fields L = Q(zeta_n).
 
-Elements are stored on the power basis 1, zeta, ..., zeta^(phi(n)-1) with
-Fraction coordinates, so every operation here is exact.  Scope: n is a prime
+Elements are stored on the power basis 1, zeta, ..., zeta^(phi(n)-1) as
+integer coordinates over one common positive denominator, so every
+operation here is exact; inverses go through the norm.  Scope: n is a prime
 power; n in {2, 3, 4} is fully supported (class number one, torsion units
 only), n in {5, 8, 9} is best-effort (bounded unit windows, see NORM_UNITS).
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 
@@ -72,16 +73,15 @@ class GlobalContext:
         self.phi_coeffs = cyclotomic_poly(n)
         self.degree = len(self.phi_coeffs) - 1
         # x^d = -(lower part of Phi), used to fold products back below degree d.
-        self._fold = [Fraction(-c) for c in self.phi_coeffs[:-1]]
-        # x^(d+i) mod Phi_n as coordinate rows, far enough for both products
-        # (degree <= 2d-2) and raw zeta-power data (degree <= n-1).
-        rows = [list(self._fold)]
+        fold = [-c for c in self.phi_coeffs[:-1]]
+        # x^(d+i) mod Phi_n as integer coordinate rows (Phi_n is monic), far
+        # enough for both products (degree <= 2d-2) and raw zeta-power data
+        # (degree <= n-1).
+        rows = [fold]
         for _ in range(2 * n - 2 - self.degree):
             prev = rows[-1]
-            shifted = [Fraction(0)] + prev[:-1]
             top = prev[-1]
-            row = [shifted[j] + top * self._fold[j] for j in range(self.degree)]
-            rows.append(row)
+            rows.append([a + top * b for a, b in zip([0] + prev[:-1], fold)])
         self._power_rows = rows
         self.units = tuple(t for t in range(1, n) if gcd(t, n) == 1)
 
@@ -105,92 +105,97 @@ class GaloisAuto:
 
 
 class CycloElem:
-    """An element of Q(zeta_n) on the power basis, exact coordinates."""
+    """An element of Q(zeta_n) on the power basis: integer numerators over
+    one positive denominator, in lowest terms (gcd(num..., den) = 1), so
+    equal elements have equal fields."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coeffs: Iterable):
         ctx = context(n)
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > ctx.degree:
+        cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        if len(num) > ctx.degree:
             # fold high powers down; lets callers pass raw polynomial data
-            cs = _reduce(ctx, cs)
-        cs += [Fraction(0)] * (ctx.degree - len(cs))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", tuple(cs))
+            num = _reduce(ctx, num)
+        num += [0] * (ctx.degree - len(num))
+        _set(self, n, num, den)
 
     def __setattr__(self, *a):  # immutable by convention
         raise AttributeError("CycloElem is immutable")
 
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     # --- constructors -------------------------------------------------
     @staticmethod
     def rational(n: int, value) -> "CycloElem":
-        return CycloElem(n, [Fraction(value)])
+        value = value if isinstance(value, int) else Fraction(value)
+        num = [0] * context(n).degree
+        num[0] = value.numerator
+        return _elem(n, num, value.denominator)
 
     @staticmethod
     def zeta(n: int, power: int = 1) -> "CycloElem":
-        ctx = context(n)
-        power %= n
-        raw = [Fraction(0)] * (power + 1)
-        raw[power] = Fraction(1)
-        return CycloElem(n, _reduce(ctx, raw))
+        return CycloElem(n, [0] * (power % n) + [1])
 
     # --- predicates ---------------------------------------------------
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational: %r" % (self,))
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def denominator(self) -> int:
-        d = 1
-        for c in self.coeffs:
-            d = d * c.denominator // gcd(d, c.denominator)
-        return d
+        return self.den
 
     # --- ring ops -----------------------------------------------------
     def _check(self, other: "CycloElem") -> None:
         if not isinstance(other, CycloElem) or other.n != self.n:
             raise ContextError("mixed cyclotomic contexts: %r vs %r" % (self, other))
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+    def _plus(self, other, sign: int) -> "CycloElem":
+        """self + sign * other."""
+        if not isinstance(other, CycloElem) and isinstance(other, (int, Fraction)):
             other = CycloElem.rational(self.n, other)
         self._check(other)
-        return CycloElem(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _elem(self.n, [a + sign * b for a, b in zip(self.num, other.num)], d1)
+        s1 = d1 * sign
+        return _elem(self.n, [a * d2 + b * s1 for a, b in zip(self.num, other.num)], d1 * d2)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloElem.rational(self.n, other)
-        self._check(other)
-        return CycloElem(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return CycloElem(self.n, [-a for a in self.coeffs])
+        return _elem(self.n, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycloElem(self.n, [a * Fraction(other) for a in self.coeffs])
+        if not isinstance(other, CycloElem) and isinstance(other, (int, Fraction)):
+            return _elem(self.n, [a * other.numerator for a in self.num], self.den * other.denominator)
         self._check(other)
-        ctx = context(self.n)
-        d = ctx.degree
-        raw = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                raw[i + j] += a * b
-        return CycloElem(self.n, _reduce(ctx, raw))
+        d = len(self.num)
+        raw = [0] * (2 * d - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(other.num, i):
+                    raw[j] += a * b
+        return _elem(self.n, _reduce(context(self.n), raw), self.den * other.den)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -199,17 +204,19 @@ class CycloElem:
         return (-self) + other
 
     def invert(self) -> "CycloElem":
-        """Multiplicative inverse via extended gcd with Phi_n over Q."""
+        """Multiplicative inverse through the norm: with y the product of
+        the conjugates sigma_t(x), t != 1, x * y = N(x) is rational and
+        x^-1 = y / N(x)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % self.n)
-        ctx = context(self.n)
-        phi = [Fraction(c) for c in ctx.phi_coeffs]
-        g, _, inv = _poly_ext_gcd(phi, list(self.coeffs))
-        # g is a nonzero constant since Phi_n is irreducible over Q
-        if len([c for c in g if c != 0]) != 1 or g[0] == 0:
-            raise ArithmeticError("gcd with Phi_%d not constant; bad reduction state" % self.n)
-        scale = Fraction(1) / g[0]
-        return CycloElem(self.n, [c * scale for c in inv])
+        y = _conjugate_product(self)
+        nrm = self * y
+        if not nrm.is_rational():
+            raise ArithmeticError("norm of %r did not land in Q" % (self,))
+        a, b = nrm.num[0], nrm.den
+        if a < 0:
+            a, b = -a, -b
+        return _elem(self.n, [c * b for c in y.num], y.den * a)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -232,12 +239,17 @@ class CycloElem:
 
     # --- misc ---------------------------------------------------------
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, CycloElem) and isinstance(other, (int, Fraction)):
             other = CycloElem.rational(self.n, other)
-        return isinstance(other, CycloElem) and self.n == other.n and self.coeffs == other.coeffs
+        return (
+            isinstance(other, CycloElem)
+            and self.n == other.n
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __hash__(self):
-        return hash((self.n, self.coeffs))
+        return hash((self.n, self.num, self.den))
 
     def __repr__(self):
         terms = []
@@ -253,74 +265,42 @@ class CycloElem:
         return "CycloElem(%d: %s)" % (self.n, " + ".join(terms) if terms else "0")
 
 
-def _reduce(ctx: GlobalContext, raw: Sequence[Fraction]) -> list[Fraction]:
+def _set(x: CycloElem, n: int, num: list[int], den: int) -> CycloElem:
+    """Store num / den in x in lowest terms; num has the field degree, den > 0."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    object.__setattr__(x, "n", n)
+    object.__setattr__(x, "num", tuple(num))
+    object.__setattr__(x, "den", den)
+    return x
+
+
+def _elem(n: int, num: list[int], den: int) -> CycloElem:
+    return _set(object.__new__(CycloElem), n, num, den)
+
+
+def _reduce(ctx: GlobalContext, raw: Sequence[int]) -> list[int]:
+    """Integer polynomial data mod Phi_n, on the power basis."""
     d = ctx.degree
     if len(raw) - d > len(ctx._power_rows):
         raise ContextError("raw degree %d too large to reduce" % (len(raw) - 1))
-    out = [Fraction(c) for c in raw[:d]] + [Fraction(0)] * max(0, d - len(raw))
-    for i, c in enumerate(raw[d:]):
-        if c == 0:
-            continue
-        row = ctx._power_rows[i]
-        for j in range(d):
-            out[j] += c * row[j]
+    out = list(raw[:d]) + [0] * max(0, d - len(raw))
+    for c, row in zip(raw[d:], ctx._power_rows):
+        if c:
+            for j, r in enumerate(row):
+                out[j] += c * r
     return out
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = Fraction(1) / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        coef = a[i + len(b) - 1] * inv_lead
-        if coef == 0:
-            continue
-        q[i] = coef
-        for j, bj in enumerate(b):
-            a[i + j] -= coef * bj
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_ext_gcd(a: list[Fraction], b: list[Fraction]):
-    """Return (g, u, v) with u*a + v*b = g, over Q[x]."""
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    r0, r1 = a, b
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-    return r0, s0, t0
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _poly_trim(out)
+def _spread(x: CycloElem, n: int, step: int) -> CycloElem:
+    """x with zeta_x.n^i sent to zeta_n^(i * step), for n a multiple of x.n."""
+    raw = [0] * n
+    for i, c in enumerate(x.num):
+        raw[i * step % n] += c
+    return _elem(n, _reduce(context(n), raw), x.den)
 
 
 def embed_level(x: CycloElem, new_n: int) -> CycloElem:
@@ -332,11 +312,7 @@ def embed_level(x: CycloElem, new_n: int) -> CycloElem:
         raise ContextError("cannot embed level %d into level %d" % (x.n, new_n))
     if new_n == x.n:
         return x
-    m = new_n // x.n
-    raw = [Fraction(0)] * new_n
-    for i, c in enumerate(x.coeffs):
-        raw[(i * m) % new_n] += c
-    return CycloElem(new_n, raw)
+    return _spread(x, new_n, new_n // x.n)
 
 
 # --- Galois action and norms ------------------------------------------
@@ -346,10 +322,7 @@ def galois_apply(auto: GaloisAuto, x: CycloElem) -> CycloElem:
     """Apply zeta -> zeta^t coordinate-wise and re-reduce."""
     if auto.n != x.n:
         raise ContextError("automorphism level %d vs element level %d" % (auto.n, x.n))
-    raw = [Fraction(0)] * x.n
-    for i, c in enumerate(x.coeffs):
-        raw[(i * auto.t) % x.n] += c
-    return CycloElem(x.n, raw)
+    return _spread(x, x.n, auto.t)
 
 
 def conjugates(x: CycloElem) -> list[CycloElem]:
@@ -357,11 +330,17 @@ def conjugates(x: CycloElem) -> list[CycloElem]:
     return [galois_apply(GaloisAuto(x.n, t), x) for t in ctx.units]
 
 
+def _conjugate_product(x: CycloElem) -> CycloElem:
+    """The product of sigma_t(x) over the units t != 1."""
+    acc = CycloElem.rational(x.n, 1)
+    for t in context(x.n).units[1:]:
+        acc = acc * _spread(x, x.n, t)
+    return acc
+
+
 def field_norm(x: CycloElem) -> Fraction:
     """Norm to Q: product over all Galois conjugates."""
-    acc = CycloElem.rational(x.n, 1)
-    for c in conjugates(x):
-        acc = acc * c
+    acc = x * _conjugate_product(x)
     if not acc.is_rational():
         raise ArithmeticError("norm did not land in Q: %r" % (acc,))
     return acc.rational_value()
@@ -396,15 +375,12 @@ def evaluate_mod(x: CycloElem, root: int, modulus: int) -> int:
 
     Denominators must be invertible mod `modulus`.
     """
+    if gcd(x.den, modulus) != 1:
+        raise ValueError("denominator %d not invertible mod %d" % (x.den, modulus))
     acc = 0
-    power = 1
-    for c in x.coeffs:
-        den = c.denominator % modulus
-        if gcd(c.denominator, modulus) != 1:
-            raise ValueError("denominator %d not invertible mod %d" % (c.denominator, modulus))
-        acc = (acc + c.numerator * pow(den, -1, modulus) * power) % modulus
-        power = (power * root) % modulus
-    return acc % modulus
+    for c in reversed(x.num):
+        acc = (acc * root + c) % modulus
+    return acc * pow(x.den, -1, modulus) % modulus
 
 
 def phi_roots_mod_p(n: int, p: int) -> list[int]:

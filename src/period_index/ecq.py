@@ -70,26 +70,34 @@ class CurveL:
         x, y = P
         return (x, -y - self.a1 * x - self.a3)
 
+    def chord(self, P: tuple, Q: tuple) -> Optional[tuple]:
+        """The line through affine P and Q (the tangent when P = Q) as
+        (lam, nu) with y = lam*x + nu on it, or None when it is vertical
+        (Q = -P)."""
+        x1, y1 = P
+        x2, y2 = Q
+        if x1 == x2:
+            den = 2 * y1 + self.a1 * x1 + self.a3
+            if y2 == y1 - den:  # Q = -P
+                return None
+            lam = (3 * x1 * x1 + 2 * self.a2 * x1 + self.a4 - self.a1 * y1) / den
+        else:
+            lam = (y2 - y1) / (x2 - x1)
+        return lam, y1 - lam * x1
+
     def add(self, P: LPoint, Q: LPoint) -> LPoint:
         if P is None:
             return Q
         if Q is None:
             return P
-        x1, y1 = P
-        x2, y2 = Q
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        if x1 == x2:
-            if y2 == -y1 - a1 * x1 - a3:
-                return None
-            den = 2 * y1 + a1 * x1 + a3
-            lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / den
-            nu = (-(x1 ** 3) + a4 * x1 + 2 * a6 - a3 * y1) / den
-        else:
-            lam = (y2 - y1) / (x2 - x1)
-            nu = (y1 * x2 - y2 * x1) / (x2 - x1)
-        x3 = lam * lam + a1 * lam - a2 - x1 - x2
-        y3 = -(lam + a1) * x3 - nu - a3
-        return (x3, y3)
+        line = self.chord(P, Q)
+        return None if line is None else self._third(P, Q, line)
+
+    def _third(self, P: tuple, Q: tuple, line: tuple) -> tuple:
+        """P + Q, from the line through P and Q."""
+        lam, nu = line
+        x3 = lam * lam + self.a1 * lam - self.a2 - P[0] - Q[0]
+        return (x3, -(lam + self.a1) * x3 - nu - self.a3)
 
     def mul(self, k: int, P: LPoint) -> LPoint:
         if k < 0:
@@ -135,10 +143,6 @@ def point_over(n: int, xy) -> LPoint:
 
 
 # --------------------------------------------------------------- orders
-
-
-def point_order_dividing(cv: CurveL, P: LPoint, m: int) -> bool:
-    return cv.mul(m, P) is None
 
 
 def point_exact_order(cv: CurveL, P: LPoint, bound: int = 32) -> int:
@@ -496,69 +500,53 @@ class AuxCollision(ArithmeticError):
     """Internal: the auxiliary point hit a zero/pole; redraw and retry."""
 
 
-def _line_value(cv: CurveL, V: LPoint, W: LPoint, X: LPoint) -> CycloElem:
-    """Value at affine X of the line whose zeros are V, W, -(V+W).
+def _miller_lines(cv: CurveL, n: int, P: LPoint) -> list:
+    """Miller's loop for f_{n,P}, div(f) = n(P) - n(O), as the lines it
+    multiplies in, which do not depend on where f is evaluated.  One entry
+    per step: (square f first, line through V and W, x of the vertical at
+    V + W).  A line is (lam, nu) for y = lam*x + nu, or the x of a vertical
+    one, or None for the constant 1.  Raises unless nP = O."""
+    steps = []
+    V = P
+    for bit in bin(n)[3:]:
+        for square in (True, False) if bit == "1" else (True,):
+            W = V if square else P
+            if V is None:  # kP = O already: the lines left cancel
+                line, S = None, W
+            else:
+                line = cv.chord(V, W)
+                S = None if line is None else cv._third(V, W, line)
+                line = V[0] if line is None else line
+            steps.append((square, line, None if S is None else S[0]))
+            V = S
+    if V is not None:
+        raise CurveError("weil_pairing: inputs are not %d-torsion" % n)
+    return steps
 
-    Vertical cases degenerate to x - x0; a line through O twice is the
-    constant 1."""
+
+def _miller(cv: CurveL, lines: list, X: LPoint) -> tuple:
+    """f(X) as (numerator, denominator) for the lines of _miller_lines."""
     if X is None:
         raise AuxCollision("evaluation at infinity")
     xX, yX = X
-    if V is None and W is None:
-        return CycloElem.rational(cv.n, 1)
-    if V is None or W is None:
-        U = W if V is None else V
-        return xX - U[0]
-    S = cv.add(V, W)
-    if S is None:
-        # V = -W: vertical line
-        return xX - V[0]
-    x1, y1 = V
-    x2, y2 = W
-    if V == W:
-        den = 2 * y1 + cv.a1 * x1 + cv.a3
-        if den.is_zero():
-            return xX - x1  # vertical tangent (2V = O was handled, defensive)
-        lam = (3 * x1 * x1 + 2 * cv.a2 * x1 + cv.a4 - cv.a1 * y1) / den
-    else:
-        if x1 == x2:
-            return xX - x1
-        lam = (y2 - y1) / (x2 - x1)
-    return (yX - y1) - lam * (xX - x1)
+    num = den = CycloElem.rational(cv.n, 1)
+    for square, line, vertical in lines:
+        if square:
+            num, den = num * num, den * den
+        if line is not None:
+            value = yX - line[0] * xX - line[1] if isinstance(line, tuple) else xX - line
+            if value.is_zero():
+                raise AuxCollision("line through the evaluation point")
+            num = num * value
+        if vertical is not None:
+            value = xX - vertical
+            if value.is_zero():
+                raise AuxCollision("vertical through the evaluation point")
+            den = den * value
+    return num, den
 
 
-def _miller(cv: CurveL, n: int, P: LPoint, X: LPoint) -> CycloElem:
-    """f_{n,P}(X) with div(f) = n(P) - n(O); requires nP = O."""
-    if P is None:
-        return CycloElem.rational(cv.n, 1)
-    f = CycloElem.rational(cv.n, 1)
-    V = P
-    for bit in bin(n)[3:]:
-        num = _line_value(cv, V, V, X)
-        V2 = cv.add(V, V)
-        den = _line_value(cv, V2, cv.neg(V2), X) if V2 is not None else CycloElem.rational(cv.n, 1)
-        if num.is_zero() or den.is_zero():
-            raise AuxCollision("line zero during doubling")
-        f = f * f * num / den
-        V = V2
-        if bit == "1":
-            num = _line_value(cv, V, P, X)
-            V1 = cv.add(V, P)
-            den = (
-                _line_value(cv, V1, cv.neg(V1), X)
-                if V1 is not None
-                else CycloElem.rational(cv.n, 1)
-            )
-            if num.is_zero() or den.is_zero():
-                raise AuxCollision("line zero during addition")
-            f = f * num / den
-            V = V1
-    if V is not None:
-        raise CurveError("miller: point is not %d-torsion" % n)
-    return f
-
-
-def weil_pairing(cv: CurveL, n: int, P: LPoint, Q: LPoint, pool: list[LPoint]) -> CycloElem:
+def weil_pairing(cv: CurveL, n: int, P: LPoint, Q: LPoint, pool: Iterable[LPoint]) -> CycloElem:
     """The degree-n Weil pairing e_n(P, Q), an exact n-th root of unity.
 
     n = 2 with P, Q distinct nontrivial is forced: the pairing is
@@ -567,9 +555,12 @@ def weil_pairing(cv: CurveL, n: int, P: LPoint, Q: LPoint, pool: list[LPoint]) -
     order) until the four Miller evaluations avoid zeros and poles:
 
         e_n(P,Q) = f_P(Q+R) f_Q(-R) / ( f_P(R) f_Q(P-R) )
+
+    Each f is kept as a numerator and a denominator; the one division is
+    at the end.
     """
-    if not point_order_dividing(cv, P, n) or not point_order_dividing(cv, Q, n):
-        raise CurveError("weil_pairing: inputs are not %d-torsion" % n)
+    lines_P = _miller_lines(cv, n, P)
+    lines_Q = _miller_lines(cv, n, Q)
     if P is None or Q is None or P == Q:
         return CycloElem.rational(cv.n, 1)
     if n == 2:
@@ -579,15 +570,11 @@ def weil_pairing(cv: CurveL, n: int, P: LPoint, Q: LPoint, pool: list[LPoint]) -
         if R is None or R == P or R == cv.neg(Q) or R == P_minus_Q:
             continue
         try:
-            QR = cv.add(Q, R)
-            PR = cv.add(P, cv.neg(R))
-            a = _miller(cv, n, P, QR)
-            b = _miller(cv, n, Q, cv.neg(R))
-            c = _miller(cv, n, P, R)
-            d = _miller(cv, n, Q, PR)
-            if c.is_zero() or d.is_zero():
-                raise AuxCollision("denominator vanished")
-            return a * b / (c * d)
+            a = _miller(cv, lines_P, cv.add(Q, R))
+            b = _miller(cv, lines_Q, cv.neg(R))
+            c = _miller(cv, lines_P, R)
+            d = _miller(cv, lines_Q, cv.add(P, cv.neg(R)))
+            return (a[0] * b[0] * c[1] * d[1]) / (a[1] * b[1] * c[0] * d[0])
         except (AuxCollision, ZeroDivisionError):
             continue
     raise CurveError("weil_pairing: auxiliary pool exhausted")
@@ -606,10 +593,34 @@ def zeta_dlog(value: CycloElem, n: int) -> int:
     raise ValueError("value is not an n-th root of unity: %r" % (value,))
 
 
-def torsion_pool(cv: CurveL, S: LPoint, T: LPoint, n: int) -> list[LPoint]:
-    """Deterministic auxiliary pool: all iS + jT in row-major order."""
-    out = []
-    for i in range(n):
-        for j in range(n):
-            out.append(cv.add(cv.mul(i, S), cv.mul(j, T)))
-    return out
+class TorsionPool:
+    """The deterministic auxiliary pool: all iS + jT in row-major order,
+    made one addition at a time as they are asked for and kept for the
+    next pass."""
+
+    def __init__(self, cv: CurveL, S: LPoint, T: LPoint, n: int):
+        def walk():
+            Pi: LPoint = None
+            for i in range(n):
+                Pij = Pi = cv.add(Pi, S) if i else None
+                for j in range(n):
+                    Pij = cv.add(Pij, T) if j else Pij
+                    yield Pij
+
+        self._walk = walk()
+        self._made: list[LPoint] = []
+
+    def __iter__(self):
+        k = 0
+        while k < len(self._made) or self._extend():
+            yield self._made[k]
+            k += 1
+
+    def _extend(self) -> bool:
+        for P in self._walk:
+            self._made.append(P)
+            return True
+        return False
+
+
+torsion_pool = TorsionPool

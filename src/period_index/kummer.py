@@ -65,8 +65,11 @@ def make_basis(cv: CurveL, n: int, S: LPoint, T: LPoint) -> TorsionBasis:
             raise BasisError("basis point not on the curve")
         if not _exact_order(cv, P, n):
             raise BasisError("basis point does not have exact order %d" % n)
-    span_S = {_pt_key(cv.mul(k, S)) for k in range(n)}
-    if _pt_key(T) in span_S:
+    span_S, kS = set(), None
+    for _ in range(n):
+        span_S.add(kS)
+        kS = cv.add(kS, S)
+    if T in span_S:
         raise BasisError("T lies in the cyclic group generated by S")
     pool = torsion_pool(cv, S, T, n)
     e = weil_pairing(cv, n, S, T, pool)
@@ -83,40 +86,31 @@ def make_basis(cv: CurveL, n: int, S: LPoint, T: LPoint) -> TorsionBasis:
 
 def _combo_table(basis: TorsionBasis) -> dict:
     """point -> (i, j) over all i*S + j*T; total n^2 entries."""
-    cv, n = basis.cv, basis.n
     out = {}
-    Pi: LPoint = None
-    for i in range(n):
-        Pij = Pi
-        for j in range(n):
-            key = _pt_key(Pij)
-            if key not in out:
-                out[key] = (i, j)
-            Pij = cv.add(Pij, basis.T)
-        Pi = cv.add(Pi, basis.S)
+    for k, P in enumerate(torsion_pool(basis.cv, basis.S, basis.T, basis.n)):
+        out.setdefault(P, divmod(k, basis.n))
     return out
 
 
-def _pt_key(P: LPoint):
-    return None if P is None else (tuple(P[0].coeffs), tuple(P[1].coeffs))
-
-
-def galois_matrix(basis: TorsionBasis, t: int) -> tuple[tuple[int, int], tuple[int, int]]:
+def galois_matrix(
+    basis: TorsionBasis, t: int, table: dict = None
+) -> tuple[tuple[int, int], tuple[int, int]]:
     """The matrix of sigma_t on the basis: columns are the images,
 
         sigma(S) = i*S + k*T,  sigma(T) = j*S + l*T  ->  ((i, j), (k, l)).
 
-    Solved by exact enumeration of E[n] and verified on the curve."""
+    Solved by exact enumeration of E[n] (the basis's _combo_table, made
+    here unless given) and verified on the curve."""
     cv, n = basis.cv, basis.n
     auto = GaloisAuto(n, t)
-    table = _combo_table(basis)
+    if table is None:
+        table = _combo_table(basis)
     sS = cv.galois_point(auto, basis.S)
     sT = cv.galois_point(auto, basis.T)
-    kS, kT = _pt_key(sS), _pt_key(sT)
-    if kS not in table or kT not in table:
+    if sS not in table or sT not in table:
         raise RepresentationError("Galois image leaves the span of the basis")
-    i, k = table[kS]
-    j, l = table[kT]
+    i, k = table[sS]
+    j, l = table[sT]
     det = (i * l - j * k) % n
     if det != t % n:
         raise RepresentationError(
@@ -128,7 +122,8 @@ def galois_matrix(basis: TorsionBasis, t: int) -> tuple[tuple[int, int], tuple[i
 def galois_representation(basis: TorsionBasis) -> dict[int, tuple]:
     """Matrices for every sigma_t, with the homomorphism property checked."""
     n = basis.n
-    rep = {t: galois_matrix(basis, t) for t in context(n).units}
+    table = _combo_table(basis)
+    rep = {t: galois_matrix(basis, t, table) for t in context(n).units}
     for t1, m1 in rep.items():
         for t2, m2 in rep.items():
             if _mat_mul(m1, m2, n) != rep[(t1 * t2) % n]:

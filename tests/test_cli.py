@@ -295,3 +295,58 @@ def test_norm_twist_prints_trivial_d(cert_paths, tmp_path, capsys):
     assert main(["norm-twist", "--config", cfg, "-a", "28,27", "-b", "82,135"]) == 0
     out = capsys.readouterr().out
     assert "d       [1, 0]" in out
+
+
+def _objects(obj, path=""):
+    """(path, object) for every JSON object in obj, obj itself included."""
+    if isinstance(obj, dict):
+        yield path, obj
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = (("[%d]" % i, v) for i, v in enumerate(obj))
+    else:
+        return
+    for key, value in items:
+        sub = path + key if key.startswith("[") else ("%s.%s" % (path, key) if path else key)
+        yield from _objects(value, sub)
+
+
+def _verify_names(mutant, path, tmp_path, capsys) -> bool:
+    target = tmp_path / "mutant.json"
+    target.write_text(json.dumps(mutant))
+    code = main(["verify", str(target)])
+    return code == 1 and _trace_names(capsys.readouterr().err, path)
+
+
+def test_verify_names_every_deleted_key(cert_paths, tmp_path, capsys):
+    # a deleted key is named at <object>.<key>, top-level keys included
+    _, c2 = cert_paths
+    cert = json.loads(c2.read_text())
+    tried, missed = 0, []
+    for path, obj in list(_objects(cert)):
+        for key in list(obj):
+            mutant = json.loads(json.dumps(cert))
+            target = dict(_objects(mutant))[path]
+            del target[key]
+            tried += 1
+            key_path = "%s.%s" % (path, key) if path else key
+            if not _verify_names(mutant, key_path, tmp_path, capsys):
+                missed.append(key_path)
+    assert tried > 50
+    assert not missed
+
+
+def test_verify_names_every_inserted_key(cert_paths, tmp_path, capsys):
+    # an unexpected key is named at <object>.<key>, in every object
+    _, c2 = cert_paths
+    cert = json.loads(c2.read_text())
+    tried, missed = 0, []
+    for path, _ in list(_objects(cert)):
+        mutant = json.loads(json.dumps(cert))
+        dict(_objects(mutant))[path]["extra"] = "0"
+        tried += 1
+        key_path = "%s.extra" % path if path else "extra"
+        if not _verify_names(mutant, key_path, tmp_path, capsys):
+            missed.append(key_path)
+    assert tried > 20
+    assert not missed

@@ -325,3 +325,188 @@ def test_integrality_and_denominator():
     assert not x.is_integral()
     assert x.denominator() == 2
     assert (x * 2).is_integral()
+
+
+# ------------------------------------------------------ differential test
+
+
+class _RefElem:
+    """The Fraction-coordinate CycloElem as it was before integer
+    coordinates, with its extended-gcd inverse against Phi_n: the
+    reference for test_cyclo_elem_matches_fraction_reference."""
+
+    def __init__(self, n, coeffs):
+        phi = cyclotomic_poly(n)
+        d = len(phi) - 1
+        fold = [Fraction(-c) for c in phi[:-1]]
+        rows = [fold]
+        for _ in range(2 * n - 2 - d):
+            prev = rows[-1]
+            shifted = [Fraction(0)] + prev[:-1]
+            rows.append([shifted[j] + prev[-1] * fold[j] for j in range(d)])
+        cs = [Fraction(c) for c in coeffs]
+        out = cs[:d] + [Fraction(0)] * max(0, d - len(cs))
+        for i, c in enumerate(cs[d:]):
+            for j in range(d):
+                out[j] += c * rows[i][j]
+        self.n, self.coeffs = n, tuple(out)
+
+    def __add__(self, other):
+        return _RefElem(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        return _RefElem(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __mul__(self, other):
+        d = len(self.coeffs)
+        raw = [Fraction(0)] * (2 * d - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                raw[i + j] += a * b
+        return _RefElem(self.n, raw)
+
+    def scale(self, q):
+        return _RefElem(self.n, [a * q for a in self.coeffs])
+
+    def invert(self):
+        phi = [Fraction(c) for c in cyclotomic_poly(self.n)]
+        g, _, inv = _ref_ext_gcd(phi, list(self.coeffs))
+        return _RefElem(self.n, [c / g[0] for c in inv])
+
+    def __pow__(self, e):
+        if e < 0:
+            return self.invert() ** (-e)
+        acc = _RefElem(self.n, [1])
+        for _ in range(e):
+            acc = acc * self
+        return acc
+
+    def __eq__(self, other):
+        return self.n == other.n and self.coeffs == other.coeffs
+
+    def galois(self, t):
+        raw = [Fraction(0)] * self.n
+        for i, c in enumerate(self.coeffs):
+            raw[(i * t) % self.n] += c
+        return _RefElem(self.n, raw)
+
+    def embed(self, m):
+        raw = [Fraction(0)] * m
+        for i, c in enumerate(self.coeffs):
+            raw[(i * (m // self.n)) % m] += c
+        return _RefElem(m, raw)
+
+    def norm(self):
+        acc = _RefElem(self.n, [1])
+        for t in context(self.n).units:
+            acc = acc * self.galois(t)
+        return acc.coeffs[0]
+
+
+def _ref_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _ref_divmod(a, b):
+    a = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        coef = a[i + len(b) - 1] / b[-1]
+        q[i] = coef
+        for j, bj in enumerate(b):
+            a[i + j] -= coef * bj
+    return _ref_trim(q), _ref_trim(a)
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_sub(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _ref_trim(out)
+
+
+def _ref_ext_gcd(a, b):
+    """(g, u, v) with u*a + v*b = g over Q[x]."""
+    r0, r1 = _ref_trim(list(a)), _ref_trim(list(b))
+    s0, s1, t0, t1 = [Fraction(1)], [], [], [Fraction(1)]
+    while r1:
+        q, r = _ref_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _ref_sub(s0, _ref_mul(q, s1))
+        t0, t1 = t1, _ref_sub(t0, _ref_mul(q, t1))
+    return r0, s0, t0
+
+
+def _rand_coords(rng, n):
+    # mixed denominators, some zero coordinates, some rational elements
+    d = context(n).degree
+    dens = (1, 1, 2, 3, 4, 6, 9, 12, 35)
+    cs = [Fraction(rng.randint(-20, 20), rng.choice(dens)) for _ in range(d)]
+    if rng.random() < 0.2:
+        cs = cs[:1] + [Fraction(0)] * (d - 1)
+    elif rng.random() < 0.3:
+        cs[rng.randrange(d)] = Fraction(0)
+    return cs
+
+
+def _pairs(rng, n, count):
+    for _ in range(count):
+        a, b = _rand_coords(rng, n), _rand_coords(rng, n)
+        yield (CycloElem(n, a), _RefElem(n, a)), (CycloElem(n, b), _RefElem(n, b))
+
+
+def test_cyclo_elem_matches_fraction_reference():
+    rng = random.Random(4004)
+    for n in cyclo.SUPPORTED_LEVELS:
+        units = context(n).units
+        for (x, rx), (y, ry) in _pairs(rng, n, 30):
+            results = [
+                (x + y, rx + ry),
+                (x - y, rx - ry),
+                (x * y, rx * ry),
+                (x * x, rx * rx),
+                (x ** 3, rx ** 3),
+            ]
+            q = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+            results += [(x * q, rx.scale(q)), (x + q, rx + _RefElem(n, [q])),
+                        (q - x, _RefElem(n, [q]) - rx), (x / q, rx.scale(1 / q))]
+            t = rng.choice(units)
+            results.append((galois_apply(GaloisAuto(n, t), x), rx.galois(t)))
+            for m in cyclo.SUPPORTED_LEVELS:
+                if m % n == 0 and m != n:
+                    results.append((cyclo.embed_level(x, m), rx.embed(m)))
+            if not y.is_zero():
+                results += [(x / y, rx * ry.invert()), (y.invert(), ry.invert()),
+                            (y ** -2, ry ** -2), ((x * y) / y, (rx * ry) * ry.invert())]
+            # raw polynomial data of degree up to n - 1, folded on input
+            raw = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4))) for _ in range(n)]
+            results.append((CycloElem(n, raw), _RefElem(n, raw)))
+            if not x.is_zero():
+                assert field_norm(x) == rx.norm()
+            assert (x == q) == (rx == _RefElem(n, [q])) and CycloElem(n, [q]) == q
+            for got, want in results:
+                assert got.n == want.n and got.coeffs == want.coeffs
+                # one representation per element: lowest terms, positive den
+                assert got.den > 0 and gcd(got.den, *got.num) == 1
+            for (a, ra), (b, rb) in zip(results, results[1:] + results[:1]):
+                assert (a == b) == (ra == rb)
+            if not y.is_zero():
+                # equal elements reached by different products are equal
+                # and hash alike
+                back = (x * y) / y
+                assert back == x and hash(back) == hash(x)
+                assert (x + y) - y == x and hash((x + y) - y) == hash(x)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from period_index import ecq
 from period_index.cyclo import CycloElem, GaloisAuto, context, embed_level, galois_apply
 from period_index.ecq import curve_over, point_over, torsion_pool, weil_pairing
 from period_index.localfield import distinguished_place, refine_place
@@ -244,3 +245,29 @@ def test_twisted_norm_rejects_singular_matrix():
     a = CycloElem(4, [2, 1])
     with pytest.raises(RepresentationError):
         twisted_norm({1: ((2, 0), (0, 2))}, a, a)
+
+
+def test_make_basis_inversion_budget(monkeypatch):
+    # the benchmark's cubic and quartic bases: with Fraction coordinates,
+    # extended-gcd inverses and a division per Miller step, these made 253
+    # and 119 inversions; lines shared across evaluations, f kept as a
+    # numerator and a denominator and one division per pairing make 32 and 12
+    calls = {"invert": 0, "miller": 0}
+    invert, miller = CycloElem.invert, ecq._miller
+
+    def counted_invert(self):
+        calls["invert"] += 1
+        return invert(self)
+
+    def counted_miller(*args):
+        calls["miller"] += 1
+        return miller(*args)
+
+    monkeypatch.setattr(CycloElem, "invert", counted_invert)
+    monkeypatch.setattr(ecq, "_miller", counted_miller)
+    for (cv, S, T), n, evaluations, budget in ((_fixture3(), 3, 27, 48), (_fixture4(), 4, 4, 24)):
+        calls.update(invert=0, miller=0)
+        make_basis(cv, n, S, T)
+        # the same auxiliary points as before: the pool order is unchanged
+        assert calls["miller"] == evaluations
+        assert calls["invert"] <= budget
