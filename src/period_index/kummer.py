@@ -13,6 +13,7 @@ is <a, b>_v, and level shifts act by explicit operations on the pair:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
@@ -43,6 +44,14 @@ class TorsionBasis:
     n: int
     S: LPoint
     T: LPoint
+
+    @cached_property
+    def combos(self) -> dict:
+        """point -> (i, j) over all i*S + j*T; total n^2 entries."""
+        out = {}
+        for k, P in enumerate(torsion_pool(self.cv, self.S, self.T, self.n)):
+            out.setdefault(P, divmod(k, self.n))
+        return out
 
 
 def _exact_order(cv: CurveL, P: LPoint, n: int) -> bool:
@@ -84,27 +93,16 @@ def make_basis(cv: CurveL, n: int, S: LPoint, T: LPoint) -> TorsionBasis:
     return TorsionBasis(cv, n, S, T)
 
 
-def _combo_table(basis: TorsionBasis) -> dict:
-    """point -> (i, j) over all i*S + j*T; total n^2 entries."""
-    out = {}
-    for k, P in enumerate(torsion_pool(basis.cv, basis.S, basis.T, basis.n)):
-        out.setdefault(P, divmod(k, basis.n))
-    return out
-
-
-def galois_matrix(
-    basis: TorsionBasis, t: int, table: dict = None
-) -> tuple[tuple[int, int], tuple[int, int]]:
+def galois_matrix(basis: TorsionBasis, t: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """The matrix of sigma_t on the basis: columns are the images,
 
         sigma(S) = i*S + k*T,  sigma(T) = j*S + l*T  ->  ((i, j), (k, l)).
 
-    Solved by exact enumeration of E[n] (the basis's _combo_table, made
-    here unless given) and verified on the curve."""
+    Solved by exact enumeration of E[n], made once per basis, and
+    verified on the curve."""
     cv, n = basis.cv, basis.n
     auto = GaloisAuto(n, t)
-    if table is None:
-        table = _combo_table(basis)
+    table = basis.combos
     sS = cv.galois_point(auto, basis.S)
     sT = cv.galois_point(auto, basis.T)
     if sS not in table or sT not in table:
@@ -122,8 +120,7 @@ def galois_matrix(
 def galois_representation(basis: TorsionBasis) -> dict[int, tuple]:
     """Matrices for every sigma_t, with the homomorphism property checked."""
     n = basis.n
-    table = _combo_table(basis)
-    rep = {t: galois_matrix(basis, t, table) for t in context(n).units}
+    rep = {t: galois_matrix(basis, t) for t in context(n).units}
     for t1, m1 in rep.items():
         for t2, m2 in rep.items():
             if _mat_mul(m1, m2, n) != rep[(t1 * t2) % n]:
