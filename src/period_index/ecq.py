@@ -593,22 +593,29 @@ def zeta_dlog(value: CycloElem, n: int) -> int:
     raise ValueError("value is not an n-th root of unity: %r" % (value,))
 
 
-class TorsionPool:
+def torsion_pool(cv: CurveL, S: LPoint, T: LPoint, n: int) -> Iterable[LPoint]:
     """The deterministic auxiliary pool: all iS + jT in row-major order,
     made one addition at a time as they are asked for and kept for the
     next pass."""
 
-    def __init__(self, cv: CurveL, S: LPoint, T: LPoint, n: int):
-        def walk():
-            Pi: LPoint = None
-            for i in range(n):
-                Pij = Pi = cv.add(Pi, S) if i else None
-                for j in range(n):
-                    Pij = cv.add(Pij, T) if j else Pij
-                    yield Pij
+    def walk():
+        Pi: LPoint = None
+        for i in range(n):
+            Pij = Pi = cv.add(Pi, S) if i else None
+            for j in range(n):
+                Pij = cv.add(Pij, T) if j else Pij
+                yield Pij
 
-        self._walk = walk()
-        self._made: list[LPoint] = []
+    return _Kept(walk())
+
+
+class _Kept:
+    """Iterates over what a generator yields, making each item once, when
+    first asked for, and keeping it for every later pass."""
+
+    def __init__(self, items):
+        self._items = items
+        self._made: list = []
 
     def __iter__(self):
         k = 0
@@ -617,10 +624,7 @@ class TorsionPool:
             k += 1
 
     def _extend(self) -> bool:
-        for P in self._walk:
-            self._made.append(P)
+        for item in self._items:
+            self._made.append(item)
             return True
         return False
-
-
-torsion_pool = TorsionPool
