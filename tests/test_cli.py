@@ -244,13 +244,17 @@ def test_compose_rejects_a_part_with_period_zero(cert_paths, tmp_path, capsys):
 TYPE_EDITS = ("1/2", "-1", "0", [], {}, None, 7)
 
 
-def _rejected_by_name(cert, path, value, tmp_path, capsys) -> bool:
-    mutant = json.loads(json.dumps(cert))
-    _set_path(mutant, path, value)
+def _verify_names(mutant, path, tmp_path, capsys) -> bool:
     target = tmp_path / "mutant.json"
     target.write_text(json.dumps(mutant))
     code = main(["verify", str(target)])
     return code == 1 and _trace_names(capsys.readouterr().err, path)
+
+
+def _rejected_by_name(cert, path, value, tmp_path, capsys) -> bool:
+    mutant = json.loads(json.dumps(cert))
+    _set_path(mutant, path, value)
+    return _verify_names(mutant, path, tmp_path, capsys)
 
 
 def test_verify_names_every_edited_leaf(cert_paths, tmp_path, capsys):
@@ -309,13 +313,6 @@ def _objects(obj, path=""):
     for key, value in items:
         sub = path + key if key.startswith("[") else ("%s.%s" % (path, key) if path else key)
         yield from _objects(value, sub)
-
-
-def _verify_names(mutant, path, tmp_path, capsys) -> bool:
-    target = tmp_path / "mutant.json"
-    target.write_text(json.dumps(mutant))
-    code = main(["verify", str(target)])
-    return code == 1 and _trace_names(capsys.readouterr().err, path)
 
 
 def test_verify_names_every_deleted_key(cert_paths, tmp_path, capsys):
