@@ -23,15 +23,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 from math import lcm
 from typing import Optional
 
 from .cyclo import CycloElem, context
-from .ecq import CurveError, curve_over
-from .kummer import BasisError, make_basis, twisted_norm, galois_representation
+from .ecq import curve_over
+from .kummer import make_basis, twisted_norm, galois_representation
 from .localfield import (
     archimedean_invariant,
     distinguished_place,
@@ -41,6 +40,7 @@ from .localfield import (
 )
 from .sieve import SieveExhausted, find_pair
 from .construct import (
+    _COEFF_RE,
     InputError,
     LemmaFailure,
     canonical_json,
@@ -89,15 +89,12 @@ def _as_int(value, field: str) -> int:
     raise ConfigError("%s: expected an exact integer, found %r" % (field, value))
 
 
-_COEFF_FORM = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
-
-
 def _as_coeff(value, field: str) -> Fraction:
     if isinstance(value, bool):
         raise ConfigError("%s: expected a rational, found a boolean" % field)
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str) and _COEFF_FORM.match(value.strip()):
+    if isinstance(value, str) and _COEFF_RE.match(value.strip()):
         return Fraction(value.strip())
     raise ConfigError("%s: expected an exact rational such as \"-3/2\", found %r" % (field, value))
 
@@ -155,6 +152,10 @@ class RunConfig:
 
         cb = _get(raw, "curve", "curve")
         self.level = _as_int(_get(cb, "level", "curve.level", None), "curve.level")
+        try:
+            context(self.level)
+        except ValueError as e:
+            raise ConfigError("curve.level: %s" % e)
         coeffs = _get(cb, "coefficients", "curve.coefficients", list)
         if len(coeffs) != 5:
             raise ConfigError("curve.coefficients: expected five model coefficients")
@@ -164,14 +165,14 @@ class RunConfig:
                 for i, c in enumerate(coeffs)
             ]
             self.curve = curve_over(self.level, parsed)
-        except (ValueError, CurveError) as e:
+        except ValueError as e:
             raise ConfigError("curve.coefficients: %s" % e)
         tb = _get(cb, "torsion_basis", "curve.torsion_basis")
         S = _as_point(self.level, _get(tb, "S", "curve.torsion_basis.S", None), "curve.torsion_basis.S")
         T = _as_point(self.level, _get(tb, "T", "curve.torsion_basis.T", None), "curve.torsion_basis.T")
         try:
             self.basis = make_basis(self.curve, self.level, S, T)
-        except (BasisError, ValueError, ArithmeticError) as e:
+        except (ValueError, ArithmeticError) as e:
             raise ConfigError("curve.torsion_basis: %s" % e)
         gens = _get(cb, "mw_generators", "curve.mw_generators", list)
         self.mw_gens = []
@@ -204,7 +205,7 @@ class RunConfig:
             self.unit_window = _as_int(bb["unit_window"], "bounds.unit_window")
 
         # the pipeline is deterministic; the seed is accepted for forward
-        # compatibility with randomized auxiliary choices and recorded only
+        # compatibility with randomized auxiliary choices and ignored
         self.seed = 0
         if raw.get("seed") is not None:
             self.seed = _as_int(raw["seed"], "seed")
@@ -469,10 +470,7 @@ def main(argv=None) -> int:
         return 2 if e.code else 0
     try:
         return args.func(args)
-    except (ConfigError, InputError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except (BasisError, CurveError, ValueError) as e:
+    except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except SieveExhausted as e:

@@ -17,7 +17,6 @@ from typing import Iterable, Optional, Sequence
 
 
 SUPPORTED_LEVELS = (2, 3, 4, 5, 8, 9)
-FULL_LEVELS = (2, 3, 4)
 
 
 class ContextError(ValueError):

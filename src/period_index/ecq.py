@@ -155,31 +155,6 @@ def point_exact_order(cv: CurveL, P: LPoint, bound: int = 32) -> int:
     raise CurveError("point order exceeds bound %d (not torsion?)" % bound)
 
 
-def group_closure(cv: CurveL, gens: list[LPoint], cap: int = 256) -> list[LPoint]:
-    """All Z-combinations of the given points (exact arithmetic).  Raises if
-    the subgroup would exceed the cap, which signals a non-torsion input."""
-    seen = {None}
-    frontier = [None]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            for step in (g, cv.neg(g)):
-                nxt = cv.add(cur, step)
-                key = nxt
-                if key not in seen:
-                    seen.add(key)
-                    frontier.append(nxt)
-                    if len(seen) > cap:
-                        raise CurveError("subgroup closure exceeded cap %d" % cap)
-    return sorted(seen, key=_lpoint_sort_key)
-
-
-def _lpoint_sort_key(P: LPoint):
-    if P is None:
-        return (0,)
-    return (1, tuple(P[0].coeffs), tuple(P[1].coeffs))
-
-
 # ------------------------------------------------------------ bad primes
 
 
@@ -593,38 +568,11 @@ def zeta_dlog(value: CycloElem, n: int) -> int:
     raise ValueError("value is not an n-th root of unity: %r" % (value,))
 
 
-def torsion_pool(cv: CurveL, S: LPoint, T: LPoint, n: int) -> Iterable[LPoint]:
-    """The deterministic auxiliary pool: all iS + jT in row-major order,
-    made one addition at a time as they are asked for and kept for the
-    next pass."""
-
-    def walk():
-        Pi: LPoint = None
-        for i in range(n):
-            Pij = Pi = cv.add(Pi, S) if i else None
-            for j in range(n):
-                Pij = cv.add(Pij, T) if j else Pij
-                yield Pij
-
-    return _Kept(walk())
-
-
-class _Kept:
-    """Iterates over what a generator yields, making each item once, when
-    first asked for, and keeping it for every later pass."""
-
-    def __init__(self, items):
-        self._items = items
-        self._made: list = []
-
-    def __iter__(self):
-        k = 0
-        while k < len(self._made) or self._extend():
-            yield self._made[k]
-            k += 1
-
-    def _extend(self) -> bool:
-        for item in self._items:
-            self._made.append(item)
-            return True
-        return False
+def torsion_pool(cv: CurveL, S: LPoint, T: LPoint, n: int) -> list[LPoint]:
+    """All iS + jT for 0 <= i, j < n in row-major order (index i*n + j),
+    one addition each: the deterministic auxiliary pool of the Weil
+    pairing, and all of E[n] when (S, T) is a basis of it."""
+    pool: list[LPoint] = [None]
+    for k in range(1, n * n):
+        pool.append(cv.add(pool[k - 1], T) if k % n else cv.add(pool[k - n], S))
+    return pool

@@ -12,8 +12,7 @@ is <a, b>_v, and level shifts act by explicit operations on the pair:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -38,59 +37,49 @@ class RepresentationError(ValueError):
 
 @dataclass(frozen=True)
 class TorsionBasis:
-    """A pinned basis (S, T) of E[n] with e_n(S, T) = zeta_n exactly."""
+    """A pinned basis (S, T) of E[n] with e_n(S, T) = zeta_n exactly, and
+    its table of E[n]: point -> (i, j) for i*S + j*T, n^2 entries."""
 
     cv: CurveL
     n: int
     S: LPoint
     T: LPoint
-
-    @cached_property
-    def combos(self) -> dict:
-        """point -> (i, j) over all i*S + j*T; total n^2 entries."""
-        out = {}
-        for k, P in enumerate(torsion_pool(self.cv, self.S, self.T, self.n)):
-            out.setdefault(P, divmod(k, self.n))
-        return out
-
-
-def _exact_order(cv: CurveL, P: LPoint, n: int) -> bool:
-    if cv.mul(n, P) is not None:
-        return False
-    q = context(n).prime
-    return cv.mul(n // q, P) is not None
+    combos: dict = field(repr=False, compare=False)
 
 
 def make_basis(cv: CurveL, n: int, S: LPoint, T: LPoint) -> TorsionBasis:
     """Validate and normalize a candidate torsion basis.
 
-    Both points must have exact order n and pair to a primitive root; T is
-    rescaled so the pairing is zeta itself.  The basis is rejected outright
-    if the points are dependent (pairing of non-maximal order)."""
+    E[n] is walked once, as the n^2 points iS + jT.  nS = nT = O and
+    n^2 distinct points show that S and T are independent of exact order
+    n; the same points are the auxiliary pool of both pairings and the
+    basis's table of E[n].  T is rescaled so the pairing is zeta itself."""
     if cv.n != n:
         raise BasisError("curve level %d vs basis level %d" % (cv.n, n))
     for P in (S, T):
         if not cv.on_curve(P):
             raise BasisError("basis point not on the curve")
-        if not _exact_order(cv, P, n):
-            raise BasisError("basis point does not have exact order %d" % n)
-    span_S, kS = set(), None
-    for _ in range(n):
-        span_S.add(kS)
-        kS = cv.add(kS, S)
-    if T in span_S:
-        raise BasisError("T lies in the cyclic group generated by S")
     pool = torsion_pool(cv, S, T, n)
+    if cv.add(pool[(n - 1) * n], S) is not None or cv.add(pool[n - 1], T) is not None:
+        raise BasisError("basis point does not have exact order %d" % n)
+    combos = {P: divmod(k, n) for k, P in enumerate(pool)}
+    if len(combos) != n * n:
+        raise BasisError(
+            "the %d points iS + jT are not distinct: S and T are dependent "
+            "or of order below %d" % (n * n, n)
+        )
     e = weil_pairing(cv, n, S, T, pool)
     u = zeta_dlog(e, n)
     if gcd(u, n) != 1:
         raise BasisError("pairing has order %d < n; points are dependent" % (n // gcd(u, n)))
     if u != 1:
-        T = cv.mul(pow(u, -1, n), T)
+        # T = u*T', so i*S + j*T = i*S + (j*u)*T'
+        T = pool[pow(u, -1, n)]
+        combos = {P: (i, j * u % n) for P, (i, j) in combos.items()}
         e = weil_pairing(cv, n, S, T, pool)
         if zeta_dlog(e, n) != 1:
             raise BasisError("pairing normalization failed")
-    return TorsionBasis(cv, n, S, T)
+    return TorsionBasis(cv, n, S, T, combos)
 
 
 def galois_matrix(basis: TorsionBasis, t: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -98,8 +87,7 @@ def galois_matrix(basis: TorsionBasis, t: int) -> tuple[tuple[int, int], tuple[i
 
         sigma(S) = i*S + k*T,  sigma(T) = j*S + l*T  ->  ((i, j), (k, l)).
 
-    Solved by exact enumeration of E[n], made once per basis, and
-    verified on the curve."""
+    Read off the basis's table of E[n] and checked against the pairing."""
     cv, n = basis.cv, basis.n
     auto = GaloisAuto(n, t)
     table = basis.combos

@@ -96,6 +96,13 @@ def test_config_diagnostic_names_the_field(tmp_path, capsys):
     assert "parameters.mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("level", ["1", "6"])
+def test_config_blames_an_unsupported_level_on_the_level(tmp_path, capsys, level):
+    cfg = _write_config(tmp_path, CONFIG_CUBIC, curve__level=level)
+    assert main(["construct", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: curve.level:")
+
+
 def test_config_rejects_wrong_coefficient_count(tmp_path, capsys):
     cfg = _write_config(tmp_path, CONFIG_CUBIC, curve__coefficients=["0", "0", "1"])
     assert main(["construct", "--config", cfg]) == 2

@@ -15,7 +15,6 @@ from period_index.ecq import (
     curve_over,
     divisibility_witness,
     enumerate_points,
-    group_closure,
     group_structure,
     has_good_reduction,
     multiplication_image,
@@ -112,23 +111,6 @@ def test_reduce_point_with_pole_lands_at_zero():
     # consistent with the group law downstairs: 2 * (3, 0) = O mod 5
     cfp = reduce_curve(cv, pl)
     assert cfp.mul(2, reduce_point(cv, P, pl)) is None
-
-
-def test_non_torsion_closure_raises():
-    cv = curve_over(2, [0, 0, 0, 0, -2])
-    with pytest.raises(CurveError):
-        group_closure(cv, [point_over(2, (3, 5))], cap=64)
-
-
-def test_torsion_closures():
-    cv = curve_over(2, E_MINUS_X)
-    cl = group_closure(cv, [point_over(2, (0, 0)), point_over(2, (1, 0))])
-    assert len(cl) == 4
-    cv3 = curve_over(3, E_CUBE)
-    assert len(group_closure(cv3, [point_over(3, (0, 0))])) == 3
-    cv4 = curve_over(4, E_PYTH)
-    cl4 = group_closure(cv4, [point_over(4, (24, 120)), point_over(4, (0, 0))])
-    assert len(cl4) == 8  # Z/4 x Z/2
 
 
 def test_pyth_torsion_is_exactly_eight():

@@ -271,3 +271,66 @@ def test_make_basis_inversion_budget(monkeypatch):
         # the same auxiliary points as before: the pool order is unchanged
         assert calls["miller"] == evaluations
         assert calls["invert"] <= budget
+
+
+def _fixture5():
+    # 11a1: E[5] = Z/5 + mu_5, so all of E[5] is defined over Q(zeta_5);
+    # T generates the mu_5 part and e_5(S, T) = zeta^3
+    cv = curve_over(5, [0, -1, 1, -10, -20])
+    S = point_over(5, (5, 5))
+    T = (
+        CycloElem(5, [Fraction(-8, 5), 0, Fraction(-11, 5), Fraction(-11, 5)]),
+        CycloElem(5, [Fraction(3, 5), Fraction(11, 5), Fraction(22, 5), Fraction(-11, 5)]),
+    )
+    return cv, S, T
+
+
+def test_basis_table_spans_the_returned_basis():
+    # T is rescaled by u^-1 for e(S, T) = zeta^u, u = 2, 1 and 3 here; every
+    # unit mod 3 or 4 is its own inverse, so only level 5 tells a table
+    # re-indexed by u from one re-indexed by u^-1
+    for (cv, S, T), n, rescaled in ((_fixture3(), 3, True), (_fixture4(), 4, False), (_fixture5(), 5, True)):
+        basis = make_basis(cv, n, S, T)
+        assert (basis.T != T) == rescaled
+        assert len(basis.combos) == n * n
+        for P, (i, j) in basis.combos.items():
+            assert P == cv.add(cv.mul(i, basis.S), cv.mul(j, basis.T))
+
+
+def test_make_basis_names_the_failed_check():
+    cv, S, T = _fixture5()
+    with pytest.raises(BasisError, match="not distinct"):
+        make_basis(cv, 5, S, cv.mul(3, S))
+    with pytest.raises(BasisError, match="not distinct"):
+        make_basis(cv, 5, S, None)
+    # y^2 = x^3 - 25x: (-4, 6) has infinite order, (0, 0) and (5, 0) order 2
+    cv2 = curve_over(2, [0, 0, 0, -25, 0])
+    assert make_basis(cv2, 2, point_over(2, (0, 0)), point_over(2, (5, 0))).combos
+    with pytest.raises(BasisError, match="exact order 2"):
+        make_basis(cv2, 2, point_over(2, (0, 0)), point_over(2, (-4, 6)))
+
+
+def test_galois_representation_reads_the_basis_table(monkeypatch):
+    # the images of S and T are looked up in the table make_basis built, so
+    # they cost no curve additions; with make_basis at most 30 and 22
+    # inversions (37 and 25 when galois_representation walked E[n] again)
+    calls = {"add": 0, "invert": 0}
+    add, invert = ecq.CurveL.add, CycloElem.invert
+
+    def counted_add(self, P, Q):
+        calls["add"] += 1
+        return add(self, P, Q)
+
+    def counted_invert(self):
+        calls["invert"] += 1
+        return invert(self)
+
+    monkeypatch.setattr(ecq.CurveL, "add", counted_add)
+    monkeypatch.setattr(CycloElem, "invert", counted_invert)
+    for (cv, S, T), n, budget in ((_fixture3(), 3, 30), (_fixture4(), 4, 22)):
+        calls.update(add=0, invert=0)
+        basis = make_basis(cv, n, S, T)
+        added = calls["add"]
+        galois_representation(basis)
+        assert calls["add"] == added
+        assert calls["invert"] <= budget
