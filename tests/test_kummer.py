@@ -289,7 +289,8 @@ def test_basis_table_spans_the_returned_basis():
     # T is rescaled by u^-1 for e(S, T) = zeta^u, u = 2, 1 and 3 here; every
     # unit mod 3 or 4 is its own inverse, so only level 5 tells a table
     # re-indexed by u from one re-indexed by u^-1
-    for (cv, S, T), n, rescaled in ((_fixture3(), 3, True), (_fixture4(), 4, False), (_fixture5(), 5, True)):
+    cases = ((_fixture3(), 3, True), (_fixture4(), 4, False), (_fixture5(), 5, True))
+    for (cv, S, T), n, rescaled in cases:
         basis = make_basis(cv, n, S, T)
         assert (basis.T != T) == rescaled
         assert len(basis.combos) == n * n
