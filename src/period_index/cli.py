@@ -89,6 +89,13 @@ def _as_int(value, field: str) -> int:
     raise ConfigError("%s: expected an exact integer, found %r" % (field, value))
 
 
+def _as_positive(value, field: str) -> int:
+    k = _as_int(value, field)
+    if k < 1:
+        raise ConfigError("%s: expected a positive integer, found %d" % (field, k))
+    return k
+
+
 def _as_coeff(value, field: str) -> Fraction:
     if isinstance(value, bool):
         raise ConfigError("%s: expected a rational, found a boolean" % field)
@@ -181,25 +188,30 @@ class RunConfig:
             if not self.curve.on_curve(P):
                 raise ConfigError("curve.mw_generators[%d]: point is not on the curve" % i)
             self.mw_gens.append(P)
-        self.declared_order = _as_int(
+        order = _as_int(
             _get(cb, "stable_subgroup_order", "curve.stable_subgroup_order", None),
             "curve.stable_subgroup_order",
         )
+        if order != self.level:
+            raise ConfigError(
+                "curve.stable_subgroup_order: must equal curve.level %d, found %d"
+                % (self.level, order)
+            )
 
         pb = _get(raw, "parameters", "parameters")
-        self.n = _as_int(_get(pb, "n", "parameters.n", None), "parameters.n")
-        self.ell = _as_int(_get(pb, "ell", "parameters.ell", None), "parameters.ell")
+        self.n = _as_positive(_get(pb, "n", "parameters.n", None), "parameters.n")
+        self.ell = _as_positive(_get(pb, "ell", "parameters.ell", None), "parameters.ell")
         self.mode = _get(pb, "mode", "parameters.mode", str)
         if self.mode not in ("A", "B"):
             raise ConfigError("parameters.mode: must be \"A\" or \"B\"")
 
         bb = _get(raw, "bounds", "bounds")
-        self.prime_bound = _as_int(
+        self.prime_bound = _as_positive(
             _get(bb, "prime_bound", "bounds.prime_bound", None), "bounds.prime_bound"
         )
         self.coeff_bound: Optional[int] = None
         if bb.get("coeff_bound") is not None:
-            self.coeff_bound = _as_int(bb["coeff_bound"], "bounds.coeff_bound")
+            self.coeff_bound = _as_positive(bb["coeff_bound"], "bounds.coeff_bound")
         self.unit_window = 1
         if bb.get("unit_window") is not None:
             self.unit_window = _as_int(bb["unit_window"], "bounds.unit_window")
@@ -238,12 +250,19 @@ def _fmt_inv(fr: Fraction, level: int) -> str:
     return "%d/%d" % (int(fr * level) % level, level)
 
 
-def _emit(cert: dict, path: Optional[str], out):
+def _emit(cert: dict, path: Optional[str]) -> int:
+    """Write the certificate to path, or to stdout without one, and print
+    its claims."""
     text = canonical_json(cert)
     if path:
         _write_atomic(path, text)
     else:
-        out.write(text)
+        sys.stdout.write(text)
+    sm = cert["summary"]
+    print(
+        "period=%s index=%s places=(%s)" % (sm["period"], sm["index"], ", ".join(sm["places"]))
+    )
+    return 0
 
 
 # =====================================================================
@@ -359,7 +378,6 @@ def cmd_construct(args) -> int:
     common = dict(
         unit_window=cfg.unit_window,
         coeff_bound=cfg.coeff_bound,
-        declared_order=cfg.declared_order,
     )
     if cfg.level == n:
         if mode == "A":
@@ -375,13 +393,7 @@ def cmd_construct(args) -> int:
             "curve data at level %d fits neither a direct level-%d run nor "
             "a doubled level-%d run" % (cfg.level, n, 2 * n)
         )
-    path = args.out or cfg.certificate_path
-    _emit(cert, path, sys.stdout)
-    sm = cert["summary"]
-    print(
-        "period=%s index=%s places=(%s)" % (sm["period"], sm["index"], ", ".join(sm["places"]))
-    )
-    return 0
+    return _emit(cert, args.out or cfg.certificate_path)
 
 
 def cmd_compose(args) -> int:
@@ -396,12 +408,7 @@ def cmd_compose(args) -> int:
     if any(traces):
         return 1
     cert = compose_coprime(left, right, allow_different_jacobians=args.allow_different_jacobians)
-    _emit(cert, args.out, sys.stdout)
-    sm = cert["summary"]
-    print(
-        "period=%s index=%s places=(%s)" % (sm["period"], sm["index"], ", ".join(sm["places"]))
-    )
-    return 0
+    return _emit(cert, args.out)
 
 
 def cmd_verify(args) -> int:
@@ -462,10 +469,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: every call of main parses with the same parser
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
     try:

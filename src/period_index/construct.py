@@ -30,13 +30,15 @@ Three construction routes share one assembly path:
                        agree after doubling even though raw readings may
                        differ.
 
-One derivation, _derive, turns the curve data and the pair generators
-into the certificate body and runs every hard check of the claims
-algebra.  construct feeds it the pair the sieve finds; verify_certificate
-parses the inputs a certificate records, feeds them to the same
-derivation and diffs the recorded certificate against the result path by
-path: no search, no sieve, no randomness.  Serialization is canonical
-JSON with all integers as decimal strings and local invariants as "k/n".
+Each certificate section has its own derivation (_route, _pair, _class,
+_obstruction, _period, _index_upper, _index_lower, _summary) that runs
+its hard checks of the claims algebra, and _SECTIONS declares the inputs
+each section reads.  construct feeds them the pair the sieve finds;
+verify_certificate parses the inputs a certificate records, feeds them
+to the same derivations and diffs the recorded certificate against the
+result path by path: no search, no sieve, no randomness.  Serialization
+is canonical JSON with all integers as decimal strings and local
+invariants as "k/n".
 """
 
 from __future__ import annotations
@@ -58,9 +60,7 @@ from .cyclo import (
 )
 from .ecq import CurveError, CurveL, LPoint, curve_over, reduce_curve, reduce_point
 from .kummer import (
-    BasisError,
     KummerClass,
-    NormFactors,
     TorsionBasis,
     galois_representation,
     is_upper_triangular,
@@ -203,23 +203,51 @@ def _require_rational_data(cv: CurveL, mw_gens: list):
             )
 
 
-# the inputs every check on the normed pair reads
-_PAIR = ("pair.first.pi", "pair.second.pi")
-_SUPPORT = ("obstruction.support",) + _PAIR
 _WITNESSES = "pair.first.conditions.generators_divisible.witnesses"
+# the inputs the normed pair is derived from
+_NORMED = (
+    "context.ell", "context.mode", "route.kind", "inputs.curve.level",
+    "inputs.curve.coefficients", "inputs.curve.torsion_basis", "pair.first.pi", "pair.second.pi",
+)
+# Each derived section of a prime-power certificate: the prefix a
+# failure there carries (what a claim section leaves unproven), and the
+# inputs the section is derived from.  A failed check in a section names
+# the field it derives and then these inputs; a diff inside the section
+# names the field and, in its message, these inputs, since the edit may
+# sit on either side.
+_SECTIONS = {
+    "context": ("", ("context.n", "context.ell", "context.mode", "route.kind",
+                     "inputs.curve.level")),
+    "route": ("", ("context.n", "context.ell", "route.kind", "inputs.curve.level",
+                   "inputs.curve.torsion_basis")),
+    "pair": ("", ("context.n", "inputs.curve.level", "inputs.curve.coefficients",
+                  "inputs.curve.mw_generators", "pair.first.pi", "pair.second.pi",
+                  _WITNESSES)),
+    "class": ("", _NORMED),
+    "obstruction": ("", ("context.n",) + _NORMED),
+    "period": ("period unproven: ", ("context.n",) + _NORMED),
+    "index_upper": ("index upper bound unproven: ", ("context.n", "context.ell")),
+    "index_lower": ("index lower bound unproven: ", ("context.n",) + _NORMED),
+    "lichtenbaum_ok": ("", ("context.n", "context.ell")),
+    "summary": ("", ("context.n", "context.ell", "pair.first.pi", "pair.second.pi")),
+}
 
 
-def _lemma(holds: bool, msg: str, *paths: str):
-    """Raise LemmaFailure naming the paths unless a guaranteed fact holds."""
+def _lemma(holds: bool, msg: str, field: str, *indexed: str):
+    """Unless a guaranteed fact holds, raise LemmaFailure naming the
+    derived field, any indexed inputs the check reads, then the inputs of
+    the field's section."""
     if not holds:
-        raise LemmaFailure(msg, *paths)
+        prefix, reads = _SECTIONS[field.split(".")[0]]
+        raise LemmaFailure(prefix + msg, field, *indexed, *reads)
 
 
 def _factor_over(value: Fraction, primes) -> list:
     """Factor |value| over the given primes exactly; the remainder must
     be a unit, since the normed pair is a monomial in the two generators
     and their conjugates."""
-    _lemma(value.denominator == 1, "norm of an integral element is not an integer", *_SUPPORT)
+    _lemma(value.denominator == 1, "norm of an integral element is not an integer",
+           "obstruction.support")
     rest, out = abs(value.numerator), []
     for q in sorted(set(primes)):
         e = 0
@@ -228,18 +256,7 @@ def _factor_over(value: Fraction, primes) -> list:
             e += 1
         if e:
             out.append([_s(q), _s(e)])
-    _lemma(rest == 1, "normed pair has support outside the sieved pair", *_SUPPORT)
-    return out
-
-
-def _unit_probe_primes(level: int, lo: int, count: int = 2) -> list:
-    """Deterministic spot-check places: the first split primes past the
-    pair.  Both coordinates are units there, so invariants must vanish."""
-    out, q = [], lo
-    while len(out) < count:
-        q += 1
-        if q % level == 1 and is_probable_prime(q):
-            out.append(q)
+    _lemma(rest == 1, "normed pair has support outside the sieved pair", "obstruction.support")
     return out
 
 
@@ -259,13 +276,6 @@ def _rep_obj(rep: dict) -> list:
     return out
 
 
-def _exponents_obj(nf: NormFactors) -> list:
-    return [
-        [_s(t), _s(det_inv), [_s(e) for e in es]]
-        for (t, det_inv, es) in nf.exponents
-    ]
-
-
 def _curve_block(cv: CurveL, basis: TorsionBasis, mw_gens: list) -> dict:
     return {
         "level": _s(cv.n),
@@ -273,15 +283,6 @@ def _curve_block(cv: CurveL, basis: TorsionBasis, mw_gens: list) -> dict:
         "torsion_basis": {"S": point_obj(basis.S), "T": point_obj(basis.T)},
         "mw_generators": [point_obj(g) for g in mw_gens],
         "stable_subgroup_order": _s(cv.n),
-    }
-
-
-def _pinned_conditions(level: int, p: int) -> dict:
-    return {
-        "prime_norm": {"norm": _s(p)},
-        "congruent_one_mod_wild": {"modulus": _s(wild_modulus(level))},
-        "totally_positive": True,
-        "vanishes_at_own_place": True,
     }
 
 
@@ -351,85 +352,146 @@ def _preconditions(
 
 
 def _pair_member(pi: CycloElem, level: int, path: str) -> tuple:
-    """(p, place) of a pair generator, after its pinned conditions: a
-    prime norm p, the wild congruence, total positivity, and valuation one
-    at the distinguished place over p."""
-    cond, pi_path = path + ".conditions.", path + ".pi"
+    """The place and the object of a pair generator, after its pinned
+    conditions: a prime norm p, the wild congruence, total positivity, and
+    valuation one at the distinguished place over p."""
+    cond = path + ".conditions."
     nm = field_norm(pi)
     p, m = abs(nm.numerator), wild_modulus(level)
     _lemma(nm.denominator == 1 and is_probable_prime(p),
-           "generator norm %s is not a prime" % nm, cond + "prime_norm", pi_path)
+           "generator norm %s is not a prime" % nm, cond + "prime_norm")
     _lemma(is_one_mod(pi, m), "generator is not congruent to 1 mod %d" % m,
-           cond + "congruent_one_mod_wild", pi_path)
-    _lemma(is_totally_positive(pi), "generator is not totally positive",
-           cond + "totally_positive", pi_path)
+           cond + "congruent_one_mod_wild")
+    _lemma(is_totally_positive(pi), "generator is not totally positive", cond + "totally_positive")
     place = distinguished_place(level, p)
     _lemma(reduce_at(pi, p, place.omega) % p == 0, "generator is a unit at its own place",
-           cond + "vanishes_at_own_place", pi_path)
-    return p, place
+           cond + "vanishes_at_own_place")
+    conditions = {
+        "prime_norm": {"norm": _s(p)},
+        "congruent_one_mod_wild": {"modulus": _s(m)},
+        "totally_positive": True,
+        "vanishes_at_own_place": True,
+    }
+    return place, {"p": _s(p), "pi": elem_coeffs(pi), "place": place_obj(place),
+                   "conditions": conditions}
 
 
-def _derive(
-    cv: CurveL, basis: TorsionBasis, rep: dict, mw_gens: list,
-    pi: CycloElem, pi_prime: CycloElem, witnesses: tuple, *,
-    mode: str, doubled: bool, target_n: int, target_ell: int,
-) -> dict:
-    """The prime-power certificate for a pair of generators and the
-    divisibility witnesses ((index, point) per declared generator) at the
-    first one's place.  Runs every hard check of the claims algebra; a
-    failure raises LemmaFailure naming the derived field and the inputs it
-    reads."""
+def _route(
+    basis: TorsionBasis, mode: str, doubled: bool, rational: bool, target_n: int,
+    target_ell: int, ell_sym: int,
+) -> tuple:
+    """The context and route sections."""
+    N = basis.n
+    ctx = {
+        "n": _s(target_n),
+        "ell": _s(target_ell),
+        "mode": mode,
+        "zeta_pairing_power": "1",
+        "claims_field": "rational" if rational else "cyclotomic",
+    }
+    if doubled:
+        return ctx, {
+            "kind": "doubled",
+            "construction_level": _s(N),
+            "target_level": _s(target_n),
+            "raw_symbol_order_at_v": _s(ell_sym),
+            "stable_generator_rational": bool(
+                basis.S[0].is_rational() and basis.S[1].is_rational()
+            ),
+            "doubling_law": _DOUBLING_LAW,
+        }
+    exactness = "odd-level" if N % 2 else ("quaternion" if N == 2 else "two-torsion-ambiguous")
+    return ctx, {"kind": "direct", "construction_level": _s(N), "symbol_exactness": exactness}
+
+
+def _pair(
+    cv: CurveL, mw_gens: list, pi: CycloElem, pi_prime: CycloElem, witnesses: tuple,
+    target_n: int,
+) -> tuple:
+    """The pair section and the place of each member: the pinned
+    conditions on both generators, the divisibility witnesses ((index,
+    point) per declared generator) at the first place, and the residue
+    orders of the second generator there."""
     N = cv.n
-    ell_sym = 2 * target_ell if doubled else target_ell
-    rational_claims = doubled or mode == "B" or context(N).degree == 1
-
-    # representation sanity: the determinant of every matrix must embody
-    # the root-of-unity action, since the pairing of the basis is pinned.
-    for t, M in rep.items():
-        det = (M[0][0] * M[1][1] - M[0][1] * M[1][0]) % N
-        _lemma(det == t % N, "matrix determinant %d at t=%d is off" % (det, t),
-               "class.representation", "inputs.curve.torsion_basis")
-
-    # --- the pinned conditions on both pair members ---
-    p, v = _pair_member(pi, N, "pair.first")
-    pp, vp = _pair_member(pi_prime, N, "pair.second")
-    _lemma(p != pp, "pair members sit over the same prime %d" % p, "pair.second.p", *_PAIR)
-    _lemma(len(witnesses) == len(mw_gens), "need one witness per declared generator",
-           _WITNESSES, "inputs.curve.mw_generators")
+    v, first = _pair_member(pi, N, "pair.first")
+    vp, second = _pair_member(pi_prime, N, "pair.second")
+    _lemma(v.p != vp.p, "pair members sit over the same prime %d" % v.p, "pair.second.p")
+    _lemma(len(witnesses) == len(mw_gens), "need one witness per declared generator", _WITNESSES)
     try:
         cfp = reduce_curve(cv, v)
     except CurveError as e:
-        raise LemmaFailure(str(e), _WITNESSES, "pair.first.pi", "inputs.curve.coefficients")
+        _lemma(False, str(e), _WITNESSES)
     for (i, W), g in zip(witnesses, mw_gens):
-        on_curve = W is None or (max(W) < p and cfp.on_curve(W))
+        on_curve = W is None or (max(W) < v.p and cfp.on_curve(W))
         _lemma(on_curve and cfp.mul(target_n, W) == reduce_point(cv, g, v),
                "witness does not divide the generator down", "%s[%d]" % (_WITNESSES, i),
-               "inputs.curve.mw_generators[%d]" % i, "pair.first.pi")
+               "inputs.curve.mw_generators[%d]" % i)
     residue_order, conjugate_orders = residue_order_profile(pi_prime, v)
     sc = "pair.second.conditions."
     _lemma(residue_order == N, "second generator must have full order %d at the first place" % N,
-           sc + "residue_order_at_first_place", *_PAIR)
+           sc + "residue_order_at_first_place")
     _lemma(all(o == 1 for _, o in conjugate_orders),
            "a proper conjugate is not an n-th power residue at the first place",
-           sc + "conjugate_orders", *_PAIR)
+           sc + "conjugate_orders")
+    first["conditions"]["generators_divisible"] = {
+        "level": _s(target_n),
+        "witnesses": [[_s(i), fp_point_obj(w)] for i, w in witnesses],
+    }
+    second["conditions"]["residue_order_at_first_place"] = _s(residue_order)
+    second["conditions"]["conjugate_orders"] = [[_s(t), _s(o)] for t, o in conjugate_orders]
+    return {"first": first, "second": second}, v, vp
 
+
+def _class(rep: dict, pi: CycloElem, pi_prime: CycloElem, ell_sym: int) -> tuple:
+    """The class section, its four norm factors and the normed pair."""
+    N = pi.n
+    # the determinant of every matrix must embody the root-of-unity
+    # action, since the pairing of the basis is pinned
+    for t, M in rep.items():
+        det = (M[0][0] * M[1][1] - M[0][1] * M[1][0]) % N
+        _lemma(det == t % N, "matrix determinant %d at t=%d is off" % (det, t),
+               "class.representation")
     xi = build_xi(pi, pi_prime, N, ell_sym)
     nf = twisted_norm(rep, xi.a, xi.b)
-    first, second = nf.first(), nf.second()
+    normed = nf.first(), nf.second()
     factors = {"c": nf.c, "cprime": nf.cprime, "d": nf.d, "dprime": nf.dprime}
-
-    # --- hard consistency checks: theorems under the pair conditions ---
     _lemma(nf.d == CycloElem.rational(N, 1) or not is_upper_triangular(rep),
-           "norm factor d differs from 1 under a triangular action",
-           "class.norm_factors.d", *_PAIR, "inputs.curve.torsion_basis")
+           "norm factor d differs from 1 under a triangular action", "class.norm_factors.d")
+    section = {
+        "seed_pair": {
+            "first": elem_coeffs(xi.a),
+            "second": elem_coeffs(xi.b),
+            "power_exponent": _s(N // ell_sym),
+        },
+        "representation": _rep_obj(rep),
+        "upper_triangular": is_upper_triangular(rep),
+        "norm_factors": {
+            **{k: elem_coeffs(x) for k, x in factors.items()},
+            "exponents": [[_s(t), _s(dinv), [_s(e) for e in es]] for t, dinv, es in nf.exponents],
+        },
+        "normed_pair": {"first": elem_coeffs(normed[0]), "second": elem_coeffs(normed[1])},
+    }
+    return section, factors, normed
+
+
+def _obstruction(
+    factors: dict, normed: tuple, v: Place, vp: Place, *,
+    mode: str, doubled: bool, rational: bool, target_n: int, target_ell: int, ell_sym: int,
+) -> tuple:
+    """The obstruction section, and the target-level invariant at v that
+    the index rows shift: the v-row and its sub-symbols, the local rows at
+    every place over the pair and their consistency rule, the descended
+    rows and reciprocity for rational claims, the global order, and the
+    places away from the pair."""
+    first, second = normed
+    p, pp, N = v.p, vp.p, v.n
     vals = {k: valuation(x, v) for k, x in factors.items()}
     _lemma(list(vals.values()) == [1, 0, 0, 0], "valuations at v are not (1, 0, 0, 0): %r" % vals,
-           "obstruction.v_row.valuations", *_PAIR)
-
+           "obstruction.v_row.valuations")
     inv_v = tame_invariant(first, second, v)
     _lemma(invariant_order(inv_v) == ell_sym,
            "v-invariant has order %d, expected the symbol target %d"
-           % (invariant_order(inv_v), ell_sym), "obstruction.v_row.order", *_PAIR, "context.ell")
+           % (invariant_order(inv_v), ell_sym), "obstruction.v_row.order")
     subs = {
         "%s_%s" % (a, b): tame_invariant(factors[a], factors[b], v)
         for a in ("c", "cprime")
@@ -437,19 +499,14 @@ def _derive(
     }
     _lemma(sum(subs.values()) % 1 == inv_v and subs["c_d"] == 0,
            "sub-symbols at v do not add up to the invariant with <c, d> = 0",
-           "obstruction.v_row.sub_symbols", *_PAIR)
+           "obstruction.v_row.sub_symbols")
     _lemma(invariant_order(tame_invariant(first, second, vp)) == invariant_order(inv_v),
-           "symbol order at v' differs from the order at v", "obstruction.local_rows", *_PAIR)
+           "symbol order at v' differs from the order at v", "obstruction.local_rows")
 
-    # --- local rows at every place over the pair ---
     local = {}
     for q in (p, pp):
         for w in places_over(N, q):
             local[(q, w.omega)] = (w, tame_invariant(first, second, w))
-    rows = [
-        _row(w, inv)
-        for (_, _), (w, inv) in sorted(local.items(), key=lambda kv: kv[0])
-    ]
 
     if doubled or (N % 2 == 0 and N > 2):
         consistency = "doubles-equal"
@@ -471,11 +528,11 @@ def _derive(
             # proper conjugate places see two units
             agree = all(inv == 0 for (qq, om), (_, inv) in local.items() if qq == q and om != w0.omega)
         _lemma(agree, "conjugate places over %d break the %s rule" % (q, consistency),
-               "obstruction.local_rows", *_PAIR)
+               "obstruction.local_rows")
         raw = local[(q, w0.omega)][1]
         t_inv = (2 * raw) % 1 if doubled else raw
         target_invs[q] = t_inv
-        if rational_claims:
+        if rational:
             descended.append(
                 {
                     "p": _s(q),
@@ -487,36 +544,29 @@ def _derive(
     # even levels above 2 read symbols only up to two-torsion unless the
     # claims were doubled, so reciprocity is asserted on exact data only
     ambiguous = not doubled and N % 2 == 0 and N > 2
-    if rational_claims:
+    if rational:
         check = (
             sum(((2 * i) % 1 for i in target_invs.values()))
             if ambiguous
             else sum(target_invs.values())
         )
         _lemma(check % 1 == 0, "descended rows break the product formula",
-               "obstruction.reciprocity_sum", *_PAIR)
+               "obstruction.reciprocity_sum")
         global_order = lcm(*(invariant_order(i) for i in target_invs.values()))
     else:
         global_order = lcm(*(invariant_order(i) for _, (_, i) in local.items()))
     _lemma(global_order == target_ell,
            "global obstruction order %d differs from the target %d" % (global_order, target_ell),
-           "obstruction.global_order", *_PAIR, "context.ell")
+           "obstruction.global_order")
 
     # --- places away from the pair ---
     m_wild = wild_modulus(N)
     _lemma(is_one_mod(first, m_wild) and is_one_mod(second, m_wild),
-           "normed pair lost the wild congruence", "obstruction.wild", *_PAIR)
-    wild = {
-        "modulus": _s(m_wild),
-        "first_congruent": True,
-        "second_congruent": True,
-        "invariant": _inv_str(Fraction(0), N),
-    }
+           "normed pair lost the wild congruence", "obstruction.wild")
     if context(N).degree == 1:
-        a0, b0 = first.rational_value(), second.rational_value()
-        arch_inv = archimedean_invariant(a0, b0)
+        arch_inv = archimedean_invariant(first.rational_value(), second.rational_value())
         _lemma(arch_inv == 0, "real place is obstructed despite total positivity",
-               "obstruction.archimedean", *_PAIR)
+               "obstruction.archimedean")
         arch = {
             "kind": "real",
             "first_positive": True,
@@ -525,162 +575,120 @@ def _derive(
         }
     else:
         arch = {"kind": "complex", "invariant": _inv_str(Fraction(0), N)}
-    unit_rows = []
-    for q in _unit_probe_primes(N, max(p, pp)):
+    # spot checks at the first two split primes past the pair: both
+    # coordinates are units there, so the invariants must vanish
+    unit_rows, q = [], max(p, pp)
+    while len(unit_rows) < 2:
+        q += 1
+        if q % N != 1 or not is_probable_prime(q):
+            continue
         w = distinguished_place(N, q)
         inv = tame_invariant(first, second, w)
-        _lemma(inv == 0, "unit-unit invariant at %d is nonzero" % q, "obstruction.unit_rows", *_PAIR)
+        _lemma(inv == 0, "unit-unit invariant at %d is nonzero" % q, "obstruction.unit_rows")
         unit_rows.append(_row(w, inv))
 
-    support = {
-        "first": _factor_over(field_norm(first), (p, pp)),
-        "second": _factor_over(field_norm(second), (p, pp)),
-    }
-
-    # --- period rows: every proper multiple of the class stays nonzero ---
-    period_rows = []
-    for m in range(1, target_n):
-        val_m = valuation(first ** m, v)
-        _lemma(val_m == m and val_m % target_n != 0, "power %d has valuation %d at v" % (m, val_m),
-               "period.rows", *_PAIR)
-        period_rows.append({"m": _s(m), "valuation": _s(val_m)})
-
-    # --- index rows: shifts to every smaller candidate level stay nonzero ---
-    inv_target_v = target_invs[p] if rational_claims else inv_v
-    lower_rows = []
-    for ellp in range(1, target_ell):
-        if target_ell % ellp:
-            continue
-        shifted = (ellp * inv_target_v) % 1
-        _lemma(shifted != 0,
-               "index lower bound unproven: shift by %d kills the invariant at v" % ellp,
-               "index_lower.rows", *_PAIR, "context.ell")
-        lower_rows.append(
-            {"ell_prime": _s(ellp), "shifted_invariant": _inv_str(shifted, target_n)}
-        )
-
-    period_claim = target_n
-    index_claim = target_n * target_ell
-    _lemma(lichtenbaum_check(period_claim, index_claim), "claims fail the duality bound",
-           "lichtenbaum_ok", "context.n", "context.ell")
-
-    if doubled:
-        route = {
-            "kind": "doubled",
-            "construction_level": _s(N),
-            "target_level": _s(target_n),
-            "raw_symbol_order_at_v": _s(ell_sym),
-            "stable_generator_rational": bool(
-                basis.S[0].is_rational() and basis.S[1].is_rational()
-            ),
-            "doubling_law": _DOUBLING_LAW,
-        }
-    else:
-        exactness = "odd-level" if N % 2 else ("quaternion" if N == 2 else "two-torsion-ambiguous")
-        route = {
-            "kind": "direct",
-            "construction_level": _s(N),
-            "symbol_exactness": exactness,
-        }
-
-    curve = _curve_block(cv, basis, mw_gens)
-    obstruction = {
-        "local_rows": rows,
+    section = {
+        "local_rows": [_row(w, inv) for _, (w, inv) in sorted(local.items())],
         "v_row": {
-            "place": place_obj(v),
-            "invariant": _inv_str(inv_v, N),
-            "order": _s(invariant_order(inv_v)),
+            **_row(v, inv_v),
             "valuations": {k: _s(val) for k, val in vals.items()},
             "d_is_one": True,
             "sub_symbols": {k: _inv_str(sv, N) for k, sv in subs.items()},
         },
-        "support": support,
-        "wild": wild,
+        "support": {
+            "first": _factor_over(field_norm(first), (p, pp)),
+            "second": _factor_over(field_norm(second), (p, pp)),
+        },
+        "wild": {
+            "modulus": _s(m_wild),
+            "first_congruent": True,
+            "second_congruent": True,
+            "invariant": _inv_str(Fraction(0), N),
+        },
         "archimedean": arch,
         "unit_rows": unit_rows,
         "place_consistency": consistency,
         "global_order": _s(global_order),
         "reciprocity_sum": "0/1",
     }
-    if rational_claims:
-        obstruction["descended_rows"] = descended
+    if rational:
+        section["descended_rows"] = descended
+    return section, target_invs[p] if rational else inv_v
 
+
+def _period(first: CycloElem, v: Place, target_n: int) -> dict:
+    """Every proper multiple of the class stays nonzero."""
+    rows = []
+    for m in range(1, target_n):
+        val_m = valuation(first ** m, v)
+        _lemma(val_m == m and val_m % target_n != 0, "power %d has valuation %d at v" % (m, val_m),
+               "period.rows")
+        rows.append({"m": _s(m), "valuation": _s(val_m)})
+    return {
+        "claim": _s(target_n),
+        "first_coordinate_valuation": "1",
+        "rows": rows,
+        "shift_vanishing": _SHIFT_MARKER,
+    }
+
+
+def _index_upper(target_n: int, target_ell: int) -> dict:
+    return {"claim": _s(target_n * target_ell), "symbol_order_at_v": _s(target_ell),
+            "rule": _UPPER_RULE}
+
+
+def _index_lower(inv_target_v: Fraction, target_n: int, target_ell: int) -> dict:
+    """Shifts to every smaller candidate level stay nonzero."""
+    rows = []
+    for ellp in range(1, target_ell):
+        if target_ell % ellp:
+            continue
+        shifted = (ellp * inv_target_v) % 1
+        _lemma(shifted != 0, "shift by %d kills the invariant at v" % ellp, "index_lower.rows")
+        rows.append({"ell_prime": _s(ellp), "shifted_invariant": _inv_str(shifted, target_n)})
+    return {"claim": _s(target_n * target_ell), "rows": rows, "tate_vanishing": _SHIFT_MARKER}
+
+
+def _summary(target_n: int, target_ell: int, p: int, pp: int) -> dict:
+    period, index = target_n, target_n * target_ell
+    _lemma(lichtenbaum_check(period, index), "claims fail the duality bound", "lichtenbaum_ok")
+    return {"period": _s(period), "index": _s(index), "places": [_s(p), _s(pp)]}
+
+
+def _certificate(
+    cv: CurveL, basis: TorsionBasis, rep: dict, mw_gens: list,
+    pi: CycloElem, pi_prime: CycloElem, witnesses: tuple, *,
+    mode: str, doubled: bool, target_n: int, target_ell: int,
+) -> dict:
+    """The prime-power certificate of a pair of generators, one section at
+    a time.  Runs every hard check of the claims algebra; a failure raises
+    LemmaFailure naming the derived field and the inputs its section
+    reads."""
+    ell_sym = 2 * target_ell if doubled else target_ell
+    rational = doubled or mode == "B" or context(cv.n).degree == 1
+    pair, v, vp = _pair(cv, mw_gens, pi, pi_prime, witnesses, target_n)
+    cls, factors, normed = _class(rep, pi, pi_prime, ell_sym)
+    obstruction, inv_target_v = _obstruction(
+        factors, normed, v, vp,
+        mode=mode, doubled=doubled, rational=rational, target_n=target_n, target_ell=target_ell,
+        ell_sym=ell_sym,
+    )
+    ctx, route = _route(basis, mode, doubled, rational, target_n, target_ell, ell_sym)
+    curve = _curve_block(cv, basis, mw_gens)
     return {
         "schema": SCHEMA,
         "kind": "prime-power",
-        "context": {
-            "n": _s(target_n),
-            "ell": _s(target_ell),
-            "mode": mode,
-            "zeta_pairing_power": "1",
-            "claims_field": "rational" if rational_claims else "cyclotomic",
-        },
+        "context": ctx,
         "route": route,
         "inputs": {"curve": curve, "digest": content_digest(curve)},
-        "pair": {
-            "first": {
-                "p": _s(p),
-                "pi": elem_coeffs(pi),
-                "place": place_obj(v),
-                "conditions": {
-                    **_pinned_conditions(N, p),
-                    "generators_divisible": {
-                        "level": _s(target_n),
-                        "witnesses": [[_s(i), fp_point_obj(w)] for i, w in witnesses],
-                    },
-                },
-            },
-            "second": {
-                "p": _s(pp),
-                "pi": elem_coeffs(pi_prime),
-                "place": place_obj(vp),
-                "conditions": {
-                    **_pinned_conditions(N, pp),
-                    "residue_order_at_first_place": _s(residue_order),
-                    "conjugate_orders": [[_s(t), _s(o)] for t, o in conjugate_orders],
-                },
-            },
-        },
-        "class": {
-            "seed_pair": {
-                "first": elem_coeffs(xi.a),
-                "second": elem_coeffs(xi.b),
-                "power_exponent": _s(N // ell_sym),
-            },
-            "representation": _rep_obj(rep),
-            "upper_triangular": is_upper_triangular(rep),
-            "norm_factors": {
-                **{k: elem_coeffs(x) for k, x in factors.items()},
-                "exponents": _exponents_obj(nf),
-            },
-            "normed_pair": {
-                "first": elem_coeffs(first),
-                "second": elem_coeffs(second),
-            },
-        },
+        "pair": pair,
+        "class": cls,
         "obstruction": obstruction,
-        "period": {
-            "claim": _s(period_claim),
-            "first_coordinate_valuation": "1",
-            "rows": period_rows,
-            "shift_vanishing": _SHIFT_MARKER,
-        },
-        "index_upper": {
-            "claim": _s(index_claim),
-            "symbol_order_at_v": _s(target_ell),
-            "rule": _UPPER_RULE,
-        },
-        "index_lower": {
-            "claim": _s(index_claim),
-            "rows": lower_rows,
-            "tate_vanishing": _SHIFT_MARKER,
-        },
+        "period": _period(normed[0], v, target_n),
+        "index_upper": _index_upper(target_n, target_ell),
+        "index_lower": _index_lower(inv_target_v, target_n, target_ell),
         "lichtenbaum_ok": True,
-        "summary": {
-            "period": _s(period_claim),
-            "index": _s(index_claim),
-            "places": [_s(p), _s(pp)],
-        },
+        "summary": _summary(target_n, target_ell, v.p, vp.p),
     }
 
 
@@ -704,7 +712,7 @@ def _construct(
     pair = find_pair(
         cv, cv.n, prime_bound, mw_gens, route["target_n"], unit_window, coeff_bound
     )
-    return _derive(
+    return _certificate(
         cv, basis, rep, mw_gens, pair.first.pi, pair.second.pi, pair.first.divisibility, **route
     )
 
@@ -863,25 +871,8 @@ def compose_coprime(left: dict, right: dict, allow_different_jacobians: bool = F
 _NAT_RE = re.compile(r"^\d+$")
 _COEFF_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
 
-_TOP_KEYS = (
-    "schema", "kind", "context", "route", "inputs", "pair", "class", "obstruction",
-    "period", "index_upper", "index_lower", "lichtenbaum_ok", "summary",
-)
+_TOP_KEYS = ("schema", "kind", "inputs", *_SECTIONS)
 _CURVE_KEYS = ("level", "coefficients", "torsion_basis", "mw_generators", "stable_subgroup_order")
-
-# Derived fields that are a direct function of a few inputs: a diff there
-# also names those inputs, since the edit may sit on either side.
-_READS = {
-    "context.claims_field": ("context.mode",),
-    "route.target_level": ("context.n",),
-    "route.raw_symbol_order_at_v": ("context.ell",),
-    "pair.first.p": ("pair.first.pi",),
-    "pair.second.p": ("pair.second.pi",),
-    "class.seed_pair.power_exponent": ("context.ell",),
-    "summary.index": ("context.n", "context.ell"),
-}
-# what a diff inside each claim section leaves unproven
-_CLAIMS = {"period": "period", "index_upper": "index upper bound", "index_lower": "index lower bound"}
 
 
 def _at(path: str, rel: str) -> str:
@@ -1007,7 +998,7 @@ def _rederive(cert: dict) -> dict:
     T = _point(level, tb["T"], "inputs.curve.torsion_basis.T")
     try:
         basis = make_basis(cv, level, S, T)
-    except (BasisError, ValueError, ArithmeticError) as e:
+    except (ValueError, ArithmeticError) as e:
         raise InputError("basis rejected: %s" % e, "inputs.curve.torsion_basis")
     gens = []
     for i, raw in enumerate(_list(cert, "inputs.curve.mw_generators")):
@@ -1029,7 +1020,7 @@ def _rederive(cert: dict) -> dict:
 
     route = dict(mode=mode, doubled=kind == "doubled", target_n=n, target_ell=ell)
     rep = _preconditions(cv, basis, gens, declared_order, **route)
-    return _derive(cv, basis, rep, gens, pi, pi_prime, tuple(witnesses), **route)
+    return _certificate(cv, basis, rep, gens, pi, pi_prime, tuple(witnesses), **route)
 
 
 def _show(value) -> str:
@@ -1037,29 +1028,30 @@ def _show(value) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-def _diff(recorded, derived, rel: str, path: str, trace: list):
+def _diff(recorded, derived, rel: str, path: str, trace: list, sections: dict):
     """Append a trace line wherever the recorded certificate at path
     differs from the derived one below rel.  Values of different JSON
-    types differ, so true and 1 do not match."""
+    types differ, so true and 1 do not match.  A value line also names the
+    inputs of its section in sections."""
     if isinstance(recorded, dict) and isinstance(derived, dict):
         mismatch = _field_set(recorded, derived, rel)
         if mismatch:
             trace.extend((_at(path, r), mismatch[0]) for r in mismatch[1])
         for key in sorted(set(derived) & set(recorded)):
-            _diff(recorded[key], derived[key], _at(rel, key), path, trace)
+            _diff(recorded[key], derived[key], _at(rel, key), path, trace, sections)
     elif (
         isinstance(recorded, list)
         and isinstance(derived, list)
         and len(recorded) == len(derived)
     ):
         for i, (r, d) in enumerate(zip(recorded, derived)):
-            _diff(r, d, _at(rel, "[%d]" % i), path, trace)
+            _diff(r, d, _at(rel, "[%d]" % i), path, trace, sections)
     elif type(recorded) is not type(derived) or recorded != derived:
         msg = "recorded %s, recomputed %s" % (_show(recorded), _show(derived))
-        if rel in _READS:
-            msg += " from " + ", ".join(_at(path, r) for r in _READS[rel])
-        claim = _CLAIMS.get(rel.split(".")[0])
-        trace.append((_at(path, rel), "%s unproven: %s" % (claim, msg) if claim else msg))
+        prefix, reads = sections.get(rel.split(".")[0], ("", ()))
+        if reads:
+            msg += " from " + ", ".join(_at(path, r) for r in reads)
+        trace.append((_at(path, rel), prefix + msg))
 
 
 def _check(cert, path: str, trace: list):
@@ -1085,7 +1077,7 @@ def _check(cert, path: str, trace: list):
             derived = make_trivial_certificate()
         else:
             raise InputError("unknown certificate kind %r" % (kind,), "kind")
-        _diff(cert, derived, "", path, trace)
+        _diff(cert, derived, "", path, trace, _SECTIONS if kind == "prime-power" else {})
     except (InputError, LemmaFailure) as e:
         trace.extend((_at(path, rel), str(e)) for rel in e.paths or ("",))
     except Exception as e:  # any certificate gets a verdict, never a traceback

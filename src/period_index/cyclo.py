@@ -345,13 +345,6 @@ def field_norm(x: CycloElem) -> Fraction:
     return acc.rational_value()
 
 
-def field_trace(x: CycloElem) -> Fraction:
-    acc = CycloElem.rational(x.n, 0)
-    for c in conjugates(x):
-        acc = acc + c
-    return acc.rational_value()
-
-
 def is_totally_positive(x: CycloElem) -> bool:
     """True iff x is positive under every real embedding.
 

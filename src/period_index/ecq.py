@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional
 
-from .cyclo import CycloElem, GaloisAuto, context, galois_apply, reduce_at
+from .cyclo import CycloElem, GaloisAuto, galois_apply, reduce_at
 from .localfield import Place, factorint, valuation
 
 
@@ -167,19 +167,6 @@ def bad_set(cv: CurveL) -> set[int]:
             raise CurveError("bad_set needs an integral model")
     disc = cv.discriminant().rational_value()
     return set(factorint(int(disc)))
-
-
-def curve_modulus(cv: CurveL, n: int) -> int:
-    """The ray modulus attached to (curve, n): product over bad primes and
-    the prime of n, with exponent 1 at tame primes and 2k+1 at q where
-    n = q^k."""
-    ctx = context(n)
-    q, k = ctx.prime, ctx.prime_exp
-    m = q ** (2 * k + 1)
-    for p in sorted(bad_set(cv)):
-        if p != q:
-            m *= p
-    return m
 
 
 # ------------------------------------------------------------ reduction
@@ -346,10 +333,6 @@ class _PointWalk:
 def enumerate_points(cfp: CurveFp) -> list[tuple[int, int]]:
     """All affine points, sorted."""
     return list(_affine_points(cfp, _square_roots(cfp.p)))
-
-
-def count_points(cfp: CurveFp) -> int:
-    return len(enumerate_points(cfp)) + 1
 
 
 def _fp_point_order(cfp: CurveFp, P: FpPoint, N: int, fac: dict[int, int]) -> int:

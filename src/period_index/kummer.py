@@ -24,7 +24,7 @@ from .cyclo import (
     galois_apply,
 )
 from .ecq import CurveL, LPoint, torsion_pool, weil_pairing, zeta_dlog
-from .localfield import Place, norm_support, tame_invariant
+from .localfield import Place, tame_invariant
 
 
 class BasisError(ValueError):
@@ -150,16 +150,6 @@ def local_invariant(kc: KummerClass, place: Place) -> Fraction:
     if place.n != kc.n:
         raise ValueError("place level %d vs class level %d" % (place.n, kc.n))
     return tame_invariant(kc.a, kc.b, place)
-
-
-def class_support(kc: KummerClass) -> set[int]:
-    return norm_support(kc.a) | norm_support(kc.b)
-
-
-def shift_class(kc: KummerClass, x: CycloElem) -> KummerClass:
-    """Multiply the first coordinate by an n-th power: same class, different
-    representative.  Used by tests of representative independence."""
-    return KummerClass(kc.n, kc.a * x ** kc.n, kc.b)
 
 
 def inflate_class(kc: KummerClass, m: int) -> KummerClass:

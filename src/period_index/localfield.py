@@ -96,12 +96,6 @@ def valuation(x: CycloElem, place: Place) -> int:
     return v
 
 
-def unit_part_mod_p(x: CycloElem, place: Place) -> int:
-    """Residue of x / p^v(x) at the place, an element of F_p^*."""
-    _, u = _valuation_and_unit(x, place)
-    return u
-
-
 def _valuation_and_unit(x: CycloElem, place: Place) -> tuple[int, int]:
     if x.n != place.n:
         raise ValueError("element level %d vs place level %d" % (x.n, place.n))
@@ -160,11 +154,6 @@ def invariant_order(inv: Fraction) -> int:
     """Order of an invariant in Q/Z."""
     inv = inv - int(inv)  # normalize into [0,1)
     return inv.denominator
-
-
-def invariant_sum(invs) -> Fraction:
-    """Sum of invariants in Q/Z, normalized into [0, 1)."""
-    return sum(invs, Fraction(0)) % 1
 
 
 def archimedean_invariant(a: Fraction, b: Fraction) -> Fraction:

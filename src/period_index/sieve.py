@@ -44,7 +44,6 @@ from .ecq import (
     CurveL,
     LPoint,
     bad_set as _bad_reduction_primes,
-    curve_modulus,
     divisibility_witness,
     group_structure,
     reduce_curve,
@@ -98,15 +97,6 @@ class SieveStats:
 
 
 @dataclass(frozen=True)
-class BadSet:
-    """Primes dividing the level or giving bad reduction, plus a marker for
-    the real places (only present for levels 1 and 2)."""
-
-    primes: tuple
-    archimedean: bool
-
-
-@dataclass(frozen=True)
 class PrimeCandidate:
     """A split prime with its pinned, congruence-adjusted generator."""
 
@@ -126,19 +116,6 @@ class SievePair:
     second: PrimeCandidate
     residue_order: int            # order of second.pi at first.place, must be n
     conjugate_orders: tuple       # (t, order) for t != 1; all orders must be 1
-
-
-def bad_set(cv: CurveL, n: int) -> tuple[BadSet, int]:
-    """Bad-reduction primes joined with the primes dividing n, and the
-    search modulus n^2 * prod(bad primes)."""
-    primes = set(_bad_reduction_primes(cv))
-    for r in (2, 3, 5):
-        if n % r == 0:
-            primes.add(r)
-    return (
-        BadSet(tuple(sorted(primes)), archimedean=n <= 2),
-        curve_modulus(cv, n),
-    )
 
 
 def split_prime_stream(cv: CurveL, n: int, bound: int) -> Iterator[int]:

@@ -103,6 +103,24 @@ def test_config_blames_an_unsupported_level_on_the_level(tmp_path, capsys, level
     assert capsys.readouterr().err.startswith("error: curve.level:")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("bounds__prime_bound", "0"),
+        ("bounds__prime_bound", "-5"),
+        ("bounds__coeff_bound", "0"),
+        ("parameters__n", "0"),
+        ("parameters__ell", "-1"),
+        ("curve__stable_subgroup_order", "0"),
+        ("curve__stable_subgroup_order", "9"),
+    ],
+)
+def test_config_blames_an_out_of_range_number_on_its_field(tmp_path, capsys, key, value):
+    cfg = _write_config(tmp_path, CONFIG_CUBIC, **{key: value})
+    assert main(["construct", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: %s:" % key.replace("__", "."))
+
+
 def test_config_rejects_wrong_coefficient_count(tmp_path, capsys):
     cfg = _write_config(tmp_path, CONFIG_CUBIC, curve__coefficients=["0", "0", "1"])
     assert main(["construct", "--config", cfg]) == 2
@@ -279,6 +297,20 @@ def test_verify_names_every_edited_leaf(cert_paths, tmp_path, capsys):
             if not _rejected_by_name(cert, path, value, tmp_path, capsys):
                 missed.append((path, value))
     assert tried > 1000
+    assert not missed
+
+
+def test_verify_names_every_edited_leaf_of_the_cubic(cert_paths, tmp_path, capsys):
+    # the (3, 3) certificate carries a non-identity Galois action, so its
+    # class and obstruction sections are derived from a real representation
+    c3, _ = cert_paths
+    cert = json.loads(c3.read_text())
+    leaves = _leaf_paths(cert)
+    missed = [
+        path for path, old in leaves
+        if not _rejected_by_name(cert, path, _perturb(old), tmp_path, capsys)
+    ]
+    assert len(leaves) > 150
     assert not missed
 
 

@@ -13,7 +13,6 @@ from period_index.cyclo import (
     cyclotomic_poly,
     evaluate_mod,
     field_norm,
-    field_trace,
     galois_apply,
     is_totally_positive,
     lifted_root,
@@ -148,14 +147,6 @@ def test_field_norm_multiplicative():
         for _ in range(15):
             x, y = _rand_elem(rng, n), _rand_elem(rng, n)
             assert field_norm(x * y) == field_norm(x) * field_norm(y)
-
-
-def test_field_trace_rational():
-    rng = random.Random(3103)
-    for n in (3, 4, 8):
-        x = _rand_elem(rng, n)
-        tr = field_trace(x)  # raises if not rational
-        assert isinstance(tr, Fraction)
 
 
 def test_recorded_units_have_unit_norm():

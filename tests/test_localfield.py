@@ -12,14 +12,12 @@ from period_index.localfield import (
     distinguished_place,
     factorint,
     invariant_order,
-    invariant_sum,
     is_one_mod,
     norm_support,
     places_over,
     refine_place,
     residue_power_order,
     tame_invariant,
-    unit_part_mod_p,
     valuation,
     wild_modulus,
 )
@@ -132,20 +130,6 @@ def test_valuation_additive_and_norm_compatible():
                 num //= p
                 k += 1
             assert sum(valuation(x, pl) for pl in pls) == k
-
-
-def test_unit_part_consistency():
-    rng = random.Random(7107)
-    pl = distinguished_place(4, 13)
-    for _ in range(20):
-        x = _rand_nonzero(rng, 4)
-        v = valuation(x, pl)
-        u = unit_part_mod_p(x, pl)
-        assert u % 13 != 0
-        # x * p^-v has valuation 0 and residue u
-        y = x * Fraction(1, 13 ** v) if v >= 0 else x * 13 ** (-v)
-        assert valuation(y, pl) == 0
-        assert unit_part_mod_p(y, pl) == u
 
 
 def test_valuation_of_zero_rejected():
@@ -271,8 +255,6 @@ def test_archimedean_invariant():
 
 
 def test_invariant_sum_and_order():
-    assert invariant_sum([Fraction(1, 2), Fraction(3, 4), Fraction(3, 4)]) == 0
-    assert invariant_sum([Fraction(1, 3), Fraction(1, 3)]) == Fraction(2, 3)
     assert invariant_order(Fraction(0)) == 1
     assert invariant_order(Fraction(2, 4)) == 2
     assert invariant_order(Fraction(3, 9)) == 3

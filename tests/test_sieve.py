@@ -21,10 +21,8 @@ from period_index.localfield import (
     wild_modulus,
 )
 from period_index.sieve import (
-    BadSet,
     SieveExhausted,
     attach_generator,
-    bad_set,
     divisibility_data,
     find_pair,
     find_v,
@@ -51,20 +49,6 @@ def _fix3():
 def _fix4():
     cv = curve_over(4, E_PYTH)
     return cv, [point_over(4, (24, 120)), point_over(4, (0, 0))]
-
-
-def test_bad_set_and_modulus():
-    cv2, _ = _fix2()
-    bs, m = bad_set(cv2, 2)
-    assert bs == BadSet((2,), archimedean=True) and m == 8
-    cv3, _ = _fix3()
-    bs, m = bad_set(cv3, 3)
-    assert bs == BadSet((3,), archimedean=False) and m == 27
-    cv4, _ = _fix4()
-    bs, m = bad_set(cv4, 4)
-    assert bs == BadSet((2, 3, 5), archimedean=False) and m == 480
-    # modulus = n^2 * product of the bad set
-    assert m == 16 * 2 * 3 * 5
 
 
 def test_split_prime_stream():
