@@ -359,6 +359,7 @@ def cmd_sieve(args) -> int:
         cfg.prime_bound,
         cfg.mw_gens,
         target,
+        (cfg.basis.S, cfg.basis.T),
         cfg.unit_window,
         cfg.coeff_bound,
     )
@@ -372,6 +373,22 @@ def cmd_sieve(args) -> int:
     return 0
 
 
+# the configuration field each certificate path of a route hypothesis
+# comes from; inputs.curve.* maps to curve.*
+_CONFIG_FIELDS = {
+    "context.n": "parameters.n",
+    "context.ell": "parameters.ell",
+    "context.mode": "parameters.mode",
+    "route.kind": "parameters.mode",
+}
+
+
+def _config_field(path: str) -> str:
+    if path.startswith("inputs.curve."):
+        return path[len("inputs."):]
+    return _CONFIG_FIELDS.get(path, path)
+
+
 def cmd_construct(args) -> int:
     cfg = RunConfig(args.config)
     n, ell, mode = cfg.n, cfg.ell, cfg.mode
@@ -379,20 +396,25 @@ def cmd_construct(args) -> int:
         unit_window=cfg.unit_window,
         coeff_bound=cfg.coeff_bound,
     )
-    if cfg.level == n:
-        if mode == "A":
-            cert = certify_mode_A(cfg.curve, cfg.basis, ell, cfg.mw_gens, cfg.prime_bound, **common)
-        else:
-            cert = certify_mode_B(cfg.curve, cfg.basis, ell, cfg.mw_gens, cfg.prime_bound, **common)
-    elif n % 2 == 0 and cfg.level == 2 * n:
-        cert = even_adjust(
-            cfg.curve, cfg.basis, n, ell, cfg.mw_gens, cfg.prime_bound, mode=mode, **common
-        )
-    else:
-        raise InputError(
-            "curve data at level %d fits neither a direct level-%d run nor "
+    if cfg.level != n and (n % 2 or cfg.level != 2 * n):
+        raise ConfigError(
+            "parameters.n: curve data at level %d fits neither a direct level-%d run nor "
             "a doubled level-%d run" % (cfg.level, n, 2 * n)
         )
+    try:
+        if cfg.level == n:
+            certify = certify_mode_A if mode == "A" else certify_mode_B
+            cert = certify(cfg.curve, cfg.basis, ell, cfg.mw_gens, cfg.prime_bound, **common)
+        else:
+            cert = even_adjust(
+                cfg.curve, cfg.basis, n, ell, cfg.mw_gens, cfg.prime_bound, mode=mode, **common
+            )
+    except InputError as e:
+        # a route hypothesis names certificate paths; blame the first one's
+        # configuration field
+        if not e.paths:
+            raise
+        raise ConfigError("%s: %s" % (_config_field(e.paths[0]), e))
     return _emit(cert, args.out or cfg.certificate_path)
 
 

@@ -710,7 +710,8 @@ def _construct(
     rep = _preconditions(cv, basis, mw_gens, declared_order, **route)
     # the only search in the pipeline
     pair = find_pair(
-        cv, cv.n, prime_bound, mw_gens, route["target_n"], unit_window, coeff_bound
+        cv, cv.n, prime_bound, mw_gens, route["target_n"], (basis.S, basis.T), unit_window,
+        coeff_bound,
     )
     return _certificate(
         cv, basis, rep, mw_gens, pair.first.pi, pair.second.pi, pair.first.divisibility, **route

@@ -249,28 +249,39 @@ class CurveFp:
         x, y = P
         return (x, (-y - self.a1 * x - self.a3) % self.p)
 
-    def add(self, P: FpPoint, Q: FpPoint) -> FpPoint:
-        if P is None:
-            return Q
-        if Q is None:
-            return P
+    def chord(self, P: tuple, Q: tuple) -> Optional[tuple]:
+        """The line through affine P and Q (the tangent when P = Q) as
+        (lam, nu) with y = lam*x + nu on it, or None when it is vertical
+        (Q = -P)."""
         p = self.p
         x1, y1 = P
         x2, y2 = Q
         if x1 == x2:
             if y2 == (-y1 - self.a1 * x1 - self.a3) % p:
                 return None
-            den = (2 * y1 + self.a1 * x1 + self.a3) % p
-            inv = pow(den, -1, p)
+            inv = pow(2 * y1 + self.a1 * x1 + self.a3, -1, p)
             lam = (3 * x1 * x1 + 2 * self.a2 * x1 + self.a4 - self.a1 * y1) * inv % p
             nu = (-(x1 ** 3) + self.a4 * x1 + 2 * self.a6 - self.a3 * y1) * inv % p
         else:
             inv = pow(x2 - x1, -1, p)
             lam = (y2 - y1) * inv % p
             nu = (y1 * x2 - y2 * x1) * inv % p
-        x3 = (lam * lam + self.a1 * lam - self.a2 - x1 - x2) % p
-        y3 = (-(lam + self.a1) * x3 - nu - self.a3) % p
-        return (x3, y3)
+        return lam, nu
+
+    def add(self, P: FpPoint, Q: FpPoint) -> FpPoint:
+        if P is None:
+            return Q
+        if Q is None:
+            return P
+        line = self.chord(P, Q)
+        return None if line is None else self._third(P, Q, line)
+
+    def _third(self, P: tuple, Q: tuple, line: tuple) -> tuple:
+        """P + Q, from the line through P and Q."""
+        p = self.p
+        lam, nu = line
+        x3 = (lam * lam + self.a1 * lam - self.a2 - P[0] - Q[0]) % p
+        return (x3, (-(lam + self.a1) * x3 - nu - self.a3) % p)
 
     def mul(self, k: int, P: FpPoint) -> FpPoint:
         if k < 0:
@@ -458,12 +469,13 @@ class AuxCollision(ArithmeticError):
     """Internal: the auxiliary point hit a zero/pole; redraw and retry."""
 
 
-def _miller_lines(cv: CurveL, n: int, P: LPoint) -> list:
+def _miller_lines(cv, n: int, P) -> list:
     """Miller's loop for f_{n,P}, div(f) = n(P) - n(O), as the lines it
     multiplies in, which do not depend on where f is evaluated.  One entry
     per step: (square f first, line through V and W, x of the vertical at
     V + W).  A line is (lam, nu) for y = lam*x + nu, or the x of a vertical
-    one, or None for the constant 1.  Raises unless nP = O."""
+    one, or None for the constant 1.  Raises unless nP = O.  cv is a
+    CurveL or a CurveFp: both have chord and _third."""
     steps = []
     V = P
     for bit in bin(n)[3:]:
@@ -478,7 +490,7 @@ def _miller_lines(cv: CurveL, n: int, P: LPoint) -> list:
             steps.append((square, line, None if S is None else S[0]))
             V = S
     if V is not None:
-        raise CurveError("weil_pairing: inputs are not %d-torsion" % n)
+        raise CurveError("Miller loop: point is not %d-torsion" % n)
     return steps
 
 
@@ -559,3 +571,99 @@ def torsion_pool(cv: CurveL, S: LPoint, T: LPoint, n: int) -> list[LPoint]:
     for k in range(1, n * n):
         pool.append(cv.add(pool[k - 1], T) if k % n else cv.add(pool[k - n], S))
     return pool
+
+
+# =====================================================================
+# Reduced Tate pairing (over F_p, the sieve's divisibility test)
+# =====================================================================
+
+
+class _RootsOnDemand:
+    """Square roots mod p read like the _square_roots table, one query at
+    a time (Tonelli-Shanks): roots[g] is the root of g in [0, p/2), or -1
+    when g is not a square.  No O(p) table for a few points."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.odd, self.twos = p - 1, 0
+        while self.odd % 2 == 0:
+            self.odd, self.twos = self.odd // 2, self.twos + 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        self.c0 = pow(z, self.odd, p)
+
+    def __getitem__(self, g: int) -> int:
+        p = self.p
+        if g == 0:
+            return 0
+        if pow(g, (p - 1) // 2, p) != 1:
+            return -1
+        k, c = self.twos, self.c0
+        t, r = pow(g, self.odd, p), pow(g, (self.odd + 1) // 2, p)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2, i = t2 * t2 % p, i + 1
+            b = pow(c, 1 << (k - i - 1), p)
+            k, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+        return min(r, p - r)
+
+
+def _fp_miller(cfp: CurveFp, lines: list, X: tuple) -> tuple:
+    """f(X) mod p as (numerator, denominator) for the lines of
+    _miller_lines over F_p.  Every line and vertical passes through
+    multiples of the point the lines belong to only, so for X outside
+    that cyclic group no factor is zero."""
+    p = cfp.p
+    x, y = X
+    num = den = 1
+    for square, line, vertical in lines:
+        if square:
+            num, den = num * num % p, den * den % p
+        if line is not None:
+            num = num * ((y - line[0] * x - line[1]) if isinstance(line, tuple) else (x - line)) % p
+        if vertical is not None:
+            den = den * (x - vertical) % p
+    return num, den
+
+
+def tate_pairing(cfp: CurveFp, m: int, P: FpPoint, Q: tuple, R: tuple) -> int:
+    """The reduced Tate pairing t_m(P, Q) = f_{m,Q}((P + R) - (R))^((p-1)/m),
+    an m-th root of unity mod p, for Q in E(F_p)[m], m | p - 1, and an
+    auxiliary point R with R and P + R outside <Q>."""
+    p = cfp.p
+    lines = _miller_lines(cfp, m, Q)
+    a, b = _fp_miller(cfp, lines, cfp.add(P, R))
+    c, d = _fp_miller(cfp, lines, R)
+    return pow(a * d * pow(b * c, -1, p), (p - 1) // m, p)
+
+
+def divisibility_by_pairing(cfp: CurveFp, m: int, P: FpPoint, basis: tuple) -> Optional[bool]:
+    """Whether P lies in m*E(F_p), for basis = (Q1, Q2) a basis of
+    E[m] inside E(F_p) and m | p - 1; None when no auxiliary point
+    qualifies, which needs E(F_p)/<Q> of order 2: E(F_p) = E[2].
+
+    Under these hypotheses the reduced Tate pairing
+    E(F_p)/mE(F_p) x E(F_p)[m] -> mu_m is non-degenerate (Frey and Rück,
+    Math. Comp. 62, 1994), so P is in m*E(F_p) exactly when
+    t_m(P, Q1) = t_m(P, Q2) = 1.  The auxiliary point R for each Q is the
+    first affine point in ascending (x, y) with R and P + R outside <Q>."""
+    if P is None:
+        return True
+    roots = _RootsOnDemand(cfp.p)
+    for Q in basis:
+        group, V = {None}, Q
+        while V is not None:
+            group.add(V)
+            V = cfp.add(V, Q)
+        R = next(
+            (R for R in _affine_points(cfp, roots)
+             if R not in group and cfp.add(P, R) not in group),
+            None,
+        )
+        if R is None:
+            return None
+        if tate_pairing(cfp, m, P, Q, R) != 1:
+            return False
+    return True

@@ -250,14 +250,3 @@ def factorint(m: int) -> dict[int, int]:
         stack.extend([d, m // d])
     return out
 
-
-def norm_support(x: CycloElem) -> set[int]:
-    """Rational primes where x can have nonzero valuation at some place:
-    the support of the absolute norm (numerator and denominator)."""
-    if x.is_zero():
-        raise ZeroDivisionError("support of zero")
-    d = x.denominator()
-    nrm = field_norm(x * d)
-    primes = set(factorint(int(nrm.numerator)))
-    primes |= set(factorint(d)) if d > 1 else set()
-    return primes

@@ -9,10 +9,21 @@ modulus) together with a pinned generator pi of a degree-one prime above it:
   * pi is totally positive (kills archimedean symbols; vacuous for n >= 3).
 
 The first member of a pair additionally carries division witnesses: every
-declared Mordell-Weil generator reduces into target_level * E(F_p) at its
-place.  The second member must have full residue order n at the first
-member's place while all of its proper Galois conjugates reduce to n-th
-powers there.
+declared Mordell-Weil generator reduces into m * E(F_p) at its place, m the
+target level.  The torsion basis (S, T) of E[n] reduces to a basis of
+E[m] inside E(F_p) (m | n, p splits, p does not divide n), so m | p - 1
+and the reduced Tate pairing E(F_p)/mE(F_p) x E(F_p)[m] -> mu_m is
+non-degenerate (Frey and Rück, Math. Comp. 62, 1994): a reduced generator
+g lies in m * E(F_p) exactly when t_m(g, Q) = 1 for Q = (n/m)S and
+Q = (n/m)T reduced.  A prime is rejected by that test, two short Miller
+loops over F_p and a power mod p per generator, without the group
+structure of E(F_p).  The witnesses come from the group structure, built
+only at the first prime the pairing accepts, so they do not depend on the
+test.  When no auxiliary point of the pairing qualifies (only on tiny
+groups, E(F_p) = E[2]), the group structure decides that prime as well.
+The second member must have full residue order n at the first member's
+place while all of its proper Galois conjugates reduce to n-th powers
+there.
 
 The congruence is enforced modulo the wild part of the curve modulus only.
 At tame bad places both class coordinates stay units, and unit-unit tame
@@ -25,7 +36,7 @@ function of (curve, level, bounds); there is no randomness to seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isqrt
 from typing import Iterator, Optional
 
@@ -44,6 +55,7 @@ from .ecq import (
     CurveL,
     LPoint,
     bad_set as _bad_reduction_primes,
+    divisibility_by_pairing,
     divisibility_witness,
     group_structure,
     reduce_curve,
@@ -108,6 +120,8 @@ class PrimeCandidate:
     # lies in target_level * E(F_p); None when not requested.
     divisibility: Optional[tuple] = None
     target_level: Optional[int] = None
+    # the scan that found this candidate (find_v only)
+    stats: Optional[SieveStats] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -186,6 +200,26 @@ def divisibility_data(
     return tuple(out)
 
 
+def _divisible_by_pairing(
+    cv: CurveL, place: Place, gens: list[LPoint], target_level: int, basis: tuple
+) -> Optional[bool]:
+    """Whether every declared generator reduces into target_level * E(F_p)
+    at the place, by the reduced Tate pairing against the reduced basis
+    of E[target_level]; None when no generator fails and some generator
+    has no auxiliary point."""
+    cfp = reduce_curve(cv, place)
+    k = place.n // target_level
+    Q = tuple(cfp.mul(k, reduce_point(cv, P, place)) for P in basis)
+    decided: Optional[bool] = True
+    for g in gens:
+        d = divisibility_by_pairing(cfp, target_level, reduce_point(cv, g, place), Q)
+        if d is False:
+            return False
+        if d is None:
+            decided = None
+    return decided
+
+
 def residue_order_profile(pi2: CycloElem, place: Place) -> tuple[int, tuple]:
     """Order of pi2 at the place, plus orders of its proper conjugates."""
     n, p = place.n, place.p
@@ -206,11 +240,15 @@ def find_v(
     bound: int,
     mw_gens: list[LPoint],
     target_level: int,
+    basis: tuple,
     unit_window: int = 1,
     coeff_bound: Optional[int] = None,
 ) -> PrimeCandidate:
     """First candidate whose declared generators all divide down at its
-    place.  This is the pair member carrying the division witnesses."""
+    place.  This is the pair member carrying the division witnesses.
+    basis is (S, T), a basis of E[n] over the level-n field; the Tate
+    pairing against it rejects a prime, and divisibility_data runs only
+    at the prime the pairing accepts (or cannot decide)."""
     stats = SieveStats()
     for p in split_prime_stream(cv, n, bound):
         stats.scanned += 1
@@ -221,11 +259,22 @@ def find_v(
         stats.unit_adjusted += 1
         place = distinguished_place(n, p)
         stats.divisibility_checked += 1
+        divisible = _divisible_by_pairing(cv, place, mw_gens, target_level, basis)
+        if divisible is False:
+            continue
         wit = divisibility_data(cv, place, mw_gens, target_level)
         if wit is None:
+            if divisible:
+                from .construct import LemmaFailure  # construct imports this module
+
+                raise LemmaFailure(
+                    "the Tate pairing puts every generator in %d*E(F_%d), but the group "
+                    "structure gives no witness" % (target_level, p),
+                    "pair.first.conditions.generators_divisible.witnesses",
+                )
             continue
         stats.divisibility_hits += 1
-        return PrimeCandidate(n, p, pi, place, wit, target_level)
+        return PrimeCandidate(n, p, pi, place, wit, target_level, stats)
     raise SieveExhausted("no admissible prime below %d" % bound, stats)
 
 
@@ -270,9 +319,10 @@ def find_pair(
     bound: int,
     mw_gens: list[LPoint],
     target_level: int,
+    basis: tuple,
     unit_window: int = 1,
     coeff_bound: Optional[int] = None,
 ) -> SievePair:
     """First admissible pair: find_v, then the first partner for it."""
-    first = find_v(cv, n, bound, mw_gens, target_level, unit_window, coeff_bound)
+    first = find_v(cv, n, bound, mw_gens, target_level, basis, unit_window, coeff_bound)
     return find_vprime(cv, n, first, bound, unit_window, coeff_bound)

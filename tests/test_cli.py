@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -172,6 +173,54 @@ def test_construct_level_mismatch(tmp_path, capsys):
     cfg = _write_config(tmp_path, CONFIG_CUBIC, parameters__n="9")
     assert main(["construct", "--config", cfg]) == 2
     assert "neither" in capsys.readouterr().err
+
+
+# edits of a configuration leaf to another JSON type or an out-of-range number
+CONFIG_EDITS = ("-5", "0", "1/2", "x", [], {}, None, 7, "12345678901234567890")
+
+
+def _names_the_edit(err: str, path: str) -> bool:
+    """err starts "error: <field>:" with the field the edited path, an
+    object enclosing it, or a field of the object the edit sits in (a
+    check relating two fields of one object, such as the torsion basis
+    against the coefficients, names one of them)."""
+    m = re.match(r"error: ([^\s:]+):", err)
+    if not m:
+        return False
+    field, enclosing = m.group(1), path.rsplit(".", 1)[0]
+    return _covers(field, path) or "." in path and _covers(enclosing, field)
+
+
+def _covers(candidate: str, path: str) -> bool:
+    return path == candidate or path.startswith((candidate + ".", candidate + "["))
+
+
+def test_construct_names_every_edited_config_leaf(tmp_path, capsys):
+    # every leaf of both configurations under each edit: exit 0, exit 2
+    # naming the field, or exit 3 with a positive bound; never a
+    # traceback or exit 4
+    tried, missed = 0, []
+    for base in (CONFIG_CUBIC, CONFIG_QUADRATIC):
+        for path, old in _leaf_paths(base):
+            for value in CONFIG_EDITS:
+                if value == old:
+                    continue
+                cfg = json.loads(json.dumps(base))
+                _set_path(cfg, path, value)
+                target = tmp_path / "edited.json"
+                target.write_text(json.dumps(cfg))
+                code = main(["construct", "--config", str(target), "--out", str(tmp_path / "c.json")])
+                err = capsys.readouterr().err
+                bound = re.search(r"below (-?\d+)", err)
+                tried += 1
+                if not (
+                    code == 0
+                    or code == 2 and _names_the_edit(err, path)
+                    or code == 3 and bound and int(bound.group(1)) > 0
+                ):
+                    missed.append((path, value, code, err.splitlines()[:1]))
+    assert tried > 300
+    assert not missed
 
 
 # ------------------------------------------------------ verify and compose

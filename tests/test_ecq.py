@@ -11,6 +11,7 @@ from period_index.ecq import (
     CurveFp,
     bad_set,
     curve_over,
+    divisibility_by_pairing,
     divisibility_witness,
     enumerate_points,
     group_structure,
@@ -370,3 +371,83 @@ def test_zeta_dlog():
     assert zeta_dlog(CycloElem.rational(4, -1), 2) == 1
     with pytest.raises(ValueError):
         zeta_dlog(CycloElem(4, [2, 0]), 4)
+
+
+# ------------------------------------------------------- Tate pairing
+
+
+def _moved(p, a, r, s, t):
+    """Coefficients mod p after x -> x + r, y -> y + s*x + t, an
+    isomorphism onto a curve with a1 and a3 in play."""
+    a1, a2, a3, a4, a6 = a
+    return [c % p for c in (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1,
+    )]
+
+
+def _full_torsion_curves(rng, m, count):
+    """count random curves over primes 11 <= p < 250 with m | p - 1 and
+    E[m] inside E(F_p), with their group structures."""
+    primes = [p for p in range(11, 250) if (p - 1) % m == 0 and all(p % q for q in range(2, p))]
+    out = []
+    while len(out) < count:
+        p = rng.choice(primes)
+        if m == 3:
+            base = [rng.randrange(p), 0, rng.randrange(p), 0, 0]  # (0, 0) has order 3
+        else:
+            e1, e2, e3 = (rng.randrange(p) for _ in range(3))  # y^2 = (x-e1)(x-e2)(x-e3)
+            base = [0, -(e1 + e2 + e3), 0, e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3]
+        try:
+            cfp = CurveFp(p, *_moved(p, base, *(rng.randrange(p) for _ in range(3))))
+        except CurveError:
+            continue
+        st = group_structure(cfp)
+        if st.d1 % m == 0:
+            out.append((cfp, st))
+    return out
+
+
+def test_divisibility_by_pairing_matches_witness():
+    # every point of 120 random curves with full m-torsion: the pairing
+    # decides P in m*E(F_p) as divisibility_witness does.  Membership is
+    # read from multiplication_image, the walk divisibility_witness
+    # searches, built once per curve; accepted points also get a witness.
+    rng = random.Random(7707)
+    points = accepted = 0
+    for m in (2, 3, 4):
+        for cfp, st in _full_torsion_curves(rng, m, 40):
+            basis = (cfp.mul(st.d1 // m, st.g1), cfp.mul(st.d2 // m, st.g2))
+            image = multiplication_image(cfp, st, m)
+            assert divisibility_by_pairing(cfp, m, None, basis) is True
+            for P in enumerate_points(cfp):
+                decided = divisibility_by_pairing(cfp, m, P, basis)
+                assert decided == (P in image), (cfp, m, P)
+                if decided:
+                    W = divisibility_witness(cfp, st, m, P)
+                    assert cfp.mul(m, W) == P
+                    accepted += 1
+                points += 1
+    assert points > 12000 and accepted > 1500
+
+
+def test_divisibility_by_pairing_on_tiny_groups():
+    # E(F_13) = E[3]: every point is decided (only O lies in 3*E)
+    cfp = CurveFp(13, 0, 0, 0, 0, 3)
+    st = group_structure(cfp)
+    assert (st.d1, st.d2) == (3, 3)
+    basis = (st.g1, st.g2)
+    assert [divisibility_by_pairing(cfp, 3, P, basis) for P in enumerate_points(cfp)] == [False] * 8
+    # E(F_5) = E[2]: for P outside <Q>, every affine R has R or P + R in
+    # <Q>, so no auxiliary point qualifies and the caller falls back to
+    # the group structure
+    cfp = CurveFp(5, 0, 0, 0, 1, 0)
+    st = group_structure(cfp)
+    assert (st.d1, st.d2) == (2, 2)
+    basis = (st.g1, st.g2)
+    decided = [divisibility_by_pairing(cfp, 2, P, basis) for P in enumerate_points(cfp)]
+    assert decided.count(None) == 2 and decided.count(False) == 1
+    assert all(divisibility_witness(cfp, st, 2, P) is None for P in enumerate_points(cfp))

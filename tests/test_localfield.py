@@ -13,7 +13,6 @@ from period_index.localfield import (
     factorint,
     invariant_order,
     is_one_mod,
-    norm_support,
     places_over,
     refine_place,
     residue_power_order,
@@ -293,9 +292,3 @@ def test_factorint():
     with pytest.raises(ZeroDivisionError):
         factorint(0)
 
-
-def test_norm_support():
-    x = CycloElem(4, [2, 3])  # norm 13
-    assert norm_support(x) == {13}
-    y = CycloElem(4, [Fraction(2, 5), Fraction(3, 5)])
-    assert norm_support(y) == {5, 13}

@@ -12,7 +12,9 @@ from period_index.cyclo import (
     is_totally_positive,
     reduce_at,
 )
-from period_index import ecq
+from period_index import ecq, sieve
+from period_index.construct import LemmaFailure, even_adjust
+from period_index.kummer import make_basis
 from period_index.ecq import curve_over, point_over, reduce_curve, reduce_point
 from period_index.localfield import (
     distinguished_place,
@@ -49,6 +51,16 @@ def _fix3():
 def _fix4():
     cv = curve_over(4, E_PYTH)
     return cv, [point_over(4, (24, 120)), point_over(4, (0, 0))]
+
+
+def _basis(n):
+    """The torsion basis (S, T) of E[n] for the fixture curve at level n."""
+    i = CycloElem.zeta(4)
+    return {
+        2: (point_over(2, (0, 0)), point_over(2, (1, 0))),
+        3: (point_over(3, (0, 0)), (CycloElem.rational(3, -1), CycloElem.zeta(3))),
+        4: (point_over(4, (24, 120)), (12 * i, 36 - 48 * i)),
+    }[n]
 
 
 def test_split_prime_stream():
@@ -142,39 +154,83 @@ def test_residue_order_profile_frozen():
 
 def test_find_v_frozen():
     cv2, gens2 = _fix2()
-    c = find_v(cv2, 2, 10**4, gens2, 2)
+    c = find_v(cv2, 2, 10**4, gens2, 2, _basis(2))
     assert (c.p, c.pi, c.divisibility) == (
         17,
         CycloElem.rational(2, 17),
         ((0, (4, 3)), (1, (12, 13))),
     )
     cv3, gens3 = _fix3()
-    c = find_v(cv3, 3, 10**4, gens3, 3)
+    c = find_v(cv3, 3, 10**4, gens3, 3, _basis(3))
     assert (c.p, c.pi, c.divisibility) == (
         757,
         CycloElem(3, [28, 27]),
         ((0, (570, 175)),),
     )
     cv4, gens4 = _fix4()
-    c = find_v(cv4, 4, 2 * 10**4, gens4, 2)
+    c = find_v(cv4, 4, 2 * 10**4, gens4, 2, _basis(4))
     assert (c.p, c.pi) == (13441, CycloElem(4, [65, -96]))
     assert c.divisibility == ((0, (2117, 2573)), (1, (1672, 6652)))
 
 
+def _count_group_structures(monkeypatch):
+    calls = [0]
+    original = sieve.group_structure
+
+    def counted(cfp):
+        calls[0] += 1
+        return original(cfp)
+
+    monkeypatch.setattr(sieve, "group_structure", counted)
+    return calls
+
+
+def test_find_v_builds_the_group_only_at_the_accepted_prime(monkeypatch):
+    # the pairing rejects 2113 to 13121; E(F_p)'s structure is built once,
+    # at 13441, and the histogram still counts every prime checked
+    calls = _count_group_structures(monkeypatch)
+    cv4, gens4 = _fix4()
+    c = find_v(cv4, 4, 2 * 10**4, gens4, 2, _basis(4))
+    assert c.p == 13441 and calls[0] == 1
+    assert "divisibility=1/6" in c.stats.summary()
+
+
+def test_doubled_construct_builds_one_group_structure(monkeypatch):
+    calls = _count_group_structures(monkeypatch)
+    cv4, gens4 = _fix4()
+    S, T = _basis(4)
+    even_adjust(cv4, make_basis(cv4, 4, S, T), 2, 2, gens4, 10**5)
+    assert calls[0] == 1
+
+
+def test_find_v_falls_back_when_the_pairing_cannot_decide(monkeypatch):
+    monkeypatch.setattr(sieve, "divisibility_by_pairing", lambda *args: None)
+    cv2, gens2 = _fix2()
+    c = find_v(cv2, 2, 10**4, gens2, 2, _basis(2))
+    assert (c.p, c.divisibility) == (17, ((0, (4, 3)), (1, (12, 13))))
+
+
+def test_find_v_fails_hard_when_the_pairing_and_the_group_disagree(monkeypatch):
+    monkeypatch.setattr(sieve, "divisibility_data", lambda *args: None)
+    cv2, gens2 = _fix2()
+    with pytest.raises(LemmaFailure):
+        find_v(cv2, 2, 10**4, gens2, 2, _basis(2))
+
+
 def test_find_vprime_frozen():
     cv2, gens2 = _fix2()
-    pair = find_vprime(cv2, 2, find_v(cv2, 2, 10**3, gens2, 2), 10**3)
+    pair = find_vprime(cv2, 2, find_v(cv2, 2, 10**3, gens2, 2, _basis(2)), 10**3)
     assert (pair.second.p, pair.second.pi) == (41, CycloElem.rational(2, 41))
     assert pair.residue_order == 2 and pair.conjugate_orders == ()
     cv3, gens3 = _fix3()
-    pair = find_vprime(cv3, 3, find_v(cv3, 3, 10**3, gens3, 3), 2 * 10**4)
+    pair = find_vprime(cv3, 3, find_v(cv3, 3, 10**3, gens3, 3, _basis(3)), 2 * 10**4)
     assert (pair.second.p, pair.second.pi) == (13879, CycloElem(3, [82, 135]))
     assert pair.residue_order == 3 and pair.conjugate_orders == ((2, 1),)
 
 
 def test_find_pair_conditions_revalidate():
     cv3, gens3 = _fix3()
-    pair = find_pair(cv3, 3, 2 * 10**4, gens3, 3)
+    pair = find_pair(cv3, 3, 2 * 10**4, gens3, 3, _basis(3))
     for member in (pair.first, pair.second):
         assert is_probable_prime(member.p)
         assert abs(field_norm(member.pi)) == member.p
@@ -189,7 +245,7 @@ def test_find_pair_conditions_revalidate():
 def test_sieve_exhausted_histogram():
     cv3, gens3 = _fix3()
     with pytest.raises(SieveExhausted) as e:
-        find_v(cv3, 3, 700, gens3, 3)
+        find_v(cv3, 3, 700, gens3, 3, _basis(3))
     assert e.value.stats.scanned == 7
     assert e.value.stats.no_generator == 7
     assert "scanned=7" in str(e.value)
