@@ -15,15 +15,15 @@ E[m] inside E(F_p) (m | n, p splits, p does not divide n), so m | p - 1
 and the reduced Tate pairing E(F_p)/mE(F_p) x E(F_p)[m] -> mu_m is
 non-degenerate (Frey and Rück, Math. Comp. 62, 1994): a reduced generator
 g lies in m * E(F_p) exactly when t_m(g, Q) = 1 for Q = (n/m)S and
-Q = (n/m)T reduced.  A prime is rejected by that test, two short Miller
-loops over F_p and a power mod p per generator, without the group
-structure of E(F_p).  The witnesses come from the group structure, built
-only at the first prime the pairing accepts, so they do not depend on the
-test.  When no auxiliary point of the pairing qualifies (only on tiny
-groups, E(F_p) = E[2]), the group structure decides that prime as well.
-The second member must have full residue order n at the first member's
-place while all of its proper Galois conjugates reduce to n-th powers
-there.
+Q = (n/m)T reduced.  A prime is rejected by that test, four short Miller
+evaluations over F_p and two powers mod p per generator, without the
+group structure of E(F_p).  The witnesses come from the group structure,
+built only at the first prime the pairing accepts, so they do not depend
+on the test.  When no auxiliary point of the pairing qualifies (only on
+tiny groups, E(F_p) = E[2]), the group structure decides that prime as
+well.  The second member must have full residue order n at the first
+member's place while all of its proper Galois conjugates reduce to n-th
+powers there.
 
 The congruence is enforced modulo the wild part of the curve modulus only.
 At tame bad places both class coordinates stay units, and unit-unit tame

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from period_index.cli import main
-from test_acceptance import _leaf_paths, _perturb, _set_path, _trace_names
+from test_acceptance import _covers, _leaf_paths, _perturb, _set_path, _trace_names
 
 BOUND = "100000"
 
@@ -180,7 +180,7 @@ CONFIG_EDITS = ("-5", "0", "1/2", "x", [], {}, None, 7, "12345678901234567890")
 
 
 def _names_the_edit(err: str, path: str) -> bool:
-    """err starts "error: <field>:" with the field the edited path, an
+    """err starts "error: <field>:", the field being the edited path, an
     object enclosing it, or a field of the object the edit sits in (a
     check relating two fields of one object, such as the torsion basis
     against the coefficients, names one of them)."""
@@ -188,11 +188,7 @@ def _names_the_edit(err: str, path: str) -> bool:
     if not m:
         return False
     field, enclosing = m.group(1), path.rsplit(".", 1)[0]
-    return _covers(field, path) or "." in path and _covers(enclosing, field)
-
-
-def _covers(candidate: str, path: str) -> bool:
-    return path == candidate or path.startswith((candidate + ".", candidate + "["))
+    return _covers(field, path) or ("." in path and _covers(enclosing, field))
 
 
 def test_construct_names_every_edited_config_leaf(tmp_path, capsys):
@@ -209,7 +205,8 @@ def test_construct_names_every_edited_config_leaf(tmp_path, capsys):
                 _set_path(cfg, path, value)
                 target = tmp_path / "edited.json"
                 target.write_text(json.dumps(cfg))
-                code = main(["construct", "--config", str(target), "--out", str(tmp_path / "c.json")])
+                out = str(tmp_path / "c.json")
+                code = main(["construct", "--config", str(target), "--out", out])
                 err = capsys.readouterr().err
                 bound = re.search(r"below (-?\d+)", err)
                 tried += 1
