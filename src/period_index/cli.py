@@ -109,12 +109,13 @@ def _as_coeff(value, field: str) -> Fraction:
 def _as_elem(level: int, value, field: str) -> CycloElem:
     deg = context(level).degree
     if isinstance(value, (int, str)):
-        value = [value]
-    if not isinstance(value, list) or not 1 <= len(value) <= deg:
+        coeffs = [_as_coeff(value, field)]
+    elif isinstance(value, list) and 1 <= len(value) <= deg:
+        coeffs = [_as_coeff(c, "%s[%d]" % (field, i)) for i, c in enumerate(value)]
+    else:
         raise ConfigError(
             "%s: expected at most %d exact coordinates for level %d" % (field, deg, level)
         )
-    coeffs = [_as_coeff(c, "%s[%d]" % (field, i)) for i, c in enumerate(value)]
     coeffs += [Fraction(0)] * (deg - len(coeffs))
     return CycloElem(level, coeffs)
 

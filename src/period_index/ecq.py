@@ -383,6 +383,20 @@ class GroupStructure:
 
 
 def group_structure(cfp: CurveFp) -> GroupStructure:
+    """E(F_p) as Z/d1 x Z/d2 with certifying generators.
+
+    One pass counts the points: N = #E(F_p).  A second walk raises the
+    exponent lam, with W a point of order lam: once per pair {P, -P}, in
+    sorted order, a P with lam*P != O is merged into W.  Each time lam
+    rises, d1 = N/lam is tried as the other invariant factor when the
+    shape Z/d1 x Z/lam allows it, d1 | lam and d1 | p - 1 (the Weil
+    pairing puts mu_d1 in F_p).  The try (_complement) scans for T of
+    order d1 with <T> & <W> = 0.  When it finds one, |<T> + <W>| =
+    d1*lam = N, so lam is the exponent: the rest of the walk could not
+    move W, and the scan is a function of (W, lam) alone, so the result
+    is the one the full walk would give.  When the scan meets a point
+    whose order does not divide lam, lam is not the exponent and the
+    walk goes on where it stopped."""
     pts = _PointWalk(cfp)
     N = len(pts) + 1
     fac = factorint(N)
@@ -401,13 +415,25 @@ def group_structure(cfp: CurveFp) -> GroupStructure:
             lam, W = o, P
         else:
             W, lam = _merge_orders(cfp, W, lam, P, o)
-        if lam == N:
-            break
-    d1 = N // lam
-    if d1 == 1:
-        return GroupStructure(1, lam, None, W)
-    if lam % d1 != 0 or (cfp.p - 1) % d1 != 0:
-        raise CurveError("inconsistent group shape: N=%d, exponent=%d" % (N, lam))
+        d1 = N // lam
+        if d1 == 1:
+            return GroupStructure(1, lam, None, W)
+        if lam % d1 == 0 and (cfp.p - 1) % d1 == 0:
+            T = _complement(cfp, pts, N, fac, W, lam, d1)
+            if T is not None:
+                return GroupStructure(d1, lam, T, W)
+    if W is None:  # no affine point: N = 1
+        return GroupStructure(1, 1, None, None)
+    # every point has order dividing lam, and _complement found no T or
+    # raised whenever the shape allowed it
+    raise CurveError("inconsistent group shape: N=%d, exponent=%d" % (N, lam))
+
+
+def _complement(cfp, pts, N, fac, W, lam, d1) -> Optional[tuple]:
+    """The first T in sorted order, (o/d1)*P for a point P of order o
+    divisible by d1, with <T> & <W> = 0; None as soon as a point's order
+    does not divide lam.  Raises when every order divides lam (so lam is
+    the exponent) and no T is found."""
     cyclic = set()
     acc: FpPoint = None
     for _ in range(lam):
@@ -416,11 +442,13 @@ def group_structure(cfp: CurveFp) -> GroupStructure:
     fac_d1 = factorint(d1)
     for P in pts:
         o = _fp_point_order(cfp, P, N, fac)
+        if lam % o != 0:
+            return None
         if o % d1 != 0:
             continue
         T = cfp.mul(o // d1, P)
         if all(cfp.mul(d1 // q, T) not in cyclic for q in fac_d1):
-            return GroupStructure(d1, lam, T, W)
+            return T
     raise CurveError("no independent generator found; group order miscounted?")
 
 

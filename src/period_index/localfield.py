@@ -204,7 +204,7 @@ def is_one_mod(x: CycloElem, modulus: int) -> bool:
     """Coordinate-wise test x ≡ 1 mod modulus on the power basis."""
     if not x.is_integral():
         return False
-    co = x.coeffs
+    co = x.num  # the coordinates themselves: the denominator is 1
     if (co[0] - 1) % modulus != 0:
         return False
     return all(c % modulus == 0 for c in co[1:])

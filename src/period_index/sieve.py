@@ -122,6 +122,10 @@ class PrimeCandidate:
     target_level: Optional[int] = None
     # the scan that found this candidate (find_v only)
     stats: Optional[SieveStats] = field(default=None, compare=False, repr=False)
+    # attach_generator's answer at every prime that scan reached, keyed by
+    # (p, unit_window, coeff_bound): find_vprime reads them instead of
+    # attaching those generators again
+    attached: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -250,9 +254,11 @@ def find_v(
     pairing against it rejects a prime, and divisibility_data runs only
     at the prime the pairing accepts (or cannot decide)."""
     stats = SieveStats()
+    attached = {}
     for p in split_prime_stream(cv, n, bound):
         stats.scanned += 1
         pi = attach_generator(n, p, unit_window, coeff_bound)
+        attached[p, unit_window, coeff_bound] = pi
         if pi is None:
             stats.no_generator += 1
             continue
@@ -274,7 +280,7 @@ def find_v(
                 )
             continue
         stats.divisibility_hits += 1
-        return PrimeCandidate(n, p, pi, place, wit, target_level, stats)
+        return PrimeCandidate(n, p, pi, place, wit, target_level, stats, attached)
     raise SieveExhausted("no admissible prime below %d" % bound, stats)
 
 
@@ -295,7 +301,11 @@ def find_vprime(
         stats.scanned += 1
         if p == first.p:
             continue
-        pi = attach_generator(n, p, unit_window, coeff_bound)
+        key = (p, unit_window, coeff_bound)
+        if key in first.attached:
+            pi = first.attached[key]
+        else:
+            pi = attach_generator(n, p, unit_window, coeff_bound)
         if pi is None:
             stats.no_generator += 1
             continue

@@ -122,6 +122,21 @@ def test_config_blames_an_out_of_range_number_on_its_field(tmp_path, capsys, key
     assert capsys.readouterr().err.startswith("error: %s:" % key.replace("__", "."))
 
 
+@pytest.mark.parametrize(
+    "key, value, field",
+    [
+        ("curve__torsion_basis__S__x", "x", "curve.torsion_basis.S.x"),
+        ("curve__mw_generators", [{"x": "0", "y": "1/0"}], "curve.mw_generators[0].y"),
+        ("curve__torsion_basis__T__y", ["0", "x"], "curve.torsion_basis.T.y[1]"),
+    ],
+)
+def test_config_blames_a_bad_coordinate_on_itself(tmp_path, capsys, key, value, field):
+    # a scalar coordinate is named as given, a list entry by its index
+    cfg = _write_config(tmp_path, CONFIG_CUBIC, **{key: value})
+    assert main(["construct", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: %s:" % field)
+
+
 def test_config_rejects_wrong_coefficient_count(tmp_path, capsys):
     cfg = _write_config(tmp_path, CONFIG_CUBIC, curve__coefficients=["0", "0", "1"])
     assert main(["construct", "--config", cfg]) == 2

@@ -272,6 +272,77 @@ def test_group_structure_matches_reference():
     assert non_cyclic >= 20 and two_torsion >= 100
 
 
+def _full_torsion_curve(rng, m, primes):
+    """A seeded curve with E[m] inside E(F_p): for m = 2 and 4 from three
+    distinct roots, for m = 4 with every difference of them a square
+    (each 2-torsion point halves), for m = 3 a random curve whose group
+    order is divisible by 9; the reference decides."""
+    ps = [p for p in primes if p % m == 1]
+    while True:
+        p = rng.choice(ps)
+        if m == 3:
+            try:
+                cfp = CurveFp(p, *(rng.randrange(p) for _ in range(5)))
+            except CurveError:
+                continue
+            if (len(enumerate_points(cfp)) + 1) % 9:
+                continue
+        else:
+            e = rng.sample(range(p), 3)
+            if m == 4 and any(pow(a - b, (p - 1) // 2, p) != 1 for a in e for b in e if a != b):
+                continue
+            a, b, c = e
+            cfp = CurveFp(p, 0, -(a + b + c), 0, a * b + b * c + c * a, -a * b * c)
+        ref = _reference_group_structure(cfp)
+        if ref[0] % m == 0:
+            return cfp, ref
+
+
+def test_group_structure_stops_early_on_full_torsion(monkeypatch):
+    # E[m] inside E(F_p) forces d1 >= m: the walk stops at the first
+    # exponent the shape Z/d1 x Z/lam proves, and a try that meets a point
+    # of larger order resumes the walk
+    tries = []
+    complement = ecq._complement
+
+    def logged(*args):
+        T = complement(*args)
+        tries.append(T is None)
+        return T
+
+    monkeypatch.setattr(ecq, "_complement", logged)
+    rng = random.Random(4404)
+    primes = [p for p in range(5, 400) if all(p % q for q in range(2, p))]
+    for m in (2, 3, 4):
+        for _ in range(20):
+            cfp, ref = _full_torsion_curve(rng, m, primes)
+            st = group_structure(cfp)
+            assert (st.d1, st.d2, st.g1, st.g2) == ref, cfp
+    assert tries == [False] * 60
+    # E(F_7) = Z/8: its first point has order 4, Z/2 x Z/4 fits the shape,
+    # the try meets a point of order 8 and the walk goes on
+    cfp = CurveFp(7, 4, 2, 6, 2, 3)
+    st = group_structure(cfp)
+    assert (st.d1, st.d2, st.g1, st.g2) == _reference_group_structure(cfp) == (1, 8, None, (3, 1))
+    assert tries[60:] == [True]
+
+
+def test_group_structure_addition_budget(monkeypatch):
+    # E(F_13441) = Z/8 x Z/1704: the exponent is reached at the 13th
+    # x-coordinate, and walking the other 6,804 cost 107,774 additions
+    calls = [0]
+    add = ecq.CurveFp.add
+
+    def counted(self, P, Q):
+        calls[0] += 1
+        return add(self, P, Q)
+
+    monkeypatch.setattr(ecq.CurveFp, "add", counted)
+    st = group_structure(CurveFp(13441, 0, 7, 0, 13297, 0))
+    assert (st.d1, st.d2, st.g1, st.g2) == (8, 1704, (4515, 3913), (4264, 9685))
+    assert calls[0] <= 10_000
+
+
 def test_multiplication_image_matches_bruteforce():
     cfp = CurveFp(13, 0, 0, 0, -1, 0)
     pts = enumerate_points(cfp)

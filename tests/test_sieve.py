@@ -203,6 +203,24 @@ def test_doubled_construct_builds_one_group_structure(monkeypatch):
     assert calls[0] == 1
 
 
+def test_doubled_find_pair_attaches_each_generator_once(monkeypatch):
+    # find_vprime rescans the primes below the first member: it reads the
+    # generators find_v attached there (273 attachments for 176 primes
+    # when it attached them again)
+    primes = []
+    original = sieve.attach_generator
+
+    def counted(n, p, *args):
+        primes.append(p)
+        return original(n, p, *args)
+
+    monkeypatch.setattr(sieve, "attach_generator", counted)
+    cv4, gens4 = _fix4()
+    S, T = _basis(4)
+    even_adjust(cv4, make_basis(cv4, 4, S, T), 2, 2, gens4, 10**5)
+    assert len(primes) == len(set(primes)) == 176
+
+
 def test_find_v_falls_back_when_the_pairing_cannot_decide(monkeypatch):
     monkeypatch.setattr(sieve, "divisibility_by_pairing", lambda *args: None)
     cv2, gens2 = _fix2()
