@@ -424,8 +424,8 @@ def group_structure(cfp: CurveFp) -> GroupStructure:
                 return GroupStructure(d1, lam, T, W)
     if W is None:  # no affine point: N = 1
         return GroupStructure(1, 1, None, None)
-    # every point has order dividing lam, and _complement found no T or
-    # raised whenever the shape allowed it
+    # the walk ended, so every order divides lam: had the shape fit,
+    # _complement would have returned T or raised
     raise CurveError("inconsistent group shape: N=%d, exponent=%d" % (N, lam))
 
 
