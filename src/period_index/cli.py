@@ -178,10 +178,16 @@ class RunConfig:
         tb = _get(cb, "torsion_basis", "curve.torsion_basis")
         S = _as_point(self.level, _get(tb, "S", "curve.torsion_basis.S", None), "curve.torsion_basis.S")
         T = _as_point(self.level, _get(tb, "T", "curve.torsion_basis.T", None), "curve.torsion_basis.T")
+        for name, P in (("S", S), ("T", T)):
+            if not self.curve.on_curve(P):
+                raise ConfigError(
+                    "curve.torsion_basis.%s: point is not on the curve given by "
+                    "curve.coefficients" % name
+                )
         try:
             self.basis = make_basis(self.curve, self.level, S, T)
         except (ValueError, ArithmeticError) as e:
-            raise ConfigError("curve.torsion_basis: %s" % e)
+            raise ConfigError("curve.torsion_basis: %s, on the curve given by curve.coefficients" % e)
         gens = _get(cb, "mw_generators", "curve.mw_generators", list)
         self.mw_gens = []
         for i, g in enumerate(gens):

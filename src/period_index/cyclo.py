@@ -9,10 +9,11 @@ only), n in {5, 8, 9} is best-effort (bounded unit windows, see NORM_UNITS).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 
@@ -382,14 +383,21 @@ def phi_roots_mod_p(n: int, p: int) -> list[int]:
     constructed as g^((p-1)/n) from a small search, then closed under powers.
     This reproduces what a scan of F_p would find, in the same order.
     """
+    w = _phi_root(n, p)
+    return sorted(pow(w, t, p) for t in context(n).units)
+
+
+def _phi_root(n: int, p: int) -> int:
+    """Some root of Phi_n mod p: the first a^((p-1)/n), a = 2, 3, ..., of
+    exact order n."""
     if (p - 1) % n != 0:
         raise ValueError("p=%d is not 1 mod n=%d; Phi_n has no roots there" % (p, n))
-    q = _prime_power_split(n)[0]
+    q = context(n).prime
     for a in range(2, p):
         w = pow(a, (p - 1) // n, p)
         # w^n = 1; exact order n iff w^(n/q) != 1 for the unique prime q | n
         if pow(w, n // q, p) != 1:
-            return sorted(pow(w, t, p) for t in context(n).units)
+            return w
     raise ArithmeticError("no primitive n-th root found mod %d" % p)
 
 
@@ -438,18 +446,31 @@ def _int_poly_eval(coeffs: Sequence[int], x: int, modulus: int) -> int:
     return acc
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_k, the least strong pseudoprime to all of the first k prime bases
+# (OEIS A014233; Jaeschke, Math. Comp. 61, 1993; Sorenson and Webster,
+# Math. Comp. 86, 2017): below psi_k those k bases decide primality.
+_PSI = (
+    2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+    3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
+    3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+)
+
+
 def is_probable_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin for the 64-bit range used here."""
+    """Miller-Rabin with the first k prime bases, k the least with
+    m < psi_k: exact below psi_12 (about 3.2e23), all twelve above."""
     if m < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _PRIME_BASES:
         if m % q == 0:
             return m == q
     d, s = m - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _PRIME_BASES[: bisect_right(_PSI, m) + 1]:
         x = pow(a, d, m)
         if x in (1, m - 1):
             continue
@@ -490,17 +511,23 @@ def vector_key(coeffs: Sequence[int]) -> tuple:
 
 
 def _coord_range(bound: int) -> list[int]:
-    return sorted(range(-bound, bound + 1), key=_coord_key)
+    """0..bound, then -1..-bound: the coordinates within the bound in
+    _coord_key order."""
+    return list(range(bound + 1)) + list(range(-1, -bound - 1, -1))
 
 
 def solve_norm_equation(n: int, p: int, coeff_bound: int) -> Optional[CycloElem]:
-    """Search integral x with |Norm(x)| = p and coordinates within the bound.
+    """Integral x with |Norm(x)| = p and coordinates within the bound.
 
-    Returns the first hit in canonical vector order (see vector_key), or None
-    if the bound is exhausted.  p must be a split prime (p ≡ 1 mod n).
+    Returns the least such x in canonical vector order (see vector_key), or
+    None if none fits the bound.  p must be a split prime (p ≡ 1 mod n).
+    At degree 2 the answer comes from a lattice reduction in O(log p)
+    steps (see _solve_norm_quadratic); the best-effort levels scan.
     """
     if (p - 1) % n != 0:
         raise ValueError("p=%d is not 1 mod n=%d" % (p, n))
+    if not is_probable_prime(p):
+        raise ValueError("p=%d is not prime" % p)
     deg = context(n).degree
     if deg == 1:
         # L = Q; the only elements of norm +-p are +-p.
@@ -512,32 +539,57 @@ def solve_norm_equation(n: int, p: int, coeff_bound: int) -> Optional[CycloElem]
     return _solve_norm_generic(n, p, coeff_bound)
 
 
+# For the two levels of degree 2: the norm form of a + b*zeta as
+# (A, B, C), Norm = A a^2 + B ab + C b^2, and the action of zeta and of
+# complex conjugation on the coordinates (a, b).
+_QUADRATIC_LEVELS = {
+    # zeta^2 = -1
+    4: ((1, 0, 1), lambda a, b: (-b, a), lambda a, b: (a, -b)),
+    # zeta^2 = -1 - zeta, conj(zeta) = zeta^2
+    3: ((1, -1, 1), lambda a, b: (-b, a - b), lambda a, b: (a - b, -b)),
+}
+
+
 def _solve_norm_quadratic(n: int, p: int, bound: int) -> Optional[CycloElem]:
-    # Norm(a + b*zeta) is a^2 - ab + b^2 for n=3, a^2 + b^2 for n=4.
-    # Loop over the outer coefficient b and solve the quadratic in a exactly.
-    assert n in (3, 4)
-    for b in _coord_range(bound):
-        candidates = []
-        if n == 4:
-            rest = p - b * b
-            if rest >= 0:
-                r = isqrt(rest)
-                if r * r == rest and abs(r) <= bound:
-                    candidates = [r, -r] if r else [0]
-        else:
-            # a^2 - ab + (b^2 - p) = 0  =>  a = (b +- sqrt(4p - 3 b^2)) / 2
-            disc = 4 * p - 3 * b * b
-            if disc >= 0:
-                r = isqrt(disc)
-                if r * r == disc:
-                    for a2 in (b + r, b - r):
-                        if a2 % 2 == 0 and abs(a2 // 2) <= bound:
-                            candidates.append(a2 // 2)
-        for a in sorted(set(candidates), key=_coord_key):
-            x = CycloElem(n, [a, b])
-            if abs(field_norm(x)) == p:
-                return x
-    return None
+    # The elements a + b*zeta of the prime (p, zeta - omega) are the lattice
+    # a + b*omega ≡ 0 mod p, with basis (p, 0), (-omega, 1).  That prime is
+    # principal (Z[i] and Z[zeta_3] are PIDs), so the norm form's minimum on
+    # the lattice is p, and Lagrange reduction finds a vector pi of norm p
+    # (Cohen, GTM 138, 1.3.14 and 1.5.2).  Every element of norm p is u*pi
+    # or u*conj(pi) for one of the 2n roots of unity u; the least of those
+    # within the bound is the first hit of a scan in vector_key order.
+    (A, B, C), times_zeta, conj = _QUADRATIC_LEVELS[n]
+
+    def form(v):
+        return A * v[0] * v[0] + B * v[0] * v[1] + C * v[1] * v[1]
+
+    def polar(u, v):
+        # twice the bilinear form of `form`
+        return 2 * A * u[0] * v[0] + B * (u[0] * v[1] + u[1] * v[0]) + 2 * C * u[1] * v[1]
+
+    u, v = (p, 0), (-_phi_root(n, p), 1)
+    qu, qv = form(u), form(v)
+    if qu < qv:
+        u, v, qu, qv = v, u, qv, qu
+    while True:
+        k = (polar(u, v) + qv) // (2 * qv)  # the nearest integer to B(u, v) / Q(v)
+        u = (u[0] - k * v[0], u[1] - k * v[1])
+        qu = form(u)
+        if qu >= qv:
+            break
+        u, v, qu, qv = v, u, qv, qu
+    if qv != p:
+        raise ArithmeticError("shortest vector of norm %d, not %d" % (qv, p))
+    associates = []
+    for w in (v, conj(*v)):
+        for _ in range(n):
+            associates += [w, (-w[0], -w[1])]
+            w = times_zeta(*w)
+    fits = [w for w in associates if max(abs(w[0]), abs(w[1])) <= bound]
+    if not fits:
+        return None
+    # vector_key on (a, b), unrolled: _coord_key(c) orders as (c < 0, |c|)
+    return CycloElem(n, min(fits, key=lambda w: (w[1] < 0, abs(w[1]), w[0] < 0, abs(w[0]))))
 
 
 def _solve_norm_generic(n: int, p: int, bound: int) -> Optional[CycloElem]:
@@ -577,22 +629,21 @@ def torsion_units(n: int) -> list[CycloElem]:
 def unit_group_window(n: int, window: int) -> list[CycloElem]:
     """Units available for generator adjustment: torsion times a bounded
     window of the recorded infinite-part generators (best-effort levels)."""
-    base = torsion_units(n)
-    extras = NORM_UNITS.get(n, [])
-    if not extras or window <= 0:
-        return base
-    out = []
-    exps = [e for e in range(-window, window + 1)]
-    stack = [base]
-    for g in extras:
-        gen = CycloElem(n, g)
-        powers = [gen ** e for e in exps]
-        stack.append(powers)
-    # cartesian product of torsion with each window
-    def prod(acc, rest):
-        if not rest:
-            return acc
-        return prod([a * r for a in acc for r in rest[0]], rest[1:])
+    units = torsion_units(n)
+    if window > 0:
+        for g in NORM_UNITS.get(n, []):
+            gen = CycloElem(n, g)
+            powers = [gen ** e for e in range(-window, window + 1)]
+            units = [a * r for a in units for r in powers]
+    return units
 
-    out = prod(stack[0], stack[1:])
-    return out
+
+def multiplication_rows(u: CycloElem) -> tuple[tuple[int, ...], ...]:
+    """The integer matrix of x -> u*x on the power basis, by rows: the
+    i-th coordinate of u*x is row i dotted with the coordinates of x.
+    u must be integral, as every unit is."""
+    if not u.is_integral():
+        raise ValueError("%r is not integral" % (u,))
+    ctx = context(u.n)
+    columns = [_reduce(ctx, [0] * j + list(u.num)) for j in range(ctx.degree)]
+    return tuple(zip(*columns))

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Sequence
 
 from .cyclo import (
     CycloElem,
@@ -202,12 +203,13 @@ def wild_modulus(n: int) -> int:
 
 def is_one_mod(x: CycloElem, modulus: int) -> bool:
     """Coordinate-wise test x ≡ 1 mod modulus on the power basis."""
-    if not x.is_integral():
-        return False
-    co = x.num  # the coordinates themselves: the denominator is 1
-    if (co[0] - 1) % modulus != 0:
-        return False
-    return all(c % modulus == 0 for c in co[1:])
+    # an integral x's numerators are its coordinates: the denominator is 1
+    return x.is_integral() and coords_one_mod(x.num, modulus)
+
+
+def coords_one_mod(co: Sequence[int], modulus: int) -> bool:
+    """is_one_mod on integer power-basis coordinates."""
+    return (co[0] - 1) % modulus == 0 and all(c % modulus == 0 for c in co[1:])
 
 
 # ------------------------------------------------------------ factoring

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isqrt
+from operator import mul
 from typing import Iterator, Optional
 
 from .cyclo import (
@@ -47,6 +48,7 @@ from .cyclo import (
     galois_apply,
     is_probable_prime,
     is_totally_positive,
+    multiplication_rows,
     reduce_at,
     solve_norm_equation,
     unit_group_window,
@@ -63,8 +65,8 @@ from .ecq import (
 )
 from .localfield import (
     Place,
+    coords_one_mod,
     distinguished_place,
-    is_one_mod,
     residue_power_order,
     wild_modulus,
 )
@@ -160,30 +162,51 @@ def _generator_coeff_bound(n: int, p: int) -> int:
     return isqrt(isqrt(p)) + 3
 
 
+def _unit_rows(n: int, unit_window: int) -> list:
+    """The unit window of the level as integer multiplication rows."""
+    return [multiplication_rows(u) for u in unit_group_window(n, unit_window)]
+
+
 def attach_generator(
-    n: int, p: int, unit_window: int = 1, coeff_bound: Optional[int] = None
+    n: int,
+    p: int,
+    unit_window: int = 1,
+    coeff_bound: Optional[int] = None,
+    units: Optional[list] = None,
+    place: Optional[Place] = None,
 ) -> Optional[CycloElem]:
     """A generator pi of a prime over p with the three pinned properties,
-    or None.  Deterministic: Galois conjugates and unit multiples of the
-    canonical norm-equation solution are tried in a fixed order."""
+    or None.
+
+    Deterministic: the Galois conjugates sigma_t(x0) of the canonical
+    norm-equation solution x0 are tried in the order of t, and the unit
+    multiples u*sigma_t(x0) of each in the order of the unit window; the
+    first that is ≡ 1 mod the wild modulus, totally positive and in the
+    distinguished place is pi.  u*sigma_t(x0) lies in the place exactly
+    when sigma_t(x0) does (u is a unit), so the unit loop runs only at the
+    conjugates in the place.  A scan passes the unit window once, as
+    _unit_rows(n, unit_window), and the place it has already computed;
+    both are built here when None."""
     if coeff_bound is None:
         coeff_bound = _generator_coeff_bound(n, p)
     x0 = solve_norm_equation(n, p, coeff_bound)
     if x0 is None:
         return None
+    if units is None:
+        units = _unit_rows(n, unit_window)
+    if place is None:
+        place = distinguished_place(n, p)
     m = wild_modulus(n)
-    place = distinguished_place(n, p)
-    units = unit_group_window(n, unit_window)
     for t in context(n).units:
         xt = galois_apply(GaloisAuto(n, t), x0)
-        for u in units:
-            y = u * xt
-            if not is_one_mod(y, m):
-                continue
-            if not is_totally_positive(y):
-                continue
-            if reduce_at(y, place.p, place.omega) % p == 0:
-                return y
+        if reduce_at(xt, p, place.omega):
+            continue  # neither is any unit multiple of xt
+        for rows in units:
+            y = [sum(map(mul, row, xt.num)) for row in rows]
+            if coords_one_mod(y, m):
+                pi = CycloElem(n, y)
+                if is_totally_positive(pi):
+                    return pi
     return None
 
 
@@ -255,15 +278,16 @@ def find_v(
     at the prime the pairing accepts (or cannot decide)."""
     stats = SieveStats()
     attached = {}
+    units = _unit_rows(n, unit_window)
     for p in split_prime_stream(cv, n, bound):
         stats.scanned += 1
-        pi = attach_generator(n, p, unit_window, coeff_bound)
+        place = distinguished_place(n, p)
+        pi = attach_generator(n, p, unit_window, coeff_bound, units, place)
         attached[p, unit_window, coeff_bound] = pi
         if pi is None:
             stats.no_generator += 1
             continue
         stats.unit_adjusted += 1
-        place = distinguished_place(n, p)
         stats.divisibility_checked += 1
         divisible = _divisible_by_pairing(cv, place, mw_gens, target_level, basis)
         if divisible is False:
@@ -297,15 +321,18 @@ def find_vprime(
     The partner must have full residue order n at the first member's place
     while its proper conjugates are n-th power residues there."""
     stats = SieveStats()
+    units = _unit_rows(n, unit_window)
     for p in split_prime_stream(cv, n, bound):
         stats.scanned += 1
         if p == first.p:
             continue
         key = (p, unit_window, coeff_bound)
+        place = None
         if key in first.attached:
             pi = first.attached[key]
         else:
-            pi = attach_generator(n, p, unit_window, coeff_bound)
+            place = distinguished_place(n, p)
+            pi = attach_generator(n, p, unit_window, coeff_bound, units, place)
         if pi is None:
             stats.no_generator += 1
             continue
@@ -318,7 +345,8 @@ def find_vprime(
         if any(o != 1 for _, o in conj):
             stats.conjugate_rejected += 1
             continue
-        place = distinguished_place(n, p)
+        if place is None:
+            place = distinguished_place(n, p)
         return SievePair(first, PrimeCandidate(n, p, pi, place), main, conj)
     raise SieveExhausted("no admissible partner below %d" % bound, stats)
 

@@ -235,6 +235,29 @@ def test_construct_names_every_edited_config_leaf(tmp_path, capsys):
     assert not missed
 
 
+def test_construct_names_the_coefficients_for_a_basis_off_the_curve(tmp_path, capsys):
+    # a coefficient edit that leaves a non-singular curve can move the
+    # basis off it, or change the order of a basis point: each message
+    # names the coefficients, and the first also names the point
+    off_curve = 0
+    for base in (CONFIG_CUBIC, CONFIG_QUADRATIC):
+        for i in range(5):
+            for value in CONFIG_EDITS:
+                cfg = json.loads(json.dumps(base))
+                cfg["curve"]["coefficients"][i] = value
+                target = tmp_path / "edited.json"
+                target.write_text(json.dumps(cfg))
+                code = main(["construct", "--config", str(target), "--out", str(tmp_path / "c.json")])
+                err = capsys.readouterr().err
+                if code == 2:
+                    assert "curve.coefficients" in err.splitlines()[0], (i, value, err)
+                if "not on the curve" in err:
+                    assert re.match(r"error: curve\.torsion_basis\.[ST]: point is not on the curve "
+                                    r"given by curve\.coefficients$", err.splitlines()[0])
+                    off_curve += 1
+    assert off_curve >= 20
+
+
 # ------------------------------------------------------ verify and compose
 
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -22,6 +22,7 @@ from period_index.cyclo import (
     split_place,
     vector_key,
 )
+from period_index.sieve import _generator_coeff_bound
 
 
 # ---------------------------------------------------------------- oracles
@@ -291,6 +292,90 @@ def test_solve_norm_equation_generic_level():
 
 def test_solve_norm_equation_returns_none_when_bound_too_small():
     assert solve_norm_equation(2, 11, 5) is None
+
+
+def test_is_probable_prime_matches_a_sieve():
+    N = 50_000
+    composite = bytearray(N)
+    for q in range(2, isqrt(N) + 1):
+        if not composite[q]:
+            composite[q * q :: q] = b"\x01" * len(range(q * q, N, q))
+    assert [m for m in range(N) if cyclo.is_probable_prime(m)] == [
+        m for m in range(2, N) if not composite[m]
+    ]
+    # each psi_k passes the first k bases, so it needs one more (psi_12
+    # passes all twelve: the test is exact only below it)
+    for psi in cyclo._PSI[:-1]:
+        assert not cyclo.is_probable_prime(psi)
+    for prime in (2_147_483_647, 1_000_000_007, 2**61 - 1, 2**89 - 1):
+        assert cyclo.is_probable_prime(prime)
+
+
+def test_solve_norm_equation_needs_a_prime():
+    with pytest.raises(ValueError):
+        solve_norm_equation(4, 65, 10)  # 65 = 1 + 64 = 16 + 49
+
+
+def _ref_coord_range(bound):
+    return sorted(range(-bound, bound + 1), key=cyclo._coord_key)
+
+
+def _ref_solve_norm_quadratic(n, p, bound):
+    """The scan over the outer coefficient b in vector_key order that the
+    lattice reduction replaced: the reference for
+    test_solve_norm_equation_matches_the_scan."""
+    for b in _ref_coord_range(bound):
+        candidates = []
+        if n == 4:
+            rest = p - b * b
+            if rest >= 0:
+                r = isqrt(rest)
+                if r * r == rest and abs(r) <= bound:
+                    candidates = [r, -r] if r else [0]
+        else:
+            disc = 4 * p - 3 * b * b
+            if disc >= 0:
+                r = isqrt(disc)
+                if r * r == disc:
+                    for a2 in (b + r, b - r):
+                        if a2 % 2 == 0 and abs(a2 // 2) <= bound:
+                            candidates.append(a2 // 2)
+        for a in sorted(set(candidates), key=cyclo._coord_key):
+            x = CycloElem(n, [a, b])
+            if abs(field_norm(x)) == p:
+                return x
+    return None
+
+
+def test_coord_range_is_in_coord_key_order():
+    for bound in (0, 1, 2, 7):
+        assert cyclo._coord_range(bound) == _ref_coord_range(bound)
+
+
+def test_solve_norm_equation_matches_the_scan():
+    # every split p < 20,000 at both degree-2 levels, at the sieve's
+    # default bound and at bounds that cut associates off
+    cases = 0
+    for n in (3, 4):
+        for p in range(n + 1, 20_000, n):
+            if not cyclo.is_probable_prime(p):
+                continue
+            for bound in (_generator_coeff_bound(n, p), 1, 3, 10, 50):
+                assert solve_norm_equation(n, p, bound) == _ref_solve_norm_quadratic(n, p, bound), (n, p, bound)
+                cases += 1
+    assert cases > 11_000
+
+
+def test_multiplication_rows_multiply():
+    rng = random.Random(9)
+    for n in (3, 4, 5, 8, 9):
+        for u in cyclo.unit_group_window(n, 1):
+            rows = cyclo.multiplication_rows(u)
+            for _ in range(3):
+                x = CycloElem(n, [rng.randint(-9, 9) for _ in range(context(n).degree)])
+                assert tuple(sum(r * c for r, c in zip(row, x.num)) for row in rows) == (u * x).num
+    with pytest.raises(ValueError):
+        cyclo.multiplication_rows(CycloElem(4, [Fraction(1, 2), 0]))
 
 
 # ---------------------------------------------------------------- misc

@@ -7,10 +7,15 @@ import pytest
 
 from period_index.cyclo import (
     CycloElem,
+    GaloisAuto,
+    context,
     field_norm,
+    galois_apply,
     is_probable_prime,
     is_totally_positive,
     reduce_at,
+    solve_norm_equation,
+    unit_group_window,
 )
 from period_index import ecq, sieve
 from period_index.construct import LemmaFailure, even_adjust
@@ -82,6 +87,69 @@ def test_attach_generator_frozen():
     assert attach_generator(4, 97) is None
 
 
+def _ref_attach_generator(n, p, unit_window=1, coeff_bound=None):
+    """attach_generator as it was before the unit window was built once
+    per scan: every unit multiple of every Galois conjugate taken as a
+    CycloElem product, the place tested last.  The reference for
+    test_attach_generator_matches_the_product_loop."""
+    if coeff_bound is None:
+        coeff_bound = sieve._generator_coeff_bound(n, p)
+    x0 = solve_norm_equation(n, p, coeff_bound)
+    if x0 is None:
+        return None
+    m = sieve.wild_modulus(n)
+    place = distinguished_place(n, p)
+    units = unit_group_window(n, unit_window)
+    for t in context(n).units:
+        xt = galois_apply(GaloisAuto(n, t), x0)
+        for u in units:
+            y = u * xt
+            if not is_one_mod(y, m):
+                continue
+            if not is_totally_positive(y):
+                continue
+            if reduce_at(y, place.p, place.omega) % p == 0:
+                return y
+    return None
+
+
+def _attach_both(n, p, unit_window, coeff_bound):
+    units = sieve._unit_rows(n, unit_window)
+    got = attach_generator(n, p, unit_window, coeff_bound, units, distinguished_place(n, p))
+    return got, _ref_attach_generator(n, p, unit_window, coeff_bound)
+
+
+def test_attach_generator_matches_the_product_loop(monkeypatch):
+    # every prime of the three fixture streams below 30,000, as the scan
+    # attaches it: one unit window, the place passed in
+    found = 0
+    for n, fix in ((2, _fix2), (3, _fix3), (4, _fix4)):
+        for p in split_prime_stream(fix()[0], n, 30_000):
+            got, ref = _attach_both(n, p, 1, None)
+            assert got == ref, (n, p)
+            found += got is not None
+    assert found > 500
+    # level 5, where the window holds non-torsion units: at the wild
+    # modulus 125 no multiple qualifies; modulo 2 the first qualifying
+    # multiple depends on the order of the window
+    level5 = [(p, w) for p in (11, 31, 41, 61, 101, 251) for w in (0, 1)]
+    for p, w in level5:
+        assert _attach_both(5, p, w, 2) == (None, None)
+    monkeypatch.setattr(sieve, "wild_modulus", lambda n: 2)
+    torsion_hits = set()
+    for p in (11, 31, 41, 61, 101, 251):
+        x0 = solve_norm_equation(5, p, 2)
+        for t in context(5).units:
+            xt = galois_apply(GaloisAuto(5, t), x0)
+            torsion_hits.update(u * xt for u in unit_group_window(5, 0))
+    non_torsion = 0
+    for p, w in level5:
+        got, ref = _attach_both(5, p, w, 2)
+        assert got == ref, (p, w)
+        non_torsion += got is not None and got not in torsion_hits
+    assert non_torsion > 0
+
+
 def test_attach_generator_properties():
     for n, p in ((2, 41), (3, 757), (4, 13441), (4, 25601)):
         pi = attach_generator(n, p)
@@ -113,7 +181,9 @@ def test_divisibility_witnesses_multiply_back():
 
 def test_divisibility_data_addition_budget(monkeypatch):
     # taking the order of every point of E(F_p) costs 1,259,328 additions
-    # here; one lam*P = O test per pair {P, -P} costs 135,088
+    # here; one lam*P = O test per pair {P, -P} costs 135,088, and the
+    # full walk behind it 113,562; stopping the walk at the first exponent
+    # it can prove costs 11,502
     calls = [0]
     add = ecq.CurveFp.add
 
@@ -125,7 +195,7 @@ def test_divisibility_data_addition_budget(monkeypatch):
     cv4, gens4 = _fix4()
     got = divisibility_data(cv4, distinguished_place(4, 13441), gens4, 2)
     assert got == ((0, (2117, 2573)), (1, (1672, 6652)))
-    assert calls[0] <= 200_000
+    assert calls[0] <= 15_000
 
 
 def test_divisibility_data_lists_no_points():
@@ -219,6 +289,24 @@ def test_doubled_find_pair_attaches_each_generator_once(monkeypatch):
     S, T = _basis(4)
     even_adjust(cv4, make_basis(cv4, 4, S, T), 2, 2, gens4, 10**5)
     assert len(primes) == len(set(primes)) == 176
+
+
+def test_doubled_find_pair_multiplication_budget(monkeypatch):
+    # 3,446 CycloElem products when every unit multiple of both Galois
+    # conjugates was a product and the norm equation checked each hit by
+    # its norm
+    calls = [0]
+    mul = CycloElem.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    cv4, gens4 = _fix4()
+    basis = _basis(4)
+    monkeypatch.setattr(CycloElem, "__mul__", counted)
+    find_pair(cv4, 4, 10**5, gens4, 2, basis)
+    assert calls[0] <= 600
 
 
 def test_find_v_falls_back_when_the_pairing_cannot_decide(monkeypatch):
