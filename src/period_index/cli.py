@@ -7,9 +7,13 @@ norm of a twisted class (norm-twist), the prime search on its own
 
 Run configurations are JSON with every number exact: decimal integer
 strings (plain integers are accepted too) and fraction strings such as
-"3/2".  Floats are rejected outright.  Certificates are written
-atomically and canonically, so reruns with an equal configuration
-produce byte-identical files.
+"3/2".  Floats are rejected outright.  A configuration gives the curve
+with its torsion data, the target (parameters.n, parameters.ell and the
+mode) and one search limit, bounds.prime_bound; output is optional and
+any other field is ignored.  RunConfig decides the route once: direct
+when curve.level is parameters.n, doubled when it is twice an even
+parameters.n.  Certificates are written atomically and canonically, so
+reruns with an equal configuration produce byte-identical files.
 
 Exit codes: 0 success; 1 verification failure; 2 malformed input or
 unmet hypotheses; 3 search bounds exhausted (histogram on stderr);
@@ -121,7 +125,7 @@ def _as_elem(level: int, value, field: str) -> CycloElem:
 
 
 def _as_point(level: int, value, field: str):
-    if value == "infinity" or value is None:
+    if value == "infinity":
         return None
     if isinstance(value, dict) and set(value) == {"x", "y"}:
         return (
@@ -151,7 +155,9 @@ def _get(obj, key, field: str, kind=dict):
 
 
 class RunConfig:
-    """Parsed, validated configuration for sieve/construct runs."""
+    """Parsed, validated configuration for sieve/construct runs.  doubled
+    is the route: False for curve data at level parameters.n, True for
+    data at level 2 * parameters.n, n even."""
 
     def __init__(self, path: str):
         raw = _load_json(path)
@@ -211,25 +217,19 @@ class RunConfig:
         self.mode = _get(pb, "mode", "parameters.mode", str)
         if self.mode not in ("A", "B"):
             raise ConfigError("parameters.mode: must be \"A\" or \"B\"")
+        if self.level != self.n and (self.n % 2 or self.level != 2 * self.n):
+            raise ConfigError(
+                "parameters.n: curve data at level %d fits neither a direct level-%d run nor "
+                "a doubled level-%d run" % (self.level, self.n, 2 * self.n)
+            )
+        self.doubled = self.level != self.n
 
         bb = _get(raw, "bounds", "bounds")
         self.prime_bound = _as_positive(
             _get(bb, "prime_bound", "bounds.prime_bound", None), "bounds.prime_bound"
         )
-        self.coeff_bound: Optional[int] = None
-        if bb.get("coeff_bound") is not None:
-            self.coeff_bound = _as_positive(bb["coeff_bound"], "bounds.coeff_bound")
-        self.unit_window = 1
-        if bb.get("unit_window") is not None:
-            self.unit_window = _as_int(bb["unit_window"], "bounds.unit_window")
 
-        # the pipeline is deterministic; the seed is accepted for forward
-        # compatibility with randomized auxiliary choices and ignored
-        self.seed = 0
-        if raw.get("seed") is not None:
-            self.seed = _as_int(raw["seed"], "seed")
-
-        out = raw.get("output") or {}
+        out = raw.get("output", {})
         if not isinstance(out, dict):
             raise ConfigError("output: wrong type")
         self.certificate_path = out.get("certificate")
@@ -359,16 +359,8 @@ def cmd_norm_twist(args) -> int:
 
 def cmd_sieve(args) -> int:
     cfg = RunConfig(args.config)
-    target = cfg.n if cfg.level == 2 * cfg.n else cfg.level
     pair = find_pair(
-        cfg.curve,
-        cfg.level,
-        cfg.prime_bound,
-        cfg.mw_gens,
-        target,
-        (cfg.basis.S, cfg.basis.T),
-        cfg.unit_window,
-        cfg.coeff_bound,
+        cfg.curve, cfg.level, cfg.prime_bound, cfg.mw_gens, cfg.n, (cfg.basis.S, cfg.basis.T)
     )
     print("first  p=%d pi=%s" % (pair.first.p, _fmt_elem(pair.first.pi)))
     print(
@@ -398,24 +390,14 @@ def _config_field(path: str) -> str:
 
 def cmd_construct(args) -> int:
     cfg = RunConfig(args.config)
-    n, ell, mode = cfg.n, cfg.ell, cfg.mode
-    common = dict(
-        unit_window=cfg.unit_window,
-        coeff_bound=cfg.coeff_bound,
-    )
-    if cfg.level != n and (n % 2 or cfg.level != 2 * n):
-        raise ConfigError(
-            "parameters.n: curve data at level %d fits neither a direct level-%d run nor "
-            "a doubled level-%d run" % (cfg.level, n, 2 * n)
-        )
     try:
-        if cfg.level == n:
-            certify = certify_mode_A if mode == "A" else certify_mode_B
-            cert = certify(cfg.curve, cfg.basis, ell, cfg.mw_gens, cfg.prime_bound, **common)
-        else:
+        if cfg.doubled:
             cert = even_adjust(
-                cfg.curve, cfg.basis, n, ell, cfg.mw_gens, cfg.prime_bound, mode=mode, **common
+                cfg.curve, cfg.basis, cfg.n, cfg.ell, cfg.mw_gens, cfg.prime_bound, mode=cfg.mode
             )
+        else:
+            certify = certify_mode_A if cfg.mode == "A" else certify_mode_B
+            cert = certify(cfg.curve, cfg.basis, cfg.ell, cfg.mw_gens, cfg.prime_bound)
     except InputError as e:
         # a route hypothesis names certificate paths; blame the first one's
         # configuration field

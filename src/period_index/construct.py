@@ -702,17 +702,13 @@ def _construct(
     basis: TorsionBasis,
     mw_gens: list,
     prime_bound: int,
-    unit_window: int,
-    coeff_bound: Optional[int],
-    declared_order: Optional[int],
     **route,
 ) -> dict:
-    rep = _preconditions(cv, basis, mw_gens, declared_order, **route)
+    # a stable subgroup order is declared only by a certificate, which
+    # verify checks; construct records cv.n
+    rep = _preconditions(cv, basis, mw_gens, None, **route)
     # the only search in the pipeline
-    pair = find_pair(
-        cv, cv.n, prime_bound, mw_gens, route["target_n"], (basis.S, basis.T), unit_window,
-        coeff_bound,
-    )
+    pair = find_pair(cv, cv.n, prime_bound, mw_gens, route["target_n"], (basis.S, basis.T))
     return _certificate(
         cv, basis, rep, mw_gens, pair.first.pi, pair.second.pi, pair.first.divisibility, **route
     )
@@ -724,9 +720,6 @@ def certify_mode_A(
     ell: int,
     mw_gens: list,
     prime_bound: int,
-    unit_window: int = 1,
-    coeff_bound: Optional[int] = None,
-    declared_order: Optional[int] = None,
 ) -> dict:
     """Certify with the full torsion rational over the coefficient field.
 
@@ -735,10 +728,12 @@ def certify_mode_A(
     exact; even levels above 2 carry a two-torsion ambiguity and are only
     admitted when the symbol target is a multiple of 4, where the
     ambiguity cannot move the claims — otherwise the caller must provide
-    doubled-level data and route through even_adjust."""
+    doubled-level data and route through even_adjust.
+
+    The pair is the first the sieve finds below prime_bound; the curve
+    data and that bound fix the whole search."""
     return _construct(
-        cv, basis, mw_gens, prime_bound, unit_window, coeff_bound, declared_order,
-        mode="A", doubled=False, target_n=cv.n, target_ell=ell,
+        cv, basis, mw_gens, prime_bound, mode="A", doubled=False, target_n=cv.n, target_ell=ell
     )
 
 
@@ -748,17 +743,15 @@ def certify_mode_B(
     ell: int,
     mw_gens: list,
     prime_bound: int,
-    unit_window: int = 1,
-    coeff_bound: Optional[int] = None,
-    declared_order: Optional[int] = None,
 ) -> dict:
     """Certify over Q by corestriction from the cyclotomic field.
 
     Requires a stable subgroup: the action on the pinned basis must be
-    upper triangular (the trivial action at level 2 qualifies)."""
+    upper triangular (the trivial action at level 2 qualifies).  The pair
+    search is fixed by the curve data and prime_bound, as in
+    certify_mode_A."""
     return _construct(
-        cv, basis, mw_gens, prime_bound, unit_window, coeff_bound, declared_order,
-        mode="B", doubled=False, target_n=cv.n, target_ell=ell,
+        cv, basis, mw_gens, prime_bound, mode="B", doubled=False, target_n=cv.n, target_ell=ell
     )
 
 
@@ -769,9 +762,6 @@ def even_adjust(
     ell: int,
     mw_gens: list,
     prime_bound: int,
-    unit_window: int = 1,
-    coeff_bound: Optional[int] = None,
-    declared_order: Optional[int] = None,
     mode: str = "A",
 ) -> dict:
     """Even-level claims via the doubling trick.
@@ -781,10 +771,10 @@ def even_adjust(
     Doubling both kills the two-torsion ambiguity of even-level symbol
     readings and turns the order-2*ell raw invariant into an exact
     order-ell one.  Only ell in {1, 2} needs this: targets divisible by
-    4 are immune to the ambiguity and stay with the direct modes."""
+    4 are immune to the ambiguity and stay with the direct modes.  The
+    sieve runs at level 2n with target level n, below prime_bound."""
     return _construct(
-        cv, basis, mw_gens, prime_bound, unit_window, coeff_bound, declared_order,
-        mode=mode, doubled=True, target_n=n, target_ell=ell,
+        cv, basis, mw_gens, prime_bound, mode=mode, doubled=True, target_n=n, target_ell=ell
     )
 
 

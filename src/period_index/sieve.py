@@ -31,7 +31,10 @@ symbols vanish identically, so nothing is lost; the full modulus would thin
 the prime stream for no checkable gain.
 
 Everything is scanned in a fixed ascending order, so results are a pure
-function of (curve, level, bounds); there is no randomness to seed.
+function of the curve, the level, the target level and the prime bound;
+there is no randomness to seed.  The other search limits are fixed: the
+coefficient bound of the norm equation is set per prime from p, and the
+unit window is 1.
 """
 
 from __future__ import annotations
@@ -124,9 +127,9 @@ class PrimeCandidate:
     target_level: Optional[int] = None
     # the scan that found this candidate (find_v only)
     stats: Optional[SieveStats] = field(default=None, compare=False, repr=False)
-    # attach_generator's answer at every prime that scan reached, keyed by
-    # (p, unit_window, coeff_bound): find_vprime reads them instead of
-    # attaching those generators again
+    # (place, attach_generator's answer) at every prime that scan reached,
+    # keyed by p: find_vprime reads them instead of attaching those
+    # generators again
     attached: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -162,15 +165,14 @@ def _generator_coeff_bound(n: int, p: int) -> int:
     return isqrt(isqrt(p)) + 3
 
 
-def _unit_rows(n: int, unit_window: int) -> list:
+def _unit_rows(n: int) -> list:
     """The unit window of the level as integer multiplication rows."""
-    return [multiplication_rows(u) for u in unit_group_window(n, unit_window)]
+    return [multiplication_rows(u) for u in unit_group_window(n, 1)]
 
 
 def attach_generator(
     n: int,
     p: int,
-    unit_window: int = 1,
     coeff_bound: Optional[int] = None,
     units: Optional[list] = None,
     place: Optional[Place] = None,
@@ -185,15 +187,15 @@ def attach_generator(
     distinguished place is pi.  u*sigma_t(x0) lies in the place exactly
     when sigma_t(x0) does (u is a unit), so the unit loop runs only at the
     conjugates in the place.  A scan passes the unit window once, as
-    _unit_rows(n, unit_window), and the place it has already computed;
-    both are built here when None."""
+    _unit_rows(n), and the place it has already computed; both are built
+    here when None, and the coefficient bound is set from p."""
     if coeff_bound is None:
         coeff_bound = _generator_coeff_bound(n, p)
     x0 = solve_norm_equation(n, p, coeff_bound)
     if x0 is None:
         return None
     if units is None:
-        units = _unit_rows(n, unit_window)
+        units = _unit_rows(n)
     if place is None:
         place = distinguished_place(n, p)
     m = wild_modulus(n)
@@ -268,8 +270,6 @@ def find_v(
     mw_gens: list[LPoint],
     target_level: int,
     basis: tuple,
-    unit_window: int = 1,
-    coeff_bound: Optional[int] = None,
 ) -> PrimeCandidate:
     """First candidate whose declared generators all divide down at its
     place.  This is the pair member carrying the division witnesses.
@@ -278,12 +278,12 @@ def find_v(
     at the prime the pairing accepts (or cannot decide)."""
     stats = SieveStats()
     attached = {}
-    units = _unit_rows(n, unit_window)
+    units = _unit_rows(n)
     for p in split_prime_stream(cv, n, bound):
         stats.scanned += 1
         place = distinguished_place(n, p)
-        pi = attach_generator(n, p, unit_window, coeff_bound, units, place)
-        attached[p, unit_window, coeff_bound] = pi
+        pi = attach_generator(n, p, None, units, place)
+        attached[p] = place, pi
         if pi is None:
             stats.no_generator += 1
             continue
@@ -308,31 +308,22 @@ def find_v(
     raise SieveExhausted("no admissible prime below %d" % bound, stats)
 
 
-def find_vprime(
-    cv: CurveL,
-    n: int,
-    first: PrimeCandidate,
-    bound: int,
-    unit_window: int = 1,
-    coeff_bound: Optional[int] = None,
-) -> SievePair:
+def find_vprime(cv: CurveL, n: int, first: PrimeCandidate, bound: int) -> SievePair:
     """First partner for an already-found first member, in scan order.
 
     The partner must have full residue order n at the first member's place
     while its proper conjugates are n-th power residues there."""
     stats = SieveStats()
-    units = _unit_rows(n, unit_window)
+    units = _unit_rows(n)
     for p in split_prime_stream(cv, n, bound):
         stats.scanned += 1
         if p == first.p:
             continue
-        key = (p, unit_window, coeff_bound)
-        place = None
-        if key in first.attached:
-            pi = first.attached[key]
+        if p in first.attached:
+            place, pi = first.attached[p]
         else:
             place = distinguished_place(n, p)
-            pi = attach_generator(n, p, unit_window, coeff_bound, units, place)
+            pi = attach_generator(n, p, None, units, place)
         if pi is None:
             stats.no_generator += 1
             continue
@@ -345,8 +336,6 @@ def find_vprime(
         if any(o != 1 for _, o in conj):
             stats.conjugate_rejected += 1
             continue
-        if place is None:
-            place = distinguished_place(n, p)
         return SievePair(first, PrimeCandidate(n, p, pi, place), main, conj)
     raise SieveExhausted("no admissible partner below %d" % bound, stats)
 
@@ -358,9 +347,7 @@ def find_pair(
     mw_gens: list[LPoint],
     target_level: int,
     basis: tuple,
-    unit_window: int = 1,
-    coeff_bound: Optional[int] = None,
 ) -> SievePair:
     """First admissible pair: find_v, then the first partner for it."""
-    first = find_v(cv, n, bound, mw_gens, target_level, basis, unit_window, coeff_bound)
-    return find_vprime(cv, n, first, bound, unit_window, coeff_bound)
+    first = find_v(cv, n, bound, mw_gens, target_level, basis)
+    return find_vprime(cv, n, first, bound)

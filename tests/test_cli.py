@@ -39,6 +39,23 @@ CONFIG_QUADRATIC = {
     "output": {},
 }
 
+# y^2 = x^3 + 7x^2 - 144x over Q(i) with the order-4 point (24, 120): the
+# level-2 target through the doubled level-4 route
+CONFIG_QUARTIC = {
+    "curve": {
+        "level": "4",
+        "coefficients": ["0", "7", "0", "-144", "0"],
+        "torsion_basis": {
+            "S": {"x": "24", "y": "120"},
+            "T": {"x": ["0", "12"], "y": ["36", "-48"]},
+        },
+        "mw_generators": [{"x": "24", "y": "120"}, {"x": "0", "y": "0"}],
+        "stable_subgroup_order": "4",
+    },
+    "parameters": {"n": "2", "ell": "2", "mode": "B"},
+    "bounds": {"prime_bound": BOUND},
+}
+
 
 def _write_config(tmp_path, data, name="config.json", **edits):
     cfg = json.loads(json.dumps(data))
@@ -109,7 +126,6 @@ def test_config_blames_an_unsupported_level_on_the_level(tmp_path, capsys, level
     [
         ("bounds__prime_bound", "0"),
         ("bounds__prime_bound", "-5"),
-        ("bounds__coeff_bound", "0"),
         ("parameters__n", "0"),
         ("parameters__ell", "-1"),
         ("curve__stable_subgroup_order", "0"),
@@ -135,6 +151,44 @@ def test_config_blames_a_bad_coordinate_on_itself(tmp_path, capsys, key, value, 
     cfg = _write_config(tmp_path, CONFIG_CUBIC, **{key: value})
     assert main(["construct", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("error: %s:" % field)
+
+
+@pytest.mark.parametrize(
+    "key, value, field",
+    [
+        ("curve__mw_generators", [None], "curve.mw_generators[0]"),
+        ("output", [], "output"),
+        ("output", 0, "output"),
+        ("output", False, "output"),
+        ("output", "", "output"),
+    ],
+)
+def test_config_rejects_null_points_and_non_object_output(tmp_path, capsys, key, value, field):
+    # the point at infinity is spelled "infinity", and output, when
+    # present, is an object
+    cfg = _write_config(tmp_path, CONFIG_CUBIC, **{key: value})
+    assert main(["construct", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: %s:" % field)
+
+
+@pytest.mark.parametrize(
+    "base, ell",
+    [(CONFIG_CUBIC, "1"), (CONFIG_CUBIC, "3"), (CONFIG_QUADRATIC, "1"), (CONFIG_QUARTIC, "2")],
+    ids=["3-1", "3-3", "2-1", "2-2"],
+)
+@pytest.mark.parametrize("value", ["40", "0", "x"])
+def test_config_ignores_the_former_search_knobs(tmp_path, capsys, base, ell, value):
+    # bounds.coeff_bound, bounds.unit_window and seed are unknown fields:
+    # the certificate is the one built without them
+    plain = _write_config(tmp_path, base, name="plain.json", parameters__ell=ell)
+    knobs = _write_config(
+        tmp_path, base, name="knobs.json", parameters__ell=ell,
+        bounds__coeff_bound=value, bounds__unit_window=value, seed=value,
+    )
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["construct", "--config", plain, "--out", str(a)]) == 0
+    assert main(["construct", "--config", knobs, "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_config_rejects_wrong_coefficient_count(tmp_path, capsys):
@@ -188,6 +242,14 @@ def test_construct_level_mismatch(tmp_path, capsys):
     cfg = _write_config(tmp_path, CONFIG_CUBIC, parameters__n="9")
     assert main(["construct", "--config", cfg]) == 2
     assert "neither" in capsys.readouterr().err
+
+
+def test_sieve_level_mismatch(tmp_path, capsys):
+    # sieve and construct share the route decision
+    cfg = _write_config(tmp_path, CONFIG_CUBIC, parameters__n="1")
+    assert main(["sieve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parameters.n:") and "neither" in err
 
 
 # edits of a configuration leaf to another JSON type or an out-of-range number

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from period_index.cli import main
 from period_index.cyclo import CycloElem
 from period_index.ecq import curve_over, point_over
 from period_index.kummer import KummerClass, make_basis
@@ -236,13 +237,19 @@ def test_doubled_trivial_target():
     assert ok, trace
 
 
-def test_declared_order_must_match():
-    cv, basis, gens = _cubic()
-    with pytest.raises(InputError, match="declared"):
-        certify_mode_B(cv, basis, 3, gens, BOUND, declared_order=9)
-    cv4, basis4, gens4 = _quartic()
-    with pytest.raises(InputError, match="declared"):
-        even_adjust(cv4, basis4, 2, 2, gens4, BOUND, declared_order=2)
+def test_declared_order_must_match(cert33, cert22, tmp_path, capsys):
+    # only a certificate declares the order; the digest is recomputed, so
+    # the declaration itself must fail
+    for cert, declared in ((cert33, "9"), (cert22, "2")):
+        mutant = _roundtrip(cert)
+        curve = mutant["inputs"]["curve"]
+        curve["stable_subgroup_order"] = declared
+        mutant["inputs"]["digest"] = content_digest(curve)
+        path = tmp_path / "mutant.json"
+        path.write_text(canonical_json(mutant))
+        assert main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "inputs.curve.stable_subgroup_order: declared stable subgroup order" in err
 
 
 # ------------------------------------------------------------- composition

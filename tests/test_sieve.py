@@ -87,7 +87,7 @@ def test_attach_generator_frozen():
     assert attach_generator(4, 97) is None
 
 
-def _ref_attach_generator(n, p, unit_window=1, coeff_bound=None):
+def _ref_attach_generator(n, p, coeff_bound=None):
     """attach_generator as it was before the unit window was built once
     per scan: every unit multiple of every Galois conjugate taken as a
     CycloElem product, the place tested last.  The reference for
@@ -99,7 +99,7 @@ def _ref_attach_generator(n, p, unit_window=1, coeff_bound=None):
         return None
     m = sieve.wild_modulus(n)
     place = distinguished_place(n, p)
-    units = unit_group_window(n, unit_window)
+    units = unit_group_window(n, 1)
     for t in context(n).units:
         xt = galois_apply(GaloisAuto(n, t), x0)
         for u in units:
@@ -113,10 +113,9 @@ def _ref_attach_generator(n, p, unit_window=1, coeff_bound=None):
     return None
 
 
-def _attach_both(n, p, unit_window, coeff_bound):
-    units = sieve._unit_rows(n, unit_window)
-    got = attach_generator(n, p, unit_window, coeff_bound, units, distinguished_place(n, p))
-    return got, _ref_attach_generator(n, p, unit_window, coeff_bound)
+def _attach_both(n, p, coeff_bound):
+    got = attach_generator(n, p, coeff_bound, sieve._unit_rows(n), distinguished_place(n, p))
+    return got, _ref_attach_generator(n, p, coeff_bound)
 
 
 def test_attach_generator_matches_the_product_loop(monkeypatch):
@@ -125,27 +124,27 @@ def test_attach_generator_matches_the_product_loop(monkeypatch):
     found = 0
     for n, fix in ((2, _fix2), (3, _fix3), (4, _fix4)):
         for p in split_prime_stream(fix()[0], n, 30_000):
-            got, ref = _attach_both(n, p, 1, None)
+            got, ref = _attach_both(n, p, None)
             assert got == ref, (n, p)
             found += got is not None
     assert found > 500
     # level 5, where the window holds non-torsion units: at the wild
     # modulus 125 no multiple qualifies; modulo 2 the first qualifying
     # multiple depends on the order of the window
-    level5 = [(p, w) for p in (11, 31, 41, 61, 101, 251) for w in (0, 1)]
-    for p, w in level5:
-        assert _attach_both(5, p, w, 2) == (None, None)
+    level5 = (11, 31, 41, 61, 101, 251)
+    for p in level5:
+        assert _attach_both(5, p, 2) == (None, None)
     monkeypatch.setattr(sieve, "wild_modulus", lambda n: 2)
     torsion_hits = set()
-    for p in (11, 31, 41, 61, 101, 251):
+    for p in level5:
         x0 = solve_norm_equation(5, p, 2)
         for t in context(5).units:
             xt = galois_apply(GaloisAuto(5, t), x0)
             torsion_hits.update(u * xt for u in unit_group_window(5, 0))
     non_torsion = 0
-    for p, w in level5:
-        got, ref = _attach_both(5, p, w, 2)
-        assert got == ref, (p, w)
+    for p in level5:
+        got, ref = _attach_both(5, p, 2)
+        assert got == ref, p
         non_torsion += got is not None and got not in torsion_hits
     assert non_torsion > 0
 
