@@ -10,8 +10,9 @@ strings (plain integers are accepted too) and fraction strings such as
 "3/2".  Floats are rejected outright.  A configuration gives the curve
 with its torsion data, the target (parameters.n, parameters.ell and the
 mode) and one search limit, bounds.prime_bound; output is optional and
-any other field is ignored.  RunConfig decides the route once: direct
-when curve.level is parameters.n, doubled when it is twice an even
+any other field is ignored.  curve.level is 2, 3 or 4, the levels that
+can certify (cyclo.NORM_LEVELS).  RunConfig decides the route once:
+direct when curve.level is parameters.n, doubled when it is twice an even
 parameters.n.  Certificates are written atomically and canonically, so
 reruns with an equal configuration produce byte-identical files.
 
@@ -32,7 +33,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .cyclo import CycloElem, context
+from .cyclo import NORM_LEVELS, CycloElem, context
 from .ecq import curve_over
 from .kummer import make_basis, twisted_norm, galois_representation
 from .localfield import (
@@ -166,10 +167,8 @@ class RunConfig:
 
         cb = _get(raw, "curve", "curve")
         self.level = _as_int(_get(cb, "level", "curve.level", None), "curve.level")
-        try:
-            context(self.level)
-        except ValueError as e:
-            raise ConfigError("curve.level: %s" % e)
+        if self.level not in NORM_LEVELS:
+            raise ConfigError("curve.level: only levels %s can certify, found %d" % (NORM_LEVELS, self.level))
         coeffs = _get(cb, "coefficients", "curve.coefficients", list)
         if len(coeffs) != 5:
             raise ConfigError("curve.coefficients: expected five model coefficients")
@@ -233,8 +232,8 @@ class RunConfig:
         if not isinstance(out, dict):
             raise ConfigError("output: wrong type")
         self.certificate_path = out.get("certificate")
-        if self.certificate_path is not None and not isinstance(self.certificate_path, str):
-            raise ConfigError("output.certificate: expected a path string")
+        if "certificate" in out and not (isinstance(self.certificate_path, str) and self.certificate_path):
+            raise ConfigError("output.certificate: expected a non-empty path string")
 
 
 # =====================================================================
@@ -261,7 +260,7 @@ def _emit(cert: dict, path: Optional[str]) -> int:
     """Write the certificate to path, or to stdout without one, and print
     its claims."""
     text = canonical_json(cert)
-    if path:
+    if path is not None:
         _write_atomic(path, text)
     else:
         sys.stdout.write(text)
@@ -404,7 +403,7 @@ def cmd_construct(args) -> int:
         if not e.paths:
             raise
         raise ConfigError("%s: %s" % (_config_field(e.paths[0]), e))
-    return _emit(cert, args.out or cfg.certificate_path)
+    return _emit(cert, cfg.certificate_path if args.out is None else args.out)
 
 
 def cmd_compose(args) -> int:
@@ -438,6 +437,12 @@ def cmd_verify(args) -> int:
 # =====================================================================
 
 
+def _out_path(value: str) -> str:
+    if not value:
+        raise argparse.ArgumentTypeError("expected a non-empty path")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="period-index",
@@ -464,13 +469,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("construct", help="build and write a certificate")
     pc.add_argument("--config", required=True)
-    pc.add_argument("--out", help="override the certificate path from the config")
+    pc.add_argument("--out", type=_out_path, help="override the certificate path from the config")
     pc.set_defaults(func=cmd_construct)
 
     pm = sub.add_parser("compose", help="combine certificates with coprime periods")
     pm.add_argument("left")
     pm.add_argument("right")
-    pm.add_argument("--out")
+    pm.add_argument("--out", type=_out_path)
     pm.add_argument("--allow-different-jacobians", action="store_true")
     pm.set_defaults(func=cmd_compose)
 

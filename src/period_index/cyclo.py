@@ -3,8 +3,10 @@
 Elements are stored on the power basis 1, zeta, ..., zeta^(phi(n)-1) as
 integer coordinates over one common positive denominator, so every
 operation here is exact; inverses go through the norm.  Scope: n is a prime
-power; n in {2, 3, 4} is fully supported (class number one, torsion units
-only), n in {5, 8, 9} is best-effort (bounded unit windows, see NORM_UNITS).
+power in SUPPORTED_LEVELS.  The arithmetic works at every one of them; the
+norm equation is solved at n in NORM_LEVELS = {2, 3, 4} only, where
+Z[zeta_n] is a principal ideal domain whose only units are the roots of
+unity.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 
 SUPPORTED_LEVELS = (2, 3, 4, 5, 8, 9)
+# the levels at which solve_norm_equation pins a generator
+NORM_LEVELS = (2, 3, 4)
 
 
 class ContextError(ValueError):
@@ -379,25 +383,18 @@ def evaluate_mod(x: CycloElem, root: int, modulus: int) -> int:
 def phi_roots_mod_p(n: int, p: int) -> list[int]:
     """All roots of Phi_n mod p, ascending.  Requires p ≡ 1 mod n, p prime.
 
-    The roots are exactly the elements of multiplicative order n, so one is
-    constructed as g^((p-1)/n) from a small search, then closed under powers.
+    The roots are exactly the elements of multiplicative order n: the first
+    a^((p-1)/n), a = 2, 3, ..., of exact order n, closed under powers.
     This reproduces what a scan of F_p would find, in the same order.
     """
-    w = _phi_root(n, p)
-    return sorted(pow(w, t, p) for t in context(n).units)
-
-
-def _phi_root(n: int, p: int) -> int:
-    """Some root of Phi_n mod p: the first a^((p-1)/n), a = 2, 3, ..., of
-    exact order n."""
     if (p - 1) % n != 0:
         raise ValueError("p=%d is not 1 mod n=%d; Phi_n has no roots there" % (p, n))
-    q = context(n).prime
+    ctx = context(n)
     for a in range(2, p):
         w = pow(a, (p - 1) // n, p)
         # w^n = 1; exact order n iff w^(n/q) != 1 for the unique prime q | n
-        if pow(w, n // q, p) != 1:
-            return w
+        if pow(w, n // ctx.prime, p) != 1:
+            return sorted(pow(w, t, p) for t in ctx.units)
     raise ArithmeticError("no primitive n-th root found mod %d" % p)
 
 
@@ -485,15 +482,6 @@ def is_probable_prime(m: int) -> bool:
 
 # --- norm equations ----------------------------------------------------
 
-# Units used for congruence adjustment of norm-equation solutions.  Torsion
-# units (+-zeta^k) exist for every n; the entries below add generators of the
-# infinite part for the best-effort levels (verified unit norms in tests).
-NORM_UNITS = {
-    5: [[1, 1, 0, 0]],          # 1 + zeta_5
-    8: [[1, 1, 0, -1]],         # 1 + zeta_8 - zeta_8^3 = 1 + sqrt(2)
-    9: [[1, 1, 0, 0, 0, 0], [1, 1, 1, 1, 0, 0]],
-}
-
 
 def _coord_key(c: int) -> tuple[int, int]:
     # nonnegative values first (ascending), then negative (by magnitude)
@@ -510,33 +498,18 @@ def vector_key(coeffs: Sequence[int]) -> tuple:
     return tuple(_coord_key(int(c)) for c in reversed(list(coeffs)))
 
 
-def _coord_range(bound: int) -> list[int]:
-    """0..bound, then -1..-bound: the coordinates within the bound in
-    _coord_key order."""
-    return list(range(bound + 1)) + list(range(-1, -bound - 1, -1))
-
-
-def solve_norm_equation(n: int, p: int, coeff_bound: int) -> Optional[CycloElem]:
-    """Integral x with |Norm(x)| = p and coordinates within the bound.
-
-    Returns the least such x in canonical vector order (see vector_key), or
-    None if none fits the bound.  p must be a split prime (p ≡ 1 mod n).
-    At degree 2 the answer comes from a lattice reduction in O(log p)
-    steps (see _solve_norm_quadratic); the best-effort levels scan.
-    """
-    if (p - 1) % n != 0:
-        raise ValueError("p=%d is not 1 mod n=%d" % (p, n))
-    if not is_probable_prime(p):
-        raise ValueError("p=%d is not prime" % p)
-    deg = context(n).degree
-    if deg == 1:
+def solve_norm_equation(place) -> CycloElem:
+    """The least integral x with |Norm(x)| = p in canonical vector order
+    (see vector_key), for a split place over a prime p at a level in
+    NORM_LEVELS; the caller has proved p prime.  At degree 2 the answer
+    comes from a lattice reduction in O(log p) steps."""
+    n, p = place.n, place.p
+    if n not in NORM_LEVELS:
+        raise ContextError("no norm equation solver at level %d; it runs at %r" % (n, NORM_LEVELS))
+    if n == 2:
         # L = Q; the only elements of norm +-p are +-p.
-        if p <= coeff_bound:
-            return CycloElem.rational(n, p)
-        return None
-    if deg == 2:
-        return _solve_norm_quadratic(n, p, coeff_bound)
-    return _solve_norm_generic(n, p, coeff_bound)
+        return CycloElem.rational(n, p)
+    return _solve_norm_quadratic(n, p, place.omega)
 
 
 # For the two levels of degree 2: the norm form of a + b*zeta as
@@ -550,14 +523,15 @@ _QUADRATIC_LEVELS = {
 }
 
 
-def _solve_norm_quadratic(n: int, p: int, bound: int) -> Optional[CycloElem]:
+def _solve_norm_quadratic(n: int, p: int, omega: int) -> CycloElem:
     # The elements a + b*zeta of the prime (p, zeta - omega) are the lattice
     # a + b*omega ≡ 0 mod p, with basis (p, 0), (-omega, 1).  That prime is
     # principal (Z[i] and Z[zeta_3] are PIDs), so the norm form's minimum on
     # the lattice is p, and Lagrange reduction finds a vector pi of norm p
     # (Cohen, GTM 138, 1.3.14 and 1.5.2).  Every element of norm p is u*pi
-    # or u*conj(pi) for one of the 2n roots of unity u; the least of those
-    # within the bound is the first hit of a scan in vector_key order.
+    # or u*conj(pi) for one of the 2n roots of unity u.  The other prime
+    # over p, (p, zeta - omega^-1), is the conjugate of this one, so it
+    # gives the same associates and the same least one.
     (A, B, C), times_zeta, conj = _QUADRATIC_LEVELS[n]
 
     def form(v):
@@ -567,7 +541,7 @@ def _solve_norm_quadratic(n: int, p: int, bound: int) -> Optional[CycloElem]:
         # twice the bilinear form of `form`
         return 2 * A * u[0] * v[0] + B * (u[0] * v[1] + u[1] * v[0]) + 2 * C * u[1] * v[1]
 
-    u, v = (p, 0), (-_phi_root(n, p), 1)
+    u, v = (p, 0), (-omega, 1)
     qu, qv = form(u), form(v)
     if qu < qv:
         u, v, qu, qv = v, u, qv, qu
@@ -585,36 +559,8 @@ def _solve_norm_quadratic(n: int, p: int, bound: int) -> Optional[CycloElem]:
         for _ in range(n):
             associates += [w, (-w[0], -w[1])]
             w = times_zeta(*w)
-    fits = [w for w in associates if max(abs(w[0]), abs(w[1])) <= bound]
-    if not fits:
-        return None
     # vector_key on (a, b), unrolled: _coord_key(c) orders as (c < 0, |c|)
-    return CycloElem(n, min(fits, key=lambda w: (w[1] < 0, abs(w[1]), w[0] < 0, abs(w[0]))))
-
-
-def _solve_norm_generic(n: int, p: int, bound: int) -> Optional[CycloElem]:
-    # Best-effort scope (phi(n) in {4, 6}): plain nested search in canonical
-    # order with an exact norm check.  Bounds should stay small.
-    deg = context(n).degree
-    rng = _coord_range(bound)
-
-    def rec(idx: int, coords: list[int]):
-        if idx < 0:
-            if all(c == 0 for c in coords):
-                return None
-            x = CycloElem(n, coords)
-            if abs(field_norm(x)) == p:
-                return x
-            return None
-        for c in rng:
-            coords[idx] = c
-            hit = rec(idx - 1, coords)
-            if hit is not None:
-                return hit
-        coords[idx] = 0
-        return None
-
-    return rec(deg - 1, [0] * deg)
+    return CycloElem(n, min(associates, key=lambda w: (w[1] < 0, abs(w[1]), w[0] < 0, abs(w[0]))))
 
 
 def torsion_units(n: int) -> list[CycloElem]:
@@ -624,18 +570,6 @@ def torsion_units(n: int) -> list[CycloElem]:
         z = CycloElem.zeta(n, k)
         out.extend([z, -z])
     return out
-
-
-def unit_group_window(n: int, window: int) -> list[CycloElem]:
-    """Units available for generator adjustment: torsion times a bounded
-    window of the recorded infinite-part generators (best-effort levels)."""
-    units = torsion_units(n)
-    if window > 0:
-        for g in NORM_UNITS.get(n, []):
-            gen = CycloElem(n, g)
-            powers = [gen ** e for e in range(-window, window + 1)]
-            units = [a * r for a in units for r in powers]
-    return units
 
 
 def multiplication_rows(u: CycloElem) -> tuple[tuple[int, ...], ...]:

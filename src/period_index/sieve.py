@@ -32,15 +32,15 @@ the prime stream for no checkable gain.
 
 Everything is scanned in a fixed ascending order, so results are a pure
 function of the curve, the level, the target level and the prime bound;
-there is no randomness to seed.  The other search limits are fixed: the
-coefficient bound of the norm equation is set per prime from p, and the
-unit window is 1.
+there is no randomness to seed and no other search limit.  The levels are
+those of cyclo.NORM_LEVELS (2, 3 and 4): there the norm equation always
+has a solution, and the roots of unity are all the units to adjust it by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
+from functools import lru_cache
 from operator import mul
 from typing import Iterator, Optional
 
@@ -54,7 +54,7 @@ from .cyclo import (
     multiplication_rows,
     reduce_at,
     solve_norm_equation,
-    unit_group_window,
+    torsion_units,
 )
 from .ecq import (
     CurveL,
@@ -155,55 +155,33 @@ def split_prime_stream(cv: CurveL, n: int, bound: int) -> Iterator[int]:
         yield p
 
 
-def _generator_coeff_bound(n: int, p: int) -> int:
-    deg = context(n).degree
-    if deg == 1:
-        return p
-    if deg == 2:
-        return isqrt(4 * p // 3) + 2
-    # best-effort levels: norms grow fast, coordinates stay small
-    return isqrt(isqrt(p)) + 3
+@lru_cache(maxsize=None)
+def _unit_rows(n: int) -> tuple:
+    """The roots of unity of the level as integer multiplication rows."""
+    return tuple(multiplication_rows(u) for u in torsion_units(n))
 
 
-def _unit_rows(n: int) -> list:
-    """The unit window of the level as integer multiplication rows."""
-    return [multiplication_rows(u) for u in unit_group_window(n, 1)]
-
-
-def attach_generator(
-    n: int,
-    p: int,
-    coeff_bound: Optional[int] = None,
-    units: Optional[list] = None,
-    place: Optional[Place] = None,
-) -> Optional[CycloElem]:
+def attach_generator(n: int, p: int, place: Optional[Place] = None) -> Optional[CycloElem]:
     """A generator pi of a prime over p with the three pinned properties,
     or None.
 
     Deterministic: the Galois conjugates sigma_t(x0) of the canonical
     norm-equation solution x0 are tried in the order of t, and the unit
-    multiples u*sigma_t(x0) of each in the order of the unit window; the
+    multiples u*sigma_t(x0) of each in the order of torsion_units; the
     first that is ≡ 1 mod the wild modulus, totally positive and in the
     distinguished place is pi.  u*sigma_t(x0) lies in the place exactly
     when sigma_t(x0) does (u is a unit), so the unit loop runs only at the
-    conjugates in the place.  A scan passes the unit window once, as
-    _unit_rows(n), and the place it has already computed; both are built
-    here when None, and the coefficient bound is set from p."""
-    if coeff_bound is None:
-        coeff_bound = _generator_coeff_bound(n, p)
-    x0 = solve_norm_equation(n, p, coeff_bound)
-    if x0 is None:
-        return None
-    if units is None:
-        units = _unit_rows(n)
+    conjugates in the place.  A scan passes the place it has already
+    computed; it is built here when None."""
     if place is None:
         place = distinguished_place(n, p)
+    x0 = solve_norm_equation(place)
     m = wild_modulus(n)
     for t in context(n).units:
         xt = galois_apply(GaloisAuto(n, t), x0)
         if reduce_at(xt, p, place.omega):
             continue  # neither is any unit multiple of xt
-        for rows in units:
+        for rows in _unit_rows(n):
             y = [sum(map(mul, row, xt.num)) for row in rows]
             if coords_one_mod(y, m):
                 pi = CycloElem(n, y)
@@ -278,11 +256,10 @@ def find_v(
     at the prime the pairing accepts (or cannot decide)."""
     stats = SieveStats()
     attached = {}
-    units = _unit_rows(n)
     for p in split_prime_stream(cv, n, bound):
         stats.scanned += 1
         place = distinguished_place(n, p)
-        pi = attach_generator(n, p, None, units, place)
+        pi = attach_generator(n, p, place)
         attached[p] = place, pi
         if pi is None:
             stats.no_generator += 1
@@ -314,7 +291,6 @@ def find_vprime(cv: CurveL, n: int, first: PrimeCandidate, bound: int) -> SieveP
     The partner must have full residue order n at the first member's place
     while its proper conjugates are n-th power residues there."""
     stats = SieveStats()
-    units = _unit_rows(n)
     for p in split_prime_stream(cv, n, bound):
         stats.scanned += 1
         if p == first.p:
@@ -323,7 +299,7 @@ def find_vprime(cv: CurveL, n: int, first: PrimeCandidate, bound: int) -> SieveP
             place, pi = first.attached[p]
         else:
             place = distinguished_place(n, p)
-            pi = attach_generator(n, p, None, units, place)
+            pi = attach_generator(n, p, place)
         if pi is None:
             stats.no_generator += 1
             continue

@@ -1,8 +1,11 @@
+import importlib.util
 import json
 import re
+from pathlib import Path
 
 import pytest
 
+from period_index import sieve
 from period_index.cli import main
 from test_acceptance import _covers, _leaf_paths, _perturb, _set_path, _trace_names
 
@@ -114,11 +117,22 @@ def test_config_diagnostic_names_the_field(tmp_path, capsys):
     assert "parameters.mode" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("level", ["1", "6"])
-def test_config_blames_an_unsupported_level_on_the_level(tmp_path, capsys, level):
-    cfg = _write_config(tmp_path, CONFIG_CUBIC, curve__level=level)
-    assert main(["construct", "--config", cfg]) == 2
-    assert capsys.readouterr().err.startswith("error: curve.level:")
+@pytest.mark.parametrize(
+    "level, n",
+    [("1", "1"), ("6", "6"), ("5", "5"), ("8", "8"), ("9", "9"), ("8", "4")],
+    ids=["1", "6", "5", "8", "9", "8-doubled"],
+)
+def test_config_blames_an_unsupported_level_on_the_level(tmp_path, capsys, monkeypatch, level, n):
+    # only levels 2, 3 and 4 can certify: every other level, direct or
+    # doubled, is refused before a prime is scanned
+    def no_scan(*args):
+        raise AssertionError("split_prime_stream entered at level %s" % level)
+
+    monkeypatch.setattr(sieve, "split_prime_stream", no_scan)
+    cfg = _write_config(tmp_path, CONFIG_CUBIC, curve__level=level, parameters__n=n)
+    for command in ("construct", "sieve"):
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: curve.level:")
 
 
 @pytest.mark.parametrize(
@@ -189,6 +203,24 @@ def test_config_ignores_the_former_search_knobs(tmp_path, capsys, base, ell, val
     assert main(["construct", "--config", plain, "--out", str(a)]) == 0
     assert main(["construct", "--config", knobs, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "output, argv, field",
+    [
+        ({"certificate": ""}, [], "error: output.certificate:"),
+        ({"certificate": None}, [], "error: output.certificate:"),
+        ({}, ["--out", ""], "argument --out:"),
+    ],
+    ids=["empty", "null", "out-flag"],
+)
+def test_construct_rejects_an_empty_certificate_path(tmp_path, capsys, output, argv, field):
+    # an empty path is malformed, not a request for stdout
+    cfg = _write_config(tmp_path, CONFIG_QUADRATIC, output=output)
+    assert main(["construct", "--config", cfg] + argv) == 2
+    captured = capsys.readouterr()
+    assert field in captured.err
+    assert captured.out == ""
 
 
 def test_config_rejects_wrong_coefficient_count(tmp_path, capsys):
@@ -318,6 +350,31 @@ def test_construct_names_the_coefficients_for_a_basis_off_the_curve(tmp_path, ca
                                     r"given by curve\.coefficients$", err.splitlines()[0])
                     off_curve += 1
     assert off_curve >= 20
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_acceptance_certificates_are_byte_identical(tmp_path, capsys):
+    # the four acceptance configurations and their composite, rebuilt,
+    # match the stored benchmark inputs byte for byte
+    wl = _perfbench_workloads()
+    for name, cfg in wl.CONFIGS.items():
+        out = tmp_path / ("cert-%s.json" % name)
+        path = _write_config(tmp_path, cfg, name="config-%s.json" % name)
+        assert main(["construct", "--config", path, "--out", str(out)]) == 0
+    left, right = (str(tmp_path / ("cert-%s.json" % name)) for name in wl.COMPOSE)
+    composite = tmp_path / "cert-composite.json"
+    argv = ["compose", left, right, "--out", str(composite), "--allow-different-jacobians"]
+    assert main(argv) == 0
+    for name in wl.CERTS:
+        built = (tmp_path / ("cert-%s.json" % name)).read_bytes()
+        assert built == wl.cert_path(name).read_bytes(), name
 
 
 # ------------------------------------------------------ verify and compose

@@ -22,7 +22,7 @@ from period_index.cyclo import (
     split_place,
     vector_key,
 )
-from period_index.sieve import _generator_coeff_bound
+from period_index.localfield import distinguished_place
 
 
 # ---------------------------------------------------------------- oracles
@@ -150,12 +150,6 @@ def test_field_norm_multiplicative():
             assert field_norm(x * y) == field_norm(x) * field_norm(y)
 
 
-def test_recorded_units_have_unit_norm():
-    for n, gens in cyclo.NORM_UNITS.items():
-        for g in gens:
-            assert abs(field_norm(CycloElem(n, g))) == 1
-
-
 # ---------------------------------------------------------------- galois
 
 
@@ -249,16 +243,16 @@ def test_evaluate_mod_high_precision():
 
 
 def test_solve_norm_equation_frozen():
-    assert solve_norm_equation(4, 5, 10) == CycloElem(4, [2, 1])
-    assert solve_norm_equation(3, 7, 10) == CycloElem(3, [3, 1])
-    assert solve_norm_equation(2, 5, 10) == CycloElem.rational(2, 5)
+    assert solve_norm_equation(distinguished_place(4, 5)) == CycloElem(4, [2, 1])
+    assert solve_norm_equation(distinguished_place(3, 7)) == CycloElem(3, [3, 1])
+    assert solve_norm_equation(distinguished_place(2, 5)) == CycloElem.rational(2, 5)
 
 
 def test_solve_norm_equation_canonical_order_is_stable():
-    # the hit must be minimal in vector_key order among all bounded solutions
+    # the hit must be minimal in vector_key order among all solutions; none
+    # has a coordinate beyond sqrt(4p/3) < 8
     for n, p, bound in ((4, 13, 8), (3, 13, 8)):
-        hit = solve_norm_equation(n, p, bound)
-        assert hit is not None
+        hit = solve_norm_equation(distinguished_place(n, p))
         sols = []
         for a in range(-bound, bound + 1):
             for b in range(-bound, bound + 1):
@@ -279,19 +273,14 @@ def test_solve_norm_equation_random_split_primes():
             if not cyclo.is_probable_prime(p):
                 continue
             count += 1
-            x = solve_norm_equation(n, p, 4 * (1 + int(p ** 0.5)))
-            assert x is not None and abs(field_norm(x)) == p
+            x = solve_norm_equation(distinguished_place(n, p))
+            assert abs(field_norm(x)) == p
 
 
-def test_solve_norm_equation_generic_level():
-    # 11 = Norm(zeta_5 coordinates ...): smallest split prime for n=5
-    x = solve_norm_equation(5, 11, 2)
-    assert x is not None
-    assert abs(field_norm(x)) == 11
-
-
-def test_solve_norm_equation_returns_none_when_bound_too_small():
-    assert solve_norm_equation(2, 11, 5) is None
+def test_solve_norm_equation_only_at_the_norm_levels():
+    for n, p in ((5, 11), (8, 17), (9, 19)):
+        with pytest.raises(cyclo.ContextError):
+            solve_norm_equation(distinguished_place(n, p))
 
 
 def test_is_probable_prime_matches_a_sieve():
@@ -312,18 +301,22 @@ def test_is_probable_prime_matches_a_sieve():
 
 
 def test_solve_norm_equation_needs_a_prime():
+    # solve_norm_equation takes the prime as proved by the place: there is
+    # no distinguished place over 65 = 1 + 64 = 16 + 49
     with pytest.raises(ValueError):
-        solve_norm_equation(4, 65, 10)  # 65 = 1 + 64 = 16 + 49
+        distinguished_place(4, 65)
 
 
 def _ref_coord_range(bound):
     return sorted(range(-bound, bound + 1), key=cyclo._coord_key)
 
 
-def _ref_solve_norm_quadratic(n, p, bound):
+def _ref_solve_norm_quadratic(n, p):
     """The scan over the outer coefficient b in vector_key order that the
     lattice reduction replaced: the reference for
-    test_solve_norm_equation_matches_the_scan."""
+    test_solve_norm_equation_matches_the_scan.  No coordinate of an
+    element of norm p exceeds sqrt(4p/3) in absolute value."""
+    bound = isqrt(4 * p // 3) + 1
     for b in _ref_coord_range(bound):
         candidates = []
         if n == 4:
@@ -347,29 +340,22 @@ def _ref_solve_norm_quadratic(n, p, bound):
     return None
 
 
-def test_coord_range_is_in_coord_key_order():
-    for bound in (0, 1, 2, 7):
-        assert cyclo._coord_range(bound) == _ref_coord_range(bound)
-
-
 def test_solve_norm_equation_matches_the_scan():
-    # every split p < 20,000 at both degree-2 levels, at the sieve's
-    # default bound and at bounds that cut associates off
+    # every split p < 20,000 at both degree-2 levels
     cases = 0
     for n in (3, 4):
         for p in range(n + 1, 20_000, n):
             if not cyclo.is_probable_prime(p):
                 continue
-            for bound in (_generator_coeff_bound(n, p), 1, 3, 10, 50):
-                assert solve_norm_equation(n, p, bound) == _ref_solve_norm_quadratic(n, p, bound), (n, p, bound)
-                cases += 1
-    assert cases > 11_000
+            assert solve_norm_equation(distinguished_place(n, p)) == _ref_solve_norm_quadratic(n, p), (n, p)
+            cases += 1
+    assert cases > 2_000
 
 
 def test_multiplication_rows_multiply():
     rng = random.Random(9)
     for n in (3, 4, 5, 8, 9):
-        for u in cyclo.unit_group_window(n, 1):
+        for u in cyclo.torsion_units(n):
             rows = cyclo.multiplication_rows(u)
             for _ in range(3):
                 x = CycloElem(n, [rng.randint(-9, 9) for _ in range(context(n).degree)])

@@ -15,7 +15,7 @@ from period_index.cyclo import (
     is_totally_positive,
     reduce_at,
     solve_norm_equation,
-    unit_group_window,
+    torsion_units,
 )
 from period_index import ecq, sieve
 from period_index.construct import LemmaFailure, even_adjust
@@ -87,19 +87,15 @@ def test_attach_generator_frozen():
     assert attach_generator(4, 97) is None
 
 
-def _ref_attach_generator(n, p, coeff_bound=None):
-    """attach_generator as it was before the unit window was built once
-    per scan: every unit multiple of every Galois conjugate taken as a
+def _ref_attach_generator(n, p):
+    """attach_generator as it was before the units were built once per
+    level: every unit multiple of every Galois conjugate taken as a
     CycloElem product, the place tested last.  The reference for
     test_attach_generator_matches_the_product_loop."""
-    if coeff_bound is None:
-        coeff_bound = sieve._generator_coeff_bound(n, p)
-    x0 = solve_norm_equation(n, p, coeff_bound)
-    if x0 is None:
-        return None
-    m = sieve.wild_modulus(n)
     place = distinguished_place(n, p)
-    units = unit_group_window(n, 1)
+    x0 = solve_norm_equation(place)
+    m = sieve.wild_modulus(n)
+    units = torsion_units(n)
     for t in context(n).units:
         xt = galois_apply(GaloisAuto(n, t), x0)
         for u in units:
@@ -113,40 +109,16 @@ def _ref_attach_generator(n, p, coeff_bound=None):
     return None
 
 
-def _attach_both(n, p, coeff_bound):
-    got = attach_generator(n, p, coeff_bound, sieve._unit_rows(n), distinguished_place(n, p))
-    return got, _ref_attach_generator(n, p, coeff_bound)
-
-
-def test_attach_generator_matches_the_product_loop(monkeypatch):
+def test_attach_generator_matches_the_product_loop():
     # every prime of the three fixture streams below 30,000, as the scan
-    # attaches it: one unit window, the place passed in
+    # attaches it: the place passed in
     found = 0
     for n, fix in ((2, _fix2), (3, _fix3), (4, _fix4)):
         for p in split_prime_stream(fix()[0], n, 30_000):
-            got, ref = _attach_both(n, p, None)
-            assert got == ref, (n, p)
+            got = attach_generator(n, p, distinguished_place(n, p))
+            assert got == _ref_attach_generator(n, p), (n, p)
             found += got is not None
     assert found > 500
-    # level 5, where the window holds non-torsion units: at the wild
-    # modulus 125 no multiple qualifies; modulo 2 the first qualifying
-    # multiple depends on the order of the window
-    level5 = (11, 31, 41, 61, 101, 251)
-    for p in level5:
-        assert _attach_both(5, p, 2) == (None, None)
-    monkeypatch.setattr(sieve, "wild_modulus", lambda n: 2)
-    torsion_hits = set()
-    for p in level5:
-        x0 = solve_norm_equation(5, p, 2)
-        for t in context(5).units:
-            xt = galois_apply(GaloisAuto(5, t), x0)
-            torsion_hits.update(u * xt for u in unit_group_window(5, 0))
-    non_torsion = 0
-    for p in level5:
-        got, ref = _attach_both(5, p, 2)
-        assert got == ref, p
-        non_torsion += got is not None and got not in torsion_hits
-    assert non_torsion > 0
 
 
 def test_attach_generator_properties():
