@@ -46,6 +46,7 @@ from .localfield import (
 from .sieve import SieveExhausted, find_pair
 from .construct import (
     _COEFF_RE,
+    _INT_RE,
     InputError,
     LemmaFailure,
     canonical_json,
@@ -81,16 +82,21 @@ def _load_json(path: str):
         raise ConfigError("%s is not valid JSON: %s" % (path, e))
 
 
+def _convert(convert, text: str, field: str):
+    """convert(text), the ValueError past the digit limit named by field."""
+    try:
+        return convert(text)
+    except ValueError as e:
+        raise ConfigError("%s: %s" % (field, e))
+
+
 def _as_int(value, field: str) -> int:
     if isinstance(value, bool):
         raise ConfigError("%s: expected an integer, found a boolean" % field)
     if isinstance(value, int):
         return value
-    if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            pass
+    if isinstance(value, str) and _INT_RE.fullmatch(value.strip()):
+        return _convert(int, value.strip(), field)
     raise ConfigError("%s: expected an exact integer, found %r" % (field, value))
 
 
@@ -106,8 +112,8 @@ def _as_coeff(value, field: str) -> Fraction:
         raise ConfigError("%s: expected a rational, found a boolean" % field)
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str) and _COEFF_RE.match(value.strip()):
-        return Fraction(value.strip())
+    if isinstance(value, str) and _COEFF_RE.fullmatch(value.strip()):
+        return _convert(Fraction, value.strip(), field)
     raise ConfigError("%s: expected an exact rational such as \"-3/2\", found %r" % (field, value))
 
 
@@ -172,11 +178,8 @@ class RunConfig:
         coeffs = _get(cb, "coefficients", "curve.coefficients", list)
         if len(coeffs) != 5:
             raise ConfigError("curve.coefficients: expected five model coefficients")
+        parsed = [_as_elem(self.level, c, "curve.coefficients[%d]" % i) for i, c in enumerate(coeffs)]
         try:
-            parsed = [
-                _as_elem(self.level, c, "curve.coefficients[%d]" % i)
-                for i, c in enumerate(coeffs)
-            ]
             self.curve = curve_over(self.level, parsed)
         except ValueError as e:
             raise ConfigError("curve.coefficients: %s" % e)

@@ -859,8 +859,10 @@ def compose_coprime(left: dict, right: dict, allow_different_jacobians: bool = F
 # Verification: parse the inputs, re-derive, diff
 # =====================================================================
 
-_NAT_RE = re.compile(r"^\d+$")
-_COEFF_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
+# matched whole, ASCII digits only (\d takes every Unicode digit)
+_NAT_RE = re.compile(r"[0-9]+")
+_INT_RE = re.compile(r"-?[0-9]+")
+_COEFF_RE = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
 
 _TOP_KEYS = ("schema", "kind", "inputs", *_SECTIONS)
 _CURVE_KEYS = ("level", "coefficients", "torsion_basis", "mw_generators", "stable_subgroup_order")
@@ -907,11 +909,19 @@ def _keys(obj, expected, path: str):
         raise InputError(mismatch[0], *mismatch[1])
 
 
+def _number(convert, text: str, path: str):
+    """convert(text), the ValueError past the digit limit named at path."""
+    try:
+        return convert(text)
+    except ValueError as e:
+        raise InputError(str(e), path)
+
+
 def _nat(cert: dict, path: str) -> int:
     v = _field(cert, path)
-    if not isinstance(v, str) or not _NAT_RE.match(v):
+    if not isinstance(v, str) or not _NAT_RE.fullmatch(v):
         raise InputError("expected an unsigned decimal string", path)
-    return int(v)
+    return _number(int, v, path)
 
 
 def _elem(level: int, raw, path: str) -> CycloElem:
@@ -919,10 +929,10 @@ def _elem(level: int, raw, path: str) -> CycloElem:
     if (
         not isinstance(raw, list)
         or len(raw) != deg
-        or not all(isinstance(c, str) and _COEFF_RE.match(c) for c in raw)
+        or not all(isinstance(c, str) and _COEFF_RE.fullmatch(c) for c in raw)
     ):
         raise InputError("expected %d exact coordinates" % deg, path)
-    return CycloElem(level, [Fraction(c) for c in raw])
+    return CycloElem(level, [_number(Fraction, c, "%s[%d]" % (path, i)) for i, c in enumerate(raw)])
 
 
 def _point(level: int, raw, path: str) -> LPoint:
@@ -939,10 +949,10 @@ def _fp_point(raw, path: str):
     if (
         not isinstance(raw, list)
         or len(raw) != 2
-        or not all(isinstance(c, str) and _NAT_RE.match(c) for c in raw)
+        or not all(isinstance(c, str) and _NAT_RE.fullmatch(c) for c in raw)
     ):
         raise InputError('expected a residue point or "infinity"', path)
-    return int(raw[0]), int(raw[1])
+    return tuple(_number(int, c, "%s[%d]" % (path, i)) for i, c in enumerate(raw))
 
 
 def _list(cert: dict, path: str) -> list:

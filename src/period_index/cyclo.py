@@ -6,7 +6,7 @@ operation here is exact; inverses go through the norm.  Scope: n is a prime
 power in SUPPORTED_LEVELS.  The arithmetic works at every one of them; the
 norm equation is solved at n in NORM_LEVELS = {2, 3, 4} only, where
 Z[zeta_n] is a principal ideal domain whose only units are the roots of
-unity.
+unity, walked on integer coordinates by associates.
 """
 
 from __future__ import annotations
@@ -103,9 +103,6 @@ class GaloisAuto:
     def __post_init__(self):
         if gcd(self.t, self.n) != 1:
             raise ContextError("t=%d is not a unit mod %d" % (self.t, self.n))
-
-    def inverse(self) -> "GaloisAuto":
-        return GaloisAuto(self.n, pow(self.t, -1, self.n))
 
 
 class CycloElem:
@@ -329,11 +326,6 @@ def galois_apply(auto: GaloisAuto, x: CycloElem) -> CycloElem:
     return _spread(x, x.n, auto.t)
 
 
-def conjugates(x: CycloElem) -> list[CycloElem]:
-    ctx = context(x.n)
-    return [galois_apply(GaloisAuto(x.n, t), x) for t in ctx.units]
-
-
 def _conjugate_product(x: CycloElem) -> CycloElem:
     """The product of sigma_t(x) over the units t != 1."""
     acc = CycloElem.rational(x.n, 1)
@@ -483,26 +475,13 @@ def is_probable_prime(m: int) -> bool:
 # --- norm equations ----------------------------------------------------
 
 
-def _coord_key(c: int) -> tuple[int, int]:
-    # nonnegative values first (ascending), then negative (by magnitude)
-    return (0, c) if c >= 0 else (1, -c)
-
-
-def vector_key(coeffs: Sequence[int]) -> tuple:
-    """Canonical order for integral coordinate vectors.
-
-    Comparison runs from the highest-power coefficient down, preferring small
-    nonnegative values.  This is the tie-break used everywhere a generator
-    must be pinned deterministically.
-    """
-    return tuple(_coord_key(int(c)) for c in reversed(list(coeffs)))
-
-
 def solve_norm_equation(place) -> CycloElem:
-    """The least integral x with |Norm(x)| = p in canonical vector order
-    (see vector_key), for a split place over a prime p at a level in
-    NORM_LEVELS; the caller has proved p prime.  At degree 2 the answer
-    comes from a lattice reduction in O(log p) steps."""
+    """The least integral x with |Norm(x)| = p in the canonical order, for
+    a split place over a prime p at a level in NORM_LEVELS; the caller has
+    proved p prime.  The canonical order compares the power-basis
+    coordinates from the highest power down, each as 0, 1, 2, ..., -1,
+    -2, ...  At degree 2 the answer comes from a lattice reduction in
+    O(log p) steps."""
     n, p = place.n, place.p
     if n not in NORM_LEVELS:
         raise ContextError("no norm equation solver at level %d; it runs at %r" % (n, NORM_LEVELS))
@@ -512,15 +491,30 @@ def solve_norm_equation(place) -> CycloElem:
     return _solve_norm_quadratic(n, p, place.omega)
 
 
-# For the two levels of degree 2: the norm form of a + b*zeta as
-# (A, B, C), Norm = A a^2 + B ab + C b^2, and the action of zeta and of
-# complex conjugation on the coordinates (a, b).
-_QUADRATIC_LEVELS = {
-    # zeta^2 = -1
-    4: ((1, 0, 1), lambda a, b: (-b, a), lambda a, b: (a, -b)),
-    # zeta^2 = -1 - zeta, conj(zeta) = zeta^2
-    3: ((1, -1, 1), lambda a, b: (-b, a - b), lambda a, b: (a - b, -b)),
+# At each level of NORM_LEVELS, the action of zeta and of complex
+# conjugation on the power-basis coordinates; at degree 2, the norm form
+# of a + b*zeta as (A, B, C), Norm = A a^2 + B ab + C b^2.
+_UNIT_ACTION = {
+    2: (lambda a: (-a,), lambda a: (a,)),  # zeta = -1: L = Q
+    3: (lambda a, b: (-b, a - b), lambda a, b: (a - b, -b)),  # zeta^2 = -1 - zeta, conj(zeta) = zeta^2
+    4: (lambda a, b: (-b, a), lambda a, b: (a, -b)),  # zeta^2 = -1
 }
+_NORM_FORMS = {3: (1, -1, 1), 4: (1, 0, 1)}
+
+
+def associates(n: int, w: tuple) -> list[tuple]:
+    """The coordinates of u*w, then of u*conj(w), over the 2n roots of
+    unity u of a level in NORM_LEVELS, each run in the order +-1, +-zeta,
+    ..., +-zeta^(n-1); w is a tuple of integer power-basis coordinates."""
+    times_zeta, conj = _UNIT_ACTION[n]
+    out = []
+    for x in (w, conj(*w)):
+        y = tuple([-c for c in x])
+        for _ in range(n):
+            out.append(x)
+            out.append(y)
+            x, y = times_zeta(*x), times_zeta(*y)
+    return out
 
 
 def _solve_norm_quadratic(n: int, p: int, omega: int) -> CycloElem:
@@ -532,7 +526,7 @@ def _solve_norm_quadratic(n: int, p: int, omega: int) -> CycloElem:
     # or u*conj(pi) for one of the 2n roots of unity u.  The other prime
     # over p, (p, zeta - omega^-1), is the conjugate of this one, so it
     # gives the same associates and the same least one.
-    (A, B, C), times_zeta, conj = _QUADRATIC_LEVELS[n]
+    A, B, C = _NORM_FORMS[n]
 
     def form(v):
         return A * v[0] * v[0] + B * v[0] * v[1] + C * v[1] * v[1]
@@ -554,30 +548,5 @@ def _solve_norm_quadratic(n: int, p: int, omega: int) -> CycloElem:
         u, v, qu, qv = v, u, qv, qu
     if qv != p:
         raise ArithmeticError("shortest vector of norm %d, not %d" % (qv, p))
-    associates = []
-    for w in (v, conj(*v)):
-        for _ in range(n):
-            associates += [w, (-w[0], -w[1])]
-            w = times_zeta(*w)
-    # vector_key on (a, b), unrolled: _coord_key(c) orders as (c < 0, |c|)
-    return CycloElem(n, min(associates, key=lambda w: (w[1] < 0, abs(w[1]), w[0] < 0, abs(w[0]))))
-
-
-def torsion_units(n: int) -> list[CycloElem]:
-    """All roots of unity in Q(zeta_n): +-zeta^k."""
-    out = []
-    for k in range(n):
-        z = CycloElem.zeta(n, k)
-        out.extend([z, -z])
-    return out
-
-
-def multiplication_rows(u: CycloElem) -> tuple[tuple[int, ...], ...]:
-    """The integer matrix of x -> u*x on the power basis, by rows: the
-    i-th coordinate of u*x is row i dotted with the coordinates of x.
-    u must be integral, as every unit is."""
-    if not u.is_integral():
-        raise ValueError("%r is not integral" % (u,))
-    ctx = context(u.n)
-    columns = [_reduce(ctx, [0] * j + list(u.num)) for j in range(ctx.degree)]
-    return tuple(zip(*columns))
+    # the canonical order on (a, b): b first, each coordinate as (c < 0, |c|)
+    return CycloElem(n, min(associates(n, v), key=lambda w: (w[1] < 0, abs(w[1]), w[0] < 0, abs(w[0]))))

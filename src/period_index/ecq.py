@@ -341,11 +341,6 @@ class _PointWalk:
         return _affine_points(self.cfp, self.roots)
 
 
-def enumerate_points(cfp: CurveFp) -> list[tuple[int, int]]:
-    """All affine points, sorted."""
-    return list(_affine_points(cfp, _square_roots(cfp.p)))
-
-
 def _fp_point_order(cfp: CurveFp, P: FpPoint, N: int, fac: dict[int, int]) -> int:
     o = N
     for q in fac:
@@ -466,20 +461,10 @@ def _image_walk(cfp: CurveFp, st: GroupStructure, n: int):
         P1 = cfp.add(P1, nG1)
 
 
-def multiplication_image(cfp: CurveFp, st: GroupStructure, n: int) -> dict:
-    """The subgroup n*E(F_p) as a dict point -> (i, j) with witness data:
-    point = n*(i*g1 + j*g2).  Includes the zero section under key None."""
-    out = {}
-    for P, i, j in _image_walk(cfp, st, n):
-        if P not in out:
-            out[P] = (i, j)
-    return out
-
-
 def divisibility_witness(cfp: CurveFp, st: GroupStructure, n: int, P: FpPoint):
     """If P lies in n*E(F_p), return Q with nQ = P, else None.  Q comes
-    from the first (i, j) of the walk that hits P, the pair
-    multiplication_image records; the walk stops there, no image is held."""
+    from the first (i, j) of the walk that hits P; the walk stops there,
+    no image is held."""
     for R, i, j in _image_walk(cfp, st, n):
         if R == P:
             Q = cfp.add(cfp.mul(i, st.g1) if st.g1 is not None else None, cfp.mul(j, st.g2))

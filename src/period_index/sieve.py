@@ -23,7 +23,7 @@ on the test.  When no auxiliary point of the pairing qualifies (only on
 tiny groups, E(F_p) = E[2]), the group structure decides that prime as
 well.  The second member must have full residue order n at the first
 member's place while all of its proper Galois conjugates reduce to n-th
-powers there.
+powers there (sigma_t(x) at omega is x at omega^t: none is built).
 
 The congruence is enforced modulo the wild part of the curve modulus only.
 At tame bad places both class coordinates stay units, and unit-unit tame
@@ -40,21 +40,16 @@ has a solution, and the roots of unity are all the units to adjust it by.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import mul
 from typing import Iterator, Optional
 
 from .cyclo import (
     CycloElem,
-    GaloisAuto,
+    associates,
     context,
-    galois_apply,
     is_probable_prime,
     is_totally_positive,
-    multiplication_rows,
     reduce_at,
     solve_norm_equation,
-    torsion_units,
 )
 from .ecq import (
     CurveL,
@@ -155,38 +150,28 @@ def split_prime_stream(cv: CurveL, n: int, bound: int) -> Iterator[int]:
         yield p
 
 
-@lru_cache(maxsize=None)
-def _unit_rows(n: int) -> tuple:
-    """The roots of unity of the level as integer multiplication rows."""
-    return tuple(multiplication_rows(u) for u in torsion_units(n))
-
-
 def attach_generator(n: int, p: int, place: Optional[Place] = None) -> Optional[CycloElem]:
     """A generator pi of a prime over p with the three pinned properties,
-    or None.
-
-    Deterministic: the Galois conjugates sigma_t(x0) of the canonical
-    norm-equation solution x0 are tried in the order of t, and the unit
-    multiples u*sigma_t(x0) of each in the order of torsion_units; the
-    first that is ≡ 1 mod the wild modulus, totally positive and in the
-    distinguished place is pi.  u*sigma_t(x0) lies in the place exactly
-    when sigma_t(x0) does (u is a unit), so the unit loop runs only at the
-    conjugates in the place.  A scan passes the place it has already
-    computed; it is built here when None."""
+    or None.  Of the canonical norm-equation solution x0 and its complex
+    conjugate, the one that reduces to 0 at the distinguished place is
+    kept; its unit multiples are tried on integer coordinates in the
+    order +-1, +-zeta, ..., +-zeta^(n-1), and the first that is ≡ 1 mod
+    the wild modulus and totally positive becomes the CycloElem pi.  A
+    scan passes the place it has already computed; it is built here when
+    None."""
     if place is None:
         place = distinguished_place(n, p)
     x0 = solve_norm_equation(place)
+    multiples = associates(n, x0.num)
+    # x0 generates one prime over p, its conjugate the other (n = 2: both p)
+    if reduce_at(x0, p, place.omega):
+        multiples = multiples[2 * n:]
     m = wild_modulus(n)
-    for t in context(n).units:
-        xt = galois_apply(GaloisAuto(n, t), x0)
-        if reduce_at(xt, p, place.omega):
-            continue  # neither is any unit multiple of xt
-        for rows in _unit_rows(n):
-            y = [sum(map(mul, row, xt.num)) for row in rows]
-            if coords_one_mod(y, m):
-                pi = CycloElem(n, y)
-                if is_totally_positive(pi):
-                    return pi
+    for y in multiples[: 2 * n]:
+        if coords_one_mod(y, m):
+            pi = CycloElem(n, y)
+            if is_totally_positive(pi):
+                return pi
     return None
 
 
@@ -228,17 +213,14 @@ def _divisible_by_pairing(
 
 
 def residue_order_profile(pi2: CycloElem, place: Place) -> tuple[int, tuple]:
-    """Order of pi2 at the place, plus orders of its proper conjugates."""
+    """Order of pi2 at the place, plus (t, order) for its proper conjugates
+    sigma_t(pi2): sigma_t(pi2) reduced at omega is pi2 reduced at omega^t."""
     n, p = place.n, place.p
-    r = reduce_at(pi2, p, place.omega)
-    main = residue_power_order(r, n, p)
-    conj = []
-    for t in context(n).units:
-        if t == 1:
-            continue
-        rt = reduce_at(galois_apply(GaloisAuto(n, t), pi2), p, place.omega)
-        conj.append((t, residue_power_order(rt, n, p)))
-    return main, tuple(conj)
+    orders = [
+        (t, residue_power_order(reduce_at(pi2, p, pow(place.omega, t, p)), n, p))
+        for t in context(n).units
+    ]
+    return orders[0][1], tuple(orders[1:])
 
 
 def find_v(

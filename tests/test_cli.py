@@ -7,9 +7,12 @@ import pytest
 
 from period_index import sieve
 from period_index.cli import main
+from period_index.construct import content_digest
 from test_acceptance import _covers, _leaf_paths, _perturb, _set_path, _trace_names
 
 BOUND = "100000"
+# past the interpreter's 4,300-digit limit on converting a string to int
+HUGE = "7" * 5000
 
 CONFIG_CUBIC = {
     "curve": {
@@ -162,6 +165,23 @@ def test_config_blames_an_out_of_range_number_on_its_field(tmp_path, capsys, key
 )
 def test_config_blames_a_bad_coordinate_on_itself(tmp_path, capsys, key, value, field):
     # a scalar coordinate is named as given, a list entry by its index
+    cfg = _write_config(tmp_path, CONFIG_CUBIC, **{key: value})
+    assert main(["construct", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: %s:" % field)
+
+
+@pytest.mark.parametrize(
+    "key, value, field",
+    [
+        ("curve__torsion_basis__S__x", HUGE, "curve.torsion_basis.S.x"),
+        ("curve__mw_generators", [{"x": "0", "y": HUGE}], "curve.mw_generators[0].y"),
+        # ARABIC-INDIC DIGIT ONE: a Unicode digit, not an ASCII decimal
+        ("curve__coefficients", ["0", "0", "\u0661", "0", "0"], "curve.coefficients[2]"),
+        ("bounds__prime_bound", "\u0661", "bounds.prime_bound"),
+    ],
+    ids=["long-S.x", "long-generator-y", "unicode-coefficient", "unicode-prime-bound"],
+)
+def test_config_reads_ascii_decimals_of_any_length_or_names_the_field(tmp_path, capsys, key, value, field):
     cfg = _write_config(tmp_path, CONFIG_CUBIC, **{key: value})
     assert main(["construct", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("error: %s:" % field)
@@ -483,6 +503,31 @@ def _rejected_by_name(cert, path, value, tmp_path, capsys) -> bool:
     mutant = json.loads(json.dumps(cert))
     _set_path(mutant, path, value)
     return _verify_names(mutant, path, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "context.n",
+        "context.ell",
+        "pair.first.pi[0]",
+        "pair.first.conditions.generators_divisible.witnesses[0][1][0]",
+        "inputs.curve.level",
+        "inputs.curve.coefficients[3][0]",
+        "inputs.curve.torsion_basis.T.x[0]",
+    ],
+)
+def test_verify_names_a_number_past_the_digit_limit(cert_paths, tmp_path, capsys, path):
+    # the trace names the field, not "certificate: check failed"; an edit
+    # inside the curve block carries a recomputed digest
+    _, c2 = cert_paths
+    cert = json.loads(c2.read_text())
+    _set_path(cert, path, HUGE)
+    cert["inputs"]["digest"] = content_digest(cert["inputs"]["curve"])
+    target = tmp_path / "huge.json"
+    target.write_text(json.dumps(cert))
+    assert main(["verify", str(target)]) == 1
+    assert capsys.readouterr().err.startswith(path + ": ")
 
 
 def test_verify_names_every_edited_leaf(cert_paths, tmp_path, capsys):

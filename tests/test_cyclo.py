@@ -8,7 +8,7 @@ from period_index import cyclo
 from period_index.cyclo import (
     CycloElem,
     GaloisAuto,
-    conjugates,
+    associates,
     context,
     cyclotomic_poly,
     evaluate_mod,
@@ -20,7 +20,6 @@ from period_index.cyclo import (
     reduce_at,
     solve_norm_equation,
     split_place,
-    vector_key,
 )
 from period_index.localfield import distinguished_place
 
@@ -161,7 +160,7 @@ def test_galois_is_field_automorphism():
             x, y = _rand_elem(rng, n), _rand_elem(rng, n)
             assert galois_apply(s, x * y) == galois_apply(s, x) * galois_apply(s, y)
             assert galois_apply(s, x + y) == galois_apply(s, x) + galois_apply(s, y)
-            assert galois_apply(s.inverse(), galois_apply(s, x)) == x
+            assert galois_apply(GaloisAuto(n, pow(t, -1, n)), galois_apply(s, x)) == x
 
 
 def test_galois_frozen_example():
@@ -170,9 +169,14 @@ def test_galois_frozen_example():
     assert out == CycloElem(4, [1, -1])
 
 
+def _conjugates(x):
+    return [galois_apply(GaloisAuto(x.n, t), x) for t in context(x.n).units]
+
+
 def test_conjugates_count():
+    # the conjugates of zeta are distinct, one per embedding
     for n in (2, 3, 4, 5, 8, 9):
-        assert len(conjugates(CycloElem.zeta(n))) == context(n).degree
+        assert len(set(_conjugates(CycloElem.zeta(n)))) == context(n).degree
 
 
 # ---------------------------------------------------------------- places
@@ -242,6 +246,17 @@ def test_evaluate_mod_high_precision():
 # ---------------------------------------------------------------- norm eq
 
 
+def _coord_key(c):
+    # nonnegative values first (ascending), then negative (by magnitude)
+    return (0, c) if c >= 0 else (1, -c)
+
+
+def _vector_key(coeffs):
+    """The canonical order of integral coordinate vectors: compared from
+    the highest-power coordinate down, each by _coord_key."""
+    return tuple(_coord_key(c) for c in reversed(coeffs))
+
+
 def test_solve_norm_equation_frozen():
     assert solve_norm_equation(distinguished_place(4, 5)) == CycloElem(4, [2, 1])
     assert solve_norm_equation(distinguished_place(3, 7)) == CycloElem(3, [3, 1])
@@ -259,7 +274,7 @@ def test_solve_norm_equation_canonical_order_is_stable():
                 x = CycloElem(n, [a, b])
                 if not x.is_zero() and abs(field_norm(x)) == p:
                     sols.append(x)
-        best = min(sols, key=lambda x: vector_key([c for c in x.coeffs]))
+        best = min(sols, key=lambda x: _vector_key(x.num))
         assert hit == best
 
 
@@ -308,7 +323,7 @@ def test_solve_norm_equation_needs_a_prime():
 
 
 def _ref_coord_range(bound):
-    return sorted(range(-bound, bound + 1), key=cyclo._coord_key)
+    return sorted(range(-bound, bound + 1), key=_coord_key)
 
 
 def _ref_solve_norm_quadratic(n, p):
@@ -333,7 +348,7 @@ def _ref_solve_norm_quadratic(n, p):
                     for a2 in (b + r, b - r):
                         if a2 % 2 == 0 and abs(a2 // 2) <= bound:
                             candidates.append(a2 // 2)
-        for a in sorted(set(candidates), key=cyclo._coord_key):
+        for a in sorted(set(candidates), key=_coord_key):
             x = CycloElem(n, [a, b])
             if abs(field_norm(x)) == p:
                 return x
@@ -352,16 +367,18 @@ def test_solve_norm_equation_matches_the_scan():
     assert cases > 2_000
 
 
-def test_multiplication_rows_multiply():
+def test_associates_are_unit_multiples():
+    # u*w, then u*conj(w), for u = +-1, +-zeta, ..., +-zeta^(n-1): the
+    # order in which the generators are pinned
     rng = random.Random(9)
-    for n in (3, 4, 5, 8, 9):
-        for u in cyclo.torsion_units(n):
-            rows = cyclo.multiplication_rows(u)
-            for _ in range(3):
-                x = CycloElem(n, [rng.randint(-9, 9) for _ in range(context(n).degree)])
-                assert tuple(sum(r * c for r, c in zip(row, x.num)) for row in rows) == (u * x).num
-    with pytest.raises(ValueError):
-        cyclo.multiplication_rows(CycloElem(4, [Fraction(1, 2), 0]))
+    for n in cyclo.NORM_LEVELS:
+        d = context(n).degree
+        units = [s * CycloElem.zeta(n, k) for k in range(n) for s in (1, -1)]
+        for _ in range(10):
+            w = CycloElem(n, [rng.randint(-9, 9) for _ in range(d)])
+            conj = galois_apply(GaloisAuto(n, n - 1), w)
+            expected = [(u * x).num for x in (w, conj) for u in units]
+            assert associates(n, w.num) == expected
 
 
 # ---------------------------------------------------------------- misc
@@ -373,13 +390,6 @@ def test_is_totally_positive():
     assert not is_totally_positive(CycloElem.rational(2, 0))
     # complex levels: vacuous
     assert is_totally_positive(CycloElem(4, [-3, 1]))
-
-
-def test_vector_key_order():
-    ordered = sorted([2, -1, 0, -2, 1], key=lambda c: vector_key([c]))
-    assert ordered == [0, 1, 2, -1, -2]
-    # highest coordinate dominates
-    assert vector_key([5, 0]) < vector_key([0, 1])
 
 
 def test_integrality_and_denominator():

@@ -13,10 +13,8 @@ from period_index.ecq import (
     curve_over,
     divisibility_by_pairing,
     divisibility_witness,
-    enumerate_points,
     group_structure,
     has_good_reduction,
-    multiplication_image,
     point_exact_order,
     point_over,
     reduce_curve,
@@ -113,18 +111,23 @@ def test_pyth_torsion_is_exactly_eight():
     # torsion injects into E(F_7) (good, odd): the count there is 8
     cv = curve_over(4, E_PYTH)
     cfp = CurveFp(7, 0, 7, 0, -144, 0)
-    assert len(enumerate_points(cfp)) + 1 == 8
+    assert len(_points(cfp)) + 1 == 8
     assert has_good_reduction(cv, distinguished_place(4, 13))
 
 
 # ------------------------------------------------------------ F_p layer
 
 
+def _points(cfp):
+    """The affine points of E(F_p), sorted."""
+    return list(ecq._PointWalk(cfp))
+
+
 def test_enumerate_and_count_frozen():
     cfp = CurveFp(5, 0, 0, 0, -1, 0)
-    pts = enumerate_points(cfp)
+    pts = _points(cfp)
     assert pts == [(0, 0), (1, 0), (2, 1), (2, 4), (3, 2), (3, 3), (4, 0)]
-    assert len(enumerate_points(cfp)) + 1 == 8
+    assert len(_points(cfp)) + 1 == 8
 
 
 def test_count_matches_naive_scan():
@@ -145,7 +148,7 @@ def test_count_matches_naive_scan():
             if (y * y + cfp.a1 * x * y + cfp.a3 * y) % p
             == (x ** 3 + cfp.a2 * x * x + cfp.a4 * x + cfp.a6) % p
         )
-        assert len(enumerate_points(cfp)) + 1 == naive + 1
+        assert len(_points(cfp)) + 1 == naive + 1
 
 
 def test_point_walk_matches_naive_sorted_scan():
@@ -169,7 +172,6 @@ def test_point_walk_matches_naive_sorted_scan():
             == (x ** 3 + cfp.a2 * x * x + cfp.a4 * x + cfp.a6) % p
         ]
         walk = ecq._PointWalk(cfp)
-        assert enumerate_points(cfp) == naive
         assert list(walk) == naive and list(walk) == naive  # each pass anew
         assert len(walk) == len(naive)
 
@@ -190,7 +192,7 @@ def test_group_structure_certified():
                 break
             except CurveError:
                 continue
-        pts = enumerate_points(cfp)
+        pts = _points(cfp)
         N = len(pts) + 1
         st = group_structure(cfp)
         assert st.d1 * st.d2 == N
@@ -218,7 +220,7 @@ def test_group_structure_certified():
 def _reference_group_structure(cfp):
     """group_structure as it was when it took the order of every point:
     the sieve's witnesses depend on which generators it returns."""
-    pts = enumerate_points(cfp)
+    pts = _points(cfp)
     N = len(pts) + 1
     fac = factorint(N)
     lam, W = 1, None
@@ -267,7 +269,7 @@ def test_group_structure_matches_reference():
         st = group_structure(cfp)
         assert (st.d1, st.d2, st.g1, st.g2) == _reference_group_structure(cfp), cfp
         non_cyclic += st.d1 > 1
-        two_torsion += any(cfp.neg(P) == P for P in enumerate_points(cfp))
+        two_torsion += any(cfp.neg(P) == P for P in _points(cfp))
     # the sample reaches the second loop and the self-negating points
     assert non_cyclic >= 20 and two_torsion >= 100
 
@@ -285,7 +287,7 @@ def _full_torsion_curve(rng, m, primes):
                 cfp = CurveFp(p, *(rng.randrange(p) for _ in range(5)))
             except CurveError:
                 continue
-            if (len(enumerate_points(cfp)) + 1) % 9:
+            if (len(_points(cfp)) + 1) % 9:
                 continue
         else:
             e = rng.sample(range(p), 3)
@@ -343,23 +345,30 @@ def test_group_structure_addition_budget(monkeypatch):
     assert calls[0] <= 10_000
 
 
-def test_multiplication_image_matches_bruteforce():
-    cfp = CurveFp(13, 0, 0, 0, -1, 0)
-    pts = enumerate_points(cfp)
-    st = group_structure(cfp)
-    for n in (2, 3, 4):
-        img = multiplication_image(cfp, st, n)
-        brute = {cfp.mul(n, P) for P in pts} | {None}
-        assert set(img) == brute
-        for P in brute:
-            # the witness is the one the image's first (i, j) gives
-            i, j = img[P]
-            Q = divisibility_witness(cfp, st, n, P)
-            assert Q == cfp.add(cfp.mul(i, st.g1), cfp.mul(j, st.g2))
-            assert cfp.mul(n, Q) == P
-        outside = [P for P in pts if P not in brute]
-        for P in outside[:4]:
-            assert divisibility_witness(cfp, st, n, P) is None
+def test_divisibility_witness_matches_bruteforce():
+    # a witness Q with nQ = P exists exactly when P is in n*E(F_p), the
+    # set of all nR: E(F_13) = Z/2 x Z/4 and seeded curves over p < 60
+    rng = random.Random(5505)
+    curves = [CurveFp(13, 0, 0, 0, -1, 0)]
+    while len(curves) < 12:
+        p = rng.choice([17, 29, 37, 41, 53])
+        try:
+            curves.append(CurveFp(p, *(rng.randrange(p) for _ in range(5))))
+        except CurveError:
+            continue
+    outside = 0
+    for cfp in curves:
+        pts = [None] + _points(cfp)
+        st = group_structure(cfp)
+        for n in (2, 3, 4):
+            image = {cfp.mul(n, R) for R in pts}
+            for P in pts[1:]:  # the witness of O is O, written None
+                Q = divisibility_witness(cfp, st, n, P)
+                assert (Q is not None) == (P in image), (cfp, n, P)
+                if Q is not None:
+                    assert cfp.mul(n, Q) == P
+            outside += len(pts) - len(image)
+    assert outside > 300
 
 
 # ------------------------------------------------------------ reduction
@@ -375,7 +384,7 @@ def test_reduce_curve_checks_level_and_reduction():
     with pytest.raises(CurveError):
         reduce_curve(curve_over(2, [0, 0, 0, 0, 1]), distinguished_place(2, 3))
     cfp = reduce_curve(curve_over(3, E_CUBE), distinguished_place(3, 7))
-    assert len(enumerate_points(cfp)) + 1 == 9
+    assert len(_points(cfp)) + 1 == 9
 
 
 # ------------------------------------------------------------ pairings
@@ -485,16 +494,16 @@ def _full_torsion_curves(rng, m, count):
 def test_divisibility_by_pairing_matches_witness():
     # every point of 120 random curves with full m-torsion: the pairing
     # decides P in m*E(F_p) as divisibility_witness does.  Membership is
-    # read from multiplication_image, the walk divisibility_witness
-    # searches, built once per curve; accepted points also get a witness.
+    # read from the walk divisibility_witness searches, collected once per
+    # curve; accepted points also get a witness.
     rng = random.Random(7707)
     points = accepted = 0
     for m in (2, 3, 4):
         for cfp, st in _full_torsion_curves(rng, m, 40):
             basis = (cfp.mul(st.d1 // m, st.g1), cfp.mul(st.d2 // m, st.g2))
-            image = multiplication_image(cfp, st, m)
+            image = {R for R, _, _ in ecq._image_walk(cfp, st, m)}
             assert divisibility_by_pairing(cfp, m, None, basis) is True
-            for P in enumerate_points(cfp):
+            for P in _points(cfp):
                 decided = divisibility_by_pairing(cfp, m, P, basis)
                 assert decided == (P in image), (cfp, m, P)
                 if decided:
@@ -511,7 +520,7 @@ def test_divisibility_by_pairing_on_tiny_groups():
     st = group_structure(cfp)
     assert (st.d1, st.d2) == (3, 3)
     basis = (st.g1, st.g2)
-    assert [divisibility_by_pairing(cfp, 3, P, basis) for P in enumerate_points(cfp)] == [False] * 8
+    assert [divisibility_by_pairing(cfp, 3, P, basis) for P in _points(cfp)] == [False] * 8
     # E(F_5) = E[2]: for P outside <Q>, every affine R has R or P + R in
     # <Q>, so no auxiliary point qualifies and the caller falls back to
     # the group structure
@@ -519,6 +528,6 @@ def test_divisibility_by_pairing_on_tiny_groups():
     st = group_structure(cfp)
     assert (st.d1, st.d2) == (2, 2)
     basis = (st.g1, st.g2)
-    decided = [divisibility_by_pairing(cfp, 2, P, basis) for P in enumerate_points(cfp)]
+    decided = [divisibility_by_pairing(cfp, 2, P, basis) for P in _points(cfp)]
     assert decided.count(None) == 2 and decided.count(False) == 1
-    assert all(divisibility_witness(cfp, st, 2, P) is None for P in enumerate_points(cfp))
+    assert all(divisibility_witness(cfp, st, 2, P) is None for P in _points(cfp))

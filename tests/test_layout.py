@@ -1,0 +1,55 @@
+"""Layout check: no dead code at module level.
+
+Every module-level function and class in src/period_index must be
+referenced somewhere in src/ outside its own definition (by name, by
+attribute or by import), or be imported by tests/test_acceptance.py,
+which calls the public API the acceptance gate names.  A helper that only
+tests still call is dead code and belongs in the test that needs it."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "period_index"
+
+
+def _names(node) -> set:
+    """Every name node references: loads, attributes and imports."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.rsplit(".", 1)[-1])
+    return out
+
+
+def _unreferenced() -> tuple:
+    """(count of top-level definitions, names of those no other top-level
+    statement of src references)"""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    tops = [(node, _names(node)) for tree in trees for node in tree.body]
+    # how many top-level statements reference each name
+    refs = Counter(name for _, names in tops for name in names)
+    defs = [(node.name, names) for node, names in tops if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    unused = [name for name, own in defs if refs[name] - (name in own) == 0]
+    return len(defs), unused
+
+
+def _acceptance_imports() -> set:
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_every_top_level_definition_is_used():
+    count, unused = _unreferenced()
+    assert count > 150
+    assert sorted(set(unused) - _acceptance_imports()) == []

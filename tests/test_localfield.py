@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from period_index.cyclo import CycloElem, conjugates, context, field_norm
+from period_index.cyclo import CycloElem, context, field_norm
 from period_index import localfield
 from period_index.localfield import (
     Place,

@@ -1,11 +1,14 @@
 """Sieve tests: frozen first hits for the three fixture curves plus
 re-validation of every condition from the raw outputs alone."""
 
+import random
 import tracemalloc
 
 import pytest
 
 from period_index.cyclo import (
+    SUPPORTED_LEVELS,
+    ContextError,
     CycloElem,
     GaloisAuto,
     context,
@@ -15,15 +18,16 @@ from period_index.cyclo import (
     is_totally_positive,
     reduce_at,
     solve_norm_equation,
-    torsion_units,
 )
 from period_index import ecq, sieve
 from period_index.construct import LemmaFailure, even_adjust
 from period_index.kummer import make_basis
 from period_index.ecq import curve_over, point_over, reduce_curve, reduce_point
 from period_index.localfield import (
+    coords_one_mod,
     distinguished_place,
     is_one_mod,
+    places_over,
     residue_power_order,
     wild_modulus,
 )
@@ -87,38 +91,64 @@ def test_attach_generator_frozen():
     assert attach_generator(4, 97) is None
 
 
-def _ref_attach_generator(n, p):
-    """attach_generator as it was before the units were built once per
-    level: every unit multiple of every Galois conjugate taken as a
-    CycloElem product, the place tested last.  The reference for
+def _torsion_units(n):
+    """All roots of unity in Q(zeta_n) as CycloElems: +-zeta^k."""
+    out = []
+    for k in range(n):
+        z = CycloElem.zeta(n, k)
+        out.extend([z, -z])
+    return out
+
+
+def _multiplication_rows(u):
+    """The integer matrix of x -> u*x on the power basis, by rows."""
+    d = context(u.n).degree
+    columns = [(u * CycloElem.zeta(u.n, j)).num for j in range(d)]
+    return tuple(zip(*columns))
+
+
+def _ref_attach_generator(n, p, place):
+    """attach_generator as it was with the Galois action and the unit
+    matrices: every Galois conjugate sigma_t(x0) in the order of t, kept
+    when it lies in the place, times each root of unity of _torsion_units
+    through its multiplication rows.  The reference for
     test_attach_generator_matches_the_product_loop."""
-    place = distinguished_place(n, p)
     x0 = solve_norm_equation(place)
-    m = sieve.wild_modulus(n)
-    units = torsion_units(n)
+    m = wild_modulus(n)
     for t in context(n).units:
         xt = galois_apply(GaloisAuto(n, t), x0)
-        for u in units:
-            y = u * xt
-            if not is_one_mod(y, m):
-                continue
-            if not is_totally_positive(y):
-                continue
-            if reduce_at(y, place.p, place.omega) % p == 0:
-                return y
+        if reduce_at(xt, p, place.omega):
+            continue
+        for rows in map(_multiplication_rows, _torsion_units(n)):
+            y = [sum(r * c for r, c in zip(row, xt.num)) for row in rows]
+            if coords_one_mod(y, m):
+                pi = CycloElem(n, y)
+                if is_totally_positive(pi):
+                    return pi
     return None
 
 
 def test_attach_generator_matches_the_product_loop():
-    # every prime of the three fixture streams below 30,000, as the scan
-    # attaches it: the place passed in
-    found = 0
-    for n, fix in ((2, _fix2), (3, _fix3), (4, _fix4)):
-        for p in split_prime_stream(fix()[0], n, 30_000):
-            got = attach_generator(n, p, distinguished_place(n, p))
-            assert got == _ref_attach_generator(n, p), (n, p)
-            found += got is not None
-    assert found > 500
+    # every split prime below 50,000 at each level, as the scan attaches
+    # it (the place passed in): the fixture streams and the primes off
+    # them that the acceptance gate's generator pool reaches
+    found = {2: 0, 3: 0, 4: 0}
+    for n in found:
+        for p in range(n + 1, 50_000, n):
+            if p % 2 == 0 or not is_probable_prime(p):
+                continue
+            place = distinguished_place(n, p)
+            got = attach_generator(n, p, place)
+            assert got == _ref_attach_generator(n, p, place), (n, p)
+            if n == 2 and p % 8 == 7:
+                assert got is None, p  # -p is the unit multiple ≡ 1 mod 8
+            found[n] += got is not None
+    assert found == {2: 1257, 3: 33, 4: 17}
+
+
+def test_attach_generator_needs_a_norm_level():
+    with pytest.raises(ContextError):
+        attach_generator(5, 11)
 
 
 def test_attach_generator_properties():
@@ -191,6 +221,38 @@ def test_residue_order_profile_frozen():
     assert residue_order_profile(CycloElem(3, [82, 135]), v757) == (3, ((2, 1),))
     v13441 = distinguished_place(4, 13441)
     assert residue_order_profile(CycloElem(4, [1, 160]), v13441) == (4, ((3, 1),))
+
+
+def _ref_residue_order_profile(pi2, place):
+    """residue_order_profile through the Galois action: each proper
+    conjugate sigma_t(pi2) built and reduced at omega."""
+    n, p = place.n, place.p
+    main = residue_power_order(reduce_at(pi2, p, place.omega), n, p)
+    conj = []
+    for t in context(n).units[1:]:
+        rt = reduce_at(galois_apply(GaloisAuto(n, t), pi2), p, place.omega)
+        conj.append((t, residue_power_order(rt, n, p)))
+    return main, tuple(conj)
+
+
+def test_residue_order_profile_matches_the_galois_action():
+    # seeded elements with small denominators at every place over the
+    # first four split primes of each supported level
+    rng = random.Random(1212)
+    cases = 0
+    for n in SUPPORTED_LEVELS:
+        d = context(n).degree
+        primes = [p for p in range(n + 1, 400, n) if is_probable_prime(p)][:4]
+        for p in primes:
+            for place in places_over(n, p):
+                for _ in range(40):
+                    den = rng.choice([q for q in range(1, 8) if q % p])
+                    x = CycloElem(n, [rng.randint(-50, 50) for _ in range(d)]) / den
+                    if x.is_zero() or field_norm(x).numerator % p == 0:
+                        continue  # some conjugate of x vanishes at the place
+                    assert residue_order_profile(x, place) == _ref_residue_order_profile(x, place)
+                    cases += 1
+    assert cases > 2_500
 
 
 def test_find_v_frozen():
