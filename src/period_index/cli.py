@@ -78,7 +78,9 @@ def _load_json(path: str):
             return json.load(fh, parse_float=_reject_float)
     except OSError as e:
         raise ConfigError("cannot read %s: %s" % (path, e))
-    except json.JSONDecodeError as e:
+    except ConfigError:
+        raise
+    except ValueError as e:  # bad syntax, or an integer literal past the digit limit
         raise ConfigError("%s is not valid JSON: %s" % (path, e))
 
 

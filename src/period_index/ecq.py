@@ -9,7 +9,8 @@ fast int one modulo p (used by the sieve on reductions).  Affine points are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import accumulate, repeat
+from math import gcd, isqrt
 from typing import Iterable, Optional
 
 from .cyclo import CycloElem, GaloisAuto, galois_apply, reduce_at
@@ -24,8 +25,25 @@ class CurveError(ValueError):
     pass
 
 
+class _DoubleAndAdd:
+    """k*P by double and add, for a curve class with add and neg."""
+
+    def mul(self, k: int, P):
+        if k < 0:
+            return self.mul(-k, self.neg(P))
+        acc = None
+        base = P
+        while k:
+            if k & 1:
+                acc = self.add(acc, base)
+            k >>= 1
+            if k:
+                base = self.add(base, base)
+        return acc
+
+
 @dataclass(frozen=True)
-class CurveL:
+class CurveL(_DoubleAndAdd):
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q(zeta_n)."""
 
     n: int
@@ -98,19 +116,6 @@ class CurveL:
         lam, nu = line
         x3 = lam * lam + self.a1 * lam - self.a2 - P[0] - Q[0]
         return (x3, -(lam + self.a1) * x3 - nu - self.a3)
-
-    def mul(self, k: int, P: LPoint) -> LPoint:
-        if k < 0:
-            return self.mul(-k, self.neg(P))
-        acc: LPoint = None
-        base = P
-        while k:
-            if k & 1:
-                acc = self.add(acc, base)
-            k >>= 1
-            if k:
-                base = self.add(base, base)
-        return acc
 
     def galois_point(self, auto: GaloisAuto, P: LPoint) -> LPoint:
         """Coordinate-wise Galois action; valid since the model must be
@@ -207,7 +212,7 @@ def reduce_point(cv: CurveL, P: LPoint, place: Place) -> FpPoint:
 
 
 @dataclass(frozen=True)
-class CurveFp:
+class CurveFp(_DoubleAndAdd):
     """Long Weierstrass curve over F_p, p an odd prime."""
 
     p: int
@@ -225,14 +230,18 @@ class CurveFp:
         if self.discriminant() == 0:
             raise CurveError("singular reduction mod %d" % self.p)
 
-    def discriminant(self) -> int:
+    def b_invariants(self) -> tuple:
         p = self.p
         a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
         b2 = (a1 * a1 + 4 * a2) % p
         b4 = (2 * a4 + a1 * a3) % p
         b6 = (a3 * a3 + 4 * a6) % p
         b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4) % p
-        return (-b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6) % p
+        return b2, b4, b6, b8
+
+    def discriminant(self) -> int:
+        b2, b4, b6, b8 = self.b_invariants()
+        return (-b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6) % self.p
 
     def on_curve(self, P: FpPoint) -> bool:
         if P is None:
@@ -283,19 +292,6 @@ class CurveFp:
         x3 = (lam * lam + self.a1 * lam - self.a2 - P[0] - Q[0]) % p
         return (x3, (-(lam + self.a1) * x3 - nu - self.a3) % p)
 
-    def mul(self, k: int, P: FpPoint) -> FpPoint:
-        if k < 0:
-            return self.mul(-k, self.neg(P))
-        acc: FpPoint = None
-        base = P
-        while k:
-            if k & 1:
-                acc = self.add(acc, base)
-            k >>= 1
-            if k:
-                base = self.add(base, base)
-        return acc
-
 
 def _square_roots(p: int) -> memoryview:
     """roots[g] is the square root of g mod p in [0, p/2), or -1 when g is
@@ -328,11 +324,16 @@ def _affine_points(cfp: CurveFp, roots: memoryview):
 
 class _PointWalk:
     """The sorted affine points of E(F_p), generated anew on each pass
-    instead of held: a list of them is some 1.5 MB at p ~ 13000."""
+    instead of held: a list of them is some 1.5 MB at p ~ 13000.  They are
+    counted, not walked: over x lie as many as 4x^3 + b2 x^2 + 2 b4 x + b6
+    has square roots mod p, 1 + its Legendre symbol."""
 
     def __init__(self, cfp: CurveFp):
-        self.cfp, self.roots = cfp, _square_roots(cfp.p)
-        self.count = sum(1 for _ in self)
+        p = cfp.p
+        self.cfp, self.roots = cfp, _square_roots(p)
+        counts = bytes(2 if z > 0 else z + 1 for z in self.roots)
+        b2, b4, b6, _ = cfp.b_invariants()
+        self.count = sum(counts[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p))
 
     def __len__(self) -> int:
         return self.count
@@ -380,7 +381,7 @@ class GroupStructure:
 def group_structure(cfp: CurveFp) -> GroupStructure:
     """E(F_p) as Z/d1 x Z/d2 with certifying generators.
 
-    One pass counts the points: N = #E(F_p).  A second walk raises the
+    A Legendre sum counts the points: N = #E(F_p).  A walk raises the
     exponent lam, with W a point of order lam: once per pair {P, -P}, in
     sorted order, a P with lam*P != O is merged into W.  Each time lam
     rises, d1 = N/lam is tried as the other invariant factor when the
@@ -424,17 +425,18 @@ def group_structure(cfp: CurveFp) -> GroupStructure:
     raise CurveError("inconsistent group shape: N=%d, exponent=%d" % (N, lam))
 
 
+def _multiples(cfp: CurveFp, P: FpPoint, k: int) -> list:
+    """[0*P, 1*P, ..., (k-1)*P], one addition per multiple past P."""
+    return [None, *accumulate(repeat(P, k - 1), cfp.add)]
+
+
 def _complement(cfp, pts, N, fac, W, lam, d1) -> Optional[tuple]:
     """The first T in sorted order, (o/d1)*P for a point P of order o
     divisible by d1, with <T> & <W> = 0; None as soon as a point's order
     does not divide lam.  Raises when every order divides lam (so lam is
-    the exponent) and no T is found."""
-    cyclic = set()
-    acc: FpPoint = None
-    for _ in range(lam):
-        cyclic.add(acc)
-        acc = cfp.add(acc, W)
-    fac_d1 = factorint(d1)
+    the exponent) and no T is found.  (d1/q)*T, q | d1 prime, has order
+    q: it lies in <W> exactly when it lies in <(lam/q)*W>."""
+    subgroups = {q: set(_multiples(cfp, cfp.mul(lam // q, W), q)) for q in factorint(d1)}
     for P in pts:
         o = _fp_point_order(cfp, P, N, fac)
         if lam % o != 0:
@@ -442,34 +444,35 @@ def _complement(cfp, pts, N, fac, W, lam, d1) -> Optional[tuple]:
         if o % d1 != 0:
             continue
         T = cfp.mul(o // d1, P)
-        if all(cfp.mul(d1 // q, T) not in cyclic for q in fac_d1):
+        if all(cfp.mul(d1 // q, T) not in sub for q, sub in subgroups.items()):
             return T
     raise CurveError("no independent generator found; group order miscounted?")
 
 
-def _image_walk(cfp: CurveFp, st: GroupStructure, n: int):
-    """(n*(i*g1 + j*g2), i, j) for i < d1 (i = 0 if g1 is None), j < d2,
-    i outer: every point of n*E(F_p), some more than once."""
-    nG1 = cfp.mul(n, st.g1) if st.g1 is not None else None
-    nG2 = cfp.mul(n, st.g2)
-    P1: FpPoint = None
-    for i in range(st.d1 if st.g1 is not None else 1):
-        P2 = P1
-        for j in range(st.d2):
-            yield P2, i, j
-            P2 = cfp.add(P2, nG2)
-        P1 = cfp.add(P1, nG1)
+def divisibility_witness(cfp: CurveFp, st: GroupStructure, n: int, P: tuple):
+    """Q with nQ = P for an affine P; None only when P is not in
+    n*E(F_p).  O is its own witness, so it is not searched for.
 
-
-def divisibility_witness(cfp: CurveFp, st: GroupStructure, n: int, P: FpPoint):
-    """If P lies in n*E(F_p), return Q with nQ = P, else None.  Q comes
-    from the first (i, j) of the walk that hits P; the walk stops there,
-    no image is held."""
-    for R, i, j in _image_walk(cfp, st, n):
-        if R == P:
-            Q = cfp.add(cfp.mul(i, st.g1) if st.g1 is not None else None, cfp.mul(j, st.g2))
-            assert cfp.mul(n, Q) == P
-            return Q
+    Q = i*g1 + j*g2 for the first (i, j), i outer, with n*(i*g1 + j*g2) = P.
+    For each i, j is the discrete log of P - i*n*g1 to the base n*g2, of
+    order h, by baby-step giant-step; i stops at the order of n*g1."""
+    if P is None:
+        raise CurveError("the witness of O is O: no search")
+    nG1, nG2 = cfp.mul(n, st.g1), cfp.mul(n, st.g2)
+    h = st.d2 // gcd(st.d2, n)
+    s = isqrt(h - 1) + 1
+    baby = {R: k for k, R in enumerate(_multiples(cfp, nG2, s))}
+    giant, back = cfp.neg(cfp.mul(s, nG2)), cfp.neg(nG1)
+    R = P
+    for i in range(st.d1 // gcd(st.d1, n)):
+        V = R
+        for t in range(-(-h // s)):
+            if V in baby:
+                Q = cfp.add(cfp.mul(i, st.g1), cfp.mul(t * s + baby[V], st.g2))
+                assert cfp.mul(n, Q) == P
+                return Q
+            V = cfp.add(V, giant)
+        R = cfp.add(R, back)
     return None
 
 
@@ -666,10 +669,7 @@ def divisibility_by_pairing(cfp: CurveFp, m: int, P: FpPoint, basis: tuple) -> O
         return True
     roots = _RootsOnDemand(cfp.p)
     for Q in basis:
-        group, V = {None}, Q
-        while V is not None:
-            group.add(V)
-            V = cfp.add(V, Q)
+        group = set(_multiples(cfp, Q, m))
         R = next(
             (R for R in _affine_points(cfp, roots)
              if R not in group and cfp.add(P, R) not in group),

@@ -49,12 +49,6 @@ class Place:
         if self.n > 1 and pow(self.omega, self.n // q, self.p) == 1:
             raise ValueError("omega=%d has order below n=%d" % (self.omega, self.n))
 
-    def conjugate(self, t: int) -> "Place":
-        """The place whose residue root is omega^t (t a unit mod n)."""
-        if gcd(t, self.n) != 1:
-            raise ValueError("t=%d not a unit mod %d" % (t, self.n))
-        return Place(self.n, self.p, pow(self.omega, t, self.p))
-
 
 def distinguished_place(n: int, p: int) -> Place:
     """The canonical place over p: smallest root of Phi_n mod p."""

@@ -185,8 +185,11 @@ def divisibility_data(
     out = []
     for idx, g in enumerate(gens):
         gbar = reduce_point(cv, g, place)
+        if gbar is None:  # O is its own witness, written None
+            out.append((idx, None))
+            continue
         w = divisibility_witness(cfp, st, target_level, gbar)
-        if w is None and gbar is not None:
+        if w is None:
             return None
         out.append((idx, w))
     return tuple(out)

@@ -436,6 +436,20 @@ def test_verify_truncated_file(cert_paths, tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "construct"])
+def test_an_integer_literal_past_the_digit_limit_names_the_file(cert_paths, tmp_path, capsys, command):
+    # json.load raises a plain ValueError, not a JSONDecodeError, on an
+    # integer literal past the digit limit: exit 2 naming the file, as
+    # for a file that is not JSON
+    _, c2 = cert_paths
+    base = json.loads(c2.read_text()) if command == "verify" else CONFIG_CUBIC
+    target = tmp_path / "huge.json"
+    target.write_text(json.dumps(dict(base, extra=0)).replace('"extra": 0', '"extra": ' + HUGE))
+    argv = ["verify", str(target)] if command == "verify" else ["construct", "--config", str(target)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: %s is not valid JSON: " % target)
+
+
 def test_compose_needs_the_jacobian_flag(cert_paths, tmp_path, capsys):
     c3, c2 = cert_paths
     out = tmp_path / "comp.json"

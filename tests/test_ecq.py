@@ -217,6 +217,27 @@ def test_group_structure_certified():
             assert len(spans) == N  # the two generators really span
 
 
+def _reference_complement(cfp, pts, N, fac, W, lam, d1):
+    """_complement as it was: the whole cyclic group <W> held, lam - 1
+    additions, and (d1/q)*T looked up in it."""
+    cyclic = set()
+    acc = None
+    for _ in range(lam):
+        cyclic.add(acc)
+        acc = cfp.add(acc, W)
+    fac_d1 = factorint(d1)
+    for P in pts:
+        o = ecq._fp_point_order(cfp, P, N, fac)
+        if lam % o != 0:
+            return None
+        if o % d1 != 0:
+            continue
+        T = cfp.mul(o // d1, P)
+        if all(cfp.mul(d1 // q, T) not in cyclic for q in fac_d1):
+            return T
+    raise AssertionError("no independent generator found")
+
+
 def _reference_group_structure(cfp):
     """group_structure as it was when it took the order of every point:
     the sieve's witnesses depend on which generators it returns."""
@@ -238,20 +259,7 @@ def _reference_group_structure(cfp):
     if d1 == 1:
         return (1, lam, None, W)
     assert lam % d1 == 0 and (cfp.p - 1) % d1 == 0
-    cyclic = set()
-    acc = None
-    for _ in range(lam):
-        cyclic.add(acc)
-        acc = cfp.add(acc, W)
-    fac_d1 = factorint(d1)
-    for P in pts:
-        o = ecq._fp_point_order(cfp, P, N, fac)
-        if o % d1 != 0:
-            continue
-        T = cfp.mul(o // d1, P)
-        if all(cfp.mul(d1 // q, T) not in cyclic for q in fac_d1):
-            return (d1, lam, T, W)
-    raise AssertionError("no independent generator found")
+    return (d1, lam, _reference_complement(cfp, pts, N, fac, W, lam, d1), W)
 
 
 def test_group_structure_matches_reference():
@@ -329,9 +337,8 @@ def test_group_structure_stops_early_on_full_torsion(monkeypatch):
     assert tries[60:] == [True]
 
 
-def test_group_structure_addition_budget(monkeypatch):
-    # E(F_13441) = Z/8 x Z/1704: the exponent is reached at the 13th
-    # x-coordinate, and walking the other 6,804 cost 107,774 additions
+def _count_additions(monkeypatch) -> list:
+    """A one-entry list that counts CurveFp.add calls from here on."""
     calls = [0]
     add = ecq.CurveFp.add
 
@@ -340,9 +347,30 @@ def test_group_structure_addition_budget(monkeypatch):
         return add(self, P, Q)
 
     monkeypatch.setattr(ecq.CurveFp, "add", counted)
+    return calls
+
+
+def test_group_structure_addition_budget(monkeypatch):
+    # E(F_13441) = Z/8 x Z/1704: the exponent is reached at the 13th
+    # x-coordinate, and walking the other 6,804 cost 107,774 additions;
+    # holding all of <W> to test the complement cost 5,714, its order-q
+    # subgroups cost 4,024
+    calls = _count_additions(monkeypatch)
     st = group_structure(CurveFp(13441, 0, 7, 0, 13297, 0))
     assert (st.d1, st.d2, st.g1, st.g2) == (8, 1704, (4515, 3913), (4264, 9685))
-    assert calls[0] <= 10_000
+    assert calls[0] <= 4_024
+
+
+def test_divisibility_witness_addition_budget(monkeypatch):
+    # the doubled route's two witnesses at p = 13441: walking the image
+    # 2*E(F_p) to them cost 5,788 additions, baby-step giant-step 217
+    cfp = CurveFp(13441, 0, 7, 0, 13297, 0)
+    st = group_structure(cfp)
+    witnesses = [(2117, 2573), (1672, 6652)]
+    gbars = [cfp.mul(2, W) for W in witnesses]
+    calls = _count_additions(monkeypatch)
+    assert [divisibility_witness(cfp, st, 2, P) for P in gbars] == witnesses
+    assert calls[0] <= 217
 
 
 def test_divisibility_witness_matches_bruteforce():
@@ -369,6 +397,66 @@ def test_divisibility_witness_matches_bruteforce():
                     assert cfp.mul(n, Q) == P
             outside += len(pts) - len(image)
     assert outside > 300
+
+
+def _reference_witnesses(cfp, st, n):
+    """divisibility_witness as it was, for every point of n*E(F_p) at
+    once: the walk over n*(i*g1 + j*g2), i < d1 outer, j < d2 inner,
+    and i*g1 + j*g2 for the first (i, j) that hits each point."""
+    first = {}
+    nG1, nG2 = cfp.mul(n, st.g1), cfp.mul(n, st.g2)
+    P1 = None
+    for i in range(st.d1):
+        P2 = P1
+        for j in range(st.d2):
+            first.setdefault(P2, (i, j))
+            P2 = cfp.add(P2, nG2)
+        P1 = cfp.add(P1, nG1)
+    return {R: cfp.add(cfp.mul(i, st.g1), cfp.mul(j, st.g2)) for R, (i, j) in first.items()}
+
+
+def test_division_matches_the_walks_it_replaced(monkeypatch):
+    # the point count, the complement and the witnesses against the
+    # walks they replaced, on seeded curves (cyclic ones among them) and
+    # on curves with full m-torsion, for m = 2, 3, 4 and every point
+    complement = ecq._complement
+    tries = []
+
+    def both(*args):
+        T = complement(*args)
+        assert T == _reference_complement(*args), args[0]
+        tries.append(T is not None)
+        return T
+
+    monkeypatch.setattr(ecq, "_complement", both)
+    rng = random.Random(8808)
+    primes = [p for p in range(3, 300) if all(p % q for q in range(2, p))]
+    curves = []
+    while len(curves) < 120:
+        p = rng.choice(primes)
+        try:
+            curves.append(CurveFp(p, *(rng.randrange(p) for _ in range(5))))
+        except CurveError:
+            continue
+    curves += [cfp for m in (2, 3, 4) for cfp, _ in _full_torsion_curves(rng, m, 10)]
+    cyclic = found = missed = 0
+    for cfp in curves:
+        walk = ecq._PointWalk(cfp)
+        assert len(walk) == sum(1 for _ in walk), cfp
+        st = group_structure(cfp)
+        cyclic += st.g1 is None
+        for m in (2, 3, 4):
+            ref = _reference_witnesses(cfp, st, m)
+            assert ref[None] is None  # the walk's witness of O is O
+            with pytest.raises(CurveError):
+                divisibility_witness(cfp, st, m, None)
+            for P in walk:
+                Q = divisibility_witness(cfp, st, m, P)
+                assert Q == ref.get(P), (cfp, m, P)
+                found += Q is not None
+                missed += Q is None
+    assert cyclic >= 80 and tries.count(True) >= 50
+    assert found > 30_000 and missed > 20_000
 
 
 # ------------------------------------------------------------ reduction
@@ -493,21 +581,21 @@ def _full_torsion_curves(rng, m, count):
 
 def test_divisibility_by_pairing_matches_witness():
     # every point of 120 random curves with full m-torsion: the pairing
-    # decides P in m*E(F_p) as divisibility_witness does.  Membership is
-    # read from the walk divisibility_witness searches, collected once per
-    # curve; accepted points also get a witness.
+    # decides P in m*E(F_p) as divisibility_witness does, and both agree
+    # with the image m*E(F_p), the set of all mR, collected once per curve
     rng = random.Random(7707)
     points = accepted = 0
     for m in (2, 3, 4):
         for cfp, st in _full_torsion_curves(rng, m, 40):
             basis = (cfp.mul(st.d1 // m, st.g1), cfp.mul(st.d2 // m, st.g2))
-            image = {R for R, _, _ in ecq._image_walk(cfp, st, m)}
+            pts = _points(cfp)
+            image = {cfp.mul(m, R) for R in pts}
             assert divisibility_by_pairing(cfp, m, None, basis) is True
-            for P in _points(cfp):
+            for P in pts:
                 decided = divisibility_by_pairing(cfp, m, P, basis)
-                assert decided == (P in image), (cfp, m, P)
+                W = divisibility_witness(cfp, st, m, P)
+                assert decided == (P in image) == (W is not None), (cfp, m, P)
                 if decided:
-                    W = divisibility_witness(cfp, st, m, P)
                     assert cfp.mul(m, W) == P
                     accepted += 1
                 points += 1

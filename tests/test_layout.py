@@ -1,9 +1,11 @@
-"""Layout check: no dead code at module level.
+"""Layout check: no dead code at module level or in a class.
 
 Every module-level function and class in src/period_index must be
 referenced somewhere in src/ outside its own definition (by name, by
 attribute or by import), or be imported by tests/test_acceptance.py,
-which calls the public API the acceptance gate names.  A helper that only
+which calls the public API the acceptance gate names.  Every method of a
+class there, dunders aside (the language calls them), must be reached as
+an attribute somewhere in src/ outside its own body.  A helper that only
 tests still call is dead code and belongs in the test that needs it."""
 
 import ast
@@ -27,10 +29,18 @@ def _names(node) -> set:
     return out
 
 
+def _trees() -> list:
+    return [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+
+
+def _attributes(node) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
 def _unreferenced() -> tuple:
     """(count of top-level definitions, names of those no other top-level
     statement of src references)"""
-    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    trees = _trees()
     tops = [(node, _names(node)) for tree in trees for node in tree.body]
     # how many top-level statements reference each name
     refs = Counter(name for _, names in tops for name in names)
@@ -53,3 +63,31 @@ def test_every_top_level_definition_is_used():
     count, unused = _unreferenced()
     assert count > 150
     assert sorted(set(unused) - _acceptance_imports()) == []
+
+
+def _unreached_methods() -> tuple:
+    """(count of methods, Class.method for those no attribute of src
+    outside their own body names; methods are matched by name, so one
+    shares its references with a same-named method of another class)"""
+    trees = _trees()
+    refs = sum((_attributes(tree) for tree in trees), Counter())
+    methods = [
+        (cls.name, node)
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+    ]
+    unreached = [
+        "%s.%s" % (cls, node.name)
+        for cls, node in methods
+        if refs[node.name] - _attributes(node)[node.name] == 0
+    ]
+    return len(methods), unreached
+
+
+def test_every_method_is_reached_as_an_attribute():
+    count, unreached = _unreached_methods()
+    assert count > 30
+    assert unreached == []

@@ -81,13 +81,6 @@ def test_places_over_and_distinguished():
     assert distinguished_place(2, 7).omega == 6  # -1 mod 7
 
 
-def test_place_conjugate():
-    pl = distinguished_place(4, 13)
-    assert pl.conjugate(3).omega == pow(5, 3, 13)
-    with pytest.raises(ValueError):
-        pl.conjugate(2)
-
-
 def test_refine_place():
     base = distinguished_place(2, 13)  # omega = 12
     up = refine_place(base, 2)

@@ -184,7 +184,8 @@ def test_divisibility_data_addition_budget(monkeypatch):
     # taking the order of every point of E(F_p) costs 1,259,328 additions
     # here; one lam*P = O test per pair {P, -P} costs 135,088, and the
     # full walk behind it 113,562; stopping the walk at the first exponent
-    # it can prove costs 11,502
+    # it can prove costs 11,502; testing the complement in order-q
+    # subgroups and finding the witnesses by baby-step giant-step, 4,241
     calls = [0]
     add = ecq.CurveFp.add
 
@@ -196,13 +197,31 @@ def test_divisibility_data_addition_budget(monkeypatch):
     cv4, gens4 = _fix4()
     got = divisibility_data(cv4, distinguished_place(4, 13441), gens4, 2)
     assert got == ((0, (2117, 2573)), (1, (1672, 6652)))
-    assert calls[0] <= 15_000
+    assert calls[0] <= 4_241
+
+
+def test_divisibility_data_records_the_witness_of_o(monkeypatch):
+    # a generator that reduces to O has the witness O, written None,
+    # recorded without a search
+    searched = []
+    search = sieve.divisibility_witness
+
+    def logged(cfp, st, n, P):
+        searched.append(P)
+        return search(cfp, st, n, P)
+
+    monkeypatch.setattr(sieve, "divisibility_witness", logged)
+    cv4, gens4 = _fix4()
+    got = divisibility_data(cv4, distinguished_place(4, 13441), [None] + gens4, 2)
+    assert got == ((0, None), (1, (2117, 2573)), (2, (1672, 6652)))
+    assert len(searched) == 2 and None not in searched
 
 
 def test_divisibility_data_lists_no_points():
     # listing E(F_p) (a square-root list per residue, then every point)
     # peaked at 0.33 MB here; walking the points without a list and
-    # stopping the witness search at its hit peaks at 0.08 MB
+    # stopping the witness search at its hit peaked at 0.08 MB, and
+    # holding order-q subgroups instead of <W> peaks at 0.02 MB
     cv4, gens4 = _fix4()
     place = distinguished_place(4, 2113)
     tracemalloc.start()
@@ -211,7 +230,7 @@ def test_divisibility_data_lists_no_points():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 150_000
+    assert peak < 50_000
 
 
 def test_residue_order_profile_frozen():
