@@ -7,10 +7,12 @@ norm of a twisted class (norm-twist), the prime search on its own
 
 Run configurations are JSON with every number exact: decimal integer
 strings (plain integers are accepted too) and fraction strings such as
-"3/2".  Floats are rejected outright.  A configuration gives the curve
-with its torsion data, the target (parameters.n, parameters.ell and the
-mode) and one search limit, bounds.prime_bound; output is optional and
-any other field is ignored.  curve.level is 2, 3 or 4, the levels that
+"3/2".  Floats are rejected outright.  Configurations and certificates
+are read by the same readers (construct.read_*); an error names the
+innermost field and prints as "error: <field>: <message>".  A
+configuration gives the curve with its torsion data, the target
+(parameters.n, parameters.ell and the mode) and one search limit,
+bounds.prime_bound; output is optional and any other field is ignored.  curve.level is 2, 3 or 4, the levels that
 can certify (cyclo.NORM_LEVELS).  RunConfig decides the route once:
 direct when curve.level is parameters.n, doubled when it is twice an even
 parameters.n.  Certificates are written atomically and canonically, so
@@ -33,9 +35,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .cyclo import NORM_LEVELS, CycloElem, context
-from .ecq import curve_over
-from .kummer import make_basis, twisted_norm, galois_representation
+from .cyclo import NORM_LEVELS, CycloElem
+from .kummer import twisted_norm, galois_representation
 from .localfield import (
     archimedean_invariant,
     distinguished_place,
@@ -45,8 +46,6 @@ from .localfield import (
 )
 from .sieve import SieveExhausted, find_pair
 from .construct import (
-    _COEFF_RE,
-    _INT_RE,
     InputError,
     LemmaFailure,
     canonical_json,
@@ -55,21 +54,18 @@ from .construct import (
     compose_coprime,
     elem_coeffs,
     even_adjust,
+    inv_str,
+    read_curve,
+    read_elem,
+    read_field,
+    read_int,
+    read_positive,
     verify_certificate,
 )
 
 
-class ConfigError(ValueError):
-    """Malformed run configuration; the message names the field."""
-
-
-# =====================================================================
-# Exact JSON
-# =====================================================================
-
-
 def _reject_float(text: str):
-    raise ConfigError("floating point literal %r: all numbers must be exact" % text)
+    raise ValueError("floating point literal %r: all numbers must be exact" % text)
 
 
 def _load_json(path: str):
@@ -77,85 +73,9 @@ def _load_json(path: str):
         with open(path) as fh:
             return json.load(fh, parse_float=_reject_float)
     except OSError as e:
-        raise ConfigError("cannot read %s: %s" % (path, e))
-    except ConfigError:
-        raise
-    except ValueError as e:  # bad syntax, or an integer literal past the digit limit
-        raise ConfigError("%s is not valid JSON: %s" % (path, e))
-
-
-def _convert(convert, text: str, field: str):
-    """convert(text), the ValueError past the digit limit named by field."""
-    try:
-        return convert(text)
-    except ValueError as e:
-        raise ConfigError("%s: %s" % (field, e))
-
-
-def _as_int(value, field: str) -> int:
-    if isinstance(value, bool):
-        raise ConfigError("%s: expected an integer, found a boolean" % field)
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str) and _INT_RE.fullmatch(value.strip()):
-        return _convert(int, value.strip(), field)
-    raise ConfigError("%s: expected an exact integer, found %r" % (field, value))
-
-
-def _as_positive(value, field: str) -> int:
-    k = _as_int(value, field)
-    if k < 1:
-        raise ConfigError("%s: expected a positive integer, found %d" % (field, k))
-    return k
-
-
-def _as_coeff(value, field: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ConfigError("%s: expected a rational, found a boolean" % field)
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str) and _COEFF_RE.fullmatch(value.strip()):
-        return _convert(Fraction, value.strip(), field)
-    raise ConfigError("%s: expected an exact rational such as \"-3/2\", found %r" % (field, value))
-
-
-def _as_elem(level: int, value, field: str) -> CycloElem:
-    deg = context(level).degree
-    if isinstance(value, (int, str)):
-        coeffs = [_as_coeff(value, field)]
-    elif isinstance(value, list) and 1 <= len(value) <= deg:
-        coeffs = [_as_coeff(c, "%s[%d]" % (field, i)) for i, c in enumerate(value)]
-    else:
-        raise ConfigError(
-            "%s: expected at most %d exact coordinates for level %d" % (field, deg, level)
-        )
-    coeffs += [Fraction(0)] * (deg - len(coeffs))
-    return CycloElem(level, coeffs)
-
-
-def _as_point(level: int, value, field: str):
-    if value == "infinity":
-        return None
-    if isinstance(value, dict) and set(value) == {"x", "y"}:
-        return (
-            _as_elem(level, value["x"], field + ".x"),
-            _as_elem(level, value["y"], field + ".y"),
-        )
-    if isinstance(value, list) and len(value) == 2:
-        return (
-            _as_elem(level, value[0], field + "[0]"),
-            _as_elem(level, value[1], field + "[1]"),
-        )
-    raise ConfigError("%s: expected a point ({x, y}, [x, y], or \"infinity\")" % field)
-
-
-def _get(obj, key, field: str, kind=dict):
-    if not isinstance(obj, dict) or key not in obj:
-        raise ConfigError("missing field %s" % field)
-    value = obj[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError("%s: wrong type" % field)
-    return value
+        raise InputError("cannot read %s: %s" % (path, e))
+    except ValueError as e:  # bad syntax, a float, or an integer literal past the digit limit
+        raise InputError("%s is not valid JSON: %s" % (path, e))
 
 
 # =====================================================================
@@ -171,74 +91,37 @@ class RunConfig:
     def __init__(self, path: str):
         raw = _load_json(path)
         if not isinstance(raw, dict):
-            raise ConfigError("configuration root must be an object")
+            raise InputError("configuration root must be an object")
 
-        cb = _get(raw, "curve", "curve")
-        self.level = _as_int(_get(cb, "level", "curve.level", None), "curve.level")
+        self.level = read_int(read_field(raw, "curve.level"), "curve.level")
         if self.level not in NORM_LEVELS:
-            raise ConfigError("curve.level: only levels %s can certify, found %d" % (NORM_LEVELS, self.level))
-        coeffs = _get(cb, "coefficients", "curve.coefficients", list)
-        if len(coeffs) != 5:
-            raise ConfigError("curve.coefficients: expected five model coefficients")
-        parsed = [_as_elem(self.level, c, "curve.coefficients[%d]" % i) for i, c in enumerate(coeffs)]
-        try:
-            self.curve = curve_over(self.level, parsed)
-        except ValueError as e:
-            raise ConfigError("curve.coefficients: %s" % e)
-        tb = _get(cb, "torsion_basis", "curve.torsion_basis")
-        S = _as_point(self.level, _get(tb, "S", "curve.torsion_basis.S", None), "curve.torsion_basis.S")
-        T = _as_point(self.level, _get(tb, "T", "curve.torsion_basis.T", None), "curve.torsion_basis.T")
-        for name, P in (("S", S), ("T", T)):
-            if not self.curve.on_curve(P):
-                raise ConfigError(
-                    "curve.torsion_basis.%s: point is not on the curve given by "
-                    "curve.coefficients" % name
-                )
-        try:
-            self.basis = make_basis(self.curve, self.level, S, T)
-        except (ValueError, ArithmeticError) as e:
-            raise ConfigError("curve.torsion_basis: %s, on the curve given by curve.coefficients" % e)
-        gens = _get(cb, "mw_generators", "curve.mw_generators", list)
-        self.mw_gens = []
-        for i, g in enumerate(gens):
-            P = _as_point(self.level, g, "curve.mw_generators[%d]" % i)
-            if not self.curve.on_curve(P):
-                raise ConfigError("curve.mw_generators[%d]: point is not on the curve" % i)
-            self.mw_gens.append(P)
-        order = _as_int(
-            _get(cb, "stable_subgroup_order", "curve.stable_subgroup_order", None),
-            "curve.stable_subgroup_order",
-        )
-        if order != self.level:
-            raise ConfigError(
-                "curve.stable_subgroup_order: must equal curve.level %d, found %d"
-                % (self.level, order)
+            raise InputError(
+                "only levels %s can certify, found %d" % (NORM_LEVELS, self.level), "curve.level"
             )
+        self.curve, self.basis, self.mw_gens = read_curve(read_field(raw, "curve"), "curve")
 
-        pb = _get(raw, "parameters", "parameters")
-        self.n = _as_positive(_get(pb, "n", "parameters.n", None), "parameters.n")
-        self.ell = _as_positive(_get(pb, "ell", "parameters.ell", None), "parameters.ell")
-        self.mode = _get(pb, "mode", "parameters.mode", str)
+        self.n = read_positive(read_field(raw, "parameters.n"), "parameters.n")
+        self.ell = read_positive(read_field(raw, "parameters.ell"), "parameters.ell")
+        self.mode = read_field(raw, "parameters.mode", kind=str)
         if self.mode not in ("A", "B"):
-            raise ConfigError("parameters.mode: must be \"A\" or \"B\"")
+            raise InputError('must be "A" or "B"', "parameters.mode")
         if self.level != self.n and (self.n % 2 or self.level != 2 * self.n):
-            raise ConfigError(
-                "parameters.n: curve data at level %d fits neither a direct level-%d run nor "
-                "a doubled level-%d run" % (self.level, self.n, 2 * self.n)
+            raise InputError(
+                "curve data at level %d fits neither a direct level-%d run nor a doubled "
+                "level-%d run" % (self.level, self.n, 2 * self.n), "parameters.n",
             )
         self.doubled = self.level != self.n
 
-        bb = _get(raw, "bounds", "bounds")
-        self.prime_bound = _as_positive(
-            _get(bb, "prime_bound", "bounds.prime_bound", None), "bounds.prime_bound"
+        self.prime_bound = read_positive(
+            read_field(raw, "bounds.prime_bound"), "bounds.prime_bound"
         )
 
         out = raw.get("output", {})
         if not isinstance(out, dict):
-            raise ConfigError("output: wrong type")
+            raise InputError("expected an object", "output")
         self.certificate_path = out.get("certificate")
         if "certificate" in out and not (isinstance(self.certificate_path, str) and self.certificate_path):
-            raise ConfigError("output.certificate: expected a non-empty path string")
+            raise InputError("expected a non-empty path string", "output.certificate")
 
 
 # =====================================================================
@@ -255,10 +138,6 @@ def _write_atomic(path: str, text: str):
 
 def _fmt_elem(x: CycloElem) -> str:
     return "[" + ", ".join(elem_coeffs(x)) + "]"
-
-
-def _fmt_inv(fr: Fraction, level: int) -> str:
-    return "%d/%d" % (int(fr * level) % level, level)
 
 
 def _emit(cert: dict, path: Optional[str]) -> int:
@@ -283,8 +162,8 @@ def _emit(cert: dict, path: Optional[str]) -> int:
 
 def cmd_hilbert(args) -> int:
     n = args.n
-    a = _as_elem(n, [c.strip() for c in args.a.split(",")], "-a")
-    b = _as_elem(n, [c.strip() for c in args.b.split(",")], "-b")
+    a = read_elem(n, args.a.split(","), "-a")
+    b = read_elem(n, args.b.split(","), "-b")
     if a.is_zero() or b.is_zero():
         raise InputError("symbol arguments must be nonzero")
     rows = []
@@ -310,14 +189,14 @@ def cmd_hilbert(args) -> int:
     total = Fraction(0)
     for label, inv in rows:
         total += inv
-        print("place %-10s invariant %-8s order %d" % (label, _fmt_inv(inv, n), invariant_order(inv)))
+        print("place %-10s invariant %-8s order %d" % (label, inv_str(inv, n), invariant_order(inv)))
     order = lcm(*(invariant_order(inv) for _, inv in rows)) if rows else 1
     print("global order %d" % order)
     if complete:
         ok = total % 1 == 0
-        print("product formula: %s (sum %s)" % ("ok" if ok else "VIOLATED", _fmt_inv(total % 1, n)))
+        print("product formula: %s (sum %s)" % ("ok" if ok else "VIOLATED", inv_str(total % 1, n)))
         return 0 if ok else 4
-    print("listed sum %s (partial: wild and archimedean rows not inferred)" % _fmt_inv(total % 1, n))
+    print("listed sum %s (partial: wild and archimedean rows not inferred)" % inv_str(total % 1, n))
     return 0
 
 
@@ -345,8 +224,8 @@ def _wild_two_adic(a: Fraction, b: Fraction) -> Fraction:
 
 def cmd_norm_twist(args) -> int:
     cfg = RunConfig(args.config)
-    a = _as_elem(cfg.level, [c.strip() for c in args.a.split(",")], "-a")
-    b = _as_elem(cfg.level, [c.strip() for c in args.b.split(",")], "-b")
+    a = read_elem(cfg.level, args.a.split(","), "-a")
+    b = read_elem(cfg.level, args.b.split(","), "-b")
     rep = galois_representation(cfg.basis)
     nf = twisted_norm(rep, a, b)
     for label, val in (
@@ -407,7 +286,7 @@ def cmd_construct(args) -> int:
         # configuration field
         if not e.paths:
             raise
-        raise ConfigError("%s: %s" % (_config_field(e.paths[0]), e))
+        raise InputError(str(e), _config_field(e.paths[0]))
     return _emit(cert, cfg.certificate_path if args.out is None else args.out)
 
 
@@ -502,7 +381,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValueError as e:
-        print("error: %s" % e, file=sys.stderr)
+        # an input error names its first field
+        at = "%s: " % e.paths[0] if getattr(e, "paths", None) else ""
+        print("error: %s%s" % (at, e), file=sys.stderr)
         return 2
     except SieveExhausted as e:
         print("search exhausted: %s" % e, file=sys.stderr)

@@ -34,9 +34,10 @@ Each certificate section has its own derivation (_route, _pair, _class,
 _obstruction, _period, _index_upper, _index_lower, _summary) that runs
 its hard checks of the claims algebra, and _SECTIONS declares the inputs
 each section reads.  construct feeds them the pair the sieve finds;
-verify_certificate parses the inputs a certificate records, feeds them
-to the same derivations and diffs the recorded certificate against the
-result path by path: no search, no sieve, no randomness.  Serialization
+verify_certificate reads the inputs a certificate records, with the
+readers a run configuration is read with, feeds them to the same
+derivations and diffs the recorded certificate against the result path
+by path: no search, no sieve, no randomness.  Serialization
 is canonical JSON with all integers as decimal strings and local
 invariants as "k/n".
 """
@@ -48,7 +49,6 @@ import json
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional
 
 from .cyclo import (
     CycloElem,
@@ -127,7 +127,7 @@ def _coeff_str(c: Fraction) -> str:
     return "%d/%d" % (c.numerator, c.denominator)
 
 
-def _inv_str(fr: Fraction, level: int) -> str:
+def inv_str(fr: Fraction, level: int) -> str:
     k = fr * level
     if k.denominator != 1:
         raise LemmaFailure("invariant %s is not a multiple of 1/%d" % (fr, level))
@@ -263,7 +263,7 @@ def _factor_over(value: Fraction, primes) -> list:
 def _row(place: Place, inv: Fraction) -> dict:
     return {
         "place": place_obj(place),
-        "invariant": _inv_str(inv, place.n),
+        "invariant": inv_str(inv, place.n),
         "order": _s(invariant_order(inv)),
     }
 
@@ -292,7 +292,7 @@ def _curve_block(cv: CurveL, basis: TorsionBasis, mw_gens: list) -> dict:
 
 
 def _preconditions(
-    cv: CurveL, basis: TorsionBasis, mw_gens: list, declared_order: Optional[int], *,
+    cv: CurveL, basis: TorsionBasis, mw_gens: list, *,
     mode: str, doubled: bool, target_n: int, target_ell: int,
 ) -> dict:
     """Check a route's hypotheses on the curve data and return the Galois
@@ -327,11 +327,6 @@ def _preconditions(
         raise InputError(
             "the %s route requires curve data at level %d, got level %d"
             % ("doubled" if doubled else "direct", level, N), "context.n", "inputs.curve.level",
-        )
-    if declared_order is not None and declared_order != N:
-        raise InputError(
-            "declared stable subgroup order %d != %d" % (declared_order, N),
-            "inputs.curve.stable_subgroup_order",
         )
     if doubled or mode == "B" or context(N).degree == 1:
         _require_rational_data(cv, mw_gens)
@@ -422,7 +417,7 @@ def _pair(
     except CurveError as e:
         _lemma(False, str(e), _WITNESSES)
     for (i, W), g in zip(witnesses, mw_gens):
-        on_curve = W is None or (max(W) < v.p and cfp.on_curve(W))
+        on_curve = W is None or (all(0 <= c < v.p for c in W) and cfp.on_curve(W))
         _lemma(on_curve and cfp.mul(target_n, W) == reduce_point(cv, g, v),
                "witness does not divide the generator down", "%s[%d]" % (_WITNESSES, i),
                "inputs.curve.mw_generators[%d]" % i)
@@ -536,7 +531,7 @@ def _obstruction(
             descended.append(
                 {
                     "p": _s(q),
-                    "invariant": _inv_str(t_inv, target_n),
+                    "invariant": inv_str(t_inv, target_n),
                     "order": _s(invariant_order(t_inv)),
                 }
             )
@@ -571,10 +566,10 @@ def _obstruction(
             "kind": "real",
             "first_positive": True,
             "second_positive": True,
-            "invariant": _inv_str(arch_inv, N),
+            "invariant": inv_str(arch_inv, N),
         }
     else:
-        arch = {"kind": "complex", "invariant": _inv_str(Fraction(0), N)}
+        arch = {"kind": "complex", "invariant": inv_str(Fraction(0), N)}
     # spot checks at the first two split primes past the pair: both
     # coordinates are units there, so the invariants must vanish
     unit_rows, q = [], max(p, pp)
@@ -593,7 +588,7 @@ def _obstruction(
             **_row(v, inv_v),
             "valuations": {k: _s(val) for k, val in vals.items()},
             "d_is_one": True,
-            "sub_symbols": {k: _inv_str(sv, N) for k, sv in subs.items()},
+            "sub_symbols": {k: inv_str(sv, N) for k, sv in subs.items()},
         },
         "support": {
             "first": _factor_over(field_norm(first), (p, pp)),
@@ -603,7 +598,7 @@ def _obstruction(
             "modulus": _s(m_wild),
             "first_congruent": True,
             "second_congruent": True,
-            "invariant": _inv_str(Fraction(0), N),
+            "invariant": inv_str(Fraction(0), N),
         },
         "archimedean": arch,
         "unit_rows": unit_rows,
@@ -645,7 +640,7 @@ def _index_lower(inv_target_v: Fraction, target_n: int, target_ell: int) -> dict
             continue
         shifted = (ellp * inv_target_v) % 1
         _lemma(shifted != 0, "shift by %d kills the invariant at v" % ellp, "index_lower.rows")
-        rows.append({"ell_prime": _s(ellp), "shifted_invariant": _inv_str(shifted, target_n)})
+        rows.append({"ell_prime": _s(ellp), "shifted_invariant": inv_str(shifted, target_n)})
     return {"claim": _s(target_n * target_ell), "rows": rows, "tate_vanishing": _SHIFT_MARKER}
 
 
@@ -704,9 +699,7 @@ def _construct(
     prime_bound: int,
     **route,
 ) -> dict:
-    # a stable subgroup order is declared only by a certificate, which
-    # verify checks; construct records cv.n
-    rep = _preconditions(cv, basis, mw_gens, None, **route)
+    rep = _preconditions(cv, basis, mw_gens, **route)
     # the only search in the pipeline
     pair = find_pair(cv, cv.n, prime_bound, mw_gens, route["target_n"], (basis.S, basis.T))
     return _certificate(
@@ -856,20 +849,24 @@ def compose_coprime(left: dict, right: dict, allow_different_jacobians: bool = F
 
 
 # =====================================================================
-# Verification: parse the inputs, re-derive, diff
+# Exact JSON: one reader for run configurations and certificates
 # =====================================================================
 
+# A reader accepts every exact spelling of a value: a JSON integer or a
+# decimal string, surrounding space allowed, and for cyclotomic values a
+# rational or a short coordinate list.  verify needs no stricter reader:
+# the derived certificate writes each input it read back canonically, and
+# the diff rejects any other spelling at its field.
+
 # matched whole, ASCII digits only (\d takes every Unicode digit)
-_NAT_RE = re.compile(r"[0-9]+")
 _INT_RE = re.compile(r"-?[0-9]+")
 _COEFF_RE = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
-
-_TOP_KEYS = ("schema", "kind", "inputs", *_SECTIONS)
-_CURVE_KEYS = ("level", "coefficients", "torsion_basis", "mw_generators", "stable_subgroup_order")
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
 
 
 def _at(path: str, rel: str) -> str:
-    """The trace path of rel inside the certificate at path."""
+    """The path of rel inside the object at path; "certificate" names the
+    root of a certificate."""
     if not rel:
         return path or "certificate"
     if not path:
@@ -877,17 +874,132 @@ def _at(path: str, rel: str) -> str:
     return path + rel if rel.startswith("[") else "%s.%s" % (path, rel)
 
 
-def _field(cert: dict, path: str):
-    """The value at a dotted path of the certificate."""
-    cur, at = cert, ""
-    for key in path.split("."):
-        if not isinstance(cur, dict):
+def _show(value) -> str:
+    text = json.dumps(value, sort_keys=True)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def read_field(obj: dict, rel: str, at: str = "", kind=None):
+    """The value at the dotted path rel below the object at path at, of
+    the given kind when one is given; errors name the innermost field."""
+    for key in rel.split("."):
+        if not isinstance(obj, dict):
             raise InputError("expected an object", at)
         at = _at(at, key)
-        if key not in cur:
+        if key not in obj:
             raise InputError("missing field", at)
-        cur = cur[key]
-    return cur
+        obj = obj[key]
+    if kind is not None and not isinstance(obj, kind):
+        raise InputError("expected %s" % _KINDS[kind], at)
+    return obj
+
+
+def _exact(value, pattern, convert, path: str, expected: str):
+    """convert of a JSON integer, or of a string that matches pattern
+    once stripped."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return convert(value)
+    if isinstance(value, str) and pattern.fullmatch(value.strip()):
+        try:
+            return convert(value.strip())
+        except ValueError as e:  # past the interpreter's digit limit
+            raise InputError(str(e), path)
+    raise InputError("expected %s, found %s" % (expected, _show(value)), path)
+
+
+def read_int(value, path: str) -> int:
+    return _exact(value, _INT_RE, int, path, "an exact integer")
+
+
+def read_positive(value, path: str) -> int:
+    k = read_int(value, path)
+    if k < 1:
+        raise InputError("expected a positive integer, found %d" % k, path)
+    return k
+
+
+def read_elem(level: int, value, path: str) -> CycloElem:
+    """A rational, or at most the degree's coordinates in the power basis,
+    the missing ones zero."""
+    deg = context(level).degree
+    if isinstance(value, list) and 1 <= len(value) <= deg:
+        entries = [("%s[%d]" % (path, i), c) for i, c in enumerate(value)]
+    elif isinstance(value, (int, str)):
+        entries = [(path, value)]
+    else:
+        raise InputError("expected a rational or at most %d exact coordinates" % deg, path)
+    expected = 'an exact rational such as "-3/2"'
+    coeffs = [_exact(c, _COEFF_RE, Fraction, at, expected) for at, c in entries]
+    return CycloElem(level, coeffs + [Fraction(0)] * (deg - len(coeffs)))
+
+
+def _read_point(level: int, value, path: str) -> LPoint:
+    if value == "infinity":
+        return None
+    if isinstance(value, dict) and set(value) == {"x", "y"}:
+        return read_elem(level, value["x"], path + ".x"), read_elem(level, value["y"], path + ".y")
+    if isinstance(value, list) and len(value) == 2:
+        return read_elem(level, value[0], path + "[0]"), read_elem(level, value[1], path + "[1]")
+    raise InputError('expected a point ({x, y}, [x, y] or "infinity")', path)
+
+
+def _read_fp_point(value, path: str):
+    if value == "infinity":
+        return None
+    if isinstance(value, list) and len(value) == 2:
+        return read_int(value[0], path + "[0]"), read_int(value[1], path + "[1]")
+    raise InputError('expected a residue point ([x, y] or "infinity")', path)
+
+
+def read_curve(block: dict, at: str) -> tuple:
+    """(curve, torsion basis, Mordell-Weil generators) of the curve block
+    at path at: the model at its level, the basis and the generators
+    checked on it, and the declared stable subgroup order against the
+    level."""
+    p = at + "."
+    level = read_int(read_field(block, "level", at), p + "level")
+    try:
+        context(level)
+    except ValueError as e:
+        raise InputError(str(e), p + "level")
+    coeffs = read_field(block, "coefficients", at, list)
+    if len(coeffs) != 5:
+        raise InputError("expected five model coefficients", p + "coefficients")
+    parsed = [read_elem(level, c, "%scoefficients[%d]" % (p, i)) for i, c in enumerate(coeffs)]
+    try:
+        cv = curve_over(level, parsed)
+    except CurveError as e:
+        raise InputError(str(e), p + "coefficients")
+    given = "on the curve given by %scoefficients" % p
+    S, T = (
+        _read_point(level, read_field(block, "torsion_basis." + k, at), p + "torsion_basis." + k)
+        for k in "ST"
+    )
+    for k, P in (("S", S), ("T", T)):
+        if not cv.on_curve(P):
+            raise InputError("point is not " + given, p + "torsion_basis." + k)
+    try:
+        basis = make_basis(cv, level, S, T)
+    except (ValueError, ArithmeticError) as e:
+        raise InputError("%s, %s" % (e, given), p + "torsion_basis")
+    gens = []
+    for i, raw in enumerate(read_field(block, "mw_generators", at, list)):
+        g = _read_point(level, raw, "%smw_generators[%d]" % (p, i))
+        if not cv.on_curve(g):
+            raise InputError("point is not on the curve", "%smw_generators[%d]" % (p, i))
+        gens.append(g)
+    order = read_int(read_field(block, "stable_subgroup_order", at), p + "stable_subgroup_order")
+    if order != level:
+        raise InputError(
+            "declared stable subgroup order %d differs from the level %d" % (order, level),
+            p + "stable_subgroup_order",
+        )
+    return cv, basis, gens
+
+
+# =====================================================================
+# Verification: read the inputs, re-derive, diff
+# =====================================================================
 
 
 def _field_set(obj: dict, expected, rel: str):
@@ -901,132 +1013,35 @@ def _field_set(obj: dict, expected, rel: str):
     return msg, [rel] + [_at(rel, key) for key in missing + extra]
 
 
-def _keys(obj, expected, path: str):
-    if not isinstance(obj, dict):
-        raise InputError("expected an object", path)
-    mismatch = _field_set(obj, expected, path)
-    if mismatch:
-        raise InputError(mismatch[0], *mismatch[1])
-
-
-def _number(convert, text: str, path: str):
-    """convert(text), the ValueError past the digit limit named at path."""
-    try:
-        return convert(text)
-    except ValueError as e:
-        raise InputError(str(e), path)
-
-
-def _nat(cert: dict, path: str) -> int:
-    v = _field(cert, path)
-    if not isinstance(v, str) or not _NAT_RE.fullmatch(v):
-        raise InputError("expected an unsigned decimal string", path)
-    return _number(int, v, path)
-
-
-def _elem(level: int, raw, path: str) -> CycloElem:
-    deg = context(level).degree
-    if (
-        not isinstance(raw, list)
-        or len(raw) != deg
-        or not all(isinstance(c, str) and _COEFF_RE.fullmatch(c) for c in raw)
-    ):
-        raise InputError("expected %d exact coordinates" % deg, path)
-    return CycloElem(level, [_number(Fraction, c, "%s[%d]" % (path, i)) for i, c in enumerate(raw)])
-
-
-def _point(level: int, raw, path: str) -> LPoint:
-    if raw == "infinity":
-        return None
-    if not isinstance(raw, dict) or set(raw) != {"x", "y"}:
-        raise InputError('expected a point object or "infinity"', path)
-    return _elem(level, raw["x"], path + ".x"), _elem(level, raw["y"], path + ".y")
-
-
-def _fp_point(raw, path: str):
-    if raw == "infinity":
-        return None
-    if (
-        not isinstance(raw, list)
-        or len(raw) != 2
-        or not all(isinstance(c, str) and _NAT_RE.fullmatch(c) for c in raw)
-    ):
-        raise InputError('expected a residue point or "infinity"', path)
-    return tuple(_number(int, c, "%s[%d]" % (path, i)) for i, c in enumerate(raw))
-
-
-def _list(cert: dict, path: str) -> list:
-    v = _field(cert, path)
-    if not isinstance(v, list):
-        raise InputError("expected a list", path)
-    return v
-
-
 def _rederive(cert: dict) -> dict:
-    """Parse the inputs a prime-power certificate records and derive the
+    """Read the inputs a prime-power certificate records and derive the
     certificate they determine."""
-    _keys(cert, _TOP_KEYS, "")
-    n, ell = _nat(cert, "context.n"), _nat(cert, "context.ell")
-    mode = _field(cert, "context.mode")
-    kind = _field(cert, "route.kind")
+    n = read_positive(read_field(cert, "context.n"), "context.n")
+    ell = read_positive(read_field(cert, "context.ell"), "context.ell")
+    mode = read_field(cert, "context.mode")
+    kind = read_field(cert, "route.kind")
     if kind not in ("direct", "doubled"):
         raise InputError("unknown route kind %r" % (kind,), "route.kind")
 
-    curve = _field(cert, "inputs.curve")
-    if content_digest(curve) != _field(cert, "inputs.digest"):
+    curve = read_field(cert, "inputs.curve", kind=dict)
+    if content_digest(curve) != read_field(cert, "inputs.digest"):
         raise InputError(
             "stored digest does not match the curve block", "inputs.digest", "inputs.curve"
         )
-    _keys(curve, _CURVE_KEYS, "inputs.curve")
-    level = _nat(cert, "inputs.curve.level")
-    try:
-        context(level)
-    except ValueError as e:
-        raise InputError(str(e), "inputs.curve.level")
-    coeffs = _list(cert, "inputs.curve.coefficients")
-    if len(coeffs) != 5:
-        raise InputError("expected the five model coefficients", "inputs.curve.coefficients")
-    try:
-        cv = curve_over(
-            level,
-            [_elem(level, c, "inputs.curve.coefficients[%d]" % i) for i, c in enumerate(coeffs)],
-        )
-    except CurveError as e:
-        raise InputError(str(e), "inputs.curve.coefficients")
-    tb = _field(cert, "inputs.curve.torsion_basis")
-    _keys(tb, ("S", "T"), "inputs.curve.torsion_basis")
-    S = _point(level, tb["S"], "inputs.curve.torsion_basis.S")
-    T = _point(level, tb["T"], "inputs.curve.torsion_basis.T")
-    try:
-        basis = make_basis(cv, level, S, T)
-    except (ValueError, ArithmeticError) as e:
-        raise InputError("basis rejected: %s" % e, "inputs.curve.torsion_basis")
-    gens = []
-    for i, raw in enumerate(_list(cert, "inputs.curve.mw_generators")):
-        gp = "inputs.curve.mw_generators[%d]" % i
-        g = _point(level, raw, gp)
-        if not cv.on_curve(g):
-            raise InputError("declared generator is not on the curve", gp)
-        gens.append(g)
-    declared_order = _nat(cert, "inputs.curve.stable_subgroup_order")
+    cv, basis, gens = read_curve(curve, "inputs.curve")
 
-    pi = _elem(level, _field(cert, "pair.first.pi"), "pair.first.pi")
-    pi_prime = _elem(level, _field(cert, "pair.second.pi"), "pair.second.pi")
+    pi = read_elem(cv.n, read_field(cert, "pair.first.pi"), "pair.first.pi")
+    pi_prime = read_elem(cv.n, read_field(cert, "pair.second.pi"), "pair.second.pi")
     witnesses = []
-    for i, entry in enumerate(_list(cert, _WITNESSES)):
+    for i, entry in enumerate(read_field(cert, _WITNESSES, kind=list)):
         wp = "%s[%d]" % (_WITNESSES, i)
         if not isinstance(entry, list) or len(entry) != 2:
             raise InputError("expected [index, point]", wp)
-        witnesses.append((i, _fp_point(entry[1], wp + "[1]")))
+        witnesses.append((i, _read_fp_point(entry[1], wp + "[1]")))
 
     route = dict(mode=mode, doubled=kind == "doubled", target_n=n, target_ell=ell)
-    rep = _preconditions(cv, basis, gens, declared_order, **route)
+    rep = _preconditions(cv, basis, gens, **route)
     return _certificate(cv, basis, rep, gens, pi, pi_prime, tuple(witnesses), **route)
-
-
-def _show(value) -> str:
-    text = json.dumps(value, sort_keys=True)
-    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def _diff(recorded, derived, rel: str, path: str, trace: list, sections: dict):
@@ -1065,7 +1080,7 @@ def _check(cert, path: str, trace: list):
         if kind == "prime-power":
             derived = _rederive(cert)
         elif kind == "composite":
-            parts = _list(cert, "parts")
+            parts = read_field(cert, "parts", kind=list)
             if len(parts) != 2:
                 raise InputError("expected exactly two sub-certificates", "parts")
             mark = len(trace)

@@ -439,15 +439,18 @@ def test_verify_truncated_file(cert_paths, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["verify", "construct"])
 def test_an_integer_literal_past_the_digit_limit_names_the_file(cert_paths, tmp_path, capsys, command):
     # json.load raises a plain ValueError, not a JSONDecodeError, on an
-    # integer literal past the digit limit: exit 2 naming the file, as
-    # for a file that is not JSON
+    # integer literal past the digit limit and on a float: exit 2 naming
+    # the file, as for a file that is not JSON
     _, c2 = cert_paths
     base = json.loads(c2.read_text()) if command == "verify" else CONFIG_CUBIC
-    target = tmp_path / "huge.json"
-    target.write_text(json.dumps(dict(base, extra=0)).replace('"extra": 0', '"extra": ' + HUGE))
+    target = tmp_path / "literal.json"
     argv = ["verify", str(target)] if command == "verify" else ["construct", "--config", str(target)]
-    assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: %s is not valid JSON: " % target)
+    for literal, says in ((HUGE, "digits"), ("1.5", "floating point literal '1.5'")):
+        target.write_text(json.dumps(dict(base, extra=0)).replace('"extra": 0', '"extra": ' + literal))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s is not valid JSON: " % target), literal
+        assert says in err
 
 
 def test_compose_needs_the_jacobian_flag(cert_paths, tmp_path, capsys):
@@ -519,29 +522,55 @@ def _rejected_by_name(cert, path, value, tmp_path, capsys) -> bool:
     return _verify_names(mutant, path, tmp_path, capsys)
 
 
-@pytest.mark.parametrize(
-    "path",
-    [
-        "context.n",
-        "context.ell",
-        "pair.first.pi[0]",
-        "pair.first.conditions.generators_divisible.witnesses[0][1][0]",
-        "inputs.curve.level",
-        "inputs.curve.coefficients[3][0]",
-        "inputs.curve.torsion_basis.T.x[0]",
-    ],
+NUMBER_PATHS = (
+    "context.n",
+    "context.ell",
+    "pair.first.pi[0]",
+    "pair.first.conditions.generators_divisible.witnesses[0][1][0]",
+    "inputs.curve.level",
+    "inputs.curve.coefficients[3][0]",
+    "inputs.curve.torsion_basis.T.x[0]",
 )
-def test_verify_names_a_number_past_the_digit_limit(cert_paths, tmp_path, capsys, path):
-    # the trace names the field, not "certificate: check failed"; an edit
-    # inside the curve block carries a recomputed digest
+# same-value respellings of a canonical number string: verify reads each,
+# and the diff against the canonical rewrite rejects it at its field
+RESPELL = {
+    "space": lambda v: " " + v,
+    "zero": lambda v: re.sub(r"^(-?)", r"\g<1>0", v),
+    "int": int,
+}
+
+
+@pytest.mark.parametrize(
+    "path, spelling",
+    [pytest.param(p, None, id=p) for p in NUMBER_PATHS]
+    + [pytest.param(p, s, id="%s-%s" % (p, s)) for p in NUMBER_PATHS for s in RESPELL],
+)
+def test_verify_names_a_number_past_the_digit_limit(cert_paths, tmp_path, capsys, path, spelling):
+    # the trace names the field, not "certificate: check failed", for a
+    # number past the limit and for a respelled one alike; an edit inside
+    # the curve block carries a recomputed digest
     _, c2 = cert_paths
     cert = json.loads(c2.read_text())
-    _set_path(cert, path, HUGE)
+    old = dict(_leaf_paths(cert))[path]
+    _set_path(cert, path, HUGE if spelling is None else RESPELL[spelling](old))
     cert["inputs"]["digest"] = content_digest(cert["inputs"]["curve"])
     target = tmp_path / "huge.json"
     target.write_text(json.dumps(cert))
     assert main(["verify", str(target)]) == 1
     assert capsys.readouterr().err.startswith(path + ": ")
+
+
+def test_verify_rejects_a_witness_coordinate_below_zero(cert_paths, tmp_path, capsys):
+    # x - p names the residue x and reads as an integer, but a residue
+    # point's coordinates lie in [0, p): the witness check rejects it
+    for cert_path in cert_paths:
+        cert = json.loads(cert_path.read_text())
+        first = cert["pair"]["first"]
+        witnesses = first["conditions"]["generators_divisible"]["witnesses"]
+        i, W = next((i, w) for i, (_, w) in enumerate(witnesses) if w != "infinity")
+        W[0] = str(int(W[0]) - int(first["p"]))
+        path = "pair.first.conditions.generators_divisible.witnesses[%d][1][0]" % i
+        assert _verify_names(cert, path, tmp_path, capsys), cert_path.name
 
 
 def test_verify_names_every_edited_leaf(cert_paths, tmp_path, capsys):

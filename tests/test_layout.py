@@ -1,4 +1,5 @@
-"""Layout check: no dead code at module level or in a class.
+"""Layout check: no dead code at module level or in a class, and no
+private name shared between modules.
 
 Every module-level function and class in src/period_index must be
 referenced somewhere in src/ outside its own definition (by name, by
@@ -6,7 +7,9 @@ attribute or by import), or be imported by tests/test_acceptance.py,
 which calls the public API the acceptance gate names.  Every method of a
 class there, dunders aside (the language calls them), must be reached as
 an attribute somewhere in src/ outside its own body.  A helper that only
-tests still call is dead code and belongs in the test that needs it."""
+tests still call is dead code and belongs in the test that needs it.  A
+module of src/period_index imports no underscore name from another: what
+two modules share is public."""
 
 import ast
 from collections import Counter
@@ -91,3 +94,20 @@ def test_every_method_is_reached_as_an_attribute():
     count, unreached = _unreached_methods()
     assert count > 30
     assert unreached == []
+
+
+def _private_imports() -> list:
+    """module: name for every underscore name a module of src imports from
+    another module (an alias may be private, the imported name may not)."""
+    return [
+        "%s: %s" % (path.stem, alias.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_no_module_imports_a_private_name():
+    assert _private_imports() == []
