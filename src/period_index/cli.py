@@ -91,7 +91,7 @@ class RunConfig:
     def __init__(self, path: str):
         raw = _load_json(path)
         if not isinstance(raw, dict):
-            raise InputError("configuration root must be an object")
+            raise InputError("configuration root of %s must be an object" % path)
 
         self.level = read_int(read_field(raw, "curve.level"), "curve.level")
         if self.level not in NORM_LEVELS:
@@ -252,6 +252,7 @@ def cmd_sieve(args) -> int:
     )
     for t, o in pair.conjugate_orders:
         print("conjugate t=%d order=%d" % (t, o))
+    print("histogram: " + pair.stats.summary())
     return 0
 
 

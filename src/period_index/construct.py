@@ -703,7 +703,7 @@ def _construct(
     # the only search in the pipeline
     pair = find_pair(cv, cv.n, prime_bound, mw_gens, route["target_n"], (basis.S, basis.T))
     return _certificate(
-        cv, basis, rep, mw_gens, pair.first.pi, pair.second.pi, pair.first.divisibility, **route
+        cv, basis, rep, mw_gens, pair.first.pi, pair.second.pi, pair.witnesses, **route
     )
 
 

@@ -655,16 +655,18 @@ def tate_pairing(cfp: CurveFp, m: int, P: FpPoint, Q: tuple, R: tuple) -> int:
     return pow(a * d * pow(b * c, -1, p), (p - 1) // m, p)
 
 
-def divisibility_by_pairing(cfp: CurveFp, m: int, P: FpPoint, basis: tuple) -> Optional[bool]:
+def divisibility_by_pairing(cfp: CurveFp, m: int, P: FpPoint, basis: tuple) -> bool:
     """Whether P lies in m*E(F_p), for basis = (Q1, Q2) a basis of
-    E[m] inside E(F_p) and m | p - 1; None when no auxiliary point
-    qualifies, which needs E(F_p)/<Q> of order 2: E(F_p) = E[2].
+    E[m] inside E(F_p), m >= 2 and m | p - 1.
 
     Under these hypotheses the reduced Tate pairing
     E(F_p)/mE(F_p) x E(F_p)[m] -> mu_m is non-degenerate (Frey and Rück,
     Math. Comp. 62, 1994), so P is in m*E(F_p) exactly when
     t_m(P, Q1) = t_m(P, Q2) = 1.  The auxiliary point R for each Q is the
-    first affine point in ascending (x, y) with R and P + R outside <Q>."""
+    first affine point in ascending (x, y) with R and P + R outside <Q>.
+    When there is none, E(F_p) lies in the union of <Q> and <Q> - P, so
+    its m^2 or more points number at most 2m: then m = 2, E(F_p) = E[2]
+    and 2*E(F_p) = O, which P is not."""
     if P is None:
         return True
     roots = _RootsOnDemand(cfp.p)
@@ -675,8 +677,6 @@ def divisibility_by_pairing(cfp: CurveFp, m: int, P: FpPoint, basis: tuple) -> O
              if R not in group and cfp.add(P, R) not in group),
             None,
         )
-        if R is None:
-            return None
-        if tate_pairing(cfp, m, P, Q, R) != 1:
+        if R is None or tate_pairing(cfp, m, P, Q, R) != 1:
             return False
     return True

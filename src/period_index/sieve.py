@@ -8,38 +8,44 @@ modulus) together with a pinned generator pi of a degree-one prime above it:
     wild place, so wild symbols vanish);
   * pi is totally positive (kills archimedean symbols; vacuous for n >= 3).
 
-The first member of a pair additionally carries division witnesses: every
-declared Mordell-Weil generator reduces into m * E(F_p) at its place, m the
-target level.  The torsion basis (S, T) of E[n] reduces to a basis of
-E[m] inside E(F_p) (m | n, p splits, p does not divide n), so m | p - 1
-and the reduced Tate pairing E(F_p)/mE(F_p) x E(F_p)[m] -> mu_m is
-non-degenerate (Frey and Rück, Math. Comp. 62, 1994): a reduced generator
-g lies in m * E(F_p) exactly when t_m(g, Q) = 1 for Q = (n/m)S and
-Q = (n/m)T reduced.  A prime is rejected by that test, four short Miller
-evaluations over F_p and two powers mod p per generator, without the
-group structure of E(F_p).  The witnesses come from the group structure,
-built only at the first prime the pairing accepts, so they do not depend
-on the test.  When no auxiliary point of the pairing qualifies (only on
-tiny groups, E(F_p) = E[2]), the group structure decides that prime as
-well.  The second member must have full residue order n at the first
-member's place while all of its proper Galois conjugates reduce to n-th
+The first member v of a pair additionally carries division witnesses:
+every declared Mordell-Weil generator reduces into m * E(F_p) at its
+place, m the target level.  The torsion basis (S, T) of E[n] reduces to a
+basis of E[m] inside E(F_p) (m | n, p splits, p does not divide n), so
+m | p - 1 and the reduced Tate pairing E(F_p)/mE(F_p) x E(F_p)[m] -> mu_m
+is non-degenerate (Frey and Rück, Math. Comp. 62, 1994): a reduced
+generator g lies in m * E(F_p) exactly when t_m(g, Q) = 1 for Q = (n/m)S
+and Q = (n/m)T reduced.  That verdict is total: when no auxiliary point of
+the pairing qualifies, E(F_p) has at most 2m points, so m = 2,
+E(F_p) = E[2] and only O lies in 2 * E(F_p).  A prime is rejected by that
+test, four short Miller evaluations over F_p and two powers mod p per
+generator, without the group structure of E(F_p).  The witnesses come from
+the group structure, built only at the prime the pairing accepts, so they
+do not depend on the test.  The partner v' must have full residue order n
+at v's place while all of its proper Galois conjugates reduce to n-th
 powers there (sigma_t(x) at omega is x at omega^t: none is built).
+
+The split primes are scanned once, in ascending order, and each generator
+is attached once.  The candidates passed on the way to v are kept; the
+partner is the first of them, or else the first candidate after v, that
+qualifies.  That is the first partner in scan order other than v itself.
 
 The congruence is enforced modulo the wild part of the curve modulus only.
 At tame bad places both class coordinates stay units, and unit-unit tame
 symbols vanish identically, so nothing is lost; the full modulus would thin
 the prime stream for no checkable gain.
 
-Everything is scanned in a fixed ascending order, so results are a pure
-function of the curve, the level, the target level and the prime bound;
-there is no randomness to seed and no other search limit.  The levels are
-those of cyclo.NORM_LEVELS (2, 3 and 4): there the norm equation always
-has a solution, and the roots of unity are all the units to adjust it by.
+Results are a pure function of the curve, the level, the target level and
+the prime bound; there is no randomness to seed and no other search limit.
+The levels are those of cyclo.NORM_LEVELS (2, 3 and 4): there the norm
+equation always has a solution, and the roots of unity are all the units
+to adjust it by.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional
 
 from .cyclo import (
@@ -80,11 +86,11 @@ class SieveExhausted(RuntimeError):
 
 @dataclass
 class SieveStats:
-    """Per-condition rejection counts; the not-found histogram."""
+    """Per-condition counts of one scan, each prime counted once; the
+    histogram a run prints."""
 
     scanned: int = 0
     no_generator: int = 0
-    unit_adjusted: int = 0
     divisibility_checked: int = 0
     divisibility_hits: int = 0
     pairs_tried: int = 0
@@ -98,7 +104,7 @@ class SieveStats:
             % (
                 self.scanned,
                 self.no_generator,
-                self.unit_adjusted,
+                self.scanned - self.no_generator,
                 self.divisibility_hits,
                 self.divisibility_checked,
                 self.pairs_tried,
@@ -112,20 +118,9 @@ class SieveStats:
 class PrimeCandidate:
     """A split prime with its pinned, congruence-adjusted generator."""
 
-    n: int
     p: int
     pi: CycloElem
     place: Place
-    # one (index, witness_point) per declared generator whose reduction
-    # lies in target_level * E(F_p); None when not requested.
-    divisibility: Optional[tuple] = None
-    target_level: Optional[int] = None
-    # the scan that found this candidate (find_v only)
-    stats: Optional[SieveStats] = field(default=None, compare=False, repr=False)
-    # (place, attach_generator's answer) at every prime that scan reached,
-    # keyed by p: find_vprime reads them instead of attaching those
-    # generators again
-    attached: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -134,6 +129,10 @@ class SievePair:
     second: PrimeCandidate
     residue_order: int            # order of second.pi at first.place, must be n
     conjugate_orders: tuple       # (t, order) for t != 1; all orders must be 1
+    # one (index, witness_point) per declared generator, whose reduction
+    # lies in target_level * E(F_p) at first.place
+    witnesses: tuple
+    stats: SieveStats
 
 
 def split_prime_stream(cv: CurveL, n: int, bound: int) -> Iterator[int]:
@@ -197,22 +196,16 @@ def divisibility_data(
 
 def _divisible_by_pairing(
     cv: CurveL, place: Place, gens: list[LPoint], target_level: int, basis: tuple
-) -> Optional[bool]:
+) -> bool:
     """Whether every declared generator reduces into target_level * E(F_p)
     at the place, by the reduced Tate pairing against the reduced basis
-    of E[target_level]; None when no generator fails and some generator
-    has no auxiliary point."""
+    of E[target_level]."""
     cfp = reduce_curve(cv, place)
     k = place.n // target_level
     Q = tuple(cfp.mul(k, reduce_point(cv, P, place)) for P in basis)
-    decided: Optional[bool] = True
-    for g in gens:
-        d = divisibility_by_pairing(cfp, target_level, reduce_point(cv, g, place), Q)
-        if d is False:
-            return False
-        if d is None:
-            decided = None
-    return decided
+    return all(
+        divisibility_by_pairing(cfp, target_level, reduce_point(cv, g, place), Q) for g in gens
+    )
 
 
 def residue_order_profile(pi2: CycloElem, place: Place) -> tuple[int, tuple]:
@@ -226,79 +219,17 @@ def residue_order_profile(pi2: CycloElem, place: Place) -> tuple[int, tuple]:
     return orders[0][1], tuple(orders[1:])
 
 
-def find_v(
-    cv: CurveL,
-    n: int,
-    bound: int,
-    mw_gens: list[LPoint],
-    target_level: int,
-    basis: tuple,
-) -> PrimeCandidate:
-    """First candidate whose declared generators all divide down at its
-    place.  This is the pair member carrying the division witnesses.
-    basis is (S, T), a basis of E[n] over the level-n field; the Tate
-    pairing against it rejects a prime, and divisibility_data runs only
-    at the prime the pairing accepts (or cannot decide)."""
-    stats = SieveStats()
-    attached = {}
+def _candidates(cv: CurveL, n: int, bound: int, stats: SieveStats) -> Iterator[PrimeCandidate]:
+    """The split primes up to bound that carry a pinned generator, in
+    ascending order; each prime is counted once in stats."""
     for p in split_prime_stream(cv, n, bound):
         stats.scanned += 1
         place = distinguished_place(n, p)
         pi = attach_generator(n, p, place)
-        attached[p] = place, pi
         if pi is None:
             stats.no_generator += 1
             continue
-        stats.unit_adjusted += 1
-        stats.divisibility_checked += 1
-        divisible = _divisible_by_pairing(cv, place, mw_gens, target_level, basis)
-        if divisible is False:
-            continue
-        wit = divisibility_data(cv, place, mw_gens, target_level)
-        if wit is None:
-            if divisible:
-                from .construct import LemmaFailure  # construct imports this module
-
-                raise LemmaFailure(
-                    "the Tate pairing puts every generator in %d*E(F_%d), but the group "
-                    "structure gives no witness" % (target_level, p),
-                    "pair.first.conditions.generators_divisible.witnesses",
-                )
-            continue
-        stats.divisibility_hits += 1
-        return PrimeCandidate(n, p, pi, place, wit, target_level, stats, attached)
-    raise SieveExhausted("no admissible prime below %d" % bound, stats)
-
-
-def find_vprime(cv: CurveL, n: int, first: PrimeCandidate, bound: int) -> SievePair:
-    """First partner for an already-found first member, in scan order.
-
-    The partner must have full residue order n at the first member's place
-    while its proper conjugates are n-th power residues there."""
-    stats = SieveStats()
-    for p in split_prime_stream(cv, n, bound):
-        stats.scanned += 1
-        if p == first.p:
-            continue
-        if p in first.attached:
-            place, pi = first.attached[p]
-        else:
-            place = distinguished_place(n, p)
-            pi = attach_generator(n, p, place)
-        if pi is None:
-            stats.no_generator += 1
-            continue
-        stats.unit_adjusted += 1
-        stats.pairs_tried += 1
-        main, conj = residue_order_profile(pi, first.place)
-        if main != n:
-            stats.order_rejected += 1
-            continue
-        if any(o != 1 for _, o in conj):
-            stats.conjugate_rejected += 1
-            continue
-        return SievePair(first, PrimeCandidate(n, p, pi, place), main, conj)
-    raise SieveExhausted("no admissible partner below %d" % bound, stats)
+        yield PrimeCandidate(p, pi, place)
 
 
 def find_pair(
@@ -309,6 +240,44 @@ def find_pair(
     target_level: int,
     basis: tuple,
 ) -> SievePair:
-    """First admissible pair: find_v, then the first partner for it."""
-    first = find_v(cv, n, bound, mw_gens, target_level, basis)
-    return find_vprime(cv, n, first, bound)
+    """First admissible pair, in one scan of the split primes.
+
+    The first member is the first candidate whose declared generators all
+    divide down at its place; it carries the division witnesses.  basis
+    is (S, T), a basis of E[n] over the level-n field; the Tate pairing
+    against it rejects a prime, and divisibility_data runs only at the
+    prime the pairing accepts.  The partner is the first other candidate,
+    in scan order, with full residue order n at the first member's place
+    while its proper conjugates are n-th power residues there."""
+    stats = SieveStats()
+    candidates = _candidates(cv, n, bound, stats)
+    passed = []
+    for first in candidates:
+        stats.divisibility_checked += 1
+        if not _divisible_by_pairing(cv, first.place, mw_gens, target_level, basis):
+            passed.append(first)
+            continue
+        witnesses = divisibility_data(cv, first.place, mw_gens, target_level)
+        if witnesses is None:
+            from .construct import LemmaFailure  # construct imports this module
+
+            raise LemmaFailure(
+                "the Tate pairing puts every generator in %d*E(F_%d), but the group "
+                "structure gives no witness" % (target_level, first.p),
+                "pair.first.conditions.generators_divisible.witnesses",
+            )
+        stats.divisibility_hits += 1
+        break
+    else:
+        raise SieveExhausted("no admissible prime below %d" % bound, stats)
+    for second in chain(passed, candidates):
+        stats.pairs_tried += 1
+        main, conj = residue_order_profile(second.pi, first.place)
+        if main != n:
+            stats.order_rejected += 1
+            continue
+        if any(o != 1 for _, o in conj):
+            stats.conjugate_rejected += 1
+            continue
+        return SievePair(first, second, main, conj, witnesses, stats)
+    raise SieveExhausted("no admissible partner below %d" % bound, stats)

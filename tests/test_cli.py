@@ -114,6 +114,15 @@ def test_config_rejects_floats(tmp_path, capsys):
     assert "exact" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["construct", "sieve"])
+def test_config_root_that_is_not_an_object_names_the_file(tmp_path, capsys, command):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: configuration root of %s must be an object\n" % path
+
+
 def test_config_diagnostic_names_the_field(tmp_path, capsys):
     cfg = _write_config(tmp_path, CONFIG_CUBIC, parameters__mode="C")
     assert main(["construct", "--config", cfg]) == 2
@@ -290,10 +299,52 @@ def test_construct_exhausted_bounds_reports_histogram(tmp_path, capsys):
     assert "histogram" in err and "scanned=" in err
 
 
+@pytest.mark.parametrize(
+    "edit, says",
+    [
+        ({"mw_generators": [{"x": "-1", "y": ["0", "1"]}]},
+         "error: curve.mw_generators[0]: generator 0 is not rational; "),
+        ({"torsion_basis": {"S": {"x": ["0", "-1"], "y": ["0", "1"]},
+                            "T": {"x": "-1", "y": ["0", "1"]}}},
+         "error: curve.torsion_basis: the route needs a stable subgroup: "),
+    ],
+    ids=["irrational-generator", "unstable-basis"],
+)
+def test_construct_blames_a_route_hypothesis_on_its_config_field(tmp_path, capsys, edit, says):
+    # mode B over Q: the generators must be rational, and the basis action
+    # upper triangular (S + T spans no stable subgroup)
+    cfg = _write_config(tmp_path, CONFIG_CUBIC, curve=dict(CONFIG_CUBIC["curve"], **edit))
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err.startswith(says)
+
+
+def test_construct_exits_4_when_the_pairing_and_the_group_disagree(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sieve, "divisibility_witness", lambda *args: None)
+    cfg = _write_config(tmp_path, CONFIG_QUARTIC)
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 4
+    assert capsys.readouterr().err.startswith("internal inconsistency: ")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_construct_level_mismatch(tmp_path, capsys):
     cfg = _write_config(tmp_path, CONFIG_CUBIC, parameters__n="9")
     assert main(["construct", "--config", cfg]) == 2
     assert "neither" in capsys.readouterr().err
+
+
+def test_sieve_prints_the_pair_and_its_histogram(tmp_path, capsys):
+    cfg = _write_config(tmp_path, CONFIG_CUBIC)
+    assert main(["sieve", "--config", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("first  p=757 ")
+    assert lines[1].startswith("second p=13879 ") and lines[1].endswith(" residue_order=3")
+    assert lines[2] == "conjugate t=2 order=1"
+    # one scan: each prime up to the partner is counted once
+    assert lines[3] == (
+        "histogram: scanned=92 no_generator=83 generators=9 divisibility=1/1 "
+        "pairs_tried=8 order_rejected=3 conjugate_rejected=4"
+    )
+    assert len(lines) == 4
 
 
 def test_sieve_level_mismatch(tmp_path, capsys):

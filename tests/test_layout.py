@@ -6,10 +6,11 @@ referenced somewhere in src/ outside its own definition (by name, by
 attribute or by import), or be imported by tests/test_acceptance.py,
 which calls the public API the acceptance gate names.  Every method of a
 class there, dunders aside (the language calls them), must be reached as
-an attribute somewhere in src/ outside its own body.  A helper that only
-tests still call is dead code and belongs in the test that needs it.  A
-module of src/period_index imports no underscore name from another: what
-two modules share is public."""
+an attribute somewhere in src/ outside its own body, and so must every
+field of a dataclass outside its class body.  A helper that only tests
+still call, or a field that only tests read, is dead code and belongs in
+the test that needs it.  A module of src/period_index imports no
+underscore name from another: what two modules share is public."""
 
 import ast
 from collections import Counter
@@ -94,6 +95,41 @@ def test_every_method_is_reached_as_an_attribute():
     count, unreached = _unreached_methods()
     assert count > 30
     assert unreached == []
+
+
+def _is_dataclass(cls) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in cls.decorator_list
+    )
+
+
+def _unread_fields() -> tuple:
+    """(count of dataclass fields, Class.field for those no attribute of
+    src outside their class body names; matched by name, as methods are)"""
+    trees = _trees()
+    refs = sum((_attributes(tree) for tree in trees), Counter())
+    fields = [
+        (cls, node.target.id)
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+    unread = [
+        "%s.%s" % (cls.name, name)
+        for cls, name in fields
+        if refs[name] - _attributes(cls)[name] == 0
+    ]
+    return len(fields), unread
+
+
+def test_every_dataclass_field_is_read_as_an_attribute():
+    count, unread = _unread_fields()
+    assert count > 15
+    assert unread == []
 
 
 def _private_imports() -> list:

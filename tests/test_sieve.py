@@ -36,8 +36,6 @@ from period_index.sieve import (
     attach_generator,
     divisibility_data,
     find_pair,
-    find_v,
-    find_vprime,
     residue_order_profile,
     split_prime_stream,
 )
@@ -274,25 +272,30 @@ def test_residue_order_profile_matches_the_galois_action():
     assert cases > 2_500
 
 
-def test_find_v_frozen():
+def test_find_pair_frozen():
     cv2, gens2 = _fix2()
-    c = find_v(cv2, 2, 10**4, gens2, 2, _basis(2))
-    assert (c.p, c.pi, c.divisibility) == (
+    pair = find_pair(cv2, 2, 10**4, gens2, 2, _basis(2))
+    assert (pair.first.p, pair.first.pi, pair.witnesses) == (
         17,
         CycloElem.rational(2, 17),
         ((0, (4, 3)), (1, (12, 13))),
     )
+    assert (pair.second.p, pair.second.pi) == (41, CycloElem.rational(2, 41))
+    assert pair.residue_order == 2 and pair.conjugate_orders == ()
     cv3, gens3 = _fix3()
-    c = find_v(cv3, 3, 10**4, gens3, 3, _basis(3))
-    assert (c.p, c.pi, c.divisibility) == (
+    pair = find_pair(cv3, 3, 2 * 10**4, gens3, 3, _basis(3))
+    assert (pair.first.p, pair.first.pi, pair.witnesses) == (
         757,
         CycloElem(3, [28, 27]),
         ((0, (570, 175)),),
     )
+    assert (pair.second.p, pair.second.pi) == (13879, CycloElem(3, [82, 135]))
+    assert pair.residue_order == 3 and pair.conjugate_orders == ((2, 1),)
     cv4, gens4 = _fix4()
-    c = find_v(cv4, 4, 2 * 10**4, gens4, 2, _basis(4))
-    assert (c.p, c.pi) == (13441, CycloElem(4, [65, -96]))
-    assert c.divisibility == ((0, (2117, 2573)), (1, (1672, 6652)))
+    pair = find_pair(cv4, 4, 10**5, gens4, 2, _basis(4))
+    assert (pair.first.p, pair.first.pi) == (13441, CycloElem(4, [65, -96]))
+    assert pair.witnesses == ((0, (2117, 2573)), (1, (1672, 6652)))
+    assert (pair.second.p, pair.second.pi) == (25601, CycloElem(4, [1, 160]))
 
 
 def _count_group_structures(monkeypatch):
@@ -307,14 +310,14 @@ def _count_group_structures(monkeypatch):
     return calls
 
 
-def test_find_v_builds_the_group_only_at_the_accepted_prime(monkeypatch):
+def test_find_pair_builds_the_group_only_at_the_accepted_prime(monkeypatch):
     # the pairing rejects 2113 to 13121; E(F_p)'s structure is built once,
     # at 13441, and the histogram still counts every prime checked
     calls = _count_group_structures(monkeypatch)
     cv4, gens4 = _fix4()
-    c = find_v(cv4, 4, 2 * 10**4, gens4, 2, _basis(4))
-    assert c.p == 13441 and calls[0] == 1
-    assert "divisibility=1/6" in c.stats.summary()
+    pair = find_pair(cv4, 4, 10**5, gens4, 2, _basis(4))
+    assert pair.first.p == 13441 and calls[0] == 1
+    assert "divisibility=1/6" in pair.stats.summary()
 
 
 def test_doubled_construct_builds_one_group_structure(monkeypatch):
@@ -326,9 +329,9 @@ def test_doubled_construct_builds_one_group_structure(monkeypatch):
 
 
 def test_doubled_find_pair_attaches_each_generator_once(monkeypatch):
-    # find_vprime rescans the primes below the first member: it reads the
-    # generators find_v attached there (273 attachments for 176 primes
-    # when it attached them again)
+    # the partner search reads the candidates passed on the way to the
+    # first member (273 attachments for 176 primes when a second scan
+    # attached them again)
     primes = []
     original = sieve.attach_generator
 
@@ -361,29 +364,25 @@ def test_doubled_find_pair_multiplication_budget(monkeypatch):
     assert calls[0] <= 600
 
 
-def test_find_v_falls_back_when_the_pairing_cannot_decide(monkeypatch):
-    monkeypatch.setattr(sieve, "divisibility_by_pairing", lambda *args: None)
-    cv2, gens2 = _fix2()
-    c = find_v(cv2, 2, 10**4, gens2, 2, _basis(2))
-    assert (c.p, c.divisibility) == (17, ((0, (4, 3)), (1, (12, 13))))
+def test_find_pair_takes_a_partner_passed_before_the_first_member():
+    # y^2 = x(x + 6)(x - 1): (8, 28) first divides by 2 at 113, and the
+    # first candidate, 17, is the partner
+    cv = curve_over(2, [0, 5, 0, -6, 0])
+    basis = (point_over(2, (0, 0)), point_over(2, (-6, 0)))
+    pair = find_pair(cv, 2, 200, [point_over(2, (8, 28))], 2, basis)
+    assert (pair.first.p, pair.second.p) == (113, 17)
+    assert pair.witnesses == ((0, (18, 15)),)
+    assert pair.stats.summary() == (
+        "scanned=6 no_generator=0 generators=6 divisibility=1/6 "
+        "pairs_tried=1 order_rejected=0 conjugate_rejected=0"
+    )
 
 
-def test_find_v_fails_hard_when_the_pairing_and_the_group_disagree(monkeypatch):
+def test_find_pair_fails_hard_when_the_pairing_and_the_group_disagree(monkeypatch):
     monkeypatch.setattr(sieve, "divisibility_data", lambda *args: None)
     cv2, gens2 = _fix2()
     with pytest.raises(LemmaFailure):
-        find_v(cv2, 2, 10**4, gens2, 2, _basis(2))
-
-
-def test_find_vprime_frozen():
-    cv2, gens2 = _fix2()
-    pair = find_vprime(cv2, 2, find_v(cv2, 2, 10**3, gens2, 2, _basis(2)), 10**3)
-    assert (pair.second.p, pair.second.pi) == (41, CycloElem.rational(2, 41))
-    assert pair.residue_order == 2 and pair.conjugate_orders == ()
-    cv3, gens3 = _fix3()
-    pair = find_vprime(cv3, 3, find_v(cv3, 3, 10**3, gens3, 3, _basis(3)), 2 * 10**4)
-    assert (pair.second.p, pair.second.pi) == (13879, CycloElem(3, [82, 135]))
-    assert pair.residue_order == 3 and pair.conjugate_orders == ((2, 1),)
+        find_pair(cv2, 2, 10**4, gens2, 2, _basis(2))
 
 
 def test_find_pair_conditions_revalidate():
@@ -397,13 +396,28 @@ def test_find_pair_conditions_revalidate():
     r = reduce_at(pair.second.pi, v.p, v.omega)
     assert residue_power_order(r, 3, v.p) == 3
     assert pair.first.p != pair.second.p
-    assert pair.first.target_level == 3
+    cfp = reduce_curve(cv3, v)
+    for idx, w in pair.witnesses:
+        assert cfp.mul(3, w) == reduce_point(cv3, gens3[idx], v)
 
 
 def test_sieve_exhausted_histogram():
     cv3, gens3 = _fix3()
     with pytest.raises(SieveExhausted) as e:
-        find_v(cv3, 3, 700, gens3, 3, _basis(3))
+        find_pair(cv3, 3, 700, gens3, 3, _basis(3))
     assert e.value.stats.scanned == 7
     assert e.value.stats.no_generator == 7
     assert "scanned=7" in str(e.value)
+
+
+def test_sieve_exhausted_partner_histogram_covers_the_whole_search():
+    # the partner lies past 10^4: the histogram counts the first member's
+    # pairing test and every prime once (a second scan counted 7
+    # generators and no pairing test)
+    cv3, gens3 = _fix3()
+    with pytest.raises(SieveExhausted) as e:
+        find_pair(cv3, 3, 10**4, gens3, 3, _basis(3))
+    assert str(e.value) == (
+        "no admissible partner below 10000 (scanned=70 no_generator=62 generators=8 "
+        "divisibility=1/1 pairs_tried=7 order_rejected=3 conjugate_rejected=4)"
+    )
