@@ -272,7 +272,7 @@ def test_residue_order_profile_matches_the_galois_action():
     assert cases > 2_500
 
 
-def test_find_pair_frozen():
+def test_find_v_frozen():
     cv2, gens2 = _fix2()
     pair = find_pair(cv2, 2, 10**4, gens2, 2, _basis(2))
     assert (pair.first.p, pair.first.pi, pair.witnesses) == (
@@ -280,8 +280,6 @@ def test_find_pair_frozen():
         CycloElem.rational(2, 17),
         ((0, (4, 3)), (1, (12, 13))),
     )
-    assert (pair.second.p, pair.second.pi) == (41, CycloElem.rational(2, 41))
-    assert pair.residue_order == 2 and pair.conjugate_orders == ()
     cv3, gens3 = _fix3()
     pair = find_pair(cv3, 3, 2 * 10**4, gens3, 3, _basis(3))
     assert (pair.first.p, pair.first.pi, pair.witnesses) == (
@@ -289,12 +287,23 @@ def test_find_pair_frozen():
         CycloElem(3, [28, 27]),
         ((0, (570, 175)),),
     )
-    assert (pair.second.p, pair.second.pi) == (13879, CycloElem(3, [82, 135]))
-    assert pair.residue_order == 3 and pair.conjugate_orders == ((2, 1),)
     cv4, gens4 = _fix4()
     pair = find_pair(cv4, 4, 10**5, gens4, 2, _basis(4))
     assert (pair.first.p, pair.first.pi) == (13441, CycloElem(4, [65, -96]))
     assert pair.witnesses == ((0, (2117, 2573)), (1, (1672, 6652)))
+
+
+def test_find_vprime_frozen():
+    cv2, gens2 = _fix2()
+    pair = find_pair(cv2, 2, 10**4, gens2, 2, _basis(2))
+    assert (pair.second.p, pair.second.pi) == (41, CycloElem.rational(2, 41))
+    assert pair.residue_order == 2 and pair.conjugate_orders == ()
+    cv3, gens3 = _fix3()
+    pair = find_pair(cv3, 3, 2 * 10**4, gens3, 3, _basis(3))
+    assert (pair.second.p, pair.second.pi) == (13879, CycloElem(3, [82, 135]))
+    assert pair.residue_order == 3 and pair.conjugate_orders == ((2, 1),)
+    cv4, gens4 = _fix4()
+    pair = find_pair(cv4, 4, 10**5, gens4, 2, _basis(4))
     assert (pair.second.p, pair.second.pi) == (25601, CycloElem(4, [1, 160]))
 
 
