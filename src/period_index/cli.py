@@ -13,7 +13,8 @@ innermost field and prints as "error: <field>: <message>".  A
 configuration gives the curve with its torsion data, the target
 (parameters.n, parameters.ell and the mode) and one search limit,
 bounds.prime_bound; output is optional and any other field is ignored.  curve.level is 2, 3 or 4, the levels that
-can certify (cyclo.NORM_LEVELS).  RunConfig decides the route once:
+can certify (cyclo.NORM_LEVELS), for configurations and certificates
+alike (construct.read_curve).  RunConfig decides the route once:
 direct when curve.level is parameters.n, doubled when it is twice an even
 parameters.n.  Certificates are written atomically and canonically, so
 reruns with an equal configuration produce byte-identical files.
@@ -35,7 +36,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .cyclo import NORM_LEVELS, CycloElem
+from .cyclo import CycloElem
 from .kummer import twisted_norm, galois_representation
 from .localfield import (
     archimedean_invariant,
@@ -93,12 +94,8 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise InputError("configuration root of %s must be an object" % path)
 
-        self.level = read_int(read_field(raw, "curve.level"), "curve.level")
-        if self.level not in NORM_LEVELS:
-            raise InputError(
-                "only levels %s can certify, found %d" % (NORM_LEVELS, self.level), "curve.level"
-            )
         self.curve, self.basis, self.mw_gens = read_curve(read_field(raw, "curve"), "curve")
+        self.level = self.curve.n
 
         self.n = read_positive(read_field(raw, "parameters.n"), "parameters.n")
         self.ell = read_positive(read_field(raw, "parameters.ell"), "parameters.ell")
@@ -388,7 +385,6 @@ def main(argv=None) -> int:
         return 2
     except SieveExhausted as e:
         print("search exhausted: %s" % e, file=sys.stderr)
-        print("histogram: " + e.stats.summary(), file=sys.stderr)
         return 3
     except LemmaFailure as e:
         print("internal inconsistency: %s" % e, file=sys.stderr)

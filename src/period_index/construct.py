@@ -51,6 +51,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .cyclo import (
+    NORM_LEVELS,
     CycloElem,
     context,
     field_norm,
@@ -953,15 +954,13 @@ def _read_fp_point(value, path: str):
 
 def read_curve(block: dict, at: str) -> tuple:
     """(curve, torsion basis, Mordell-Weil generators) of the curve block
-    at path at: the model at its level, the basis and the generators
-    checked on it, and the declared stable subgroup order against the
-    level."""
+    at path at: a level that can certify (NORM_LEVELS), the model at it,
+    the basis and the generators checked on it, and the declared stable
+    subgroup order against the level."""
     p = at + "."
     level = read_int(read_field(block, "level", at), p + "level")
-    try:
-        context(level)
-    except ValueError as e:
-        raise InputError(str(e), p + "level")
+    if level not in NORM_LEVELS:
+        raise InputError("only levels %s can certify, found %d" % (NORM_LEVELS, level), p + "level")
     coeffs = read_field(block, "coefficients", at, list)
     if len(coeffs) != 5:
         raise InputError("expected five model coefficients", p + "coefficients")
@@ -1029,6 +1028,11 @@ def _rederive(cert: dict) -> dict:
             "stored digest does not match the curve block", "inputs.digest", "inputs.curve"
         )
     cv, basis, gens = read_curve(curve, "inputs.curve")
+    # construct records T after make_basis rescales it, so a T that
+    # make_basis rescales again was recorded beside another S or T
+    at = "inputs.curve.torsion_basis"
+    if _read_point(cv.n, read_field(curve, "torsion_basis.T"), at + ".T") != basis.T:
+        raise InputError("the Weil pairing of S and T is not zeta: the basis is not normalized", at)
 
     pi = read_elem(cv.n, read_field(cert, "pair.first.pi"), "pair.first.pi")
     pi_prime = read_elem(cv.n, read_field(cert, "pair.second.pi"), "pair.second.pi")

@@ -1,9 +1,10 @@
 """Elliptic curves in long Weierstrass form, over Q(zeta_n) and over F_p.
 
 Two parallel implementations of the group law: an exact one with CycloElem
-coordinates (used for torsion bases, Galois action, Weil pairings) and a
-fast int one modulo p (used by the sieve on reductions).  Affine points are
-(x, y) pairs; None is the point at infinity throughout.
+coordinates (used to check and rescale torsion bases) and a fast int one
+modulo p (used by the sieve on reductions, and for the table of E[n], the
+Weil pairing and the Galois action at one auxiliary prime).  Affine points
+are (x, y) pairs; None is the point at infinity throughout.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import accumulate, repeat
 from math import gcd, isqrt
 from typing import Iterable, Optional
 
-from .cyclo import CycloElem, GaloisAuto, galois_apply, reduce_at
+from .cyclo import CycloElem, reduce_at
 from .localfield import Place, factorint, valuation
 
 
@@ -116,15 +117,6 @@ class CurveL(_DoubleAndAdd):
         lam, nu = line
         x3 = lam * lam + self.a1 * lam - self.a2 - P[0] - Q[0]
         return (x3, -(lam + self.a1) * x3 - nu - self.a3)
-
-    def galois_point(self, auto: GaloisAuto, P: LPoint) -> LPoint:
-        """Coordinate-wise Galois action; valid since the model must be
-        rational for this to send the curve to itself."""
-        if not self.is_rational_model():
-            raise CurveError("Galois action needs a model with rational coefficients")
-        if P is None:
-            return None
-        return (galois_apply(auto, P[0]), galois_apply(auto, P[1]))
 
 
 def curve_over(n: int, coeffs: Iterable) -> CurveL:
@@ -477,21 +469,17 @@ def divisibility_witness(cfp: CurveFp, st: GroupStructure, n: int, P: tuple):
 
 
 # =====================================================================
-# Weil pairing (exact, over the cyclotomic coefficient field)
+# Pairings over F_p: the Weil pairing on E[n], read at one auxiliary
+# prime by kummer, and the reduced Tate pairing, the sieve's test
 # =====================================================================
 
 
-class AuxCollision(ArithmeticError):
-    """Internal: the auxiliary point hit a zero/pole; redraw and retry."""
-
-
-def _miller_lines(cv, n: int, P) -> list:
+def _miller_lines(cfp: CurveFp, n: int, P: FpPoint) -> list:
     """Miller's loop for f_{n,P}, div(f) = n(P) - n(O), as the lines it
     multiplies in, which do not depend on where f is evaluated.  One entry
     per step: (square f first, line through V and W, x of the vertical at
     V + W).  A line is (lam, nu) for y = lam*x + nu, or the x of a vertical
-    one, or None for the constant 1.  Raises unless nP = O.  cv is a
-    CurveL or a CurveFp: both have chord and _third."""
+    one, or None for the constant 1.  Raises unless nP = O."""
     steps = []
     V = P
     for bit in bin(n)[3:]:
@@ -500,8 +488,8 @@ def _miller_lines(cv, n: int, P) -> list:
             if V is None:  # kP = O already: the lines left cancel
                 line, S = None, W
             else:
-                line = cv.chord(V, W)
-                S = None if line is None else cv._third(V, W, line)
+                line = cfp.chord(V, W)
+                S = None if line is None else cfp._third(V, W, line)
                 line = V[0] if line is None else line
             steps.append((square, line, None if S is None else S[0]))
             V = S
@@ -510,88 +498,58 @@ def _miller_lines(cv, n: int, P) -> list:
     return steps
 
 
-def _miller(cv: CurveL, lines: list, X: LPoint) -> tuple:
-    """f(X) as (numerator, denominator) for the lines of _miller_lines."""
-    if X is None:
-        raise AuxCollision("evaluation at infinity")
-    xX, yX = X
-    num = den = CycloElem.rational(cv.n, 1)
+def _fp_miller(cfp: CurveFp, lines: list, X: tuple) -> tuple:
+    """f(X) mod p as (numerator, denominator) for the lines of
+    _miller_lines.  Every line and vertical passes through
+    multiples of the point the lines belong to only, so for X outside
+    that cyclic group no factor is zero."""
+    p = cfp.p
+    x, y = X
+    num = den = 1
     for square, line, vertical in lines:
         if square:
-            num, den = num * num, den * den
+            num, den = num * num % p, den * den % p
         if line is not None:
-            value = yX - line[0] * xX - line[1] if isinstance(line, tuple) else xX - line
-            if value.is_zero():
-                raise AuxCollision("line through the evaluation point")
-            num = num * value
+            num = num * ((y - line[0] * x - line[1]) if isinstance(line, tuple) else (x - line)) % p
         if vertical is not None:
-            value = xX - vertical
-            if value.is_zero():
-                raise AuxCollision("vertical through the evaluation point")
-            den = den * value
+            den = den * (x - vertical) % p
     return num, den
 
 
-def weil_pairing(cv: CurveL, n: int, P: LPoint, Q: LPoint, pool: Iterable[LPoint]) -> CycloElem:
-    """The degree-n Weil pairing e_n(P, Q), an exact n-th root of unity.
-
-    n = 2 with P, Q distinct nontrivial is forced: the pairing is
-    alternating and nondegenerate on a (Z/2)^2, so e_2(P,Q) = -1.  For
-    larger n, auxiliary points are drawn from the pool (deterministic
-    order) until the four Miller evaluations avoid zeros and poles:
-
-        e_n(P,Q) = f_P(Q+R) f_Q(-R) / ( f_P(R) f_Q(P-R) )
-
-    Each f is kept as a numerator and a denominator; the one division is
-    at the end.
-    """
-    lines_P = _miller_lines(cv, n, P)
-    lines_Q = _miller_lines(cv, n, Q)
-    if P is None or Q is None or P == Q:
-        return CycloElem.rational(cv.n, 1)
-    if n == 2:
-        return CycloElem.rational(cv.n, -1)
-    P_minus_Q = cv.add(P, cv.neg(Q))
-    for R in pool:
-        if R is None or R == P or R == cv.neg(Q) or R == P_minus_Q:
-            continue
-        try:
-            a = _miller(cv, lines_P, cv.add(Q, R))
-            b = _miller(cv, lines_Q, cv.neg(R))
-            c = _miller(cv, lines_P, R)
-            d = _miller(cv, lines_Q, cv.add(P, cv.neg(R)))
-            return (a[0] * b[0] * c[1] * d[1]) / (a[1] * b[1] * c[0] * d[0])
-        except (AuxCollision, ZeroDivisionError):
-            continue
-    raise CurveError("weil_pairing: auxiliary pool exhausted")
-
-
-def zeta_dlog(value: CycloElem, n: int) -> int:
-    """k with value = (zeta of exact order n)^k, inside level value.n."""
-    if value.n % n != 0:
-        raise ValueError("level %d has no mu_%d" % (value.n, n))
-    z = CycloElem.zeta(value.n, value.n // n)
-    acc = CycloElem.rational(value.n, 1)
-    for k in range(n):
-        if acc == value:
-            return k
-        acc = acc * z
-    raise ValueError("value is not an n-th root of unity: %r" % (value,))
-
-
-def torsion_pool(cv: CurveL, S: LPoint, T: LPoint, n: int) -> list[LPoint]:
+def torsion_pool(cv, S, T, n: int) -> list:
     """All iS + jT for 0 <= i, j < n in row-major order (index i*n + j),
-    one addition each: the deterministic auxiliary pool of the Weil
-    pairing, and all of E[n] when (S, T) is a basis of it."""
-    pool: list[LPoint] = [None]
+    one addition each: all of E[n] when (S, T) is a basis of it.  cv is a
+    CurveFp or a CurveL: both have add."""
+    pool = [None]
     for k in range(1, n * n):
         pool.append(cv.add(pool[k - 1], T) if k % n else cv.add(pool[k - n], S))
     return pool
 
 
-# =====================================================================
-# Reduced Tate pairing (over F_p, the sieve's divisibility test)
-# =====================================================================
+def weil_pairing(cfp: CurveFp, n: int, P: FpPoint, Q: FpPoint, R: FpPoint) -> int:
+    """The degree-n Weil pairing e_n(P, Q) of P, Q in E[n], an n-th root
+    of unity mod p.
+
+    n = 2 with P, Q distinct nontrivial is forced: the pairing is
+    alternating and nondegenerate on a (Z/2)^2, so e_2(P,Q) = -1.  For
+    larger n it is read at the auxiliary point R,
+
+        e_n(P,Q) = f_P(Q+R) f_Q(-R) / ( f_P(R) f_Q(P-R) ),
+
+    for R with R and Q + R outside <P>, and R and R - P outside <Q>: then
+    no factor of the four Miller evaluations is zero (_fp_miller)."""
+    p = cfp.p
+    lines_P = _miller_lines(cfp, n, P)
+    lines_Q = _miller_lines(cfp, n, Q)
+    if P is None or Q is None or P == Q:
+        return 1
+    if n == 2:
+        return p - 1
+    a = _fp_miller(cfp, lines_P, cfp.add(Q, R))
+    b = _fp_miller(cfp, lines_Q, cfp.neg(R))
+    c = _fp_miller(cfp, lines_P, R)
+    d = _fp_miller(cfp, lines_Q, cfp.add(P, cfp.neg(R)))
+    return a[0] * b[0] * c[1] * d[1] * pow(a[1] * b[1] * c[0] * d[0], -1, p) % p
 
 
 class _RootsOnDemand:
@@ -624,24 +582,6 @@ class _RootsOnDemand:
             b = pow(c, 1 << (k - i - 1), p)
             k, c, t, r = i, b * b % p, t * b * b % p, r * b % p
         return min(r, p - r)
-
-
-def _fp_miller(cfp: CurveFp, lines: list, X: tuple) -> tuple:
-    """f(X) mod p as (numerator, denominator) for the lines of
-    _miller_lines over F_p.  Every line and vertical passes through
-    multiples of the point the lines belong to only, so for X outside
-    that cyclic group no factor is zero."""
-    p = cfp.p
-    x, y = X
-    num = den = 1
-    for square, line, vertical in lines:
-        if square:
-            num, den = num * num % p, den * den % p
-        if line is not None:
-            num = num * ((y - line[0] * x - line[1]) if isinstance(line, tuple) else (x - line)) % p
-        if vertical is not None:
-            den = den * (x - vertical) % p
-    return num, den
 
 
 def tate_pairing(cfp: CurveFp, m: int, P: FpPoint, Q: tuple, R: tuple) -> int:

@@ -2,9 +2,13 @@
 
 A class is carried by a pair (a, b) of nonzero field elements: the Kummer
 coordinates with respect to a pinned basis (S, T) of E[n] normalized so that
-the Weil pairing e_n(S, T) is the pinned root zeta.  Its obstruction is read
-locally through tame symbols of the pair: at a split place v the invariant
-is <a, b>_v, and level shifts act by explicit operations on the pair:
+the Weil pairing e_n(S, T) is the pinned root zeta.  The basis is checked
+exactly in L only for what the certificate records (S and T on the curve,
+nS = nT = O, T rescaled); its independence, its pairing and the Galois
+matrices on it are read at one auxiliary split prime q, where reduction is
+injective on E[n].  Its obstruction is read locally through tame symbols of
+the pair: at a split place v the invariant is <a, b>_v, and level shifts
+act by explicit operations on the pair:
 
   raising level by m:   (a, b) -> (a^m, b^m)      (invariants scale by m)
   multiplication by m:  representatives unchanged  (read m * level-mn value)
@@ -14,17 +18,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .cyclo import (
     CycloElem,
     GaloisAuto,
     context,
     embed_level,
+    field_norm,
     galois_apply,
+    is_probable_prime,
+    reduce_at,
 )
-from .ecq import CurveL, LPoint, torsion_pool, weil_pairing, zeta_dlog
-from .localfield import Place, tame_invariant
+from .ecq import CurveFp, CurveL, FpPoint, LPoint, torsion_pool, weil_pairing
+from .localfield import Place, distinguished_place, dlog_in_mu_n, tame_invariant
 
 
 class BasisError(ValueError):
@@ -37,49 +44,76 @@ class RepresentationError(ValueError):
 
 @dataclass(frozen=True)
 class TorsionBasis:
-    """A pinned basis (S, T) of E[n] with e_n(S, T) = zeta_n exactly, and
-    its table of E[n]: point -> (i, j) for i*S + j*T, n^2 entries."""
+    """A pinned basis (S, T) of E[n] with e_n(S, T) = zeta_n exactly, the
+    auxiliary place it is read at, and its table of E[n] there: the
+    reduction of i*S + j*T -> (i, j), n^2 entries."""
 
     cv: CurveL
     n: int
     S: LPoint
     T: LPoint
+    place: Place = field(repr=False, compare=False)
     combos: dict = field(repr=False, compare=False)
+
+
+def _auxiliary_place(cv: CurveL) -> Place:
+    """The distinguished place over the least prime q = 1 mod n that
+    divides neither n*N(Delta) nor a coefficient denominator.  The model
+    is integral with a unit discriminant at every place over q, so it has
+    good reduction there, and the model and the coordinates of the points
+    of E[n] are integral there (Silverman, AEC VII.3.4): all reduce by
+    reduce_at, and reduction is injective on E[n] (VII.3.1)."""
+    n = cv.n
+    norm = field_norm(cv.discriminant())
+    denominators = prod(a.denominator() for a in cv.coefficient_list())
+    bad = n * norm.numerator * norm.denominator * denominators
+    q = n + 1
+    while bad % q == 0 or not is_probable_prime(q):
+        q += n
+    return distinguished_place(n, q)
+
+
+def _residue(P: LPoint, p: int, omega: int) -> FpPoint:
+    """The reduction at (p, omega) of a point with integral coordinates."""
+    return None if P is None else (reduce_at(P[0], p, omega), reduce_at(P[1], p, omega))
 
 
 def make_basis(cv: CurveL, n: int, S: LPoint, T: LPoint) -> TorsionBasis:
     """Validate and normalize a candidate torsion basis.
 
-    E[n] is walked once, as the n^2 points iS + jT.  nS = nT = O and
-    n^2 distinct points show that S and T are independent of exact order
-    n; the same points are the auxiliary pool of both pairings and the
-    basis's table of E[n].  T is rescaled so the pairing is zeta itself."""
+    In L: S and T lie on the curve and nS = nT = O.  The rest is read at
+    the auxiliary place over q, where E[n] reduces injectively: the n^2
+    reductions iS + jT are distinct exactly when S and T are independent
+    of exact order n, and they are the basis's table of E[n].  Reduction
+    sends zeta to omega and commutes with the Weil pairing (Silverman,
+    AEC III.8), so e_n(S, T) = zeta^u for u the log to the base omega of
+    the pairing of the reductions, read at R = 2S + T: for n >= 3, R and
+    T + R lie outside <S>, and -R and S - R outside <T>.  T is replaced
+    by u^-1 * T, so the pairing is zeta itself."""
     if cv.n != n:
         raise BasisError("curve level %d vs basis level %d" % (cv.n, n))
     for P in (S, T):
         if not cv.on_curve(P):
             raise BasisError("basis point not on the curve")
-    pool = torsion_pool(cv, S, T, n)
-    if cv.add(pool[(n - 1) * n], S) is not None or cv.add(pool[n - 1], T) is not None:
+    if cv.mul(n, S) is not None or cv.mul(n, T) is not None:
         raise BasisError("basis point does not have exact order %d" % n)
-    combos = {P: divmod(k, n) for k, P in enumerate(pool)}
+    place = _auxiliary_place(cv)
+    q, omega = place.p, place.omega
+    cfp = CurveFp(q, *(reduce_at(a, q, omega) for a in cv.coefficient_list()))
+    Sq, Tq = (_residue(P, q, omega) for P in (S, T))
+    combos = {P: divmod(k, n) for k, P in enumerate(torsion_pool(cfp, Sq, Tq, n))}
     if len(combos) != n * n:
         raise BasisError(
             "the %d points iS + jT are not distinct: S and T are dependent "
             "or of order below %d" % (n * n, n)
         )
-    e = weil_pairing(cv, n, S, T, pool)
-    u = zeta_dlog(e, n)
-    if gcd(u, n) != 1:
-        raise BasisError("pairing has order %d < n; points are dependent" % (n // gcd(u, n)))
+    e = weil_pairing(cfp, n, Sq, Tq, cfp.add(cfp.mul(2, Sq), Tq))
+    u = dlog_in_mu_n(e, place)
     if u != 1:
         # T = u*T', so i*S + j*T = i*S + (j*u)*T'
-        T = pool[pow(u, -1, n)]
+        T = cv.mul(pow(u, -1, n), T)
         combos = {P: (i, j * u % n) for P, (i, j) in combos.items()}
-        e = weil_pairing(cv, n, S, T, pool)
-        if zeta_dlog(e, n) != 1:
-            raise BasisError("pairing normalization failed")
-    return TorsionBasis(cv, n, S, T, combos)
+    return TorsionBasis(cv, n, S, T, place, combos)
 
 
 def galois_matrix(basis: TorsionBasis, t: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -87,16 +121,16 @@ def galois_matrix(basis: TorsionBasis, t: int) -> tuple[tuple[int, int], tuple[i
 
         sigma(S) = i*S + k*T,  sigma(T) = j*S + l*T  ->  ((i, j), (k, l)).
 
-    Read off the basis's table of E[n] and checked against the pairing."""
-    cv, n = basis.cv, basis.n
-    auto = GaloisAuto(n, t)
-    table = basis.combos
-    sS = cv.galois_point(auto, basis.S)
-    sT = cv.galois_point(auto, basis.T)
-    if sS not in table or sT not in table:
-        raise RepresentationError("Galois image leaves the span of the basis")
-    i, k = table[sS]
-    j, l = table[sT]
+    sigma_t fixes a rational model, and sigma_t(P) reduced at omega is P
+    reduced at the residue of sigma_t(zeta), omega^t, so the images are
+    read off the basis's table at q, which holds all of E[n].  Checked
+    against the pairing."""
+    cv, n, place = basis.cv, basis.n, basis.place
+    if not cv.is_rational_model():
+        raise RepresentationError("Galois action needs a model with rational coefficients")
+    omega_t = reduce_at(galois_apply(GaloisAuto(n, t), CycloElem.zeta(n)), place.p, place.omega)
+    i, k = basis.combos[_residue(basis.S, place.p, omega_t)]
+    j, l = basis.combos[_residue(basis.T, place.p, omega_t)]
     det = (i * l - j * k) % n
     if det != t % n:
         raise RepresentationError(

@@ -296,7 +296,8 @@ def test_construct_exhausted_bounds_reports_histogram(tmp_path, capsys):
     assert main(["construct", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 3
     err = capsys.readouterr().err
     assert "search exhausted" in err
-    assert "histogram" in err and "scanned=" in err
+    # the summary ends the exception's message and is not printed again
+    assert err.count("scanned=") == 1
 
 
 @pytest.mark.parametrize(
@@ -460,6 +461,19 @@ def cert_paths(tmp_path_factory):
     assert main(["construct", "--config", cubic, "--out", str(c3)]) == 0
     assert main(["construct", "--config", quad, "--out", str(c2)]) == 0
     return c3, c2
+
+
+@pytest.mark.parametrize("level", ["5", "8", "9"])
+def test_verify_rejects_a_level_that_cannot_certify_at_the_level(tmp_path, capsys, level):
+    # read_curve refuses levels outside NORM_LEVELS for certificates as for
+    # configurations, before the basis is read at the edited level
+    cert = json.loads(_perfbench_workloads().cert_path("3-1").read_text())
+    cert["inputs"]["curve"]["level"] = level
+    cert["inputs"]["digest"] = content_digest(cert["inputs"]["curve"])
+    target = tmp_path / "level.json"
+    target.write_text(json.dumps(cert))
+    assert main(["verify", str(target)]) == 1
+    assert capsys.readouterr().err.startswith("inputs.curve.level: ")
 
 
 def test_verify_fresh_certificate(cert_paths, capsys):
@@ -640,6 +654,49 @@ def test_verify_names_every_edited_leaf(cert_paths, tmp_path, capsys):
                 missed.append((path, value))
     assert tried > 1000
     assert not missed
+
+
+def test_verify_names_every_edited_torsion_basis_leaf(tmp_path, capsys):
+    # every leaf of the torsion basis, where the basis and its pairing are
+    # read at the auxiliary prime, in the four prime-power acceptance
+    # certificates and in both parts of the composite, under the tamper
+    # gate's edit and each type edit, with the digest recomputed: exit 1
+    # with a trace naming the field or an object enclosing it
+    wl = _perfbench_workloads()
+    tried, missed, accepted = 0, [], []
+    for name in wl.CERTS:
+        cert = json.loads(wl.cert_path(name).read_text())
+        prefixes = ["parts[0].", "parts[1]."] if cert["kind"] == "composite" else [""]
+        for prefix in prefixes:
+            inputs = dict(_leaf_paths(cert))
+            for path, old in inputs.items():
+                if not path.startswith(prefix + "inputs.curve.torsion_basis."):
+                    continue
+                for value in (_perturb(old),) + TYPE_EDITS:
+                    if value == old:
+                        continue
+                    mutant = json.loads(json.dumps(cert))
+                    _set_path(mutant, path, value)
+                    part = mutant["parts"][int(prefix[6])] if prefix else mutant
+                    part["inputs"]["digest"] = content_digest(part["inputs"]["curve"])
+                    tried += 1
+                    target = tmp_path / "mutant.json"
+                    target.write_text(json.dumps(mutant))
+                    code = main(["verify", str(target)])
+                    err = capsys.readouterr().err
+                    if code == 0:
+                        accepted.append((name, path, value))
+                    elif not (code == 1 and _trace_names(err, path)):
+                        missed.append((name, path, value))
+    assert tried > 300
+    assert not missed
+    # the known hole: at level 2 every basis of E[2] gives the same
+    # certificate, so moving S or T of (2, 1) to the third point of order
+    # 2, (-1, 0), still verifies.  Pinned here so that closing it shows.
+    assert accepted == [
+        ("2-1", "inputs.curve.torsion_basis.S.x[0]", "-1"),
+        ("2-1", "inputs.curve.torsion_basis.T.x[0]", "-1"),
+    ]
 
 
 def test_verify_names_every_edited_leaf_of_the_cubic(cert_paths, tmp_path, capsys):

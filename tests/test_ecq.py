@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from period_index.cyclo import CycloElem, GaloisAuto, galois_apply
-from period_index.localfield import distinguished_place, factorint
+import exact_pairing as exact
+from period_index.cyclo import CycloElem, GaloisAuto, galois_apply, reduce_at
+from period_index.kummer import make_basis
+from period_index.localfield import Place, distinguished_place, dlog_in_mu_n, factorint
 from period_index import ecq
 from period_index.ecq import (
     CurveError,
@@ -21,7 +23,6 @@ from period_index.ecq import (
     reduce_point,
     torsion_pool,
     weil_pairing,
-    zeta_dlog,
 )
 
 
@@ -478,13 +479,43 @@ def test_reduce_curve_checks_level_and_reduction():
 # ------------------------------------------------------------ pairings
 
 
+# The exact pairing over L is the reference (exact_pairing); make_basis
+# reads the pairing of the reductions at its auxiliary place, whose root
+# omega is the residue of zeta.
+
+
+def _admissible(cfp, n, P, Q, R) -> bool:
+    """R and Q + R outside <P>, R and R - P outside <Q>: weil_pairing's
+    hypotheses on its auxiliary point."""
+    in_P = {cfp.mul(k, P) for k in range(n)}
+    in_Q = {cfp.mul(k, Q) for k in range(n)}
+    return not ({R, cfp.add(Q, R)} & in_P or {R, cfp.add(R, cfp.neg(P))} & in_Q)
+
+
+def _fp_log(cv, n, S, T, P, Q, t=1) -> int:
+    """log to the base omega of e_n(P, Q) over F_q for P, Q reduced at
+    omega^t, at the auxiliary place of make_basis(S, T) and the first
+    admissible point of the table of the reductions of S and T."""
+    place = make_basis(cv, n, S, T).place
+    cfp = reduce_curve(cv, place)
+    conj = Place(n, place.p, pow(place.omega, t, place.p))
+    Pq, Qq, Sq, Tq = (reduce_point(cv, X, conj) for X in (P, Q, S, T))
+    R = next(R for R in torsion_pool(cfp, Sq, Tq, n) if _admissible(cfp, n, Pq, Qq, R))
+    return dlog_in_mu_n(weil_pairing(cfp, n, Pq, Qq, R), place)
+
+
 def test_weil_pairing_degree2_forced():
     cv = curve_over(2, E_MINUS_X)
     S = point_over(2, (0, 0))
     T = point_over(2, (1, 0))
-    e = weil_pairing(cv, 2, S, T, [])
+    e = exact.weil_pairing(cv, 2, S, T, [])
     assert e == CycloElem.rational(2, -1)
-    assert weil_pairing(cv, 2, S, S, []) == 1
+    assert exact.weil_pairing(cv, 2, S, S, []) == 1
+    place = make_basis(cv, 2, S, T).place
+    cfp = reduce_curve(cv, place)
+    Sq, Tq = reduce_point(cv, S, place), reduce_point(cv, T, place)
+    assert weil_pairing(cfp, 2, Sq, Tq, None) == place.p - 1
+    assert weil_pairing(cfp, 2, Sq, Sq, None) == 1
 
 
 def test_weil_pairing_degree3_frozen():
@@ -494,13 +525,16 @@ def test_weil_pairing_degree3_frozen():
     T = (CycloElem.rational(3, -1), z)
     assert cv.on_curve(T)
     pool = torsion_pool(cv, S, T, 3)
-    e = weil_pairing(cv, 3, S, T, pool)
+    e = exact.weil_pairing(cv, 3, S, T, pool)
     assert e == z * z
-    assert zeta_dlog(e, 3) == 2
+    assert exact.zeta_dlog(e, 3) == 2
     # inverse under swap, bilinear, alternating
-    assert weil_pairing(cv, 3, T, S, pool) == z
-    assert weil_pairing(cv, 3, S, cv.mul(2, T), pool) == e * e
-    assert weil_pairing(cv, 3, T, T, pool) == 1
+    assert exact.weil_pairing(cv, 3, T, S, pool) == z
+    assert exact.weil_pairing(cv, 3, S, cv.mul(2, T), pool) == e * e
+    assert exact.weil_pairing(cv, 3, T, T, pool) == 1
+    # the same logs over F_q
+    for P, Q, k in ((S, T, 2), (T, S, 1), (S, cv.mul(2, T), 1), (T, T, 0)):
+        assert _fp_log(cv, 3, S, T, P, Q) == k
 
 
 def test_weil_pairing_degree4_frozen():
@@ -512,10 +546,12 @@ def test_weil_pairing_degree4_frozen():
     assert cv.mul(2, T) == point_over(4, (0, 0))
     assert cv.mul(4, S) is None and cv.mul(4, T) is None
     pool = torsion_pool(cv, S, T, 4)
-    e = weil_pairing(cv, 4, S, T, pool)
+    e = exact.weil_pairing(cv, 4, S, T, pool)
     assert e == i
     # restriction to the 2-torsion inside: e_4(2S, T) = e_4(S, T)^2 = -1
-    assert weil_pairing(cv, 4, cv.mul(2, S), T, pool) == -1
+    assert exact.weil_pairing(cv, 4, cv.mul(2, S), T, pool) == -1
+    assert _fp_log(cv, 4, S, T, S, T) == 1
+    assert _fp_log(cv, 4, S, T, cv.mul(2, S), T) == 2
 
 
 def test_weil_pairing_galois_equivariant():
@@ -525,20 +561,29 @@ def test_weil_pairing_galois_equivariant():
     T = (12 * i, 36 - 48 * i)
     pool = torsion_pool(cv, S, T, 4)
     sg = GaloisAuto(4, 3)
-    e = weil_pairing(cv, 4, S, T, pool)
-    eS = weil_pairing(cv, 4, cv.galois_point(sg, S), cv.galois_point(sg, T), pool)
+    e = exact.weil_pairing(cv, 4, S, T, pool)
+    sS, sT = exact.galois_point(cv, 3, S), exact.galois_point(cv, 3, T)
+    eS = exact.weil_pairing(cv, 4, sS, sT, pool)
     assert eS == galois_apply(sg, e)
     # and the conjugate of T is 2S - T, pinned
-    assert cv.galois_point(sg, T) == cv.add(cv.mul(2, S), cv.neg(T))
+    assert sT == cv.add(cv.mul(2, S), cv.neg(T))
+    # over F_q, sigma_3(P) reduced at omega is P reduced at omega^3, and
+    # the pairing of those reductions is omega^3
+    place = make_basis(cv, 4, S, T).place
+    conj = Place(4, place.p, pow(place.omega, 3, place.p))
+    assert reduce_point(cv, sT, place) == reduce_point(cv, T, conj)
+    assert _fp_log(cv, 4, S, T, S, T, t=3) == 3
 
 
 def test_zeta_dlog():
     z = CycloElem.zeta(4)
-    assert zeta_dlog(z, 4) == 1
-    assert zeta_dlog(z * z * z, 4) == 3
-    assert zeta_dlog(CycloElem.rational(4, -1), 2) == 1
+    cases = ((z, 4, 1), (z * z * z, 4, 3), (CycloElem.rational(4, -1), 2, 1))
+    for value, n, k in cases:
+        assert exact.zeta_dlog(value, n) == k
+        # omega = 2 is the residue of zeta at the place of Q(i) over 5
+        assert dlog_in_mu_n(reduce_at(value, 5, 2), distinguished_place(n, 5)) == k
     with pytest.raises(ValueError):
-        zeta_dlog(CycloElem(4, [2, 0]), 4)
+        exact.zeta_dlog(CycloElem(4, [2, 0]), 4)
 
 
 # ------------------------------------------------------- Tate pairing

@@ -1,12 +1,21 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+import exact_pairing as exact
 from period_index import ecq
 from period_index.cyclo import CycloElem, GaloisAuto, context, embed_level, galois_apply
-from period_index.ecq import curve_over, point_over, torsion_pool, weil_pairing
-from period_index.localfield import distinguished_place, refine_place
+from period_index.ecq import (
+    curve_over,
+    point_over,
+    reduce_curve,
+    reduce_point,
+    torsion_pool,
+    weil_pairing,
+)
+from period_index.localfield import distinguished_place, dlog_in_mu_n, refine_place
 from period_index.kummer import (
     BasisError,
     KummerClass,
@@ -22,6 +31,7 @@ from period_index.kummer import (
     twisted_norm,
     twisted_sigma_image,
 )
+from test_ecq import _admissible
 
 
 def _fixture3():
@@ -46,7 +56,7 @@ def test_make_basis_degree4_already_normalized():
     cv, S, T = _fixture4()
     basis = make_basis(cv, 4, S, T)
     assert basis.S == S and basis.T == T
-    e = weil_pairing(cv, 4, basis.S, basis.T, torsion_pool(cv, S, T, 4))
+    e = exact.weil_pairing(cv, 4, basis.S, basis.T, torsion_pool(cv, S, T, 4))
     assert e == CycloElem.zeta(4)
 
 
@@ -55,7 +65,7 @@ def test_make_basis_degree3_rescales_T():
     basis = make_basis(cv, 3, S, T)
     # e(S, T) = zeta^2, so T is replaced by 2T
     assert basis.T == cv.mul(2, T)
-    e = weil_pairing(cv, 3, basis.S, basis.T, torsion_pool(cv, S, T, 3))
+    e = exact.weil_pairing(cv, 3, basis.S, basis.T, torsion_pool(cv, S, T, 3))
     assert e == CycloElem.zeta(3)
 
 
@@ -245,28 +255,21 @@ def test_twisted_norm_rejects_singular_matrix():
 
 
 def test_make_basis_inversion_budget(monkeypatch):
-    # the benchmark's cubic and quartic bases: with Fraction coordinates,
-    # extended-gcd inverses and a division per Miller step, these made 253
-    # and 119 inversions; lines shared across evaluations, f kept as a
-    # numerator and a denominator and one division per pairing make 32 and 12
-    calls = {"invert": 0, "miller": 0}
-    invert, miller = CycloElem.invert, ecq._miller
+    # the benchmark's cubic and quartic bases: with the exact Weil pairing
+    # and table over L, make_basis made 27 and 19 inversions (253 and 119
+    # before the Miller lines were shared); read at the auxiliary prime, the
+    # exact work left is n*S, n*T and u^-1 * T, 3 and 2 inversions
+    calls = {"invert": 0}
+    invert = CycloElem.invert
 
     def counted_invert(self):
         calls["invert"] += 1
         return invert(self)
 
-    def counted_miller(*args):
-        calls["miller"] += 1
-        return miller(*args)
-
     monkeypatch.setattr(CycloElem, "invert", counted_invert)
-    monkeypatch.setattr(ecq, "_miller", counted_miller)
-    for (cv, S, T), n, evaluations, budget in ((_fixture3(), 3, 27, 48), (_fixture4(), 4, 4, 24)):
-        calls.update(invert=0, miller=0)
+    for (cv, S, T), n, budget in ((_fixture3(), 3, 3), (_fixture4(), 4, 2)):
+        calls.update(invert=0)
         make_basis(cv, n, S, T)
-        # the same auxiliary points as before: the pool order is unchanged
-        assert calls["miller"] == evaluations
         assert calls["invert"] <= budget
 
 
@@ -285,14 +288,16 @@ def _fixture5():
 def test_basis_table_spans_the_returned_basis():
     # T is rescaled by u^-1 for e(S, T) = zeta^u, u = 2, 1 and 3 here; every
     # unit mod 3 or 4 is its own inverse, so only level 5 tells a table
-    # re-indexed by u from one re-indexed by u^-1
+    # re-indexed by u from one re-indexed by u^-1.  The table holds the
+    # reductions at the auxiliary place.
     cases = ((_fixture3(), 3, True), (_fixture4(), 4, False), (_fixture5(), 5, True))
     for (cv, S, T), n, rescaled in cases:
         basis = make_basis(cv, n, S, T)
         assert (basis.T != T) == rescaled
         assert len(basis.combos) == n * n
         for P, (i, j) in basis.combos.items():
-            assert P == cv.add(cv.mul(i, basis.S), cv.mul(j, basis.T))
+            L_point = cv.add(cv.mul(i, basis.S), cv.mul(j, basis.T))
+            assert P == reduce_point(cv, L_point, basis.place)
 
 
 def test_make_basis_names_the_failed_check():
@@ -310,8 +315,9 @@ def test_make_basis_names_the_failed_check():
 
 def test_galois_representation_reads_the_basis_table(monkeypatch):
     # the images of S and T are looked up in the table make_basis built, so
-    # they cost no curve additions; with make_basis at most 30 and 22
-    # inversions (37 and 25 when galois_representation walked E[n] again)
+    # they cost no curve additions; with make_basis at most 3 and 2
+    # inversions (30 and 22 with the exact pairing and table over L, 37 and
+    # 25 when galois_representation walked E[n] again)
     calls = {"add": 0, "invert": 0}
     add, invert = ecq.CurveL.add, CycloElem.invert
 
@@ -325,10 +331,73 @@ def test_galois_representation_reads_the_basis_table(monkeypatch):
 
     monkeypatch.setattr(ecq.CurveL, "add", counted_add)
     monkeypatch.setattr(CycloElem, "invert", counted_invert)
-    for (cv, S, T), n, budget in ((_fixture3(), 3, 30), (_fixture4(), 4, 22)):
+    for (cv, S, T), n, budget in ((_fixture3(), 3, 3), (_fixture4(), 4, 2)):
         calls.update(add=0, invert=0)
         basis = make_basis(cv, n, S, T)
         added = calls["add"]
         galois_representation(basis)
         assert calls["add"] == added
         assert calls["invert"] <= budget
+
+
+# ------------------------------------------------- the exact reference
+
+
+def _transforms(rng, n, count):
+    """count seeded ((a, b), (c, d)) with ad - bc a unit mod n."""
+    out = []
+    while len(out) < count:
+        a, b, c, d = (rng.randrange(n) for _ in range(4))
+        if gcd(a * d - b * c, n) == 1:
+            out.append(((a, b), (c, d)))
+    return out
+
+
+def test_basis_matches_the_exact_reference():
+    # the fixture bases at levels 3, 4 and 5 and seeded GL2(Z/n) transforms
+    # S' = aS + bT, T' = cS + dT of them: the normalized T, the table and
+    # the Galois matrices read at the auxiliary prime are those of the
+    # exact pairing and the coordinate-wise Galois action over L
+    rng = random.Random(16)
+    tried = 0
+    for fx, count in ((_fixture3, 6), (_fixture4, 6), (_fixture5, 4)):
+        cv, S0, T0 = fx()
+        n = cv.n
+        for (a, b), (c, d) in [((1, 0), (0, 1))] + _transforms(rng, n, count):
+            S = cv.add(cv.mul(a, S0), cv.mul(b, T0))
+            T = cv.add(cv.mul(c, S0), cv.mul(d, T0))
+            T_ref, table = exact.reference_basis(cv, n, S, T)
+            basis = make_basis(cv, n, S, T)
+            assert basis.S == S and basis.T == T_ref
+            reduced = {reduce_point(cv, P, basis.place): ij for P, ij in table.items()}
+            assert basis.combos == reduced
+            assert galois_representation(basis) == exact.reference_representation(
+                cv, n, S, T_ref, table
+            )
+            tried += 1
+    assert tried == 19
+
+
+def test_fp_weil_pairing_is_bilinear_alternating_and_free_of_R():
+    # over F_q at the auxiliary place: e(aS + bT, cS + dT) = e(S, T)^(ad - bc)
+    # for every pair of the table, each read at its first admissible point,
+    # and e(S, T) is the same at 2S + T as at every other admissible point
+    for fx in (_fixture3, _fixture4, _fixture5):
+        cv, S, T = fx()
+        n = cv.n
+        basis = make_basis(cv, n, S, T)
+        cfp = reduce_curve(cv, basis.place)
+        Sq, Tq = reduce_point(cv, S, basis.place), reduce_point(cv, T, basis.place)
+        pool = torsion_pool(cfp, Sq, Tq, n)
+        base = weil_pairing(cfp, n, Sq, Tq, cfp.add(cfp.mul(2, Sq), Tq))
+        assert pow(base, n, cfp.p) == 1 and dlog_in_mu_n(base, basis.place) % n != 0
+        # <S>, <S> - T, <T> and S + <T> cover 4n - 4 points of the table
+        admissible = [R for R in pool if _admissible(cfp, n, Sq, Tq, R)]
+        assert len(admissible) == (n - 2) ** 2
+        assert {weil_pairing(cfp, n, Sq, Tq, R) for R in admissible} == {base}
+        for k, P in enumerate(pool):
+            for m, Q in enumerate(pool):
+                (a, b), (c, d) = divmod(k, n), divmod(m, n)
+                R = next(R for R in pool if _admissible(cfp, n, P, Q, R))
+                assert weil_pairing(cfp, n, P, Q, R) == pow(base, (a * d - b * c) % n, cfp.p)
+
