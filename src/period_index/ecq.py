@@ -5,16 +5,23 @@ coordinates (used to check and rescale torsion bases) and a fast int one
 modulo p (used by the sieve on reductions, and for the table of E[n], the
 Weil pairing and the Galois action at one auxiliary prime).  Affine points
 are (x, y) pairs; None is the point at infinity throughout.
+
+One rule decides good reduction, for any exact model: a prime p is good
+when it does not divide CurveL.bad_modulus = n * N(Delta) * (coefficient
+denominators).  Then at every place over p the coefficients are integral
+and Delta is a unit.  It is computed once per curve, and no discriminant
+is factored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, repeat
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Iterable, Optional
 
-from .cyclo import CycloElem, reduce_at
+from .cyclo import CycloElem, field_norm, reduce_at
 from .localfield import Place, factorint, valuation
 
 
@@ -72,6 +79,17 @@ class CurveL(_DoubleAndAdd):
 
     def coefficient_list(self):
         return [self.a1, self.a2, self.a3, self.a4, self.a6]
+
+    @cached_property
+    def bad_modulus(self) -> int:
+        """n * N(Delta) * (coefficient denominators).  A prime p does not
+        divide it exactly when p is prime to n and, at every place over p,
+        every coefficient is integral and Delta is a unit: the model has
+        good reduction at all of them.  The norm's numerator serves,
+        since a prime of its denominator divides a coefficient
+        denominator."""
+        dens = prod(a.denominator() for a in self.coefficient_list())
+        return abs(self.n * field_norm(self.discriminant()).numerator * dens)
 
     # --- point predicates ------------------------------------------------
     def on_curve(self, P: LPoint) -> bool:
@@ -152,34 +170,13 @@ def point_exact_order(cv: CurveL, P: LPoint, bound: int = 32) -> int:
     raise CurveError("point order exceeds bound %d (not torsion?)" % bound)
 
 
-# ------------------------------------------------------------ bad primes
-
-
-def bad_set(cv: CurveL) -> set[int]:
-    """Primes of bad reduction of the given integral rational model."""
-    if not cv.is_rational_model():
-        raise CurveError("bad_set needs a rational model")
-    for a in cv.coefficient_list():
-        if not a.is_integral():
-            raise CurveError("bad_set needs an integral model")
-    disc = cv.discriminant().rational_value()
-    return set(factorint(int(disc)))
-
-
 # ------------------------------------------------------------ reduction
-
-
-def has_good_reduction(cv: CurveL, place: Place) -> bool:
-    for a in cv.coefficient_list():
-        if not a.is_zero() and valuation(a, place) < 0:
-            return False
-    return valuation(cv.discriminant(), place) == 0
 
 
 def reduce_curve(cv: CurveL, place: Place) -> "CurveFp":
     if cv.n != place.n:
         raise CurveError("curve level %d vs place level %d" % (cv.n, place.n))
-    if not has_good_reduction(cv, place):
+    if cv.bad_modulus % place.p == 0:
         raise CurveError("bad reduction at p=%d" % place.p)
     a = [reduce_at(c, place.p, place.omega) for c in cv.coefficient_list()]
     return CurveFp(place.p, *a)
@@ -187,15 +184,14 @@ def reduce_curve(cv: CurveL, place: Place) -> "CurveFp":
 
 def reduce_point(cv: CurveL, P: LPoint, place: Place) -> FpPoint:
     """Reduction of an L-point at a good place; points with a coordinate
-    pole land on the zero section (None)."""
+    pole land on the zero section (None).  A coordinate whose denominator
+    is prime to p is integral at every place over p and is read directly;
+    only a denominator divisible by p calls for its valuation."""
     if P is None:
         return None
-    x, y = P
-    if (not x.is_zero() and valuation(x, place) < 0) or (
-        not y.is_zero() and valuation(y, place) < 0
-    ):
+    if any(c.denominator() % place.p == 0 and valuation(c, place) < 0 for c in P):
         return None
-    return (reduce_at(x, place.p, place.omega), reduce_at(y, place.p, place.omega))
+    return tuple(reduce_at(c, place.p, place.omega) for c in P)
 
 
 # =====================================================================

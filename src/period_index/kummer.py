@@ -5,10 +5,12 @@ coordinates with respect to a pinned basis (S, T) of E[n] normalized so that
 the Weil pairing e_n(S, T) is the pinned root zeta.  The basis is checked
 exactly in L only for what the certificate records (S and T on the curve,
 nS = nT = O, T rescaled); its independence, its pairing and the Galois
-matrices on it are read at one auxiliary split prime q, where reduction is
-injective on E[n].  Its obstruction is read locally through tame symbols of
-the pair: at a split place v the invariant is <a, b>_v, and level shifts
-act by explicit operations on the pair:
+matrices on it are read at one auxiliary split prime q, the least prime to
+the curve's bad_modulus, through the curve layer's reduce_curve and
+reduce_point: there reduction is injective on E[n].  Its obstruction is
+read locally through tame symbols of the pair: at a split place v the
+invariant is <a, b>_v, and level shifts act by explicit operations on the
+pair:
 
   raising level by m:   (a, b) -> (a^m, b^m)      (invariants scale by m)
   multiplication by m:  representatives unchanged  (read m * level-mn value)
@@ -18,19 +20,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 from .cyclo import (
     CycloElem,
     GaloisAuto,
     context,
     embed_level,
-    field_norm,
     galois_apply,
     is_probable_prime,
     reduce_at,
 )
-from .ecq import CurveFp, CurveL, FpPoint, LPoint, torsion_pool, weil_pairing
+from .ecq import CurveL, LPoint, reduce_curve, reduce_point, torsion_pool, weil_pairing
 from .localfield import Place, distinguished_place, dlog_in_mu_n, tame_invariant
 
 
@@ -57,25 +58,16 @@ class TorsionBasis:
 
 
 def _auxiliary_place(cv: CurveL) -> Place:
-    """The distinguished place over the least prime q = 1 mod n that
-    divides neither n*N(Delta) nor a coefficient denominator.  The model
-    is integral with a unit discriminant at every place over q, so it has
-    good reduction there, and the model and the coordinates of the points
-    of E[n] are integral there (Silverman, AEC VII.3.4): all reduce by
-    reduce_at, and reduction is injective on E[n] (VII.3.1)."""
+    """The distinguished place over the least prime q = 1 mod n that does
+    not divide cv.bad_modulus.  The model has good reduction at every
+    place over q, so the coordinates of the points of E[n] are integral
+    there (Silverman, AEC VII.3.4) and reduction is injective on E[n]
+    (VII.3.1)."""
     n = cv.n
-    norm = field_norm(cv.discriminant())
-    denominators = prod(a.denominator() for a in cv.coefficient_list())
-    bad = n * norm.numerator * norm.denominator * denominators
     q = n + 1
-    while bad % q == 0 or not is_probable_prime(q):
+    while cv.bad_modulus % q == 0 or not is_probable_prime(q):
         q += n
     return distinguished_place(n, q)
-
-
-def _residue(P: LPoint, p: int, omega: int) -> FpPoint:
-    """The reduction at (p, omega) of a point with integral coordinates."""
-    return None if P is None else (reduce_at(P[0], p, omega), reduce_at(P[1], p, omega))
 
 
 def make_basis(cv: CurveL, n: int, S: LPoint, T: LPoint) -> TorsionBasis:
@@ -98,9 +90,8 @@ def make_basis(cv: CurveL, n: int, S: LPoint, T: LPoint) -> TorsionBasis:
     if cv.mul(n, S) is not None or cv.mul(n, T) is not None:
         raise BasisError("basis point does not have exact order %d" % n)
     place = _auxiliary_place(cv)
-    q, omega = place.p, place.omega
-    cfp = CurveFp(q, *(reduce_at(a, q, omega) for a in cv.coefficient_list()))
-    Sq, Tq = (_residue(P, q, omega) for P in (S, T))
+    cfp = reduce_curve(cv, place)
+    Sq, Tq = (reduce_point(cv, P, place) for P in (S, T))
     combos = {P: divmod(k, n) for k, P in enumerate(torsion_pool(cfp, Sq, Tq, n))}
     if len(combos) != n * n:
         raise BasisError(
@@ -129,8 +120,9 @@ def galois_matrix(basis: TorsionBasis, t: int) -> tuple[tuple[int, int], tuple[i
     if not cv.is_rational_model():
         raise RepresentationError("Galois action needs a model with rational coefficients")
     omega_t = reduce_at(galois_apply(GaloisAuto(n, t), CycloElem.zeta(n)), place.p, place.omega)
-    i, k = basis.combos[_residue(basis.S, place.p, omega_t)]
-    j, l = basis.combos[_residue(basis.T, place.p, omega_t)]
+    conj = Place(n, place.p, omega_t)
+    i, k = basis.combos[reduce_point(cv, basis.S, conj)]
+    j, l = basis.combos[reduce_point(cv, basis.T, conj)]
     det = (i * l - j * k) % n
     if det != t % n:
         raise RepresentationError(

@@ -1,7 +1,9 @@
 """Prime sieve producing admissible generator data for class construction.
 
-A candidate is a split rational prime p (good reduction, p ≡ 1 mod the wild
-modulus) together with a pinned generator pi of a degree-one prime above it:
+A candidate is a split rational prime p (p ≡ 1 mod the wild modulus, and
+prime to the curve's bad_modulus, so the model has good reduction at every
+place over p) together with a pinned generator pi of a degree-one prime
+above it:
 
   * |Norm(pi)| = p and pi has valuation exactly 1 at the distinguished place;
   * pi ≡ 1 mod the wild modulus, coordinate-wise (local n-th power at the
@@ -21,9 +23,12 @@ E(F_p) = E[2] and only O lies in 2 * E(F_p).  A prime is rejected by that
 test, four short Miller evaluations over F_p and two powers mod p per
 generator, without the group structure of E(F_p).  The witnesses come from
 the group structure, built only at the prime the pairing accepts, so they
-do not depend on the test.  The partner v' must have full residue order n
-at v's place while all of its proper Galois conjugates reduce to n-th
-powers there (sigma_t(x) at omega is x at omega^t: none is built).
+do not depend on the test.  A generator the pairing accepts and the group
+structure cannot divide is recorded without a witness, and the
+certificate's witness check rejects it.  The partner v' must have full
+residue order n at v's place while all of its proper Galois conjugates
+reduce to n-th powers there (sigma_t(x) at omega is x at omega^t: none is
+built).
 
 The split primes are scanned once, in ascending order, and each generator
 is attached once.  The candidates passed on the way to v are kept; the
@@ -60,7 +65,6 @@ from .cyclo import (
 from .ecq import (
     CurveL,
     LPoint,
-    bad_set as _bad_reduction_primes,
     divisibility_by_pairing,
     divisibility_witness,
     group_structure,
@@ -129,22 +133,22 @@ class SievePair:
     second: PrimeCandidate
     residue_order: int            # order of second.pi at first.place, must be n
     conjugate_orders: tuple       # (t, order) for t != 1; all orders must be 1
-    # one (index, witness_point) per declared generator, whose reduction
-    # lies in target_level * E(F_p) at first.place
+    # one (index, W) per declared generator, as divisibility_data gives
+    # them at first.place
     witnesses: tuple
     stats: SieveStats
 
 
 def split_prime_stream(cv: CurveL, n: int, bound: int) -> Iterator[int]:
-    """Primes p <= bound with p ≡ 1 mod wild_modulus(n) and good reduction."""
+    """Primes p <= bound with p ≡ 1 mod wild_modulus(n) and good reduction:
+    p does not divide cv.bad_modulus."""
     m = wild_modulus(n)
-    bad = _bad_reduction_primes(cv)
     p = 1
     while True:
         p += m
         if p > bound:
             return
-        if p in bad or not is_probable_prime(p):
+        if cv.bad_modulus % p == 0 or not is_probable_prime(p):
             continue
         yield p
 
@@ -176,22 +180,19 @@ def attach_generator(n: int, p: int, place: Optional[Place] = None) -> Optional[
 
 def divisibility_data(
     cv: CurveL, place: Place, gens: list[LPoint], target_level: int
-) -> Optional[tuple]:
-    """Witnesses that every declared generator reduces into
-    target_level * E(F_p) at the place; None if any fails."""
+) -> tuple:
+    """(index, W) per declared generator, W a point of E(F_p) with
+    target_level * W the generator reduced at the place, or None.  O is
+    its own witness, written None; a generator outside target_level *
+    E(F_p) also gets None, which the certificate's witness check
+    rejects."""
     cfp = reduce_curve(cv, place)
     st = group_structure(cfp)
-    out = []
-    for idx, g in enumerate(gens):
-        gbar = reduce_point(cv, g, place)
-        if gbar is None:  # O is its own witness, written None
-            out.append((idx, None))
-            continue
-        w = divisibility_witness(cfp, st, target_level, gbar)
-        if w is None:
-            return None
-        out.append((idx, w))
-    return tuple(out)
+    gbars = (reduce_point(cv, g, place) for g in gens)
+    return tuple(
+        (idx, None if gbar is None else divisibility_witness(cfp, st, target_level, gbar))
+        for idx, gbar in enumerate(gbars)
+    )
 
 
 def _divisible_by_pairing(
@@ -243,12 +244,13 @@ def find_pair(
     """First admissible pair, in one scan of the split primes.
 
     The first member is the first candidate whose declared generators all
-    divide down at its place; it carries the division witnesses.  basis
-    is (S, T), a basis of E[n] over the level-n field; the Tate pairing
-    against it rejects a prime, and divisibility_data runs only at the
-    prime the pairing accepts.  The partner is the first other candidate,
-    in scan order, with full residue order n at the first member's place
-    while its proper conjugates are n-th power residues there."""
+    divide down at its place; it carries the division witnesses, which
+    construct checks.  basis is (S, T), a basis of E[n] over the level-n
+    field; the Tate pairing against it rejects a prime, and
+    divisibility_data runs only at the prime the pairing accepts.  The
+    partner is the first other candidate, in scan order, with full
+    residue order n at the first member's place while its proper
+    conjugates are n-th power residues there."""
     stats = SieveStats()
     candidates = _candidates(cv, n, bound, stats)
     passed = []
@@ -258,14 +260,6 @@ def find_pair(
             passed.append(first)
             continue
         witnesses = divisibility_data(cv, first.place, mw_gens, target_level)
-        if witnesses is None:
-            from .construct import LemmaFailure  # construct imports this module
-
-            raise LemmaFailure(
-                "the Tate pairing puts every generator in %d*E(F_%d), but the group "
-                "structure gives no witness" % (target_level, first.p),
-                "pair.first.conditions.generators_divisible.witnesses",
-            )
         stats.divisibility_hits += 1
         break
     else:

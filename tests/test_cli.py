@@ -283,6 +283,48 @@ def test_construct_writes_and_reports(tmp_path, capsys):
     assert cert["summary"]["period"] == "3"
 
 
+# any exact model: coefficient denominators, cyclotomic coefficients, and
+# a discriminant too large to factor; none has generators to divide
+_MODELS = {
+    # y^2 = x^3 - x/16
+    "fractional": (
+        "2", ["0", "0", "0", "-1/16", "0"],
+        {"S": {"x": "0", "y": "0"}, "T": {"x": "1/4", "y": "0"}}, ("2", "1"),
+        "period=2 index=2", (17, 41),
+    ),
+    # y^2 + y = (x + zeta)^3
+    "cyclotomic": (
+        "3", ["0", ["0", "3"], "1", ["-3", "-3"], "1"],
+        {"S": {"x": ["0", "-1"], "y": "0"}, "T": {"x": ["-1", "-1"], "y": ["0", "1"]}},
+        ("3", "3"), "period=3 index=9", (757, 13879),
+    ),
+    # y^2 = x(x - b)(x + a), a = 10000000000000061, b = 30000000000000029
+    "large-discriminant": (
+        "2", ["0", "-19999999999999968", "0", "-300000000000002120000000000001769", "0"],
+        {"S": {"x": "0", "y": "0"}, "T": {"x": "30000000000000029", "y": "0"}}, ("2", "1"),
+        "period=2 index=2", (17, 41),
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_MODELS))
+def test_construct_and_verify_any_exact_model(tmp_path, capsys, model):
+    level, coefficients, basis, (n, ell), claims, places = _MODELS[model]
+    cfg = _write_config(
+        tmp_path, CONFIG_QUADRATIC, curve__level=level, curve__coefficients=coefficients,
+        curve__torsion_basis=basis, curve__mw_generators=[], curve__stable_subgroup_order=level,
+        parameters__n=n, parameters__ell=ell, bounds__prime_bound="1000" if n == "2" else BOUND,
+    )
+    assert main(["sieve", "--config", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("first  p=%d " % places[0])
+    assert lines[1].startswith("second p=%d " % places[1])
+    out = tmp_path / "cert.json"
+    assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "%s places=%s\n" % (claims, places)
+    assert main(["verify", str(out)]) == 0
+
+
 def test_construct_reruns_byte_identical(tmp_path, capsys):
     cfg = _write_config(tmp_path, CONFIG_CUBIC)
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -4,19 +4,24 @@ from fractions import Fraction
 import pytest
 
 import exact_pairing as exact
-from period_index.cyclo import CycloElem, GaloisAuto, galois_apply, reduce_at
+from period_index.cyclo import CycloElem, GaloisAuto, galois_apply, is_probable_prime, reduce_at
 from period_index.kummer import make_basis
-from period_index.localfield import Place, distinguished_place, dlog_in_mu_n, factorint
+from period_index.localfield import (
+    Place,
+    distinguished_place,
+    dlog_in_mu_n,
+    factorint,
+    places_over,
+    valuation,
+)
 from period_index import ecq
 from period_index.ecq import (
     CurveError,
     CurveFp,
-    bad_set,
     curve_over,
     divisibility_by_pairing,
     divisibility_witness,
     group_structure,
-    has_good_reduction,
     point_exact_order,
     point_over,
     reduce_curve,
@@ -29,6 +34,15 @@ from period_index.ecq import (
 E_MINUS_X = [0, 0, 0, -1, 0]      # y^2 = x^3 - x
 E_CUBE = [0, 0, 1, 0, 0]          # y^2 + y = x^3
 E_PYTH = [0, 7, 0, -144, 0]       # y^2 = x(x-9)(x+16)
+E_FRAC = [0, 0, 0, "-1/16", 0]    # y^2 = x^3 - x/16, not integral at 2
+# y^2 + y = (x + zeta)^3 at level 3: E_CUBE moved by x -> x + zeta
+E_CUBE_ZETA = [0, CycloElem(3, [0, 3]), 1, CycloElem(3, [-3, -3]), 1]
+# y^2 + y = x^3 + zeta: Delta = -27 (1 + 4 zeta)^2, and 1 + 4 zeta has norm
+# 13, so the model is bad at one place over 13 and good at the other
+E_CUBE_PLUS_ZETA = [0, 0, 1, 0, CycloElem.zeta(3)]
+# y^2 = x^3 - x moved by x -> x + 1/5: Delta = 64 is a unit at 5, but the
+# coefficients are not integral there
+E_MINUS_X_FIFTH = [0, "3/5", 0, "-22/25", "-24/125"]
 
 
 # ------------------------------------------------------------ invariants
@@ -42,9 +56,55 @@ def test_discriminants_frozen():
 
 
 def test_bad_set_and_modulus_frozen():
-    assert bad_set(curve_over(2, E_MINUS_X)) == {2}
-    assert bad_set(curve_over(3, E_CUBE)) == {3}
-    assert bad_set(curve_over(4, E_PYTH)) == {2, 3, 5}
+    assert set(factorint(curve_over(2, E_MINUS_X).bad_modulus)) == {2}
+    assert set(factorint(curve_over(3, E_CUBE).bad_modulus)) == {3}
+    assert set(factorint(curve_over(4, E_PYTH).bad_modulus)) == {2, 3, 5}
+
+
+def _good_by_valuations(cv, place) -> bool:
+    """The reference rule: at the place every coefficient is integral and
+    the discriminant is a unit."""
+    return all(
+        a.is_zero() or valuation(a, place) >= 0 for a in cv.coefficient_list()
+    ) and valuation(cv.discriminant(), place) == 0
+
+
+@pytest.mark.parametrize(
+    "n, coeffs",
+    [
+        (2, E_MINUS_X),
+        (3, E_CUBE),
+        (4, E_PYTH),
+        (2, E_FRAC),
+        (3, E_CUBE_ZETA),
+        (3, E_CUBE_PLUS_ZETA),
+        (2, E_MINUS_X_FIFTH),
+    ],
+    ids=["minus-x", "cube", "pyth", "frac", "cube-zeta", "cube-plus-zeta", "minus-x-fifth"],
+)
+def test_bad_modulus_matches_valuations_at_every_place(n, coeffs):
+    # a split prime is prime to bad_modulus exactly when the model has
+    # good reduction at every place over it
+    cv = curve_over(n, coeffs)
+    for p in range(n + 1, 2000, n):
+        if is_probable_prime(p):
+            good = all(_good_by_valuations(cv, place) for place in places_over(n, p))
+            assert (cv.bad_modulus % p != 0) == good, p
+
+
+def test_bad_modulus_sees_a_bad_prime_by_any_part():
+    # one bad split prime from each part: the norm of Delta, bad at only
+    # one of the places over 13; the coefficient denominators, with Delta
+    # a unit at 5
+    cv = curve_over(3, E_CUBE_PLUS_ZETA)
+    assert [_good_by_valuations(cv, v) for v in places_over(3, 13)] == [False, True]
+    assert cv.bad_modulus % 13 == 0
+    cv = curve_over(2, E_MINUS_X_FIFTH)
+    assert cv.discriminant() == 64
+    assert not _good_by_valuations(cv, distinguished_place(2, 5))
+    assert cv.bad_modulus % 5 == 0
+    with pytest.raises(CurveError):
+        reduce_curve(cv, distinguished_place(2, 5))
 
 
 def test_singular_model_rejected():
@@ -113,7 +173,8 @@ def test_pyth_torsion_is_exactly_eight():
     cv = curve_over(4, E_PYTH)
     cfp = CurveFp(7, 0, 7, 0, -144, 0)
     assert len(_points(cfp)) + 1 == 8
-    assert has_good_reduction(cv, distinguished_place(4, 13))
+    assert _good_by_valuations(cv, distinguished_place(4, 13))
+    assert cv.bad_modulus % 13 != 0
 
 
 # ------------------------------------------------------------ F_p layer

@@ -10,7 +10,9 @@ an attribute somewhere in src/ outside its own body, and so must every
 field of a dataclass outside its class body.  A helper that only tests
 still call, or a field that only tests read, is dead code and belongs in
 the test that needs it.  A module of src/period_index imports no
-underscore name from another: what two modules share is public."""
+underscore name from another: what two modules share is public.  And it
+imports at module level only, never inside a function or class body, so
+its imports show every dependency, cycles included."""
 
 import ast
 from collections import Counter
@@ -147,3 +149,21 @@ def _private_imports() -> list:
 
 def test_no_module_imports_a_private_name():
     assert _private_imports() == []
+
+
+def _nested_imports() -> list:
+    """module:line for every import statement inside a function or class
+    body of src."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        "%s:%d" % (path.stem, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for scope in ast.walk(ast.parse(path.read_text()))
+        if isinstance(scope, scopes)
+        for node in ast.walk(scope)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+
+
+def test_no_import_inside_a_function_or_class():
+    assert _nested_imports() == []

@@ -20,7 +20,7 @@ from period_index.cyclo import (
     solve_norm_equation,
 )
 from period_index import ecq, sieve
-from period_index.construct import LemmaFailure, even_adjust
+from period_index.construct import LemmaFailure, certify_mode_A, even_adjust
 from period_index.kummer import make_basis
 from period_index.ecq import curve_over, point_over, reduce_curve, reduce_point
 from period_index.localfield import (
@@ -164,7 +164,7 @@ def test_divisibility_data_frozen():
     v = distinguished_place(2, 17)
     assert divisibility_data(cv2, v, gens2, 2) == ((0, (4, 3)), (1, (12, 13)))
     cv3, gens3 = _fix3()
-    assert divisibility_data(cv3, distinguished_place(3, 7), gens3, 3) is None
+    assert divisibility_data(cv3, distinguished_place(3, 7), gens3, 3) == ((0, None),)
     assert divisibility_data(cv3, distinguished_place(3, 19), gens3, 3) == (
         (0, (15, 3)),
     )
@@ -388,10 +388,32 @@ def test_find_pair_takes_a_partner_passed_before_the_first_member():
 
 
 def test_find_pair_fails_hard_when_the_pairing_and_the_group_disagree(monkeypatch):
-    monkeypatch.setattr(sieve, "divisibility_data", lambda *args: None)
+    # a generator the pairing accepts but the group structure finds no
+    # witness for is recorded without one, and the certificate's witness
+    # check names it
+    monkeypatch.setattr(sieve, "divisibility_witness", lambda *args: None)
     cv2, gens2 = _fix2()
-    with pytest.raises(LemmaFailure):
-        find_pair(cv2, 2, 10**4, gens2, 2, _basis(2))
+    basis = make_basis(cv2, 2, *_basis(2))
+    with pytest.raises(LemmaFailure) as e:
+        certify_mode_A(cv2, basis, 1, gens2, 10**4)
+    assert e.value.paths[0] == "pair.first.conditions.generators_divisible.witnesses[0]"
+
+
+def test_find_pair_factors_no_discriminant(monkeypatch):
+    # y^2 = x(x - b)(x + a) for 17-digit primes a, b: factoring Delta,
+    # 16 a^2 b^2 (a + b)^2, does not end in a minute
+    a, b = 10000000000000061, 30000000000000029
+    factor = ecq.factorint
+
+    def small_only(m):
+        assert abs(m) < 10**12, "factoring %d" % m
+        return factor(m)
+
+    monkeypatch.setattr(ecq, "factorint", small_only)
+    cv = curve_over(2, [0, b - a, 0, -a * b, 0])
+    basis = (point_over(2, (0, 0)), point_over(2, (b, 0)))
+    pair = find_pair(cv, 2, 1000, [], 2, basis)
+    assert (pair.first.p, pair.second.p) == (17, 41)
 
 
 def test_find_pair_conditions_revalidate():
