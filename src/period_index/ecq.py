@@ -11,6 +11,13 @@ when it does not divide CurveL.bad_modulus = n * N(Delta) * (coefficient
 denominators).  Then at every place over p the coefficients are integral
 and Delta is a unit.  It is computed once per curve, and no discriminant
 is factored.
+
+The group structure of E(F_p) is built without an O(p) pass when it can
+be: Hasse's bound puts #E(F_p) in an interval of some 4 sqrt(p) integers,
+so baby-step giant-step finds a multiple of each walked point's order
+there, and the count is pinned as the one multiple of the exponent in
+the interval.  Only when several multiples fit is the count taken, as a
+Legendre sum over F_p.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from math import gcd, isqrt, prod
 from typing import Iterable, Optional
 
 from .cyclo import CycloElem, field_norm, reduce_at
-from .localfield import Place, factorint, valuation
+from .localfield import Place, factorint, valuation_and_unit
 
 
 LPoint = Optional[tuple[CycloElem, CycloElem]]
@@ -185,13 +192,23 @@ def reduce_curve(cv: CurveL, place: Place) -> "CurveFp":
 def reduce_point(cv: CurveL, P: LPoint, place: Place) -> FpPoint:
     """Reduction of an L-point at a good place; points with a coordinate
     pole land on the zero section (None).  A coordinate whose denominator
-    is prime to p is integral at every place over p and is read directly;
-    only a denominator divisible by p calls for its valuation."""
+    is prime to p is integral at every place over p and is read directly.
+    One whose denominator p divides is read from its valuation and unit
+    part at the place: p there may come from a pole at another place over
+    p, so valuation 0 gives the unit part's residue, and a pole sends P
+    to O."""
     if P is None:
         return None
-    if any(c.denominator() % place.p == 0 and valuation(c, place) < 0 for c in P):
-        return None
-    return tuple(reduce_at(c, place.p, place.omega) for c in P)
+    residues = []
+    for c in P:
+        if c.denominator() % place.p:
+            residues.append(reduce_at(c, place.p, place.omega))
+            continue
+        v, u = valuation_and_unit(c, place)
+        if v < 0:
+            return None
+        residues.append(u if v == 0 else 0)
+    return tuple(residues)
 
 
 # =====================================================================
@@ -281,19 +298,41 @@ class CurveFp(_DoubleAndAdd):
         return (x3, (-(lam + self.a1) * x3 - nu - self.a3) % p)
 
 
-def _square_roots(p: int) -> memoryview:
-    """roots[g] is the square root of g mod p in [0, p/2), or -1 when g is
-    not a square: a C int per residue (all bits set is -1), no object per
-    entry."""
-    roots = memoryview(bytearray(b"\xff" * (4 * p))).cast("i")
-    for z in range((p + 1) // 2):
-        roots[z * z % p] = z
-    return roots
+class _RootsOnDemand:
+    """Square roots mod p, one query at a time (Tonelli-Shanks): roots[g]
+    is the root of g in [0, p/2), or -1 when g is not a square.  No O(p)
+    table for a walk that stops after a few points."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.odd, self.twos = p - 1, 0
+        while self.odd % 2 == 0:
+            self.odd, self.twos = self.odd // 2, self.twos + 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        self.c0 = pow(z, self.odd, p)
+
+    def __getitem__(self, g: int) -> int:
+        p = self.p
+        if g == 0:
+            return 0
+        if pow(g, (p - 1) // 2, p) != 1:
+            return -1
+        k, c = self.twos, self.c0
+        t, r = pow(g, self.odd, p), pow(g, (self.odd + 1) // 2, p)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2, i = t2 * t2 % p, i + 1
+            b = pow(c, 1 << (k - i - 1), p)
+            k, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+        return min(r, p - r)
 
 
-def _affine_points(cfp: CurveFp, roots: memoryview):
+def _affine_points(cfp: CurveFp, roots: _RootsOnDemand):
     """The affine points one at a time, in sorted order.  Complete the
-    square in y, then read square roots off the table (p is odd)."""
+    square in y, then read each square root from roots (p is odd)."""
     p = cfp.p
     inv2 = (p + 1) // 2
     for x in range(p):
@@ -310,31 +349,63 @@ def _affine_points(cfp: CurveFp, roots: memoryview):
         yield (x, max(y, y_neg))
 
 
-class _PointWalk:
-    """The sorted affine points of E(F_p), generated anew on each pass
-    instead of held: a list of them is some 1.5 MB at p ~ 13000.  They are
-    counted, not walked: over x lie as many as 4x^3 + b2 x^2 + 2 b4 x + b6
-    has square roots mod p, 1 + its Legendre symbol."""
-
-    def __init__(self, cfp: CurveFp):
-        p = cfp.p
-        self.cfp, self.roots = cfp, _square_roots(p)
-        counts = bytes(2 if z > 0 else z + 1 for z in self.roots)
-        b2, b4, b6, _ = cfp.b_invariants()
-        self.count = sum(counts[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p))
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self):
-        return _affine_points(self.cfp, self.roots)
+def _count_points(cfp: CurveFp) -> int:
+    """N = #E(F_p) as a Legendre sum, no point walked: over x lie as many
+    points as 4x^3 + b2 x^2 + 2 b4 x + b6 has square roots mod p, read
+    from a byte per residue.  Two passes over F_p, so group_structure
+    calls it only when the Hasse interval leaves N open."""
+    p = cfp.p
+    roots = bytearray(p)
+    for z in range(1, (p + 1) // 2):
+        roots[z * z % p] = 2
+    roots[0] = 1
+    b2, b4, b6, _ = cfp.b_invariants()
+    return 1 + sum(roots[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p))
 
 
-def _fp_point_order(cfp: CurveFp, P: FpPoint, N: int, fac: dict[int, int]) -> int:
-    o = N
-    for q in fac:
-        while o % q == 0 and cfp.mul(o // q, P) is None:
-            o //= q
+def _hasse_interval(p: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= #E(F_p) <= hi: |N - p - 1| <= 2 sqrt(p)
+    (Hasse; Silverman, AEC, Thm V.1.1), and N - p - 1 is an integer, so
+    it is at most isqrt(4p) in size."""
+    r = isqrt(4 * p)
+    return p + 1 - r, p + 1 + r
+
+
+def _hasse_multiple(cfp: CurveFp, P: FpPoint) -> int:
+    """The least M in the Hasse interval with M*P = O, by baby-step
+    giant-step over the interval's some 4 sqrt(p) integers: a table of
+    k*P for k < s, then steps of -s*P from -lo*P, O(p^(1/4)) additions.
+    N = #E(F_p) is such an M, so the search cannot come back empty; a
+    table entry keeps its least k, so the first hit is the least M."""
+    lo, hi = _hasse_interval(cfp.p)
+    s = isqrt(hi - lo) + 1
+    multiples = _multiples(cfp, P, s)
+    baby: dict = {}
+    for k, R in enumerate(multiples):
+        baby.setdefault(R, k)
+    giant = cfp.neg(cfp.add(multiples[-1], P))
+    V = cfp.neg(cfp.mul(lo, P))
+    for t in range((hi - lo) // s + 1):
+        if V in baby:
+            return lo + t * s + baby[V]
+        V = cfp.add(V, giant)
+    raise CurveError("no multiple of the point's order in the Hasse interval")
+
+
+def _order_dividing(cfp: CurveFp, P: FpPoint, M: int, fac: dict[int, int]) -> Optional[int]:
+    """The order of P when it divides M, else None; fac is the
+    factorisation of M.  Per prime power q^e of M, the q-part of the
+    order is the least q^f, f <= e, with q^f * (M/q^e)*P = O: one
+    multiplication by M/q^e per prime, then multiplications by q."""
+    o = 1
+    for q, e in fac.items():
+        R = cfp.mul(M // q ** e, P)
+        for _ in range(e):
+            if R is None:
+                break
+            R, o = cfp.mul(q, R), o * q
+        if R is not None:
+            return None
     return o
 
 
@@ -366,51 +437,73 @@ class GroupStructure:
     g2: FpPoint
 
 
+def _pinned_order(cfp: CurveFp, lam: int) -> Optional[int]:
+    """N = #E(F_p) when the shape test for the exponent lam may pass,
+    else None.  The test passes only if N = lam*d with d | gcd(lam, p - 1),
+    and N lies in the Hasse interval: while no such product does, N is
+    not needed.  Otherwise lam | N makes N the multiple of lam in the
+    interval when there is only one; only when there are several is N
+    counted."""
+    lo, hi = _hasse_interval(cfp.p)
+    first, last = -(-lo // lam), hi // lam
+    g = gcd(lam, cfp.p - 1)
+    if not any(g % d == 0 for d in range(first, min(g, last) + 1)):
+        return None
+    return lam * first if first == last else _count_points(cfp)
+
+
 def group_structure(cfp: CurveFp) -> GroupStructure:
     """E(F_p) as Z/d1 x Z/d2 with certifying generators.
 
-    A Legendre sum counts the points: N = #E(F_p).  A walk raises the
-    exponent lam, with W a point of order lam: once per pair {P, -P}, in
-    sorted order, a P with lam*P != O is merged into W.  Each time lam
-    rises, d1 = N/lam is tried as the other invariant factor when the
-    shape Z/d1 x Z/lam allows it, d1 | lam and d1 | p - 1 (the Weil
-    pairing puts mu_d1 in F_p).  The try (_complement) scans for T of
-    order d1 with <T> & <W> = 0.  When it finds one, |<T> + <W>| =
-    d1*lam = N, so lam is the exponent: the rest of the walk could not
-    move W, and the scan is a function of (W, lam) alone, so the result
-    is the one the full walk would give.  When the scan meets a point
-    whose order does not divide lam, lam is not the exponent and the
-    walk goes on where it stopped."""
-    pts = _PointWalk(cfp)
-    N = len(pts) + 1
-    fac = factorint(N)
+    A walk raises the exponent lam, with W a point of order lam: once per
+    pair {P, -P}, in sorted order, a P with lam*P != O is merged into W.
+    Its order comes from a multiple of it in the Hasse interval
+    (_hasse_multiple), so N = #E(F_p) is not needed to walk.  Each time
+    lam rises, d1 = N/lam is tried as the other invariant factor when
+    the shape Z/d1 x Z/lam allows it, d1 | lam and d1 | p - 1 (the Weil
+    pairing puts mu_d1 in F_p).  N is pinned for that only once some
+    lam*d1 of that shape lies in the Hasse interval (_pinned_order): as
+    the one multiple of lam there, or by a count when there are several.
+    The try (_complement) scans for T of order d1 with <T> & <W> = 0.
+    When it finds one, |<T> + <W>| = d1*lam = N, so lam is the exponent:
+    the rest of the walk could not move W, and the scan is a function of
+    (W, lam) alone, so the result is the one the full walk would give.
+    When the scan meets a point whose order does not divide lam, lam is
+    not the exponent and the walk goes on where it stopped."""
+    roots = _RootsOnDemand(cfp.p)
+    N = None
     lam, W = 1, None
     prev_x = None
-    for P in pts:
-        # pts is sorted, so -P (same x) directly follows P, and lam is
-        # already a multiple of ord(P) = ord(-P)
+    for P in _affine_points(cfp, roots):
+        # the points are sorted, so -P (same x) directly follows P, and
+        # lam is already a multiple of ord(P) = ord(-P)
         if P[0] == prev_x:
             continue
         prev_x = P[0]
         if cfp.mul(lam, P) is None:
             continue
-        o = _fp_point_order(cfp, P, N, fac)
+        M = _hasse_multiple(cfp, P)
+        o = _order_dividing(cfp, P, M, factorint(M))
         if W is None:
             lam, W = o, P
         else:
             W, lam = _merge_orders(cfp, W, lam, P, o)
+        N = N or _pinned_order(cfp, lam)
+        if N is None:
+            continue
         d1 = N // lam
         if d1 == 1:
             return GroupStructure(1, lam, None, W)
         if lam % d1 == 0 and (cfp.p - 1) % d1 == 0:
-            T = _complement(cfp, pts, N, fac, W, lam, d1)
+            T = _complement(cfp, roots, W, lam, d1)
             if T is not None:
                 return GroupStructure(d1, lam, T, W)
     if W is None:  # no affine point: N = 1
         return GroupStructure(1, 1, None, None)
-    # the walk ended, so every order divides lam: had the shape fit,
+    # the walk ended, so every order divides lam, and lam times the other
+    # invariant factor is N, in the Hasse interval: had the shape fit,
     # _complement would have returned T or raised
-    raise CurveError("inconsistent group shape: N=%d, exponent=%d" % (N, lam))
+    raise CurveError("inconsistent group shape: N=%s, exponent=%d" % (N, lam))
 
 
 def _multiples(cfp: CurveFp, P: FpPoint, k: int) -> list:
@@ -418,16 +511,19 @@ def _multiples(cfp: CurveFp, P: FpPoint, k: int) -> list:
     return [None, *accumulate(repeat(P, k - 1), cfp.add)]
 
 
-def _complement(cfp, pts, N, fac, W, lam, d1) -> Optional[tuple]:
+def _complement(cfp, roots, W, lam, d1) -> Optional[tuple]:
     """The first T in sorted order, (o/d1)*P for a point P of order o
     divisible by d1, with <T> & <W> = 0; None as soon as a point's order
     does not divide lam.  Raises when every order divides lam (so lam is
-    the exponent) and no T is found.  (d1/q)*T, q | d1 prime, has order
-    q: it lies in <W> exactly when it lies in <(lam/q)*W>."""
+    the exponent) and no T is found.  Orders are read against lam's
+    factorisation, which also tells whether they divide lam.
+    (d1/q)*T, q | d1 prime, has order q: it lies in <W> exactly when it
+    lies in <(lam/q)*W>."""
     subgroups = {q: set(_multiples(cfp, cfp.mul(lam // q, W), q)) for q in factorint(d1)}
-    for P in pts:
-        o = _fp_point_order(cfp, P, N, fac)
-        if lam % o != 0:
+    fac = factorint(lam)
+    for P in _affine_points(cfp, roots):
+        o = _order_dividing(cfp, P, lam, fac)
+        if o is None:
             return None
         if o % d1 != 0:
             continue
@@ -546,38 +642,6 @@ def weil_pairing(cfp: CurveFp, n: int, P: FpPoint, Q: FpPoint, R: FpPoint) -> in
     c = _fp_miller(cfp, lines_P, R)
     d = _fp_miller(cfp, lines_Q, cfp.add(P, cfp.neg(R)))
     return a[0] * b[0] * c[1] * d[1] * pow(a[1] * b[1] * c[0] * d[0], -1, p) % p
-
-
-class _RootsOnDemand:
-    """Square roots mod p read like the _square_roots table, one query at
-    a time (Tonelli-Shanks): roots[g] is the root of g in [0, p/2), or -1
-    when g is not a square.  No O(p) table for a few points."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.odd, self.twos = p - 1, 0
-        while self.odd % 2 == 0:
-            self.odd, self.twos = self.odd // 2, self.twos + 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        self.c0 = pow(z, self.odd, p)
-
-    def __getitem__(self, g: int) -> int:
-        p = self.p
-        if g == 0:
-            return 0
-        if pow(g, (p - 1) // 2, p) != 1:
-            return -1
-        k, c = self.twos, self.c0
-        t, r = pow(g, self.odd, p), pow(g, (self.odd + 1) // 2, p)
-        while t != 1:
-            i, t2 = 0, t
-            while t2 != 1:
-                t2, i = t2 * t2 % p, i + 1
-            b = pow(c, 1 << (k - i - 1), p)
-            k, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-        return min(r, p - r)
 
 
 def tate_pairing(cfp: CurveFp, m: int, P: FpPoint, Q: tuple, R: tuple) -> int:

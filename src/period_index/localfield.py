@@ -87,11 +87,13 @@ def _p_adic_split(m: int, p: int) -> tuple[int, int]:
 
 def valuation(x: CycloElem, place: Place) -> int:
     """Exact valuation of x at the place (uniformizer p, e = f = 1)."""
-    v, _ = _valuation_and_unit(x, place)
+    v, _ = valuation_and_unit(x, place)
     return v
 
 
-def _valuation_and_unit(x: CycloElem, place: Place) -> tuple[int, int]:
+def valuation_and_unit(x: CycloElem, place: Place) -> tuple[int, int]:
+    """(v, u): the valuation v of x at the place and the residue u of
+    x / p^v there, a unit mod p."""
     if x.n != place.n:
         raise ValueError("element level %d vs place level %d" % (x.n, place.n))
     if x.is_zero():
@@ -136,8 +138,8 @@ def tame_invariant(a: CycloElem, b: CycloElem, place: Place) -> Fraction:
     invariant is dlog_omega(rbar^((p-1)/n)) / n, a Fraction in [0, 1).
     """
     n, p = place.n, place.p
-    va, ua = _valuation_and_unit(a, place)
-    vb, ub = _valuation_and_unit(b, place)
+    va, ua = valuation_and_unit(a, place)
+    vb, ub = valuation_and_unit(b, place)
     sign = p - 1 if (va * vb) % 2 else 1
     r = sign * pow(ua, vb, p) * pow(ub, -va, p) % p
     t = pow(r, (p - 1) // n, p)

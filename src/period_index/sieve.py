@@ -23,7 +23,8 @@ E(F_p) = E[2] and only O lies in 2 * E(F_p).  A prime is rejected by that
 test, four short Miller evaluations over F_p and two powers mod p per
 generator, without the group structure of E(F_p).  The witnesses come from
 the group structure, built only at the prime the pairing accepts, so they
-do not depend on the test.  A generator the pairing accepts and the group
+do not depend on the test; it counts E(F_p) only when Hasse's bound
+leaves the count open (ecq.group_structure).  A generator the pairing accepts and the group
 structure cannot divide is recorded without a witness, and the
 certificate's witness check rejects it.  The partner v' must have full
 residue order n at v's place while all of its proper Galois conjugates

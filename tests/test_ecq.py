@@ -168,6 +168,26 @@ def test_reduce_point_with_pole_lands_at_zero():
     assert cfp.mul(2, reduce_point(cv, P, pl)) is None
 
 
+def test_reduce_point_reads_the_unit_part_of_a_split_denominator():
+    # y^2 = x^3 - 2 at level 3: both coordinates of g = -(3, 5) + 4*(3 zeta, 5)
+    # have 163 in their denominators, from a pole at one place over 163;
+    # at the other they have valuation 0 and g reduces to -P + 4Q there
+    cv = curve_over(3, [0, 0, 0, 0, -2])
+    P = point_over(3, (3, 5))
+    Q = (3 * CycloElem.zeta(3), CycloElem.rational(3, 5))
+    g = cv.add(cv.neg(P), cv.mul(4, Q))
+    assert all(c.denominator() % 163 == 0 for c in g)
+    pl = distinguished_place(3, 163)
+    assert [valuation(c, pl) for c in g] == [0, 0]
+    reductions = []
+    for place in places_over(3, 163):
+        cfp = reduce_curve(cv, place)
+        Pq, Qq = reduce_point(cv, P, place), reduce_point(cv, Q, place)
+        reductions.append(reduce_point(cv, g, place))
+        assert reductions[-1] == cfp.add(cfp.neg(Pq), cfp.mul(4, Qq)), place
+    assert reduce_point(cv, g, pl) == (92, 19) and None in reductions
+
+
 def test_pyth_torsion_is_exactly_eight():
     # torsion injects into E(F_7) (good, odd): the count there is 8
     cv = curve_over(4, E_PYTH)
@@ -182,14 +202,14 @@ def test_pyth_torsion_is_exactly_eight():
 
 def _points(cfp):
     """The affine points of E(F_p), sorted."""
-    return list(ecq._PointWalk(cfp))
+    return list(ecq._affine_points(cfp, ecq._RootsOnDemand(cfp.p)))
 
 
 def test_enumerate_and_count_frozen():
     cfp = CurveFp(5, 0, 0, 0, -1, 0)
     pts = _points(cfp)
     assert pts == [(0, 0), (1, 0), (2, 1), (2, 4), (3, 2), (3, 3), (4, 0)]
-    assert len(_points(cfp)) + 1 == 8
+    assert ecq._count_points(cfp) == 8
 
 
 def test_count_matches_naive_scan():
@@ -210,7 +230,7 @@ def test_count_matches_naive_scan():
             if (y * y + cfp.a1 * x * y + cfp.a3 * y) % p
             == (x ** 3 + cfp.a2 * x * x + cfp.a4 * x + cfp.a6) % p
         )
-        assert len(_points(cfp)) + 1 == naive + 1
+        assert ecq._count_points(cfp) == naive + 1
 
 
 def test_point_walk_matches_naive_sorted_scan():
@@ -233,9 +253,8 @@ def test_point_walk_matches_naive_sorted_scan():
             if (y * y + cfp.a1 * x * y + cfp.a3 * y) % p
             == (x ** 3 + cfp.a2 * x * x + cfp.a4 * x + cfp.a6) % p
         ]
-        walk = ecq._PointWalk(cfp)
-        assert list(walk) == naive and list(walk) == naive  # each pass anew
-        assert len(walk) == len(naive)
+        assert _points(cfp) == naive
+        assert ecq._count_points(cfp) == len(naive) + 1
 
 
 def test_group_structure_frozen():
@@ -265,7 +284,7 @@ def test_group_structure_certified():
             assert cfp.mul(st.d2 // q, st.g2) is not None
         # d2 is the true exponent: no point has larger order
         fac = factorint(N)
-        assert all(ecq._fp_point_order(cfp, P, N, fac) <= st.d2 for P in pts)
+        assert all(ecq._order_dividing(cfp, P, N, fac) <= st.d2 for P in pts)
         if st.d1 > 1:
             assert cfp.mul(st.d1, st.g1) is None
             spans = set()
@@ -279,9 +298,23 @@ def test_group_structure_certified():
             assert len(spans) == N  # the two generators really span
 
 
-def _reference_complement(cfp, pts, N, fac, W, lam, d1):
+def _reference_order(cfp, P, N, fac):
+    """The order of P read from N = #E(F_p) and its factorisation, as
+    group_structure did before the Hasse pin."""
+    o = N
+    for q in fac:
+        while o % q == 0 and cfp.mul(o // q, P) is None:
+            o //= q
+    return o
+
+
+def _reference_complement(cfp, W, lam, d1):
     """_complement as it was: the whole cyclic group <W> held, lam - 1
-    additions, and (d1/q)*T looked up in it."""
+    additions, every point's order read from the counted N, and
+    (d1/q)*T looked up in <W>."""
+    pts = _points(cfp)
+    N = len(pts) + 1
+    fac = factorint(N)
     cyclic = set()
     acc = None
     for _ in range(lam):
@@ -289,7 +322,7 @@ def _reference_complement(cfp, pts, N, fac, W, lam, d1):
         acc = cfp.add(acc, W)
     fac_d1 = factorint(d1)
     for P in pts:
-        o = ecq._fp_point_order(cfp, P, N, fac)
+        o = _reference_order(cfp, P, N, fac)
         if lam % o != 0:
             return None
         if o % d1 != 0:
@@ -308,7 +341,7 @@ def _reference_group_structure(cfp):
     fac = factorint(N)
     lam, W = 1, None
     for P in pts:
-        o = ecq._fp_point_order(cfp, P, N, fac)
+        o = _reference_order(cfp, P, N, fac)
         if lam % o == 0:
             continue
         if W is None:
@@ -321,27 +354,7 @@ def _reference_group_structure(cfp):
     if d1 == 1:
         return (1, lam, None, W)
     assert lam % d1 == 0 and (cfp.p - 1) % d1 == 0
-    return (d1, lam, _reference_complement(cfp, pts, N, fac, W, lam, d1), W)
-
-
-def test_group_structure_matches_reference():
-    rng = random.Random(3303)
-    primes = [p for p in range(3, 300) if all(p % q for q in range(2, p))]
-    non_cyclic = two_torsion = 0
-    for _ in range(300):
-        p = rng.choice(primes)
-        while True:
-            try:
-                cfp = CurveFp(p, *(rng.randrange(p) for _ in range(5)))
-                break
-            except CurveError:
-                continue
-        st = group_structure(cfp)
-        assert (st.d1, st.d2, st.g1, st.g2) == _reference_group_structure(cfp), cfp
-        non_cyclic += st.d1 > 1
-        two_torsion += any(cfp.neg(P) == P for P in _points(cfp))
-    # the sample reaches the second loop and the self-negating points
-    assert non_cyclic >= 20 and two_torsion >= 100
+    return (d1, lam, _reference_complement(cfp, W, lam, d1), W)
 
 
 def _full_torsion_curve(rng, m, primes):
@@ -368,6 +381,89 @@ def _full_torsion_curve(rng, m, primes):
         ref = _reference_group_structure(cfp)
         if ref[0] % m == 0:
             return cfp, ref
+
+
+def _count_point_counts(monkeypatch) -> list:
+    """A one-entry list that counts calls of the point count from here
+    on."""
+    calls = [0]
+    count = ecq._count_points
+
+    def counted(cfp):
+        calls[0] += 1
+        return count(cfp)
+
+    monkeypatch.setattr(ecq, "_count_points", counted)
+    return calls
+
+
+def test_group_structure_matches_reference(monkeypatch):
+    # seeded curves over primes below 60, 300 and 2,000 in turn, and
+    # curves with full m-torsion: the sample reaches the second loop, the
+    # self-negating points, the path that pins N by the Hasse interval
+    # alone and the one that counts it (small p, small exponent)
+    counts = _count_point_counts(monkeypatch)
+    rng = random.Random(3303)
+    primes = [p for p in range(3, 2000) if is_probable_prime(p)]
+    curves = []
+    while len(curves) < 300:
+        p = rng.choice([q for q in primes if q < (60, 300, 2000)[len(curves) % 3]])
+        try:
+            curves.append(CurveFp(p, *(rng.randrange(p) for _ in range(5))))
+        except CurveError:
+            continue
+    curves += [_full_torsion_curve(rng, m, primes[:100])[0] for m in (2, 3, 4) for _ in range(8)]
+    non_cyclic = two_torsion = pinned = counted = 0
+    for cfp in curves:
+        before = counts[0]
+        st = group_structure(cfp)
+        assert (st.d1, st.d2, st.g1, st.g2) == _reference_group_structure(cfp), cfp
+        counted += counts[0] > before
+        pinned += counts[0] == before
+        non_cyclic += st.d1 > 1
+        two_torsion += any(cfp.neg(P) == P for P in _points(cfp))
+    assert non_cyclic >= 60 and two_torsion >= 150
+    assert pinned >= 250 and counted >= 40
+
+
+def test_hasse_pin_decides_when_to_count(monkeypatch):
+    # E(F_13441) = Z/8 x Z/1704: once lam = 1704, 13632 is the one
+    # multiple of it in the Hasse interval [13211, 13673], so N is never
+    # counted.  E(F_757) = Z/27 x Z/27: lam = 27 has four multiples in
+    # [703, 813], so N is counted, once
+    counts = _count_point_counts(monkeypatch)
+    assert ecq._hasse_interval(13441) == (13211, 13673)
+    st = group_structure(CurveFp(13441, 0, 7, 0, 13297, 0))
+    assert (st.d1, st.d2) == (8, 1704) and counts[0] == 0
+    st = group_structure(CurveFp(757, 0, 0, 1, 0, 0))
+    assert (st.d1, st.d2) == (27, 27) and counts[0] == 1
+
+
+def test_hasse_multiple_is_the_least_in_the_interval():
+    # every affine point of seeded curves over p < 200, points of order
+    # 2 among them: M lies in the Hasse interval, which holds N, and it
+    # is the least multiple there of the point's order
+    rng = random.Random(6606)
+    primes = [p for p in range(3, 200) if is_probable_prime(p)]
+    points = order_two = 0
+    for _ in range(40):
+        p = rng.choice(primes)
+        try:
+            cfp = CurveFp(p, *(rng.randrange(p) for _ in range(5)))
+        except CurveError:
+            continue
+        lo, hi = ecq._hasse_interval(p)
+        N = ecq._count_points(cfp)
+        assert lo <= N <= hi
+        fac = factorint(N)
+        for P in _points(cfp):
+            M = ecq._hasse_multiple(cfp, P)
+            o = _reference_order(cfp, P, N, fac)
+            assert lo <= M <= hi and cfp.mul(M, P) is None
+            assert M == lo + (-lo) % o, (cfp, P)
+            points += 1
+            order_two += o == 2
+    assert points > 2000 and order_two > 20
 
 
 def test_group_structure_stops_early_on_full_torsion(monkeypatch):
@@ -416,11 +512,13 @@ def test_group_structure_addition_budget(monkeypatch):
     # E(F_13441) = Z/8 x Z/1704: the exponent is reached at the 13th
     # x-coordinate, and walking the other 6,804 cost 107,774 additions;
     # holding all of <W> to test the complement cost 5,714, its order-q
-    # subgroups cost 4,024
+    # subgroups cost 4,024; reading each order from a multiple in the
+    # Hasse interval, and in the complement from lam, not from the counted
+    # N, costs 2,366
     calls = _count_additions(monkeypatch)
     st = group_structure(CurveFp(13441, 0, 7, 0, 13297, 0))
     assert (st.d1, st.d2, st.g1, st.g2) == (8, 1704, (4515, 3913), (4264, 9685))
-    assert calls[0] <= 4_024
+    assert calls[0] <= 2_366
 
 
 def test_divisibility_witness_addition_budget(monkeypatch):
@@ -486,7 +584,8 @@ def test_division_matches_the_walks_it_replaced(monkeypatch):
 
     def both(*args):
         T = complement(*args)
-        assert T == _reference_complement(*args), args[0]
+        cfp, _, W, lam, d1 = args
+        assert T == _reference_complement(cfp, W, lam, d1), cfp
         tries.append(T is not None)
         return T
 
@@ -503,8 +602,8 @@ def test_division_matches_the_walks_it_replaced(monkeypatch):
     curves += [cfp for m in (2, 3, 4) for cfp, _ in _full_torsion_curves(rng, m, 10)]
     cyclic = found = missed = 0
     for cfp in curves:
-        walk = ecq._PointWalk(cfp)
-        assert len(walk) == sum(1 for _ in walk), cfp
+        walk = _points(cfp)
+        assert ecq._count_points(cfp) == len(walk) + 1, cfp
         st = group_structure(cfp)
         cyclic += st.g1 is None
         for m in (2, 3, 4):
