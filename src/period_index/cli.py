@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .cyclo import CycloElem
+from .cyclo import PRIME_PROOF_LIMIT, CycloElem
 from .kummer import twisted_norm, galois_representation
 from .localfield import (
     archimedean_invariant,
@@ -112,6 +112,8 @@ class RunConfig:
         self.prime_bound = read_positive(
             read_field(raw, "bounds.prime_bound"), "bounds.prime_bound"
         )
+        if self.prime_bound >= PRIME_PROOF_LIMIT:
+            raise InputError("must lie below psi_12, where primality is proved", "bounds.prime_bound")
 
         out = raw.get("output", {})
         if not isinstance(out, dict):
@@ -239,9 +241,7 @@ def cmd_norm_twist(args) -> int:
 
 def cmd_sieve(args) -> int:
     cfg = RunConfig(args.config)
-    pair = find_pair(
-        cfg.curve, cfg.level, cfg.prime_bound, cfg.mw_gens, cfg.n, (cfg.basis.S, cfg.basis.T)
-    )
+    pair = find_pair(cfg.curve, cfg.prime_bound, cfg.mw_gens, cfg.n, (cfg.basis.S, cfg.basis.T))
     print("first  p=%d pi=%s" % (pair.first.p, _fmt_elem(pair.first.pi)))
     print(
         "second p=%d pi=%s residue_order=%d"

@@ -354,8 +354,11 @@ def _pair_member(pi: CycloElem, level: int, path: str) -> tuple:
     cond = path + ".conditions."
     nm = field_norm(pi)
     p, m = abs(nm.numerator), wild_modulus(level)
-    _lemma(nm.denominator == 1 and is_probable_prime(p),
-           "generator norm %s is not a prime" % nm, cond + "prime_norm")
+    try:
+        prime = nm.denominator == 1 and is_probable_prime(p)
+    except ValueError:  # too large for the primality test to prove
+        prime = False
+    _lemma(prime, "generator norm %s is not a proven prime" % nm, cond + "prime_norm")
     _lemma(is_one_mod(pi, m), "generator is not congruent to 1 mod %d" % m,
            cond + "congruent_one_mod_wild")
     _lemma(is_totally_positive(pi), "generator is not totally positive", cond + "totally_positive")
@@ -496,13 +499,16 @@ def _obstruction(
     _lemma(sum(subs.values()) % 1 == inv_v and subs["c_d"] == 0,
            "sub-symbols at v do not add up to the invariant with <c, d> = 0",
            "obstruction.v_row.sub_symbols")
-    _lemma(invariant_order(tame_invariant(first, second, vp)) == invariant_order(inv_v),
+    inv_vp = tame_invariant(first, second, vp)
+    _lemma(invariant_order(inv_vp) == invariant_order(inv_v),
            "symbol order at v' differs from the order at v", "obstruction.local_rows")
 
-    local = {}
+    # the invariant at every place over the pair, v and v' as computed
+    local = {(p, v.omega): (v, inv_v), (pp, vp.omega): (vp, inv_vp)}
     for q in (p, pp):
         for w in places_over(N, q):
-            local[(q, w.omega)] = (w, tame_invariant(first, second, w))
+            if (q, w.omega) not in local:
+                local[(q, w.omega)] = (w, tame_invariant(first, second, w))
 
     if doubled or (N % 2 == 0 and N > 2):
         consistency = "doubles-equal"
@@ -702,7 +708,7 @@ def _construct(
 ) -> dict:
     rep = _preconditions(cv, basis, mw_gens, **route)
     # the only search in the pipeline
-    pair = find_pair(cv, cv.n, prime_bound, mw_gens, route["target_n"], (basis.S, basis.T))
+    pair = find_pair(cv, prime_bound, mw_gens, route["target_n"], (basis.S, basis.T))
     return _certificate(
         cv, basis, rep, mw_gens, pair.first.pi, pair.second.pi, pair.witnesses, **route
     )

@@ -5,8 +5,9 @@ integer coordinates over one common positive denominator, so every
 operation here is exact; inverses go through the norm.  Scope: n is a prime
 power in SUPPORTED_LEVELS.  The arithmetic works at every one of them; the
 norm equation is solved at n in NORM_LEVELS = {2, 3, 4} only, where
-Z[zeta_n] is a principal ideal domain whose only units are the roots of
-unity, walked on integer coordinates by associates.
+Z[zeta_n] is a principal ideal domain: solve_norm_equation returns a
+generator of the prime at a split place, and associates lists its unit
+multiples, the roots of unity times it, on integer coordinates.
 """
 
 from __future__ import annotations
@@ -390,20 +391,6 @@ def phi_roots_mod_p(n: int, p: int) -> list[int]:
     raise ArithmeticError("no primitive n-th root found mod %d" % p)
 
 
-def split_place(n: int, p: int) -> tuple[int, int]:
-    """Pin the distinguished place of L over a split prime p: (p, omega).
-
-    omega is the smallest root of Phi_n mod p; it necessarily has exact
-    multiplicative order n.
-    """
-    if p < 2 or not is_probable_prime(p):
-        raise ValueError("p=%d is not prime" % p)
-    if n % p == 0:
-        raise ValueError("p=%d divides n=%d; not a split place" % (p, n))
-    omega = phi_roots_mod_p(n, p)[0]
-    return (p, omega)
-
-
 def reduce_at(x: CycloElem, p: int, omega: int) -> int:
     """Residue of x at the place (p, omega), i.e. image under zeta -> omega."""
     return evaluate_mod(x, omega, p)
@@ -445,11 +432,14 @@ _PSI = (
     3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
     3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
 )
+PRIME_PROOF_LIMIT = _PSI[-1]  # is_probable_prime proves primality below it
 
 
 def is_probable_prime(m: int) -> bool:
     """Miller-Rabin with the first k prime bases, k the least with
-    m < psi_k: exact below psi_12 (about 3.2e23), all twelve above."""
+    m < psi_k: exact below psi_12 (about 3.2e23).  At or above psi_12 a
+    base that fails still proves m composite, but an m that passes all
+    twelve is refused with ValueError: psi_12 itself passes them."""
     if m < 2:
         return False
     for q in _PRIME_BASES:
@@ -469,6 +459,8 @@ def is_probable_prime(m: int) -> bool:
                 break
         else:
             return False
+    if m >= PRIME_PROOF_LIMIT:
+        raise ValueError("%d passes all twelve bases at or above psi_12: primality unproven" % m)
     return True
 
 
@@ -476,44 +468,43 @@ def is_probable_prime(m: int) -> bool:
 
 
 def solve_norm_equation(place) -> CycloElem:
-    """The least integral x with |Norm(x)| = p in the canonical order, for
-    a split place over a prime p at a level in NORM_LEVELS; the caller has
-    proved p prime.  The canonical order compares the power-basis
-    coordinates from the highest power down, each as 0, 1, 2, ..., -1,
-    -2, ...  At degree 2 the answer comes from a lattice reduction in
-    O(log p) steps."""
+    """A generator of the prime (p, zeta - omega) of the split place, for
+    a prime p at a level in NORM_LEVELS; the caller has proved p prime.
+    At n = 2 it is p.  At degree 2 it is the vector a + b*zeta that a
+    lattice reduction finds in O(log p) steps; which of the 2n associates
+    that is does not matter to the sieve, which pins its generator among
+    them by a congruence (sieve.attach_generator)."""
     n, p = place.n, place.p
     if n not in NORM_LEVELS:
         raise ContextError("no norm equation solver at level %d; it runs at %r" % (n, NORM_LEVELS))
     if n == 2:
-        # L = Q; the only elements of norm +-p are +-p.
+        # L = Q; the prime over p is p itself.
         return CycloElem.rational(n, p)
     return _solve_norm_quadratic(n, p, place.omega)
 
 
-# At each level of NORM_LEVELS, the action of zeta and of complex
-# conjugation on the power-basis coordinates; at degree 2, the norm form
-# of a + b*zeta as (A, B, C), Norm = A a^2 + B ab + C b^2.
-_UNIT_ACTION = {
-    2: (lambda a: (-a,), lambda a: (a,)),  # zeta = -1: L = Q
-    3: (lambda a, b: (-b, a - b), lambda a, b: (a - b, -b)),  # zeta^2 = -1 - zeta, conj(zeta) = zeta^2
-    4: (lambda a, b: (-b, a), lambda a, b: (a, -b)),  # zeta^2 = -1
+# At each level of NORM_LEVELS, the action of zeta on the power-basis
+# coordinates; at degree 2, the norm form of a + b*zeta as (A, B, C),
+# Norm = A a^2 + B ab + C b^2.
+_TIMES_ZETA = {
+    2: lambda a: (-a,),  # zeta = -1: L = Q
+    3: lambda a, b: (-b, a - b),  # zeta^2 = -1 - zeta
+    4: lambda a, b: (-b, a),  # zeta^2 = -1
 }
 _NORM_FORMS = {3: (1, -1, 1), 4: (1, 0, 1)}
 
 
 def associates(n: int, w: tuple) -> list[tuple]:
-    """The coordinates of u*w, then of u*conj(w), over the 2n roots of
-    unity u of a level in NORM_LEVELS, each run in the order +-1, +-zeta,
-    ..., +-zeta^(n-1); w is a tuple of integer power-basis coordinates."""
-    times_zeta, conj = _UNIT_ACTION[n]
+    """The coordinates of u*w over the 2n roots of unity u of a level in
+    NORM_LEVELS, in the order +-1, +-zeta, ..., +-zeta^(n-1); w is a tuple
+    of integer power-basis coordinates."""
+    times_zeta = _TIMES_ZETA[n]
     out = []
-    for x in (w, conj(*w)):
-        y = tuple([-c for c in x])
-        for _ in range(n):
-            out.append(x)
-            out.append(y)
-            x, y = times_zeta(*x), times_zeta(*y)
+    x, y = w, tuple([-c for c in w])
+    for _ in range(n):
+        out.append(x)
+        out.append(y)
+        x, y = times_zeta(*x), times_zeta(*y)
     return out
 
 
@@ -522,10 +513,8 @@ def _solve_norm_quadratic(n: int, p: int, omega: int) -> CycloElem:
     # a + b*omega ≡ 0 mod p, with basis (p, 0), (-omega, 1).  That prime is
     # principal (Z[i] and Z[zeta_3] are PIDs), so the norm form's minimum on
     # the lattice is p, and Lagrange reduction finds a vector pi of norm p
-    # (Cohen, GTM 138, 1.3.14 and 1.5.2).  Every element of norm p is u*pi
-    # or u*conj(pi) for one of the 2n roots of unity u.  The other prime
-    # over p, (p, zeta - omega^-1), is the conjugate of this one, so it
-    # gives the same associates and the same least one.
+    # (Cohen, GTM 138, 1.3.14 and 1.5.2).  pi lies in the lattice, so it
+    # generates the prime and vanishes at the place.
     A, B, C = _NORM_FORMS[n]
 
     def form(v):
@@ -548,5 +537,4 @@ def _solve_norm_quadratic(n: int, p: int, omega: int) -> CycloElem:
         u, v, qu, qv = v, u, qv, qu
     if qv != p:
         raise ArithmeticError("shortest vector of norm %d, not %d" % (qv, p))
-    # the canonical order on (a, b): b first, each coordinate as (c < 0, |c|)
-    return CycloElem(n, min(associates(n, v), key=lambda w: (w[1] < 0, abs(w[1]), w[0] < 0, abs(w[0]))))
+    return CycloElem(n, v)

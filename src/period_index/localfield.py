@@ -22,7 +22,6 @@ from .cyclo import (
     is_probable_prime,
     lifted_root,
     phi_roots_mod_p,
-    split_place,
 )
 
 
@@ -51,9 +50,13 @@ class Place:
 
 
 def distinguished_place(n: int, p: int) -> Place:
-    """The canonical place over p: smallest root of Phi_n mod p."""
-    pp, omega = split_place(n, p)
-    return Place(n, pp, omega)
+    """The canonical place over a prime p prime to n: the smallest root
+    of Phi_n mod p, which has exact multiplicative order n."""
+    if p < 2 or not is_probable_prime(p):
+        raise ValueError("p=%d is not prime" % p)
+    if n % p == 0:
+        raise ValueError("p=%d divides n=%d; not a split place" % (p, n))
+    return Place(n, p, phi_roots_mod_p(n, p)[0])
 
 
 def places_over(n: int, p: int) -> list[Place]:
@@ -227,7 +230,8 @@ def _pollard_rho(m: int, seed: int) -> int:
 
 
 def factorint(m: int) -> dict[int, int]:
-    """Prime factorization of |m| as {prime: exponent}.  m != 0."""
+    """Prime factorization of |m| as {prime: exponent}.  m != 0.  Raises
+    ValueError on a cofactor whose primality is_probable_prime refuses."""
     if m == 0:
         raise ZeroDivisionError("factorint(0)")
     m = abs(m)

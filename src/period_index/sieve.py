@@ -45,7 +45,9 @@ Results are a pure function of the curve, the level, the target level and
 the prime bound; there is no randomness to seed and no other search limit.
 The levels are those of cyclo.NORM_LEVELS (2, 3 and 4): there the norm
 equation always has a solution, and the roots of unity are all the units
-to adjust it by.
+to adjust it by.  At most one of those unit multiples meets the wild
+congruence, so the generator attached to a prime is a function of its
+place (attach_generator).
 """
 
 from __future__ import annotations
@@ -156,26 +158,21 @@ def split_prime_stream(cv: CurveL, n: int, bound: int) -> Iterator[int]:
 
 def attach_generator(n: int, p: int, place: Optional[Place] = None) -> Optional[CycloElem]:
     """A generator pi of a prime over p with the three pinned properties,
-    or None.  Of the canonical norm-equation solution x0 and its complex
-    conjugate, the one that reduces to 0 at the distinguished place is
-    kept; its unit multiples are tried on integer coordinates in the
-    order +-1, +-zeta, ..., +-zeta^(n-1), and the first that is ≡ 1 mod
-    the wild modulus and totally positive becomes the CycloElem pi.  A
-    scan passes the place it has already computed; it is built here when
-    None."""
+    or None.  solve_norm_equation gives a generator w of the prime at the
+    distinguished place; its unit multiples are all the others.  Two of
+    them that were both ≡ 1 mod the wild modulus m would differ by
+    (u - u')w ≡ 0 mod m, but w is prime to m and u - u' has norm at most
+    4, below m^phi(n).  So the one multiple ≡ 1 mod m, found on integer
+    coordinates, is pi if it is totally positive, and pi is a function of
+    the place alone.  A scan passes the place it has already computed;
+    it is built here when None."""
     if place is None:
         place = distinguished_place(n, p)
-    x0 = solve_norm_equation(place)
-    multiples = associates(n, x0.num)
-    # x0 generates one prime over p, its conjugate the other (n = 2: both p)
-    if reduce_at(x0, p, place.omega):
-        multiples = multiples[2 * n:]
     m = wild_modulus(n)
-    for y in multiples[: 2 * n]:
+    for y in associates(n, solve_norm_equation(place).num):
         if coords_one_mod(y, m):
             pi = CycloElem(n, y)
-            if is_totally_positive(pi):
-                return pi
+            return pi if is_totally_positive(pi) else None
     return None
 
 
@@ -221,13 +218,13 @@ def residue_order_profile(pi2: CycloElem, place: Place) -> tuple[int, tuple]:
     return orders[0][1], tuple(orders[1:])
 
 
-def _candidates(cv: CurveL, n: int, bound: int, stats: SieveStats) -> Iterator[PrimeCandidate]:
+def _candidates(cv: CurveL, bound: int, stats: SieveStats) -> Iterator[PrimeCandidate]:
     """The split primes up to bound that carry a pinned generator, in
     ascending order; each prime is counted once in stats."""
-    for p in split_prime_stream(cv, n, bound):
+    for p in split_prime_stream(cv, cv.n, bound):
         stats.scanned += 1
-        place = distinguished_place(n, p)
-        pi = attach_generator(n, p, place)
+        place = distinguished_place(cv.n, p)
+        pi = attach_generator(cv.n, p, place)
         if pi is None:
             stats.no_generator += 1
             continue
@@ -236,7 +233,6 @@ def _candidates(cv: CurveL, n: int, bound: int, stats: SieveStats) -> Iterator[P
 
 def find_pair(
     cv: CurveL,
-    n: int,
     bound: int,
     mw_gens: list[LPoint],
     target_level: int,
@@ -246,14 +242,14 @@ def find_pair(
 
     The first member is the first candidate whose declared generators all
     divide down at its place; it carries the division witnesses, which
-    construct checks.  basis is (S, T), a basis of E[n] over the level-n
-    field; the Tate pairing against it rejects a prime, and
+    construct checks.  basis is (S, T), a basis of E[n] over the field of
+    the curve's level n; the Tate pairing against it rejects a prime, and
     divisibility_data runs only at the prime the pairing accepts.  The
     partner is the first other candidate, in scan order, with full
     residue order n at the first member's place while its proper
     conjugates are n-th power residues there."""
     stats = SieveStats()
-    candidates = _candidates(cv, n, bound, stats)
+    candidates = _candidates(cv, bound, stats)
     passed = []
     for first in candidates:
         stats.divisibility_checked += 1
@@ -268,7 +264,7 @@ def find_pair(
     for second in chain(passed, candidates):
         stats.pairs_tried += 1
         main, conj = residue_order_profile(second.pi, first.place)
-        if main != n:
+        if main != cv.n:
             stats.order_rejected += 1
             continue
         if any(o != 1 for _, o in conj):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from period_index import sieve
+from period_index import construct, cyclo, sieve
 from period_index.cli import main
 from period_index.construct import content_digest
 from test_acceptance import _covers, _leaf_paths, _perturb, _set_path, _trace_names
@@ -104,6 +104,14 @@ def test_hilbert_malformed_rational(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_hilbert_refuses_an_unproven_prime_factor(capsys):
+    # psi_12 passes all twelve Miller-Rabin bases: factorint refuses it
+    # rather than list it as a prime
+    psi = str(cyclo.PRIME_PROOF_LIMIT)
+    assert main(["hilbert", "--n", "2", "-a", psi, "-b", "3"]) == 2
+    assert "primality unproven" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- configs
 
 
@@ -152,6 +160,7 @@ def test_config_blames_an_unsupported_level_on_the_level(tmp_path, capsys, monke
     [
         ("bounds__prime_bound", "0"),
         ("bounds__prime_bound", "-5"),
+        ("bounds__prime_bound", str(cyclo.PRIME_PROOF_LIMIT)),
         ("parameters__n", "0"),
         ("parameters__ell", "-1"),
         ("curve__stable_subgroup_order", "0"),
@@ -516,6 +525,39 @@ def test_verify_rejects_a_level_that_cannot_certify_at_the_level(tmp_path, capsy
     target.write_text(json.dumps(cert))
     assert main(["verify", str(target)]) == 1
     assert capsys.readouterr().err.startswith("inputs.curve.level: ")
+
+
+def test_verify_refuses_a_generator_of_unproven_prime_norm(tmp_path, capsys):
+    # a prime past psi_12, 1 mod 8, passes the wild congruence at level 2,
+    # but is_probable_prime cannot prove it: prime_norm fails
+    cert = json.loads(_perfbench_workloads().cert_path("2-1").read_text())
+    p = cyclo.PRIME_PROOF_LIMIT + 36
+    assert p % 8 == 1
+    cert["pair"]["first"]["pi"] = [str(p)]
+    target = tmp_path / "unproven.json"
+    target.write_text(json.dumps(cert))
+    assert main(["verify", str(target)]) == 1
+    assert capsys.readouterr().err.startswith("pair.first.conditions.prime_norm: ")
+
+
+def test_verify_computes_each_local_invariant_once(monkeypatch):
+    # the v-row and the v'-order check read the local rows' invariants:
+    # 10/12/12/12/24 tame symbols when each was computed again
+    calls = [0]
+    tame = construct.tame_invariant
+
+    def counted(*args):
+        calls[0] += 1
+        return tame(*args)
+
+    monkeypatch.setattr(construct, "tame_invariant", counted)
+    counts = {}
+    for name in ("2-1", "2-2", "3-1", "3-3", "composite"):
+        calls[0] = 0
+        cert = json.loads(_perfbench_workloads().cert_path(name).read_text())
+        assert construct.verify_certificate(cert) == (True, [])
+        counts[name] = calls[0]
+    assert counts == {"2-1": 8, "2-2": 10, "3-1": 10, "3-3": 10, "composite": 20}
 
 
 def test_verify_fresh_certificate(cert_paths, capsys):

@@ -19,9 +19,9 @@ from period_index.cyclo import (
     phi_roots_mod_p,
     reduce_at,
     solve_norm_equation,
-    split_place,
 )
-from period_index.localfield import distinguished_place
+from period_index.localfield import Place, coords_one_mod, distinguished_place, factorint, wild_modulus
+from period_index.sieve import attach_generator
 
 
 # ---------------------------------------------------------------- oracles
@@ -183,15 +183,15 @@ def test_conjugates_count():
 
 
 def test_split_place_frozen():
-    assert split_place(4, 13) == (13, 5)
-    assert split_place(3, 7) == (7, 2)
+    assert distinguished_place(4, 13) == Place(4, 13, 5)
+    assert distinguished_place(3, 7) == Place(3, 7, 2)
 
 
 def test_split_place_rejects_bad_input():
     with pytest.raises(ValueError):
-        split_place(4, 15)  # composite
+        distinguished_place(4, 15)  # composite
     with pytest.raises(ValueError):
-        split_place(3, 3)  # ramified
+        distinguished_place(3, 3)  # ramified
     with pytest.raises(ValueError):
         phi_roots_mod_p(4, 7)  # 7 is not 1 mod 4
 
@@ -209,7 +209,7 @@ def test_phi_roots_have_exact_order():
 def test_reduce_at_is_ring_hom():
     rng = random.Random(5005)
     for n, p in ((3, 7), (4, 13), (9, 19)):
-        _, omega = split_place(n, p)
+        omega = distinguished_place(n, p).omega
         for _ in range(20):
             x, y = _rand_elem(rng, n), _rand_elem(rng, n)
             rx, ry = reduce_at(x, p, omega), reduce_at(y, p, omega)
@@ -225,7 +225,7 @@ def test_reduce_at_denominator_guard():
 
 def test_lifted_root_consistency():
     for n, p, prec in ((4, 13, 4), (3, 7, 5), (9, 19, 3)):
-        _, omega = split_place(n, p)
+        omega = distinguished_place(n, p).omega
         r = lifted_root(n, p, omega, prec)
         assert r % p == omega
         phi = cyclotomic_poly(n)
@@ -236,7 +236,7 @@ def test_lifted_root_consistency():
 def test_evaluate_mod_high_precision():
     # evaluation mod p^k agrees with reduce_at after reduction mod p
     n, p = 4, 13
-    _, omega = split_place(n, p)
+    omega = distinguished_place(n, p).omega
     r = lifted_root(n, p, omega, 3)
     x = CycloElem(4, [7, -5])
     hi = evaluate_mod(x, r, p ** 3)
@@ -249,33 +249,6 @@ def test_evaluate_mod_high_precision():
 def _coord_key(c):
     # nonnegative values first (ascending), then negative (by magnitude)
     return (0, c) if c >= 0 else (1, -c)
-
-
-def _vector_key(coeffs):
-    """The canonical order of integral coordinate vectors: compared from
-    the highest-power coordinate down, each by _coord_key."""
-    return tuple(_coord_key(c) for c in reversed(coeffs))
-
-
-def test_solve_norm_equation_frozen():
-    assert solve_norm_equation(distinguished_place(4, 5)) == CycloElem(4, [2, 1])
-    assert solve_norm_equation(distinguished_place(3, 7)) == CycloElem(3, [3, 1])
-    assert solve_norm_equation(distinguished_place(2, 5)) == CycloElem.rational(2, 5)
-
-
-def test_solve_norm_equation_canonical_order_is_stable():
-    # the hit must be minimal in vector_key order among all solutions; none
-    # has a coordinate beyond sqrt(4p/3) < 8
-    for n, p, bound in ((4, 13, 8), (3, 13, 8)):
-        hit = solve_norm_equation(distinguished_place(n, p))
-        sols = []
-        for a in range(-bound, bound + 1):
-            for b in range(-bound, bound + 1):
-                x = CycloElem(n, [a, b])
-                if not x.is_zero() and abs(field_norm(x)) == p:
-                    sols.append(x)
-        best = min(sols, key=lambda x: _vector_key(x.num))
-        assert hit == best
 
 
 def test_solve_norm_equation_random_split_primes():
@@ -311,8 +284,28 @@ def test_is_probable_prime_matches_a_sieve():
     # passes all twelve: the test is exact only below it)
     for psi in cyclo._PSI[:-1]:
         assert not cyclo.is_probable_prime(psi)
-    for prime in (2_147_483_647, 1_000_000_007, 2**61 - 1, 2**89 - 1):
+    for prime in (2_147_483_647, 1_000_000_007, 2**61 - 1):
         assert cyclo.is_probable_prime(prime)
+
+
+def test_is_probable_prime_refuses_what_it_cannot_prove():
+    psi = cyclo._PSI[-1]
+    assert psi == 399_165_290_221 * 798_330_580_441 == cyclo.PRIME_PROOF_LIMIT
+    # the least prime above psi_12 that is 1 mod 8, proved by Lucas's
+    # test: 5 has order p - 1 mod p
+    p = psi + 36
+    fac = factorint(p - 1)  # every cofactor lies below psi_12
+    assert fac == {2: 3, 3: 2, 67: 1, 6073: 1, 10_877_396_384_140_523: 1}
+    assert pow(5, p - 1, p) == 1 and all(pow(5, (p - 1) // q, p) != 1 for q in fac)
+    # psi_12 and the primes past it pass all twelve bases: none is proved
+    for m in (psi, p, 2**89 - 1):
+        with pytest.raises(ValueError):
+            cyclo.is_probable_prime(m)
+        with pytest.raises(ValueError):
+            factorint(4 * m)
+    # a base that fails proves a composite past psi_12 all the same
+    assert not cyclo.is_probable_prime(p * 1_000_000_007)
+    assert not cyclo.is_probable_prime(psi + 2)
 
 
 def test_solve_norm_equation_needs_a_prime():
@@ -327,10 +320,11 @@ def _ref_coord_range(bound):
 
 
 def _ref_solve_norm_quadratic(n, p):
-    """The scan over the outer coefficient b in vector_key order that the
-    lattice reduction replaced: the reference for
-    test_solve_norm_equation_matches_the_scan.  No coordinate of an
-    element of norm p exceeds sqrt(4p/3) in absolute value."""
+    """The least element of norm p in the canonical order (coordinates
+    compared from the highest power down, each by _coord_key), by a scan
+    over the outer coefficient b: the element the sieve once started its
+    generator pinning from.  No coordinate of an element of norm p
+    exceeds sqrt(4p/3) in absolute value."""
     bound = isqrt(4 * p // 3) + 1
     for b in _ref_coord_range(bound):
         candidates = []
@@ -355,30 +349,71 @@ def _ref_solve_norm_quadratic(n, p):
     return None
 
 
+def _units(n):
+    return [s * CycloElem.zeta(n, k) for k in range(n) for s in (1, -1)]
+
+
+def _ref_pin_from_the_scan(n, p, place):
+    """The generator as the sieve pinned it from the canonical x0: of x0
+    and its complex conjugate, the one that vanishes at the place, times
+    the roots of unity in the order +-1, +-zeta, ...; the first multiple
+    that is 1 mod the wild modulus."""
+    x0 = _ref_solve_norm_quadratic(n, p)
+    if reduce_at(x0, p, place.omega):
+        x0 = galois_apply(GaloisAuto(n, n - 1), x0)
+    multiples = (u * x0 for u in _units(n))
+    return x0, next((y for y in multiples if coords_one_mod(y.num, wild_modulus(n))), None)
+
+
 def test_solve_norm_equation_matches_the_scan():
-    # every split p < 20,000 at both degree-2 levels
-    cases = 0
+    # every split p < 20,000 at both degree-2 levels: the lattice vector
+    # is a unit multiple of the scanned x0 or its conjugate, the one that
+    # vanishes at the place, and the generator pinned from either is the
+    # same
+    cases = found = 0
     for n in (3, 4):
         for p in range(n + 1, 20_000, n):
             if not cyclo.is_probable_prime(p):
                 continue
-            assert solve_norm_equation(distinguished_place(n, p)) == _ref_solve_norm_quadratic(n, p), (n, p)
+            place = distinguished_place(n, p)
+            w = solve_norm_equation(place)
+            assert field_norm(w) == p and reduce_at(w, p, place.omega) == 0, (n, p)
+            x0, pi = _ref_pin_from_the_scan(n, p, place)
+            assert w in [u * x0 for u in _units(n)], (n, p)
+            assert attach_generator(n, p, place) == pi, (n, p)
             cases += 1
-    assert cases > 2_000
+            found += pi is not None
+    assert cases > 2_000 and found == 18
 
 
 def test_associates_are_unit_multiples():
-    # u*w, then u*conj(w), for u = +-1, +-zeta, ..., +-zeta^(n-1): the
-    # order in which the generators are pinned
+    # u*w for u = +-1, +-zeta, ..., +-zeta^(n-1)
     rng = random.Random(9)
     for n in cyclo.NORM_LEVELS:
         d = context(n).degree
-        units = [s * CycloElem.zeta(n, k) for k in range(n) for s in (1, -1)]
         for _ in range(10):
             w = CycloElem(n, [rng.randint(-9, 9) for _ in range(d)])
-            conj = galois_apply(GaloisAuto(n, n - 1), w)
-            expected = [(u * x).num for x in (w, conj) for u in units]
-            assert associates(n, w.num) == expected
+            assert associates(n, w.num) == [(u * w).num for u in _units(n)]
+
+
+def test_at_most_one_associate_is_one_mod_the_wild_modulus():
+    # two would differ by (u - u')w ≡ 0 mod m with w prime to m, and no
+    # difference of roots of unity is divisible by m; each w = u^-1 (1 + m z)
+    # has exactly one
+    rng = random.Random(19)
+    for n in cyclo.NORM_LEVELS:
+        d, m = context(n).degree, wild_modulus(n)
+        hits = []
+        for k in range(300):
+            if k % 2:
+                z = CycloElem(n, [rng.randint(-20, 20) for _ in range(d)])
+                w = (z * m + 1) * rng.choice(_units(n)).invert()
+            else:
+                w = CycloElem(n, [rng.randint(-999, 999) for _ in range(d)])
+            if w.is_zero() or field_norm(w).numerator % context(n).prime == 0:
+                continue  # not prime to m
+            hits.append(len({y for y in associates(n, w.num) if coords_one_mod(y, m)}))
+        assert max(hits) == 1 and hits.count(1) >= 100, n
 
 
 # ---------------------------------------------------------------- misc

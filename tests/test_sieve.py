@@ -19,7 +19,7 @@ from period_index.cyclo import (
     reduce_at,
     solve_norm_equation,
 )
-from period_index import ecq, sieve
+from period_index import cyclo, ecq, sieve
 from period_index.construct import LemmaFailure, certify_mode_A, even_adjust
 from period_index.kummer import make_basis
 from period_index.ecq import curve_over, point_over, reduce_curve, reduce_point
@@ -142,6 +142,33 @@ def test_attach_generator_matches_the_product_loop():
                 assert got is None, p  # -p is the unit multiple ≡ 1 mod 8
             found[n] += got is not None
     assert found == {2: 1257, 3: 33, 4: 17}
+
+
+def test_attach_generator_walks_one_list_of_associates(monkeypatch):
+    # pinning from the canonical x0 listed the 4n associates of the
+    # lattice vector to take the least, then those of x0 to walk
+    lists, tests = [], [0]
+    associates, one_mod = sieve.associates, sieve.coords_one_mod
+
+    def listed(n, w):
+        lists.append(n)
+        return associates(n, w)
+
+    def tested(co, m):
+        tests[0] += 1
+        return one_mod(co, m)
+
+    for module in (sieve, cyclo):
+        monkeypatch.setattr(module, "associates", listed)
+    monkeypatch.setattr(sieve, "coords_one_mod", tested)
+    for n in (2, 3, 4):
+        for p in range(n + 1, 5_000, n):
+            if p % 2 == 0 or not is_probable_prime(p):
+                continue
+            lists.clear()
+            tests[0] = 0
+            attach_generator(n, p)
+            assert lists == [n] and tests[0] <= 2 * n, (n, p)
 
 
 def test_attach_generator_needs_a_norm_level():
@@ -274,36 +301,36 @@ def test_residue_order_profile_matches_the_galois_action():
 
 def test_find_v_frozen():
     cv2, gens2 = _fix2()
-    pair = find_pair(cv2, 2, 10**4, gens2, 2, _basis(2))
+    pair = find_pair(cv2, 10**4, gens2, 2, _basis(2))
     assert (pair.first.p, pair.first.pi, pair.witnesses) == (
         17,
         CycloElem.rational(2, 17),
         ((0, (4, 3)), (1, (12, 13))),
     )
     cv3, gens3 = _fix3()
-    pair = find_pair(cv3, 3, 2 * 10**4, gens3, 3, _basis(3))
+    pair = find_pair(cv3, 2 * 10**4, gens3, 3, _basis(3))
     assert (pair.first.p, pair.first.pi, pair.witnesses) == (
         757,
         CycloElem(3, [28, 27]),
         ((0, (570, 175)),),
     )
     cv4, gens4 = _fix4()
-    pair = find_pair(cv4, 4, 10**5, gens4, 2, _basis(4))
+    pair = find_pair(cv4, 10**5, gens4, 2, _basis(4))
     assert (pair.first.p, pair.first.pi) == (13441, CycloElem(4, [65, -96]))
     assert pair.witnesses == ((0, (2117, 2573)), (1, (1672, 6652)))
 
 
 def test_find_vprime_frozen():
     cv2, gens2 = _fix2()
-    pair = find_pair(cv2, 2, 10**4, gens2, 2, _basis(2))
+    pair = find_pair(cv2, 10**4, gens2, 2, _basis(2))
     assert (pair.second.p, pair.second.pi) == (41, CycloElem.rational(2, 41))
     assert pair.residue_order == 2 and pair.conjugate_orders == ()
     cv3, gens3 = _fix3()
-    pair = find_pair(cv3, 3, 2 * 10**4, gens3, 3, _basis(3))
+    pair = find_pair(cv3, 2 * 10**4, gens3, 3, _basis(3))
     assert (pair.second.p, pair.second.pi) == (13879, CycloElem(3, [82, 135]))
     assert pair.residue_order == 3 and pair.conjugate_orders == ((2, 1),)
     cv4, gens4 = _fix4()
-    pair = find_pair(cv4, 4, 10**5, gens4, 2, _basis(4))
+    pair = find_pair(cv4, 10**5, gens4, 2, _basis(4))
     assert (pair.second.p, pair.second.pi) == (25601, CycloElem(4, [1, 160]))
 
 
@@ -324,7 +351,7 @@ def test_find_pair_builds_the_group_only_at_the_accepted_prime(monkeypatch):
     # at 13441, and the histogram still counts every prime checked
     calls = _count_group_structures(monkeypatch)
     cv4, gens4 = _fix4()
-    pair = find_pair(cv4, 4, 10**5, gens4, 2, _basis(4))
+    pair = find_pair(cv4, 10**5, gens4, 2, _basis(4))
     assert pair.first.p == 13441 and calls[0] == 1
     assert "divisibility=1/6" in pair.stats.summary()
 
@@ -369,7 +396,7 @@ def test_doubled_find_pair_multiplication_budget(monkeypatch):
     cv4, gens4 = _fix4()
     basis = _basis(4)
     monkeypatch.setattr(CycloElem, "__mul__", counted)
-    find_pair(cv4, 4, 10**5, gens4, 2, basis)
+    find_pair(cv4, 10**5, gens4, 2, basis)
     assert calls[0] <= 600
 
 
@@ -378,7 +405,7 @@ def test_find_pair_takes_a_partner_passed_before_the_first_member():
     # first candidate, 17, is the partner
     cv = curve_over(2, [0, 5, 0, -6, 0])
     basis = (point_over(2, (0, 0)), point_over(2, (-6, 0)))
-    pair = find_pair(cv, 2, 200, [point_over(2, (8, 28))], 2, basis)
+    pair = find_pair(cv, 200, [point_over(2, (8, 28))], 2, basis)
     assert (pair.first.p, pair.second.p) == (113, 17)
     assert pair.witnesses == ((0, (18, 15)),)
     assert pair.stats.summary() == (
@@ -412,13 +439,13 @@ def test_find_pair_factors_no_discriminant(monkeypatch):
     monkeypatch.setattr(ecq, "factorint", small_only)
     cv = curve_over(2, [0, b - a, 0, -a * b, 0])
     basis = (point_over(2, (0, 0)), point_over(2, (b, 0)))
-    pair = find_pair(cv, 2, 1000, [], 2, basis)
+    pair = find_pair(cv, 1000, [], 2, basis)
     assert (pair.first.p, pair.second.p) == (17, 41)
 
 
 def test_find_pair_conditions_revalidate():
     cv3, gens3 = _fix3()
-    pair = find_pair(cv3, 3, 2 * 10**4, gens3, 3, _basis(3))
+    pair = find_pair(cv3, 2 * 10**4, gens3, 3, _basis(3))
     for member in (pair.first, pair.second):
         assert is_probable_prime(member.p)
         assert abs(field_norm(member.pi)) == member.p
@@ -435,7 +462,7 @@ def test_find_pair_conditions_revalidate():
 def test_sieve_exhausted_histogram():
     cv3, gens3 = _fix3()
     with pytest.raises(SieveExhausted) as e:
-        find_pair(cv3, 3, 700, gens3, 3, _basis(3))
+        find_pair(cv3, 700, gens3, 3, _basis(3))
     assert e.value.stats.scanned == 7
     assert e.value.stats.no_generator == 7
     assert "scanned=7" in str(e.value)
@@ -447,7 +474,7 @@ def test_sieve_exhausted_partner_histogram_covers_the_whole_search():
     # generators and no pairing test)
     cv3, gens3 = _fix3()
     with pytest.raises(SieveExhausted) as e:
-        find_pair(cv3, 3, 10**4, gens3, 3, _basis(3))
+        find_pair(cv3, 10**4, gens3, 3, _basis(3))
     assert str(e.value) == (
         "no admissible partner below 10000 (scanned=70 no_generator=62 generators=8 "
         "divisibility=1/1 pairs_tried=7 order_rejected=3 conjugate_rejected=4)"
