@@ -32,6 +32,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from math import lcm
 from typing import Optional
@@ -128,23 +129,30 @@ class RunConfig:
 # =====================================================================
 
 
-def _write_atomic(path: str, text: str):
+def _write_atomic(path: str, text: str, field: str):
+    """Write text to path through a temporary file beside it; a path that
+    cannot be written is an input error at field, and leaves no file."""
     tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as e:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise InputError("cannot write %s: %s" % (path, e.strerror or e), field)
 
 
 def _fmt_elem(x: CycloElem) -> str:
     return "[" + ", ".join(elem_coeffs(x)) + "]"
 
 
-def _emit(cert: dict, path: Optional[str]) -> int:
-    """Write the certificate to path, or to stdout without one, and print
-    its claims."""
+def _emit(cert: dict, path: Optional[str], field: str) -> int:
+    """Write the certificate to path, named by field, or to stdout without
+    one, and print its claims."""
     text = canonical_json(cert)
     if path is not None:
-        _write_atomic(path, text)
+        _write_atomic(path, text, field)
     else:
         sys.stdout.write(text)
     sm = cert["summary"]
@@ -285,7 +293,9 @@ def cmd_construct(args) -> int:
         if not e.paths:
             raise
         raise InputError(str(e), _config_field(e.paths[0]))
-    return _emit(cert, cfg.certificate_path if args.out is None else args.out)
+    if args.out is None:
+        return _emit(cert, cfg.certificate_path, "output.certificate")
+    return _emit(cert, args.out, "--out")
 
 
 def cmd_compose(args) -> int:
@@ -300,7 +310,7 @@ def cmd_compose(args) -> int:
     if any(traces):
         return 1
     cert = compose_coprime(left, right, allow_different_jacobians=args.allow_different_jacobians)
-    return _emit(cert, args.out)
+    return _emit(cert, args.out, "--out")
 
 
 def cmd_verify(args) -> int:

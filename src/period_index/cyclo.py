@@ -3,11 +3,10 @@
 Elements are stored on the power basis 1, zeta, ..., zeta^(phi(n)-1) as
 integer coordinates over one common positive denominator, so every
 operation here is exact; inverses go through the norm.  Scope: n is a prime
-power in SUPPORTED_LEVELS.  The arithmetic works at every one of them; the
-norm equation is solved at n in NORM_LEVELS = {2, 3, 4} only, where
-Z[zeta_n] is a principal ideal domain: solve_norm_equation returns a
-generator of the prime at a split place, and associates lists its unit
-multiples, the roots of unity times it, on integer coordinates.
+power in SUPPORTED_LEVELS.  The arithmetic works at every one of them.  At
+n in NORM_LEVELS = {2, 3, 4}, of degree at most 2, norm_shell lists the
+elements x ≡ 1 mod m of Z[zeta_n] whose norm lies in a range, read off
+the norm form; the sieve finds its prime generators among them.
 """
 
 from __future__ import annotations
@@ -16,12 +15,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-from typing import Iterable, Sequence
+from math import gcd, isqrt, lcm
+from typing import Iterable, Iterator, Sequence
 
 
 SUPPORTED_LEVELS = (2, 3, 4, 5, 8, 9)
-# the levels at which solve_norm_equation pins a generator
+# the levels at which norm_shell lists elements, and the sieve pins a generator
 NORM_LEVELS = (2, 3, 4)
 
 
@@ -464,77 +463,44 @@ def is_probable_prime(m: int) -> bool:
     return True
 
 
-# --- norm equations ----------------------------------------------------
+# --- elements congruent to 1 ------------------------------------------
 
 
-def solve_norm_equation(place) -> CycloElem:
-    """A generator of the prime (p, zeta - omega) of the split place, for
-    a prime p at a level in NORM_LEVELS; the caller has proved p prime.
-    At n = 2 it is p.  At degree 2 it is the vector a + b*zeta that a
-    lattice reduction finds in O(log p) steps; which of the 2n associates
-    that is does not matter to the sieve, which pins its generator among
-    them by a congruence (sieve.attach_generator)."""
-    n, p = place.n, place.p
+def norm_shell(n: int, m: int, lo: int, hi: int) -> Iterator[tuple]:
+    """(N(x), coordinates of x) for every x ≡ 1 mod m in Z[zeta_n], n in
+    NORM_LEVELS, with lo < N(x) <= hi and lo >= 0.
+
+    At n = 2, x is an integer 1 + m*c and is its own norm.  At degree 2,
+    x = a + b*zeta has N(x) = b^2 Phi_n(-a/b) = a^2 - c1*ab + c0*b^2 for
+    Phi_n = x^2 + c1*x + c0; completing the square, 4N(x) = s^2 + D*b^2
+    with s = 2a - c1*b and D = 4*c0 - c1^2 > 0.  So b runs over the
+    multiples of m with D*b^2 <= 4*hi, and in each such row the shell is
+    at most two intervals of s, whose ends are integer square roots: the
+    walk visits no element outside the shell."""
     if n not in NORM_LEVELS:
-        raise ContextError("no norm equation solver at level %d; it runs at %r" % (n, NORM_LEVELS))
+        raise ContextError("no norm shell at level %d; it runs at %r" % (n, NORM_LEVELS))
     if n == 2:
-        # L = Q; the prime over p is p itself.
-        return CycloElem.rational(n, p)
-    return _solve_norm_quadratic(n, p, place.omega)
+        for a in _one_mod_range(lo + 1, hi, m):
+            yield a, (a,)
+        return
+    c0, c1, _ = context(n).phi_coeffs
+    D = 4 * c0 - c1 * c1
+    top = isqrt(4 * hi // D) // m * m
+    for b in range(-top, top + 1, m):
+        outer = isqrt(4 * hi - D * b * b)
+        inner = 4 * lo - D * b * b
+        # |s| <= outer and s^2 > inner
+        if inner < 0:
+            spans = ((-outer, outer),)
+        else:
+            r = isqrt(inner) + 1
+            spans = ((-outer, -r), (r, outer))
+        for s0, s1 in spans:
+            # a = (s + c1*b) / 2 for s0 <= s <= s1
+            for a in _one_mod_range(-((-s0 - c1 * b) // 2), (s1 + c1 * b) // 2, m):
+                yield a * a - c1 * a * b + c0 * b * b, (a, b)
 
 
-# At each level of NORM_LEVELS, the action of zeta on the power-basis
-# coordinates; at degree 2, the norm form of a + b*zeta as (A, B, C),
-# Norm = A a^2 + B ab + C b^2.
-_TIMES_ZETA = {
-    2: lambda a: (-a,),  # zeta = -1: L = Q
-    3: lambda a, b: (-b, a - b),  # zeta^2 = -1 - zeta
-    4: lambda a, b: (-b, a),  # zeta^2 = -1
-}
-_NORM_FORMS = {3: (1, -1, 1), 4: (1, 0, 1)}
-
-
-def associates(n: int, w: tuple) -> list[tuple]:
-    """The coordinates of u*w over the 2n roots of unity u of a level in
-    NORM_LEVELS, in the order +-1, +-zeta, ..., +-zeta^(n-1); w is a tuple
-    of integer power-basis coordinates."""
-    times_zeta = _TIMES_ZETA[n]
-    out = []
-    x, y = w, tuple([-c for c in w])
-    for _ in range(n):
-        out.append(x)
-        out.append(y)
-        x, y = times_zeta(*x), times_zeta(*y)
-    return out
-
-
-def _solve_norm_quadratic(n: int, p: int, omega: int) -> CycloElem:
-    # The elements a + b*zeta of the prime (p, zeta - omega) are the lattice
-    # a + b*omega ≡ 0 mod p, with basis (p, 0), (-omega, 1).  That prime is
-    # principal (Z[i] and Z[zeta_3] are PIDs), so the norm form's minimum on
-    # the lattice is p, and Lagrange reduction finds a vector pi of norm p
-    # (Cohen, GTM 138, 1.3.14 and 1.5.2).  pi lies in the lattice, so it
-    # generates the prime and vanishes at the place.
-    A, B, C = _NORM_FORMS[n]
-
-    def form(v):
-        return A * v[0] * v[0] + B * v[0] * v[1] + C * v[1] * v[1]
-
-    def polar(u, v):
-        # twice the bilinear form of `form`
-        return 2 * A * u[0] * v[0] + B * (u[0] * v[1] + u[1] * v[0]) + 2 * C * u[1] * v[1]
-
-    u, v = (p, 0), (-omega, 1)
-    qu, qv = form(u), form(v)
-    if qu < qv:
-        u, v, qu, qv = v, u, qv, qu
-    while True:
-        k = (polar(u, v) + qv) // (2 * qv)  # the nearest integer to B(u, v) / Q(v)
-        u = (u[0] - k * v[0], u[1] - k * v[1])
-        qu = form(u)
-        if qu >= qv:
-            break
-        u, v, qu, qv = v, u, qv, qu
-    if qv != p:
-        raise ArithmeticError("shortest vector of norm %d, not %d" % (qv, p))
-    return CycloElem(n, v)
+def _one_mod_range(first: int, last: int, m: int) -> range:
+    """The integers ≡ 1 mod m from first to last."""
+    return range(first + (1 - first) % m, last + 1, m)

@@ -12,7 +12,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
 
 from .cyclo import (
     CycloElem,
@@ -203,12 +202,10 @@ def wild_modulus(n: int) -> int:
 def is_one_mod(x: CycloElem, modulus: int) -> bool:
     """Coordinate-wise test x ≡ 1 mod modulus on the power basis."""
     # an integral x's numerators are its coordinates: the denominator is 1
-    return x.is_integral() and coords_one_mod(x.num, modulus)
-
-
-def coords_one_mod(co: Sequence[int], modulus: int) -> bool:
-    """is_one_mod on integer power-basis coordinates."""
-    return (co[0] - 1) % modulus == 0 and all(c % modulus == 0 for c in co[1:])
+    co = x.num
+    return x.is_integral() and (co[0] - 1) % modulus == 0 and all(
+        c % modulus == 0 for c in co[1:]
+    )
 
 
 # ------------------------------------------------------------ factoring

@@ -43,11 +43,23 @@ the prime stream for no checkable gain.
 
 Results are a pure function of the curve, the level, the target level and
 the prime bound; there is no randomness to seed and no other search limit.
-The levels are those of cyclo.NORM_LEVELS (2, 3 and 4): there the norm
-equation always has a solution, and the roots of unity are all the units
-to adjust it by.  At most one of those unit multiples meets the wild
-congruence, so the generator attached to a prime is a function of its
-place (attach_generator).
+The levels are those of cyclo.NORM_LEVELS (2, 3 and 4), where Z[zeta_n] is
+a principal ideal domain whose units are the roots of unity.  The
+generators are not solved for prime by prime: cyclo.norm_shell lists the
+elements 1 + m*z, z integral and m the wild modulus, by norm, into a table
+the scan extends in doubling shells as it passes the norms covered.  At n
+= 2 the element of norm p is p, positive as every norm the walk lists.  At
+degree 2 the elements of norm p are the unit multiples of the generators
+pi and conj(pi) of the two primes over p; at most one multiple of each is
+≡ 1 mod m (two would differ by (u - u')pi ≡ 0 mod m, with pi prime to m
+and u - u' of norm at most 4 < m^2), and complex conjugation keeps the
+congruence.  So a prime that carries a generator occurs exactly twice in
+the walk, as pi and conj(pi), which vanish at the two roots of Phi_n mod
+p; pi is the one at the smaller root, the distinguished place's, and a
+function of p alone.  A prime with no entry has no generator.  The table
+is keyed by norm and holds composite norms too: it is read only at the
+primes of split_prime_stream, which proves each member of the progression
+prime, and the histogram counts them.
 """
 
 from __future__ import annotations
@@ -58,12 +70,12 @@ from typing import Iterator, Optional
 
 from .cyclo import (
     CycloElem,
-    associates,
+    GaloisAuto,
     context,
+    galois_apply,
     is_probable_prime,
-    is_totally_positive,
+    norm_shell,
     reduce_at,
-    solve_norm_equation,
 )
 from .ecq import (
     CurveL,
@@ -74,13 +86,7 @@ from .ecq import (
     reduce_curve,
     reduce_point,
 )
-from .localfield import (
-    Place,
-    coords_one_mod,
-    distinguished_place,
-    residue_power_order,
-    wild_modulus,
-)
+from .localfield import Place, residue_power_order, wild_modulus
 
 
 class SieveExhausted(RuntimeError):
@@ -142,10 +148,10 @@ class SievePair:
     stats: SieveStats
 
 
-def split_prime_stream(cv: CurveL, n: int, bound: int) -> Iterator[int]:
-    """Primes p <= bound with p ≡ 1 mod wild_modulus(n) and good reduction:
-    p does not divide cv.bad_modulus."""
-    m = wild_modulus(n)
+def split_prime_stream(cv: CurveL, bound: int) -> Iterator[int]:
+    """Primes p <= bound with p ≡ 1 mod wild_modulus(cv.n) and good
+    reduction: p does not divide cv.bad_modulus."""
+    m = wild_modulus(cv.n)
     p = 1
     while True:
         p += m
@@ -156,24 +162,29 @@ def split_prime_stream(cv: CurveL, n: int, bound: int) -> Iterator[int]:
         yield p
 
 
-def attach_generator(n: int, p: int, place: Optional[Place] = None) -> Optional[CycloElem]:
-    """A generator pi of a prime over p with the three pinned properties,
-    or None.  solve_norm_equation gives a generator w of the prime at the
-    distinguished place; its unit multiples are all the others.  Two of
-    them that were both ≡ 1 mod the wild modulus m would differ by
-    (u - u')w ≡ 0 mod m, but w is prime to m and u - u' has norm at most
-    4, below m^phi(n).  So the one multiple ≡ 1 mod m, found on integer
-    coordinates, is pi if it is totally positive, and pi is a function of
-    the place alone.  A scan passes the place it has already computed;
-    it is built here when None."""
-    if place is None:
-        place = distinguished_place(n, p)
-    m = wild_modulus(n)
-    for y in associates(n, solve_norm_equation(place).num):
-        if coords_one_mod(y, m):
-            pi = CycloElem(n, y)
-            return pi if is_totally_positive(pi) else None
-    return None
+def attach_generator(n: int, p: int) -> Optional[CycloElem]:
+    """The pinned generator pi of the prime over p at the distinguished
+    place, or None, read from the one shell (p - 1, p] of the table the
+    scan walks."""
+    if not is_probable_prime(p):
+        raise ValueError("p=%d is not prime" % p)
+    z = dict(norm_shell(n, wild_modulus(n), p - 1, p)).get(p)
+    return None if z is None else _pinned(n, p, z).pi
+
+
+def _pinned(n: int, p: int, z: tuple) -> PrimeCandidate:
+    """The candidate at a prime p from the coordinates z of an element
+    ≡ 1 mod m of norm p: at degree 2, z or its complex conjugate, the one
+    that vanishes at the smaller root of Phi_n mod p."""
+    pi = CycloElem(n, z)
+    if n == 2:
+        return PrimeCandidate(p, pi, Place(n, p, p - 1))
+    a, b = z
+    omega = -a * pow(b, -1, p) % p  # a + b*omega ≡ 0
+    inverse = pow(omega, n - 1, p)  # where the conjugate a + b*zeta^-1 vanishes
+    if inverse < omega:
+        pi, omega = galois_apply(GaloisAuto(n, n - 1), pi), inverse
+    return PrimeCandidate(p, pi, Place(n, p, omega))
 
 
 def divisibility_data(
@@ -220,15 +231,21 @@ def residue_order_profile(pi2: CycloElem, place: Place) -> tuple[int, tuple]:
 
 def _candidates(cv: CurveL, bound: int, stats: SieveStats) -> Iterator[PrimeCandidate]:
     """The split primes up to bound that carry a pinned generator, in
-    ascending order; each prime is counted once in stats."""
-    for p in split_prime_stream(cv, cv.n, bound):
+    ascending order; each prime is counted once in stats.  The table of
+    elements ≡ 1 mod m by norm covers (0, covered] and doubles when the
+    scan passes covered."""
+    n, m = cv.n, wild_modulus(cv.n)
+    table, covered = {}, 0
+    for p in split_prime_stream(cv, bound):
         stats.scanned += 1
-        place = distinguished_place(cv.n, p)
-        pi = attach_generator(cv.n, p, place)
-        if pi is None:
+        if p > covered:
+            lo, covered = covered, min(bound, max(p, 2 * covered))
+            table.update(norm_shell(n, m, lo, covered))
+        z = table.get(p)
+        if z is None:
             stats.no_generator += 1
             continue
-        yield PrimeCandidate(p, pi, place)
+        yield _pinned(n, p, z)
 
 
 def find_pair(

@@ -292,6 +292,40 @@ def test_construct_writes_and_reports(tmp_path, capsys):
     assert cert["summary"]["period"] == "3"
 
 
+@pytest.mark.parametrize(
+    "target, via_config, says",
+    [
+        ("dir", False, "error: --out: cannot write "),
+        ("missing/x.json", False, "error: --out: cannot write "),
+        ("dir", True, "error: output.certificate: cannot write "),
+        ("missing/x.json", True, "error: output.certificate: cannot write "),
+    ],
+    ids=["out-dir", "out-missing-dir", "config-dir", "config-missing-dir"],
+)
+def test_construct_names_a_certificate_path_it_cannot_write(tmp_path, capsys, target, via_config, says):
+    # a path that cannot be written is malformed input: exit 2 naming the
+    # field the path came from, and no temporary file left beside it
+    (tmp_path / "dir").mkdir()
+    out = str(tmp_path / target)
+    cfg = _write_config(tmp_path, CONFIG_QUADRATIC, output={"certificate": out} if via_config else {})
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["construct", "--config", cfg] + ([] if via_config else ["--out", out])) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(says + out + ": ") and captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("target", ["dir", "missing/x.json"])
+def test_compose_names_an_out_path_it_cannot_write(cert_paths, tmp_path, capsys, target):
+    (tmp_path / "dir").mkdir()
+    out = str(tmp_path / target)
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["compose", *map(str, cert_paths), "--out", out, "--allow-different-jacobians"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --out: cannot write %s: " % out)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # any exact model: coefficient denominators, cyclotomic coefficients, and
 # a discriminant too large to factor; none has generators to divide
 _MODELS = {

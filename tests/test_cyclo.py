@@ -8,7 +8,6 @@ from period_index import cyclo
 from period_index.cyclo import (
     CycloElem,
     GaloisAuto,
-    associates,
     context,
     cyclotomic_poly,
     evaluate_mod,
@@ -16,12 +15,13 @@ from period_index.cyclo import (
     galois_apply,
     is_totally_positive,
     lifted_root,
+    norm_shell,
     phi_roots_mod_p,
     reduce_at,
-    solve_norm_equation,
 )
-from period_index.localfield import Place, coords_one_mod, distinguished_place, factorint, wild_modulus
+from period_index.localfield import Place, distinguished_place, factorint, is_one_mod, wild_modulus
 from period_index.sieve import attach_generator
+from norm_oracle import associates, solve_norm_equation
 
 
 # ---------------------------------------------------------------- oracles
@@ -251,6 +251,42 @@ def _coord_key(c):
     return (0, c) if c >= 0 else (1, -c)
 
 
+def _box_shell(n, m, lo, hi):
+    """norm_shell by brute force: every x ≡ 1 mod m with coordinates in a
+    box that holds all elements of norm at most hi, by field_norm."""
+    r = hi if n == 2 else isqrt(4 * hi)
+    box = range(-r - 1, r + 2)
+    rows = [()] if n == 2 else [(b,) for b in box if b % m == 0]
+    out = set()
+    for a in box:
+        for rest in rows:
+            if a % m == 1 % m:
+                nrm = field_norm(CycloElem(n, (a,) + rest))
+                if lo < nrm <= hi:
+                    out.add((nrm, (a,) + rest))
+    return out
+
+
+def test_norm_shell_matches_a_box_scan():
+    # every modulus from 1 (all of Z[zeta_n]) to the wild ones, shells
+    # from the origin and annuli, against the brute-force scan
+    rng = random.Random(2020)
+    for n in cyclo.NORM_LEVELS:
+        for m in (1, 2, 3, 5, wild_modulus(n)):
+            for lo, hi in [(0, 1), (0, 400), (1, 2)] + [
+                tuple(sorted(rng.sample(range(600), 2))) for _ in range(4)
+            ]:
+                got = list(norm_shell(n, m, lo, hi))
+                assert len(got) == len(set(got)), (n, m, lo, hi)
+                assert set(got) == _box_shell(n, m, lo, hi), (n, m, lo, hi)
+
+
+def test_norm_shell_only_at_the_norm_levels():
+    for n in (5, 8, 9):
+        with pytest.raises(cyclo.ContextError):
+            list(norm_shell(n, wild_modulus(n), 0, 1000))
+
+
 def test_solve_norm_equation_random_split_primes():
     rng = random.Random(6006)
     for n in (3, 4):
@@ -362,7 +398,7 @@ def _ref_pin_from_the_scan(n, p, place):
     if reduce_at(x0, p, place.omega):
         x0 = galois_apply(GaloisAuto(n, n - 1), x0)
     multiples = (u * x0 for u in _units(n))
-    return x0, next((y for y in multiples if coords_one_mod(y.num, wild_modulus(n))), None)
+    return x0, next((y for y in multiples if is_one_mod(y, wild_modulus(n))), None)
 
 
 def test_solve_norm_equation_matches_the_scan():
@@ -380,7 +416,7 @@ def test_solve_norm_equation_matches_the_scan():
             assert field_norm(w) == p and reduce_at(w, p, place.omega) == 0, (n, p)
             x0, pi = _ref_pin_from_the_scan(n, p, place)
             assert w in [u * x0 for u in _units(n)], (n, p)
-            assert attach_generator(n, p, place) == pi, (n, p)
+            assert attach_generator(n, p) == pi, (n, p)
             cases += 1
             found += pi is not None
     assert cases > 2_000 and found == 18
@@ -412,7 +448,7 @@ def test_at_most_one_associate_is_one_mod_the_wild_modulus():
                 w = CycloElem(n, [rng.randint(-999, 999) for _ in range(d)])
             if w.is_zero() or field_norm(w).numerator % context(n).prime == 0:
                 continue  # not prime to m
-            hits.append(len({y for y in associates(n, w.num) if coords_one_mod(y, m)}))
+            hits.append(len({y for y in associates(n, w.num) if is_one_mod(CycloElem(n, y), m)}))
         assert max(hits) == 1 and hits.count(1) >= 100, n
 
 

@@ -17,14 +17,13 @@ from period_index.cyclo import (
     is_probable_prime,
     is_totally_positive,
     reduce_at,
-    solve_norm_equation,
 )
-from period_index import cyclo, ecq, sieve
+from period_index import ecq, sieve
 from period_index.construct import LemmaFailure, certify_mode_A, even_adjust
 from period_index.kummer import make_basis
 from period_index.ecq import curve_over, point_over, reduce_curve, reduce_point
 from period_index.localfield import (
-    coords_one_mod,
+    Place,
     distinguished_place,
     is_one_mod,
     places_over,
@@ -33,12 +32,14 @@ from period_index.localfield import (
 )
 from period_index.sieve import (
     SieveExhausted,
+    SieveStats,
     attach_generator,
     divisibility_data,
     find_pair,
     residue_order_profile,
     split_prime_stream,
 )
+from norm_oracle import pinned_generator, solve_norm_equation
 
 E_MINUS_X = [0, 0, 0, -1, 0]    # y^2 = x^3 - x
 E_CUBE = [0, 0, 1, 0, 0]        # y^2 + y = x^3
@@ -72,9 +73,9 @@ def _basis(n):
 
 def test_split_prime_stream():
     cv2, _ = _fix2()
-    assert list(split_prime_stream(cv2, 2, 100)) == [17, 41, 73, 89, 97]
+    assert list(split_prime_stream(cv2, 100)) == [17, 41, 73, 89, 97]
     cv3, _ = _fix3()
-    first = list(split_prime_stream(cv3, 3, 600))
+    first = list(split_prime_stream(cv3, 600))
     assert first == [109, 163, 271, 379, 433, 487, 541]
     for p in first:
         assert p % wild_modulus(3) == 1 and is_probable_prime(p)
@@ -119,10 +120,9 @@ def _ref_attach_generator(n, p, place):
             continue
         for rows in map(_multiplication_rows, _torsion_units(n)):
             y = [sum(r * c for r, c in zip(row, xt.num)) for row in rows]
-            if coords_one_mod(y, m):
-                pi = CycloElem(n, y)
-                if is_totally_positive(pi):
-                    return pi
+            pi = CycloElem(n, y)
+            if is_one_mod(pi, m) and is_totally_positive(pi):
+                return pi
     return None
 
 
@@ -135,40 +135,36 @@ def test_attach_generator_matches_the_product_loop():
         for p in range(n + 1, 50_000, n):
             if p % 2 == 0 or not is_probable_prime(p):
                 continue
-            place = distinguished_place(n, p)
-            got = attach_generator(n, p, place)
-            assert got == _ref_attach_generator(n, p, place), (n, p)
+            got = attach_generator(n, p)
+            assert got == _ref_attach_generator(n, p, distinguished_place(n, p)), (n, p)
             if n == 2 and p % 8 == 7:
                 assert got is None, p  # -p is the unit multiple ≡ 1 mod 8
             found[n] += got is not None
     assert found == {2: 1257, 3: 33, 4: 17}
 
 
-def test_attach_generator_walks_one_list_of_associates(monkeypatch):
-    # pinning from the canonical x0 listed the 4n associates of the
-    # lattice vector to take the least, then those of x0 to walk
-    lists, tests = [], [0]
-    associates, one_mod = sieve.associates, sieve.coords_one_mod
+def test_attach_generator_walks_one_shell(monkeypatch):
+    # one shell (p - 1, p] per prime, and only the elements of norm p in
+    # it: none at a prime off the progression 1 mod m, two (pi and its
+    # conjugate) at a prime that carries a generator
+    shells = []
+    walk = sieve.norm_shell
 
-    def listed(n, w):
-        lists.append(n)
-        return associates(n, w)
+    def listed(n, m, lo, hi):
+        out = list(walk(n, m, lo, hi))
+        shells.append((lo, hi, out))
+        return out
 
-    def tested(co, m):
-        tests[0] += 1
-        return one_mod(co, m)
-
-    for module in (sieve, cyclo):
-        monkeypatch.setattr(module, "associates", listed)
-    monkeypatch.setattr(sieve, "coords_one_mod", tested)
+    monkeypatch.setattr(sieve, "norm_shell", listed)
     for n in (2, 3, 4):
         for p in range(n + 1, 5_000, n):
             if p % 2 == 0 or not is_probable_prime(p):
                 continue
-            lists.clear()
-            tests[0] = 0
-            attach_generator(n, p)
-            assert lists == [n] and tests[0] <= 2 * n, (n, p)
+            shells.clear()
+            pi = attach_generator(n, p)
+            [(lo, hi, out)] = shells
+            assert (lo, hi) == (p - 1, p) and all(nrm == p for nrm, _ in out), (n, p)
+            assert len(out) == (pi is not None) * (1 if n == 2 else 2), (n, p)
 
 
 def test_attach_generator_needs_a_norm_level():
@@ -364,22 +360,49 @@ def test_doubled_construct_builds_one_group_structure(monkeypatch):
     assert calls[0] == 1
 
 
-def test_doubled_find_pair_attaches_each_generator_once(monkeypatch):
-    # the partner search reads the candidates passed on the way to the
-    # first member (273 attachments for 176 primes when a second scan
-    # attached them again)
-    primes = []
-    original = sieve.attach_generator
+def test_doubled_find_pair_builds_a_place_only_at_a_generator(monkeypatch):
+    # a prime with no entry in the table is rejected by a dict lookup: 9
+    # places for the 9 primes of 176 that carry a generator (176 when the
+    # scan built the distinguished place of each prime to solve its norm
+    # equation there)
+    places = []
+    check = Place.__post_init__
 
-    def counted(n, p, *args):
-        primes.append(p)
-        return original(n, p, *args)
+    def counted(self):
+        places.append(self.p)
+        check(self)
 
-    monkeypatch.setattr(sieve, "attach_generator", counted)
+    monkeypatch.setattr(Place, "__post_init__", counted)
     cv4, gens4 = _fix4()
-    S, T = _basis(4)
-    even_adjust(cv4, make_basis(cv4, 4, S, T), 2, 2, gens4, 10**5)
-    assert len(primes) == len(set(primes)) == 176
+    pair = find_pair(cv4, 10**5, gens4, 2, _basis(4))
+    monkeypatch.undo()
+    assert pair.stats.scanned == 176 and pair.stats.no_generator == 167
+    assert len(places) == len(set(places)) == 9
+
+
+def test_the_lattice_walk_matches_the_lagrange_oracle():
+    # every prime ≡ 1 mod m below 200,000 at each level: the scan's
+    # candidates (the fixture curves are bad only at primes off the
+    # progression) against the norm equation solved at each prime
+    bound = 200_000
+    found = {}
+    for n, fix in ((2, _fix2), (3, _fix3), (4, _fix4)):
+        cv, _ = fix()
+        scanned = {c.p: c for c in sieve._candidates(cv, bound, SieveStats())}
+        m = wild_modulus(n)
+        found[n] = 0
+        for p in range(1 + m, bound, m):
+            if not is_probable_prime(p):
+                continue
+            pi = pinned_generator(n, p)
+            hit = scanned.pop(p, None)
+            assert (hit and hit.pi) == pi, (n, p)
+            if hit:
+                assert hit.place == distinguished_place(n, p), (n, p)
+                assert attach_generator(n, p) == hit.pi, (n, p)
+                found[n] += 1
+        assert scanned == {}, n
+    assert found == {2: 4_466, 3: 111, 4: 67}
 
 
 def test_doubled_find_pair_multiplication_budget(monkeypatch):
