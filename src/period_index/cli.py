@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands cover each pipeline stage: symbol tables (hilbert), the
-norm of a twisted class (norm-twist), the prime search on its own
-(sieve), full certification (construct), combination of coprime claims
-(compose), and independent re-checking (verify).
+Four subcommands make the certificate pipeline: the prime search on its
+own with its histogram (sieve), full certification (construct),
+combination of coprime claims (compose), and independent re-checking
+(verify).
 
 Run configurations are JSON with every number exact: decimal integer
 strings (plain integers are accepted too) and fraction strings such as
@@ -12,9 +12,10 @@ are read by the same readers (construct.read_*); an error names the
 innermost field and prints as "error: <field>: <message>".  A
 configuration gives the curve with its torsion data, the target
 (parameters.n, parameters.ell and the mode) and one search limit,
-bounds.prime_bound; output is optional and any other field is ignored.  curve.level is 2, 3 or 4, the levels that
-can certify (cyclo.NORM_LEVELS), for configurations and certificates
-alike (construct.read_curve).  RunConfig decides the route once:
+bounds.prime_bound; output is optional and any other field is ignored.
+curve.level is 2, 3 or 4, the levels that can certify
+(cyclo.NORM_LEVELS), for configurations and certificates alike
+(construct.read_curve).  RunConfig decides the route once:
 direct when curve.level is parameters.n, doubled when it is twice an even
 parameters.n.  Certificates are written atomically and canonically, so
 reruns with an equal configuration produce byte-identical files.
@@ -33,19 +34,9 @@ import json
 import os
 import sys
 from contextlib import suppress
-from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .cyclo import PRIME_PROOF_LIMIT, CycloElem
-from .kummer import twisted_norm, galois_representation
-from .localfield import (
-    archimedean_invariant,
-    distinguished_place,
-    factorint,
-    invariant_order,
-    tame_invariant,
-)
 from .sieve import SieveExhausted, find_pair
 from .construct import (
     InputError,
@@ -56,11 +47,8 @@ from .construct import (
     compose_coprime,
     elem_coeffs,
     even_adjust,
-    inv_str,
     read_curve,
-    read_elem,
     read_field,
-    read_int,
     read_positive,
     verify_certificate,
 )
@@ -78,6 +66,8 @@ def _load_json(path: str):
         raise InputError("cannot read %s: %s" % (path, e))
     except ValueError as e:  # bad syntax, a float, or an integer literal past the digit limit
         raise InputError("%s is not valid JSON: %s" % (path, e))
+    except RecursionError:
+        raise InputError("%s is not valid JSON: nesting too deep" % path)
 
 
 # =====================================================================
@@ -96,19 +86,19 @@ class RunConfig:
             raise InputError("configuration root of %s must be an object" % path)
 
         self.curve, self.basis, self.mw_gens = read_curve(read_field(raw, "curve"), "curve")
-        self.level = self.curve.n
+        level = self.curve.n
 
         self.n = read_positive(read_field(raw, "parameters.n"), "parameters.n")
         self.ell = read_positive(read_field(raw, "parameters.ell"), "parameters.ell")
         self.mode = read_field(raw, "parameters.mode", kind=str)
         if self.mode not in ("A", "B"):
             raise InputError('must be "A" or "B"', "parameters.mode")
-        if self.level != self.n and (self.n % 2 or self.level != 2 * self.n):
+        if level != self.n and (self.n % 2 or level != 2 * self.n):
             raise InputError(
                 "curve data at level %d fits neither a direct level-%d run nor a doubled "
-                "level-%d run" % (self.level, self.n, 2 * self.n), "parameters.n",
+                "level-%d run" % (level, self.n, 2 * self.n), "parameters.n",
             )
-        self.doubled = self.level != self.n
+        self.doubled = level != self.n
 
         self.prime_bound = read_positive(
             read_field(raw, "bounds.prime_bound"), "bounds.prime_bound"
@@ -165,86 +155,6 @@ def _emit(cert: dict, path: Optional[str], field: str) -> int:
 # =====================================================================
 # Subcommands
 # =====================================================================
-
-
-def cmd_hilbert(args) -> int:
-    n = args.n
-    a = read_elem(n, args.a.split(","), "-a")
-    b = read_elem(n, args.b.split(","), "-b")
-    if a.is_zero() or b.is_zero():
-        raise InputError("symbol arguments must be nonzero")
-    rows = []
-    if n == 2:
-        av, bv = a.rational_value(), b.rational_value()
-        odd = sorted(
-            q
-            for q in set(factorint(av.numerator * av.denominator))
-            | set(factorint(bv.numerator * bv.denominator))
-            if q % 2 == 1
-        )
-        for q in sorted(set(odd) | set(args.place or [])):
-            rows.append((str(q), tame_invariant(a, b, distinguished_place(2, q))))
-        rows.append(("2", _wild_two_adic(av, bv)))
-        rows.append(("infinity", archimedean_invariant(av, bv)))
-        complete = True
-    else:
-        if not args.place:
-            raise InputError("levels above 2 need explicit --place primes")
-        for q in args.place:
-            rows.append((str(q), tame_invariant(a, b, distinguished_place(n, q))))
-        complete = False
-    total = Fraction(0)
-    for label, inv in rows:
-        total += inv
-        print("place %-10s invariant %-8s order %d" % (label, inv_str(inv, n), invariant_order(inv)))
-    order = lcm(*(invariant_order(inv) for _, inv in rows)) if rows else 1
-    print("global order %d" % order)
-    if complete:
-        ok = total % 1 == 0
-        print("product formula: %s (sum %s)" % ("ok" if ok else "VIOLATED", inv_str(total % 1, n)))
-        return 0 if ok else 4
-    print("listed sum %s (partial: wild and archimedean rows not inferred)" % inv_str(total % 1, n))
-    return 0
-
-
-def _wild_two_adic(a: Fraction, b: Fraction) -> Fraction:
-    """Quadratic symbol additive invariant at the even place.
-
-    With a = 2^alpha u and b = 2^beta v (u, v odd), the exponent is
-    eps(u)eps(v) + alpha omega(v) + beta omega(u) mod 2."""
-
-    def split(x: Fraction):
-        num = x.numerator * x.denominator  # square-class representative
-        alpha = 0
-        while num % 2 == 0:
-            num //= 2
-            alpha += 1
-        return alpha, num
-
-    alpha, u = split(a)
-    beta, v = split(b)
-    eps = lambda w: ((w - 1) // 2) % 2
-    omega = lambda w: ((w * w - 1) // 8) % 2
-    e = (eps(u) * eps(v) + alpha * omega(v) + beta * omega(u)) % 2
-    return Fraction(e, 2)
-
-
-def cmd_norm_twist(args) -> int:
-    cfg = RunConfig(args.config)
-    a = read_elem(cfg.level, args.a.split(","), "-a")
-    b = read_elem(cfg.level, args.b.split(","), "-b")
-    rep = galois_representation(cfg.basis)
-    nf = twisted_norm(rep, a, b)
-    for label, val in (
-        ("c", nf.c),
-        ("cprime", nf.cprime),
-        ("d", nf.d),
-        ("dprime", nf.dprime),
-        ("first", nf.first()),
-        ("second", nf.second()),
-    ):
-        print("%-7s %s" % (label, _fmt_elem(val)))
-    return 0
 
 
 def cmd_sieve(args) -> int:
@@ -341,19 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct and verify period/index certificates for genus-one classes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    ph = sub.add_parser("hilbert", help="print a local symbol table")
-    ph.add_argument("--n", type=int, required=True, help="symbol level")
-    ph.add_argument("-a", required=True, help="first argument (rational or comma-separated coordinates)")
-    ph.add_argument("-b", required=True, help="second argument")
-    ph.add_argument("--place", type=int, action="append", help="explicit place (repeatable)")
-    ph.set_defaults(func=cmd_hilbert)
-
-    pt = sub.add_parser("norm-twist", help="norm factors of a twisted class")
-    pt.add_argument("--config", required=True)
-    pt.add_argument("-a", required=True)
-    pt.add_argument("-b", required=True)
-    pt.set_defaults(func=cmd_norm_twist)
 
     ps = sub.add_parser("sieve", help="search the admissible prime pair only")
     ps.add_argument("--config", required=True)

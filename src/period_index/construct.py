@@ -976,22 +976,24 @@ def read_curve(block: dict, at: str) -> tuple:
     except CurveError as e:
         raise InputError(str(e), p + "coefficients")
     given = "on the curve given by %scoefficients" % p
+    # a failed point check also names the model and the level its coordinates are read at
+    model = (p + "coefficients", p + "level")
     S, T = (
         _read_point(level, read_field(block, "torsion_basis." + k, at), p + "torsion_basis." + k)
         for k in "ST"
     )
     for k, P in (("S", S), ("T", T)):
         if not cv.on_curve(P):
-            raise InputError("point is not " + given, p + "torsion_basis." + k)
+            raise InputError("point is not " + given, p + "torsion_basis." + k, *model)
     try:
         basis = make_basis(cv, level, S, T)
     except (ValueError, ArithmeticError) as e:
-        raise InputError("%s, %s" % (e, given), p + "torsion_basis")
+        raise InputError("%s, %s" % (e, given), p + "torsion_basis", *model)
     gens = []
     for i, raw in enumerate(read_field(block, "mw_generators", at, list)):
         g = _read_point(level, raw, "%smw_generators[%d]" % (p, i))
         if not cv.on_curve(g):
-            raise InputError("point is not on the curve", "%smw_generators[%d]" % (p, i))
+            raise InputError("point is not " + given, "%smw_generators[%d]" % (p, i), *model)
         gens.append(g)
     order = read_int(read_field(block, "stable_subgroup_order", at), p + "stable_subgroup_order")
     if order != level:

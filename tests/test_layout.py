@@ -12,7 +12,10 @@ still call, or a field that only tests read, is dead code and belongs in
 the test that needs it.  A module of src/period_index imports no
 underscore name from another: what two modules share is public.  And it
 imports at module level only, never inside a function or class body, so
-its imports show every dependency, cycles included."""
+its imports show every dependency, cycles included.  Every name a
+module imports is read in that module: the dead-code check counts an
+import as a reference, so an unused import would keep alive what it
+names."""
 
 import ast
 from collections import Counter
@@ -167,3 +170,25 @@ def _nested_imports() -> list:
 
 def test_no_import_inside_a_function_or_class():
     assert _nested_imports() == []
+
+
+def _unread_imports() -> list:
+    """module: name for every name an import statement of a module of src
+    binds that no expression of that module reads."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".", 1)[0]
+                    if bound not in read:
+                        out.append("%s: %s" % (path.stem, bound))
+    return out
+
+
+def test_every_imported_name_is_read():
+    assert _unread_imports() == []
