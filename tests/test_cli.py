@@ -142,9 +142,9 @@ def test_config_blames_an_out_of_range_number_on_its_field(tmp_path, capsys, key
     "key, value, field",
     [
         ("curve__torsion_basis__S__x", "x", "curve.torsion_basis.S.x"),
-        ("curve__torsion_basis__S__x", "2.5", "curve.torsion_basis.S.x"),
         ("curve__mw_generators", [{"x": "0", "y": "1/0"}], "curve.mw_generators[0].y"),
         ("curve__torsion_basis__T__y", ["0", "x"], "curve.torsion_basis.T.y[1]"),
+        ("curve__torsion_basis__S__x", "2.5", "curve.torsion_basis.S.x"),
     ],
 )
 def test_config_blames_a_bad_coordinate_on_itself(tmp_path, capsys, key, value, field):
