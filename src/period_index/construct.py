@@ -1082,6 +1082,18 @@ def _diff(recorded, derived, rel: str, path: str, trace: list, sections: dict):
         trace.append((_at(path, rel), prefix + msg))
 
 
+def _qualified(msg: str, path: str, rels: tuple) -> str:
+    """msg with each dotted path of rels that it names qualified by path,
+    as _at qualifies them (a one-word path such as kind reads as a word).
+    The longest path that matches at a place wins, so a path another one
+    starts with is not prefixed twice."""
+    rels = sorted((r for r in rels if "." in r), key=len, reverse=True)
+    if not path or not rels:
+        return msg
+    named = r"(?<![\w.\]])(?:%s)(?!\w)" % "|".join(map(re.escape, rels))
+    return re.sub(named, lambda hit: _at(path, hit.group()), msg)
+
+
 def _check(cert, path: str, trace: list):
     """Append (path, message) to trace for every failure in the
     certificate at path (empty for the root); never raises."""
@@ -1107,7 +1119,8 @@ def _check(cert, path: str, trace: list):
             raise InputError("unknown certificate kind %r" % (kind,), "kind")
         _diff(cert, derived, "", path, trace, _SECTIONS if kind == "prime-power" else {})
     except (InputError, LemmaFailure) as e:
-        trace.extend((_at(path, rel), str(e)) for rel in e.paths or ("",))
+        msg = _qualified(str(e), path, e.paths)
+        trace.extend((_at(path, rel), msg) for rel in e.paths or ("",))
     except Exception as e:  # any certificate gets a verdict, never a traceback
         trace.append((_at(path, ""), "check failed: %s: %s" % (type(e).__name__, e)))
 

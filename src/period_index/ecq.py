@@ -1,10 +1,12 @@
 """Elliptic curves in long Weierstrass form, over Q(zeta_n) and over F_p.
 
 Two parallel implementations of the group law: an exact one with CycloElem
-coordinates (used to check and rescale torsion bases) and a fast int one
-modulo p (used by the sieve on reductions, and for the table of E[n], the
-Weil pairing and the Galois action at one auxiliary prime).  Affine points
-are (x, y) pairs; None is the point at infinity throughout.
+coordinates (used to check and rescale torsion bases), from the chord
+through two points, and one over ints modulo p (used by the sieve on
+reductions, and for the table of E[n], the Weil pairing and the Galois
+action at one auxiliary prime), whose add and mul write the slope and the
+sum out inline; its chord and _third serve the lines of Miller's loop.
+Affine points are (x, y) pairs; None is the point at infinity throughout.
 
 One rule decides good reduction, for any exact model: a prime p is good
 when it does not divide CurveL.bad_modulus = n * N(Delta) * (coefficient
@@ -40,25 +42,8 @@ class CurveError(ValueError):
     pass
 
 
-class _DoubleAndAdd:
-    """k*P by double and add, for a curve class with add and neg."""
-
-    def mul(self, k: int, P):
-        if k < 0:
-            return self.mul(-k, self.neg(P))
-        acc = None
-        base = P
-        while k:
-            if k & 1:
-                acc = self.add(acc, base)
-            k >>= 1
-            if k:
-                base = self.add(base, base)
-        return acc
-
-
 @dataclass(frozen=True)
-class CurveL(_DoubleAndAdd):
+class CurveL:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q(zeta_n)."""
 
     n: int
@@ -143,6 +128,20 @@ class CurveL(_DoubleAndAdd):
         x3 = lam * lam + self.a1 * lam - self.a2 - P[0] - Q[0]
         return (x3, -(lam + self.a1) * x3 - nu - self.a3)
 
+    def mul(self, k: int, P: LPoint) -> LPoint:
+        """k*P by double and add."""
+        if k < 0:
+            return self.mul(-k, self.neg(P))
+        acc = None
+        base = P
+        while k:
+            if k & 1:
+                acc = self.add(acc, base)
+            k >>= 1
+            if k:
+                base = self.add(base, base)
+        return acc
+
 
 def curve_over(n: int, coeffs: Iterable) -> CurveL:
     """Build a curve at level n from rational coefficient data [a1,a2,a3,a4,a6]."""
@@ -217,7 +216,7 @@ def reduce_point(cv: CurveL, P: LPoint, place: Place) -> FpPoint:
 
 
 @dataclass(frozen=True)
-class CurveFp(_DoubleAndAdd):
+class CurveFp:
     """Long Weierstrass curve over F_p, p an odd prime."""
 
     p: int
@@ -282,20 +281,65 @@ class CurveFp(_DoubleAndAdd):
             nu = (y1 * x2 - y2 * x1) * inv % p
         return lam, nu
 
-    def add(self, P: FpPoint, Q: FpPoint) -> FpPoint:
-        if P is None:
-            return Q
-        if Q is None:
-            return P
-        line = self.chord(P, Q)
-        return None if line is None else self._third(P, Q, line)
-
     def _third(self, P: tuple, Q: tuple, line: tuple) -> tuple:
         """P + Q, from the line through P and Q."""
         p = self.p
         lam, nu = line
         x3 = (lam * lam + self.a1 * lam - self.a2 - P[0] - Q[0]) % p
         return (x3, (-(lam + self.a1) * x3 - nu - self.a3) % p)
+
+    def add(self, P: FpPoint, Q: FpPoint) -> FpPoint:
+        """P + Q: chord and _third written out, with no line built.  The
+        third point is (x3, lam*(x1 - x3) - y1 - a1*x3 - a3), since the
+        line y = lam*(x - x1) + y1 passes through P."""
+        if P is None:
+            return Q
+        if Q is None:
+            return P
+        p, a1 = self.p, self.a1
+        x1, y1 = P
+        x2, y2 = Q
+        if x1 != x2:
+            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        elif y2 == (-y1 - a1 * x1 - self.a3) % p:  # Q = -P
+            return None
+        else:
+            lam = (3 * x1 * x1 + 2 * self.a2 * x1 + self.a4 - a1 * y1) * pow(
+                2 * y1 + a1 * x1 + self.a3, -1, p) % p
+        x3 = (lam * (lam + a1) - self.a2 - x1 - x2) % p
+        return (x3, (lam * (x1 - x3) - y1 - a1 * x3 - self.a3) % p)
+
+    def mul(self, k: int, P: FpPoint) -> FpPoint:
+        """k*P by left-to-right double and add, the doubling and the
+        addition of P written out over ints, one inversion each; x is None
+        at O.  The sum meets x(P) in an addition only as P or -P, which add
+        takes."""
+        if k < 0:
+            return self.mul(-k, self.neg(P))
+        if k == 0 or P is None:
+            return None
+        p, a1, a2, a3, a4 = self.p, self.a1, self.a2, self.a3, self.a4
+        x, y = px, py = P
+        for bit in bin(k)[3:]:
+            if x is not None:
+                den = (2 * y + a1 * x + a3) % p
+                if den:
+                    lam = (3 * x * x + 2 * a2 * x + a4 - a1 * y) * pow(den, -1, p) % p
+                    x3 = (lam * (lam + a1) - a2 - 2 * x) % p
+                    x, y = x3, (lam * (x - x3) - y - a1 * x3 - a3) % p
+                else:  # 2-torsion
+                    x = None
+            if bit == "0":
+                continue
+            if x is None:
+                x, y = px, py
+            elif x != px:
+                lam = (py - y) * pow(px - x, -1, p) % p
+                x3 = (lam * (lam + a1) - a2 - x - px) % p
+                x, y = x3, (lam * (x - x3) - y - a1 * x3 - a3) % p
+            else:
+                x, y = self.add((x, y), P) or (None, None)
+        return None if x is None else (x, y)
 
 
 class _RootsOnDemand:

@@ -58,14 +58,17 @@ the walk, as pi and conj(pi), which vanish at the two roots of Phi_n mod
 p; pi is the one at the smaller root, the distinguished place's, and a
 function of p alone.  A prime with no entry has no generator.  The table
 is keyed by norm and holds composite norms too: it is read only at the
-primes of split_prime_stream, which proves each member of the progression
-prime, and the histogram counts them.
+primes of split_prime_stream, and the histogram counts them.  The stream
+sieves the progression 1 + m*k by the primes below _SIEVE_LIMIT, so a
+member it keeps is proven prime without a modular power; only a survivor
+at or above _SIEVE_LIMIT^2 goes to is_probable_prime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
+from math import isqrt
 from typing import Iterator, Optional
 
 from .cyclo import (
@@ -87,6 +90,11 @@ from .ecq import (
     reduce_point,
 )
 from .localfield import Place, residue_power_order, wild_modulus
+
+
+# The progression is sieved by the primes below this; a member at or
+# above its square that survives is proven prime by is_probable_prime.
+_SIEVE_LIMIT = 1 << 16
 
 
 class SieveExhausted(RuntimeError):
@@ -148,18 +156,42 @@ class SievePair:
     stats: SieveStats
 
 
+def _primes_upto(n: int) -> list[int]:
+    """The primes q <= n, by the sieve of Eratosthenes."""
+    alive = bytearray([1]) * (n + 1)
+    alive[:2] = b"\0\0"
+    for q in range(2, isqrt(n) + 1):
+        if alive[q]:
+            alive[q * q :: q] = bytes(len(range(q * q, n + 1, q)))
+    return list(compress(range(n + 1), alive))
+
+
 def split_prime_stream(cv: CurveL, bound: int) -> Iterator[int]:
     """Primes p <= bound with p ≡ 1 mod wild_modulus(cv.n) and good
-    reduction: p does not divide cv.bad_modulus."""
-    m = wild_modulus(cv.n)
-    p = 1
-    while True:
-        p += m
-        if p > bound:
-            return
-        if cv.bad_modulus % p == 0 or not is_probable_prime(p):
-            continue
-        yield p
+    reduction: p does not divide cv.bad_modulus.
+
+    The members 1 + m*k are sieved in segments (lo, hi] of values that
+    double from (m, 2m], at most _SIEVE_LIMIT members each.  A composite
+    member c has a prime factor q <= isqrt(c), prime to m, and c >= q^2,
+    so striking the multiples of each such q from q^2 on leaves exactly
+    the primes.  Only the q < _SIEVE_LIMIT strike, so a survivor at or
+    above _SIEVE_LIMIT^2 is still proven by is_probable_prime."""
+    m, bad, limit = wild_modulus(cv.n), cv.bad_modulus, _SIEVE_LIMIT
+    lo = m
+    while lo < bound:
+        hi = min(bound, 2 * lo, lo + m * limit)
+        first = (lo - 1) // m + 1  # the least k with 1 + m*k > lo
+        alive = bytearray([1]) * ((hi - 1) // m - first + 1)
+        for q in _primes_upto(min(isqrt(hi), limit - 1)):
+            if m % q:
+                k = max(first, -(-(q * q - 1) // m))
+                start = k - first + (-pow(m, -1, q) - k) % q
+                alive[start::q] = bytes(len(range(start, len(alive), q)))
+        for k in compress(range(first, first + len(alive)), alive):
+            p = 1 + m * k
+            if bad % p and (p < limit * limit or is_probable_prime(p)):
+                yield p
+        lo = hi
 
 
 def attach_generator(n: int, p: int) -> Optional[CycloElem]:

@@ -863,6 +863,40 @@ def test_verify_names_edited_composite_parts(cert_paths, tmp_path, capsys):
     assert not missed
 
 
+_UNQUALIFIED = re.compile(r"(?<![\w.\]])inputs\.")
+
+
+def test_composite_messages_name_qualified_inputs():
+    # a part's message that names one of its own inputs names it inside
+    # the composite too: the coefficient edit that moves the basis off the
+    # curve, then every curve-block leaf of both parts under the tamper
+    # gate's edit and each type edit, with the part's digest recomputed
+    cert = json.loads(_perfbench_workloads().cert_path("composite").read_text())
+    mutant = json.loads(json.dumps(cert))
+    part = mutant["parts"][0]
+    part["inputs"]["curve"]["coefficients"][0][0] = "1"
+    part["inputs"]["digest"] = content_digest(part["inputs"]["curve"])
+    ok, trace = construct.verify_certificate(mutant)
+    given = "not on the curve given by parts[0].inputs.curve.coefficients"
+    assert not ok and any(msg.endswith(given) for _, msg in trace), trace
+    tried, unqualified = 0, []
+    for path, old in _leaf_paths(cert):
+        if not re.match(r"parts\[\d\]\.inputs\.curve\.", path):
+            continue
+        for value in (_perturb(old),) + TYPE_EDITS:
+            if value == old:
+                continue
+            mutant = json.loads(json.dumps(cert))
+            _set_path(mutant, path, value)
+            part = mutant["parts"][int(path[6])]
+            part["inputs"]["digest"] = content_digest(part["inputs"]["curve"])
+            tried += 1
+            _, trace = construct.verify_certificate(mutant)
+            unqualified += [(path, value, msg) for _, msg in trace if _UNQUALIFIED.search(msg)]
+    assert tried > 300
+    assert unqualified == []
+
+
 def _objects(obj, path=""):
     """(path, object) for every JSON object in obj, obj itself included."""
     if isinstance(obj, dict):

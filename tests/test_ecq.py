@@ -205,6 +205,75 @@ def _points(cfp):
     return list(ecq._affine_points(cfp, ecq._RootsOnDemand(cfp.p)))
 
 
+def _oracle_add(cfp, P, Q):
+    """P + Q from the line through them, as the Miller loop draws it."""
+    if P is None or Q is None:
+        return Q if P is None else P
+    line = cfp.chord(P, Q)
+    return None if line is None else cfp._third(P, Q, line)
+
+
+def _oracle_multiples(cfp, P, k):
+    """[0*P, 1*P, ..., k*P] by repeated _oracle_add."""
+    out = [None]
+    for _ in range(k):
+        out.append(_oracle_add(cfp, out[-1], P))
+    return out
+
+
+def _oracle_curves():
+    """Curves over F_p for p in 3, 5, 7, 11, 13, 97 and 13441: the fixture
+    models that reduce well (y^2 + y = x^3 has a3 = 1, and E_PYTH full
+    2-torsion) and seeded ones with a1 and a3 nonzero."""
+    rng = random.Random(4444)
+    for p in (3, 5, 7, 11, 13, 97, 13441):
+        models = [E_CUBE, E_MINUS_X, E_PYTH]
+        models += [[rng.randrange(1, p), rng.randrange(p), rng.randrange(1, p),
+                    rng.randrange(p), rng.randrange(p)] for _ in range(3 if p < 100 else 1)]
+        for cs in models:
+            try:
+                yield CurveFp(p, *cs)
+            except CurveError:
+                continue
+
+
+def test_fp_group_law_matches_the_chord_oracle():
+    # add and mul write the slope and the sum out inline; they agree with
+    # the line of chord and _third and with repeated addition: on every
+    # pair of points and O at the small primes, and at p = 13441 on each
+    # point with itself, its negative, O and a seeded partner; with k
+    # from -3 to 2 #E(F_p) (at p = 13441 past 300 every 37th) and a few
+    # large k, on points of order 2 (the tangent is vertical) among them
+    rng = random.Random(5555)
+    large = (2 ** 64 + 1, 10 ** 30 + 7, -(10 ** 20) - 3)
+    orders_two = 0
+    for cfp in _oracle_curves():
+        pts = _points(cfp)
+        group = [None] + pts
+        if cfp.p < 100:
+            pairs = [(P, Q) for P in group for Q in group]
+            sample = group
+        else:
+            pairs = [(P, Q) for P in pts for Q in (P, cfp.neg(P), None, rng.choice(pts))]
+            pairs += [(None, P) for P in pts[:50]]
+            sample = [None] + [P for P in pts if P == cfp.neg(P)] + rng.sample(pts, 2)
+        for P, Q in pairs:
+            assert cfp.add(P, Q) == _oracle_add(cfp, P, Q), (cfp, P, Q)
+        N = len(group)
+        ks = range(-3, 2 * N + 1)
+        if cfp.p > 100:  # every k to 300, then every 37th
+            ks = [*range(-3, 300), *range(300, 2 * N + 1, 37)]
+        for P in sample:
+            orders_two += P is not None and P == cfp.neg(P)
+            up, down = _oracle_multiples(cfp, P, 2 * N), _oracle_multiples(cfp, cfp.neg(P), 3)
+            for k in ks:
+                assert cfp.mul(k, P) == (up[k] if k >= 0 else down[-k]), (cfp, P, k)
+            order = up.index(None, 1)
+            for k in large:
+                assert cfp.mul(k, P) == up[k % order], (cfp, P, k)
+    assert orders_two >= 10
+
+
 def test_enumerate_and_count_frozen():
     cfp = CurveFp(5, 0, 0, 0, -1, 0)
     pts = _points(cfp)
@@ -496,15 +565,25 @@ def test_group_structure_stops_early_on_full_torsion(monkeypatch):
 
 
 def _count_additions(monkeypatch) -> list:
-    """A one-entry list that counts CurveFp.add calls from here on."""
+    """A one-entry list that counts additions in E(F_p) from here on: each
+    CurveFp.add call, and for k*P the bit length of |k| plus its number of
+    one bits less one, the additions of double and add, which mul makes
+    inline (an add it calls is not counted again)."""
     calls = [0]
-    add = ecq.CurveFp.add
+    add, mul = ecq.CurveFp.add, ecq.CurveFp.mul
 
     def counted(self, P, Q):
         calls[0] += 1
         return add(self, P, Q)
 
+    def counted_mul(self, k, P):
+        before = calls[0]
+        out = mul(self, k, P)
+        calls[0] = before + (k and abs(k).bit_length() + bin(k).count("1") - 1)
+        return out
+
     monkeypatch.setattr(ecq.CurveFp, "add", counted)
+    monkeypatch.setattr(ecq.CurveFp, "mul", counted_mul)
     return calls
 
 

@@ -3,6 +3,7 @@ re-validation of every condition from the raw outputs alone."""
 
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -40,6 +41,7 @@ from period_index.sieve import (
     split_prime_stream,
 )
 from norm_oracle import pinned_generator, solve_norm_equation
+from test_ecq import _count_additions
 
 E_MINUS_X = [0, 0, 0, -1, 0]    # y^2 = x^3 - x
 E_CUBE = [0, 0, 1, 0, 0]        # y^2 + y = x^3
@@ -79,6 +81,75 @@ def test_split_prime_stream():
     assert first == [109, 163, 271, 379, 433, 487, 541]
     for p in first:
         assert p % wild_modulus(3) == 1 and is_probable_prime(p)
+
+
+def _stream_by_trial(cv, bound):
+    """split_prime_stream as it was defined before the sieve: every member
+    1 + m*k <= bound prime to bad_modulus that is_probable_prime accepts."""
+    m = wild_modulus(cv.n)
+    return [
+        p for p in range(1 + m, bound + 1, m)
+        if cv.bad_modulus % p and is_probable_prime(p)
+    ]
+
+
+def _stream_models():
+    """The fixture curves at m = 8, 27 and 32, and stand-ins whose bad
+    modulus holds primes of the progression."""
+    yield _fix2()[0]
+    yield _fix3()[0]
+    yield _fix4()[0]
+    yield SimpleNamespace(n=2, bad_modulus=2 * 17 * 41 * 3761)
+    yield SimpleNamespace(n=3, bad_modulus=3 * 109 * 163 * 199_999)
+    yield SimpleNamespace(n=4, bad_modulus=4 * 97 * 193 * 130_817)
+
+
+def _stream_bounds(m, top):
+    """A grid to top, the bounds below the first member, and the bounds
+    around the ends of the segments (m * 2^j, a multiple of m) and of the
+    members next to them."""
+    bounds = {*range(-2, 3 * m), *range(0, top + 1, 2_003)}
+    for j in range(top.bit_length()):
+        bounds.update(m * 2 ** j + d for d in (-m, 1 - m, -1, 0, 1, 2, m, m + 1))
+    return sorted(b for b in bounds if b <= top)
+
+
+def test_split_prime_stream_matches_trial_division(monkeypatch):
+    # below _SIEVE_LIMIT^2 the sieve proves each prime it yields without
+    # one is_probable_prime call
+    calls = [0]
+
+    def counted(p):
+        calls[0] += 1
+        return is_probable_prime(p)
+
+    monkeypatch.setattr(sieve, "is_probable_prime", counted)
+    for cv in _stream_models():
+        full = _stream_by_trial(cv, 200_000)
+        for bound in _stream_bounds(wild_modulus(cv.n), 200_000):
+            got = list(split_prime_stream(cv, bound))
+            assert got == [p for p in full if p <= bound], (cv.n, bound)
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("limit", [2, 3, 5, 8, 13])
+def test_split_prime_stream_proves_survivors_past_the_sieve(monkeypatch, limit):
+    # with a small _SIEVE_LIMIT the segments hold at most limit members,
+    # only the primes below it strike, and every survivor at or above its
+    # square goes to is_probable_prime
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return is_probable_prime(p)
+
+    monkeypatch.setattr(sieve, "_SIEVE_LIMIT", limit)
+    monkeypatch.setattr(sieve, "is_probable_prime", counted)
+    for cv in _stream_models():
+        full = _stream_by_trial(cv, 20_000)
+        for bound in _stream_bounds(wild_modulus(cv.n), 20_000):
+            assert list(split_prime_stream(cv, bound)) == [p for p in full if p <= bound]
+    assert calls and min(calls) >= limit * limit
 
 
 def test_attach_generator_frozen():
@@ -207,14 +278,7 @@ def test_divisibility_data_addition_budget(monkeypatch):
     # full walk behind it 113,562; stopping the walk at the first exponent
     # it can prove costs 11,502; testing the complement in order-q
     # subgroups and finding the witnesses by baby-step giant-step, 4,241
-    calls = [0]
-    add = ecq.CurveFp.add
-
-    def counted(self, P, Q):
-        calls[0] += 1
-        return add(self, P, Q)
-
-    monkeypatch.setattr(ecq.CurveFp, "add", counted)
+    calls = _count_additions(monkeypatch)
     cv4, gens4 = _fix4()
     got = divisibility_data(cv4, distinguished_place(4, 13441), gens4, 2)
     assert got == ((0, (2117, 2573)), (1, (1672, 6652)))
