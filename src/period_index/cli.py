@@ -32,8 +32,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import suppress
+from itertools import accumulate
 from typing import Optional
 
 from .cyclo import PRIME_PROOF_LIMIT, CycloElem
@@ -58,16 +60,42 @@ def _reject_float(text: str):
     raise ValueError("floating point literal %r: all numbers must be exact" % text)
 
 
+# The deepest nesting of arrays and objects a JSON input may have.  The
+# parser counts its nesting against the recursion limit from the caller's
+# own stack depth, so without a fixed limit whether a file parses would
+# depend on who reads it.  A prime-power certificate nests 8 deep and each
+# composition adds 2 (the parts list and a part), so the composite of the
+# acceptance certificates nests 10 deep.  256 is far above any of them
+# and far below the default recursion limit of 1000, which leaves the
+# parser and the readers that walk the parsed value (the diff, the
+# canonical JSON of a digest) room for the caller's stack.
+MAX_NESTING = 256
+# a JSON string, or the unterminated rest of the text, so one pass of
+# the pattern is linear in the text
+_STRING = re.compile(r'"(?:[^"\\]|\\.?)*(?:"|\Z)', re.S)
+_NOT_BRACKET = re.compile(r"[^][{}]+")
+_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
+def _nesting(text: str) -> int:
+    """The deepest nesting of brackets and braces outside the strings of
+    JSON text."""
+    brackets = _NOT_BRACKET.sub("", _STRING.sub("", text))
+    return max(accumulate(map(_STEP.__getitem__, brackets)), default=0)
+
+
 def _load_json(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh, parse_float=_reject_float)
+            text = fh.read()
+        # no deeper than the number of brackets it opens: most files need no scan
+        if text.count("[") + text.count("{") > MAX_NESTING and _nesting(text) > MAX_NESTING:
+            raise ValueError("nesting too deep")
+        return json.loads(text, parse_float=_reject_float)
     except OSError as e:
         raise InputError("cannot read %s: %s" % (path, e))
-    except ValueError as e:  # bad syntax, a float, or an integer literal past the digit limit
+    except ValueError as e:  # bad syntax or encoding, too deep, a float, or an integer past the digit limit
         raise InputError("%s is not valid JSON: %s" % (path, e))
-    except RecursionError:
-        raise InputError("%s is not valid JSON: nesting too deep" % path)
 
 
 # =====================================================================

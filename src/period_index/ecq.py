@@ -150,7 +150,9 @@ def curve_over(n: int, coeffs: Iterable) -> CurveL:
         raise CurveError("need exactly [a1, a2, a3, a4, a6]")
     lifted = [c if isinstance(c, CycloElem) else CycloElem.rational(n, c) for c in cs]
     cv = CurveL(n, *lifted)
-    if cv.discriminant().is_zero():
+    # N(Delta) = 0 exactly when Delta = 0; the cached bad_modulus serves
+    # later, so Delta is computed once per curve
+    if cv.bad_modulus == 0:
         raise CurveError("singular model: discriminant is zero")
     return cv
 

@@ -16,8 +16,6 @@ from math import gcd
 from .cyclo import (
     CycloElem,
     context,
-    evaluate_mod,
-    field_norm,
     is_probable_prime,
     lifted_root,
     phi_roots_mod_p,
@@ -95,27 +93,28 @@ def valuation(x: CycloElem, place: Place) -> int:
 
 def valuation_and_unit(x: CycloElem, place: Place) -> tuple[int, int]:
     """(v, u): the valuation v of x at the place and the residue u of
-    x / p^v there, a unit mod p."""
+    x / p^v there, a unit mod p.
+
+    The integral y = d*x (d the denominator, so y's coordinates are x's
+    numerators) is evaluated at the Hensel-lifted root modulo p^k, for
+    k = 2, 4, 8, ... until the residue is nonzero; v(y) and the unit are
+    read from that residue.  The loop ends: the place has e = f = 1, so
+    zeta -> the lifted root embeds Q(zeta_n) in Q_p, a nonzero x has a
+    nonzero image there, and its residue is nonzero once p^k passes it."""
     if x.n != place.n:
         raise ValueError("element level %d vs place level %d" % (x.n, place.n))
     if x.is_zero():
         raise ZeroDivisionError("valuation of zero")
-    p = place.p
-    d = x.denominator()
-    y = x * d  # integral now
-    # v(y) is bounded by ord_p of the absolute norm
-    nrm = field_norm(y)
-    vmax, _ = _p_adic_split(int(nrm.numerator), p)
-    root = lifted_root(x.n, p, place.omega, vmax + 1)
-    e = evaluate_mod(y, root, p ** (vmax + 1))
-    if e == 0:
-        vy = vmax + 1  # cannot happen for true valuation <= vmax; guarded below
-    else:
-        vy, _ = _p_adic_split(e, p)
-    if vy > vmax:
-        raise ArithmeticError("valuation exceeded its norm bound; internal error")
-    u_y = (e // p ** vy) % p
-    dk, du = _p_adic_split(d, p)
+    n, p, omega = x.n, place.p, place.omega
+    k = 1
+    e = 0
+    while not e:
+        k *= 2
+        modulus, root = p**k, lifted_root(n, p, omega, k)
+        for c in reversed(x.num):
+            e = (e * root + c) % modulus
+    vy, u_y = _p_adic_split(e, p)
+    dk, du = _p_adic_split(x.den, p)
     return vy - dk, u_y * pow(du, -1, p) % p
 
 

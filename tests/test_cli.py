@@ -1,13 +1,15 @@
 import argparse
+import copy
 import importlib.util
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from period_index import construct, cyclo, sieve
-from period_index.cli import build_parser, main
+from period_index import construct, cyclo, ecq, kummer, localfield, sieve
+from period_index.cli import MAX_NESTING, build_parser, main
 from period_index.construct import content_digest
 from test_acceptance import _covers, _leaf_paths, _perturb, _set_path, _trace_names
 
@@ -289,6 +291,55 @@ def test_json_nested_past_the_recursion_limit_names_the_file(cert_paths, tmp_pat
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err == "error: %s is not valid JSON: nesting too deep\n" % deep
+
+
+def _nested(cert_text: str, depth: int) -> str:
+    """The certificate with an extra root key holding a list nested so
+    that the file nests depth deep (the root object is one level)."""
+    return cert_text.replace("{", '{"extra": %s, ' % ("[" * (depth - 1) + "]" * (depth - 1)), 1)
+
+
+def _deeper(frames: int, argv) -> int:
+    """main(argv) called frames calls further down the stack."""
+    return main(argv) if frames == 0 else _deeper(frames - 1, argv)
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1, 990])
+def test_json_nesting_is_decided_by_the_file(cert_paths, tmp_path, capsys, depth):
+    # the four subcommands give one answer for a file, however deep the
+    # stack they read it from: past MAX_NESTING exit 2 with "nesting too
+    # deep", at or below it the file parses (verify and compose reject
+    # the extra key with exit 1, and construct and sieve, reading a
+    # certificate as a configuration, miss the curve with exit 2).  At
+    # 990 the parser's own limit let verify read the file and not
+    # construct, one frame deeper.
+    _, c2 = cert_paths
+    deep = tmp_path / "deep.json"
+    deep.write_text(_nested(c2.read_text(), depth))
+    too_deep = "error: %s is not valid JSON: nesting too deep\n" % deep
+    for argv, parsed in (
+        (["verify", str(deep)], 1),
+        (["compose", str(c2), str(deep)], 1),
+        (["construct", "--config", str(deep)], 2),
+        (["sieve", "--config", str(deep)], 2),
+    ):
+        for frames in (0, 300):
+            code, err = _deeper(frames, argv), capsys.readouterr().err
+            if depth > MAX_NESTING:
+                assert (code, err) == (2, too_deep), (argv, frames)
+            else:
+                assert code == parsed and "nesting too deep" not in err, (argv, frames, err)
+
+
+def test_json_nesting_skips_brackets_inside_strings(cert_paths, tmp_path, capsys):
+    # a string full of brackets and escaped quotes raises the bracket
+    # count past MAX_NESTING, but not the nesting
+    _, c2 = cert_paths
+    text = '[[\\"{' * MAX_NESTING
+    target = tmp_path / "brackets.json"
+    target.write_text(c2.read_text().replace("{", '{"extra": "%s", ' % text, 1))
+    assert main(["verify", str(target)]) == 1
+    assert capsys.readouterr().err.startswith("certificate: field set mismatch")
 
 
 # -------------------------------------------------------------- construct
@@ -604,6 +655,53 @@ def test_verify_computes_each_local_invariant_once(monkeypatch):
         assert construct.verify_certificate(cert) == (True, [])
         counts[name] = calls[0]
     assert counts == {"2-1": 8, "2-2": 10, "3-1": 10, "3-3": 10, "composite": 20}
+
+
+def test_verify_work_budget(monkeypatch):
+    # per prime-power certificate: five field norms (the curve's bad
+    # modulus, the norms of pi and pi', and the support of the normed
+    # pair), one discriminant per curve, and no diff walk when the
+    # recorded certificate equals the derived one.  Each valuation took a
+    # norm before it read residues at doubling precision (26-31 norms),
+    # the singularity check computed the discriminant again, and the diff
+    # walked every node (241-305 calls)
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    norm = counted("field_norm", cyclo.field_norm)
+    for mod in (cyclo, construct, ecq, kummer, localfield, sieve):
+        if getattr(mod, "field_norm", None) is cyclo.field_norm:
+            monkeypatch.setattr(mod, "field_norm", norm)
+    monkeypatch.setattr(ecq.CurveL, "discriminant", counted("discriminant", ecq.CurveL.discriminant))
+    monkeypatch.setattr(construct, "_diff", counted("_diff", construct._diff))
+    for name, curves in (("2-1", 1), ("2-2", 1), ("3-1", 1), ("3-3", 1), ("composite", 2)):
+        calls.clear()
+        cert = json.loads(_perfbench_workloads().cert_path(name).read_text())
+        assert construct.verify_certificate(cert) == (True, [])
+        assert calls["field_norm"] <= 5 * curves, (name, calls)
+        assert calls["discriminant"] == curves, (name, calls)
+        assert calls["_diff"] == 0, (name, calls)
+
+
+@pytest.mark.parametrize("name", ["2-1", "2-2", "3-1", "3-3", "composite"])
+def test_verify_rejects_true_written_as_1(tmp_path, capsys, name):
+    # true and the JSON integer 1 are equal in Python, not in a
+    # certificate: each true leaf set to 1 exits 1 naming the leaf
+    cert = json.loads(_perfbench_workloads().cert_path(name).read_text())
+    paths = [path for path, value in _leaf_paths(cert) if value is True]
+    assert len(paths) >= 9
+    target = tmp_path / "one.json"
+    for path in paths:
+        mutant = copy.deepcopy(cert)
+        _set_path(mutant, path, 1)
+        target.write_text(json.dumps(mutant))
+        assert main(["verify", str(target)]) == 1, path
+        assert _trace_names(capsys.readouterr().err, path), path
 
 
 def test_verify_fresh_certificate(cert_paths, capsys):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 
@@ -9,6 +10,8 @@ from period_index.ecq import curve_over, point_over
 from period_index.kummer import KummerClass, make_basis
 from period_index.construct import (
     InputError,
+    _diff,
+    _same,
     build_xi,
     canonical_json,
     certify_mode_A,
@@ -20,6 +23,7 @@ from period_index.construct import (
     make_trivial_certificate,
     verify_certificate,
 )
+from test_acceptance import _leaf_paths, _set_path
 
 BOUND = 10**5
 
@@ -348,6 +352,62 @@ def test_digest_pins_the_curve_block(cert33):
     assert not ok
     assert any(path == "inputs.digest" for path, _ in trace)
     assert content_digest(cert33["inputs"]["curve"]) == cert33["inputs"]["digest"]
+
+
+def _diff_lines(recorded, derived) -> list:
+    trace = []
+    _diff(recorded, derived, "", "", trace, {})
+    return trace
+
+
+# (recorded, derived, same): JSON values of different types differ even
+# where Python's == holds, key order does not count, list length does
+_SAME_CASES = [
+    (True, 1, False),
+    (1, True, False),
+    (False, 0, False),
+    (0, False, False),
+    ("1", 1, False),
+    (None, {}, False),
+    ({}, None, False),
+    (None, None, True),
+    ([], {}, False),
+    ("3", "3", True),
+    ({"a": "1", "b": ["2", True]}, {"b": ["2", True], "a": "1"}, True),
+    ({"a": "1"}, {"a": "1", "b": "2"}, False),
+    ({"a": "1", "c": "2"}, {"a": "1", "b": "2"}, False),
+    (["1", "2"], ["1", "2", "3"], False),
+    (["1", "2", "3"], ["1", "2"], False),
+    ({"a": [{"b": [True]}]}, {"a": [{"b": [1]}]}, False),
+    ({"a": [{"b": [False, None]}]}, {"a": [{"b": [False, None]}]}, True),
+    ([["1", {"x": []}]], [["1", {"x": {}}]], False),
+    ([["1", {"x": []}]], [["1", {"x": []}]], True),
+]
+
+
+@pytest.mark.parametrize("recorded, derived, same", _SAME_CASES)
+def test_same_agrees_with_diff(recorded, derived, same):
+    # verify runs the diff only when _same is false, so _same must be
+    # false exactly when the diff writes a line
+    assert _same(recorded, derived) is same
+    assert bool(_diff_lines(recorded, derived)) is not same
+
+
+def test_same_agrees_with_diff_on_every_leaf_edit(cert33):
+    # each leaf of a certificate set to another value of its own type and
+    # to a value of each other JSON type, true and false to 1 and 0 among them
+    cert = _roundtrip(cert33)
+    assert _same(cert, _roundtrip(cert33)) and not _diff_lines(cert, cert33)
+    edits = 0
+    for path, old in _leaf_paths(cert):
+        for new in ("tampered", "1", 1, 0, True, False, None, [], {}, [old], {"k": old}):
+            if type(new) is type(old) and new == old:
+                continue
+            mutant = copy.deepcopy(cert)
+            _set_path(mutant, path, new)
+            assert not _same(mutant, cert) and _diff_lines(mutant, cert), (path, new)
+            edits += 1
+    assert edits > 1000
 
 
 # SHA-256 of the canonical bytes of each acceptance certificate

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +20,11 @@ from period_index.localfield import (
     residue_power_order,
     tame_invariant,
     valuation,
+    valuation_and_unit,
     wild_modulus,
 )
+from norm_oracle import solve_norm_equation
+import valuation_oracle
 
 
 def _rand_nonzero(rng, n, span=9):
@@ -127,6 +132,53 @@ def test_valuation_additive_and_norm_compatible():
 def test_valuation_of_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         valuation(_rat(4, 0), distinguished_place(4, 13))
+
+
+# the split primes of each level's differential test: at n = 2 every odd
+# prime splits, at n = 3 (4) those 1 mod 3 (4)
+_SPLIT_PRIMES = {2: (3, 5, 7, 13), 3: (7, 13, 19, 31), 4: (5, 13, 17, 29)}
+
+
+@pytest.mark.parametrize("n", sorted(_SPLIT_PRIMES))
+def test_valuation_matches_the_norm_bounded_oracle(n):
+    # the precision-doubling valuation against the old one, whose
+    # precision the norm bounds, at every place over each prime: seeded
+    # elements times p^k up to k = 12 (valuations past the precisions 2,
+    # 4 and 8), over denominators divisible by p (negative valuations), a
+    # prime element's powers (valuation at one place, 0 at the others)
+    # and units (roots of unity and 1 - zeta, of norm a prime of n)
+    rng = random.Random(2300 + n)
+    zeta = CycloElem.zeta(n)
+    units = [s * CycloElem.zeta(n, i) for i in range(n) for s in (1, -1)] + [1 - zeta]
+    for p in _SPLIT_PRIMES[n]:
+        prime = solve_norm_equation(distinguished_place(n, p))
+        cases = [prime**k for k in range(1, 13)]
+        for _ in range(4):
+            x = _rand_nonzero(rng, n)
+            cases += [x * p**k for k in range(13)]
+            cases += [x * Fraction(rng.randint(1, 30), p**k * rng.randint(2, 9)) for k in range(1, 4)]
+        for pl in places_over(n, p):
+            for x in cases:
+                assert valuation_and_unit(x, pl) == valuation_oracle.valuation_and_unit(x, pl), (x, pl)
+            for u in units:
+                assert valuation_and_unit(u, pl) == valuation_oracle.valuation_and_unit(u, pl)
+                assert valuation(u, pl) == 0
+
+
+def test_valuation_of_the_acceptance_generators_matches_the_oracle():
+    # pi and pi' of the four prime-power acceptance certificates, and
+    # their product and quotient, at every place over both of their primes
+    inputs = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+    for name in ("2-1", "2-2", "3-1", "3-3"):
+        cert = json.loads((inputs / ("cert-%s.json" % name)).read_text())
+        level = int(cert["inputs"]["curve"]["level"])
+        pi, pi_prime = (
+            CycloElem(level, [int(c) for c in cert["pair"][side]["pi"]]) for side in ("first", "second")
+        )
+        for p in map(int, cert["summary"]["places"]):
+            for pl in places_over(level, p):
+                for x in (pi, pi_prime, pi * pi_prime, pi / pi_prime):
+                    assert valuation_and_unit(x, pl) == valuation_oracle.valuation_and_unit(x, pl)
 
 
 # ------------------------------------------------------------ symbols
