@@ -7,18 +7,20 @@ combination of coprime claims (compose), and independent re-checking
 
 Run configurations are JSON with every number exact: decimal integer
 strings (plain integers are accepted too) and fraction strings such as
-"3/2".  Floats are rejected outright.  Configurations and certificates
-are read by the same readers (construct.read_*); an error names the
-innermost field and prints as "error: <field>: <message>".  A
-configuration gives the curve with its torsion data, the target
-(parameters.n, parameters.ell and the mode) and one search limit,
-bounds.prime_bound; output is optional and any other field is ignored.
+"3/2".  Floats, NaN and Infinity are rejected outright.  Configurations
+and certificates are read by the same readers (construct.read_*); an
+error names the innermost field and prints as
+"error: <field>: <message>".  A configuration gives the curve with its
+torsion data, the target (parameters.n, parameters.ell and the mode) and
+one search limit, bounds.prime_bound; output is optional and any other
+field is ignored.
 curve.level is 2, 3 or 4, the levels that can certify
 (cyclo.NORM_LEVELS), for configurations and certificates alike
-(construct.read_curve).  RunConfig decides the route once:
-direct when curve.level is parameters.n, doubled when it is twice an even
+(construct.read_curve).  RunConfig decides the route once: direct when
+curve.level is parameters.n, doubled when it is twice an even
 parameters.n.  Certificates are written atomically and canonically, so
-reruns with an equal configuration produce byte-identical files.
+reruns with an equal configuration produce byte-identical files; one
+written to stdout is all of stdout, its claims going to stderr.
 
 Exit codes: 0 success; 1 verification failure; 2 malformed input or
 unmet hypotheses; 3 search bounds exhausted (histogram on stderr);
@@ -91,7 +93,7 @@ def _load_json(path: str):
         # no deeper than the number of brackets it opens: most files need no scan
         if text.count("[") + text.count("{") > MAX_NESTING and _nesting(text) > MAX_NESTING:
             raise ValueError("nesting too deep")
-        return json.loads(text, parse_float=_reject_float)
+        return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
     except OSError as e:
         raise InputError("cannot read %s: %s" % (path, e))
     except ValueError as e:  # bad syntax or encoding, too deep, a float, or an integer past the digit limit
@@ -166,17 +168,17 @@ def _fmt_elem(x: CycloElem) -> str:
 
 
 def _emit(cert: dict, path: Optional[str], field: str) -> int:
-    """Write the certificate to path, named by field, or to stdout without
-    one, and print its claims."""
+    """Write the certificate to path, named by field, and print its claims;
+    without a path the certificate is the whole of stdout and the claims
+    go to stderr."""
     text = canonical_json(cert)
     if path is not None:
         _write_atomic(path, text, field)
     else:
         sys.stdout.write(text)
     sm = cert["summary"]
-    print(
-        "period=%s index=%s places=(%s)" % (sm["period"], sm["index"], ", ".join(sm["places"]))
-    )
+    claims = "period=%s index=%s places=(%s)" % (sm["period"], sm["index"], ", ".join(sm["places"]))
+    print(claims, file=sys.stdout if path is not None else sys.stderr)
     return 0
 
 
@@ -239,12 +241,10 @@ def cmd_construct(args) -> int:
 def cmd_compose(args) -> int:
     left = _load_json(args.left)
     right = _load_json(args.right)
-    traces = [verify_certificate(part)[1] for part in (left, right)]
-    for i, trace in enumerate(traces):
-        for path, msg in trace:
-            # name paths as verify names them inside the composite
-            at = "parts[%d]" % i if path == "certificate" else "parts[%d].%s" % (i, path)
-            print("%s: %s" % (at, msg), file=sys.stderr)
+    # each part is traced as verify traces it inside the composite
+    traces = [verify_certificate(part, "parts[%d]" % i)[1] for i, part in enumerate((left, right))]
+    for path, msg in traces[0] + traces[1]:
+        print("%s: %s" % (path, msg), file=sys.stderr)
     if any(traces):
         return 1
     cert = compose_coprime(left, right, allow_different_jacobians=args.allow_different_jacobians)

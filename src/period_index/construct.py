@@ -6,7 +6,8 @@ carried by the class with Kummer seed (pi, pi'^(n/ell)):
 
   period claim   the class has order exactly n: for every 0 < m < n the
                  first Kummer coordinate of the m-fold class has valuation
-                 m at v, which is nonzero mod n, while the divisibility
+                 m at v (m times the valuation 1 of the first coordinate,
+                 read once), nonzero mod n, while the divisibility
                  witnesses at v kill every possible shift by a rational
                  point (the Tate term vanishes there).
   index claim    the index equals n*ell: the invariant of the normed pair
@@ -61,7 +62,6 @@ from .cyclo import (
 )
 from .ecq import CurveError, CurveL, LPoint, curve_over, reduce_curve, reduce_point
 from .kummer import (
-    KummerClass,
     TorsionBasis,
     galois_representation,
     is_upper_triangular,
@@ -167,15 +167,6 @@ def content_digest(obj) -> str:
 # =====================================================================
 # Claims algebra
 # =====================================================================
-
-
-def build_xi(pi: CycloElem, piprime: CycloElem, n: int, ell: int) -> KummerClass:
-    """Kummer seed (pi, pi'^(n/ell)) whose symbol target is ell."""
-    if ell < 1 or n % ell != 0:
-        raise InputError("symbol target %d does not divide the level %d" % (ell, n))
-    if pi.n != n or piprime.n != n:
-        raise InputError("generator level does not match the class level %d" % n)
-    return KummerClass(n, pi, piprime ** (n // ell))
 
 
 def lichtenbaum_check(period: int, index: int) -> bool:
@@ -450,16 +441,17 @@ def _class(rep: dict, pi: CycloElem, pi_prime: CycloElem, ell_sym: int) -> tuple
         det = (M[0][0] * M[1][1] - M[0][1] * M[1][0]) % N
         _lemma(det == t % N, "matrix determinant %d at t=%d is off" % (det, t),
                "class.representation")
-    xi = build_xi(pi, pi_prime, N, ell_sym)
-    nf = twisted_norm(rep, xi.a, xi.b)
+    # the Kummer seed of symbol target ell_sym; _preconditions checked ell_sym | N
+    a, b = pi, pi_prime ** (N // ell_sym)
+    nf = twisted_norm(rep, a, b)
     normed = nf.first(), nf.second()
     factors = {"c": nf.c, "cprime": nf.cprime, "d": nf.d, "dprime": nf.dprime}
     _lemma(nf.d == CycloElem.rational(N, 1) or not is_upper_triangular(rep),
            "norm factor d differs from 1 under a triangular action", "class.norm_factors.d")
     section = {
         "seed_pair": {
-            "first": elem_coeffs(xi.a),
-            "second": elem_coeffs(xi.b),
+            "first": elem_coeffs(a),
+            "second": elem_coeffs(b),
             "power_exponent": _s(N // ell_sym),
         },
         "representation": _rep_obj(rep),
@@ -619,17 +611,15 @@ def _obstruction(
 
 
 def _period(first: CycloElem, v: Place, target_n: int) -> dict:
-    """Every proper multiple of the class stays nonzero."""
-    rows = []
-    for m in range(1, target_n):
-        val_m = valuation(first ** m, v)
-        _lemma(val_m == m and val_m % target_n != 0, "power %d has valuation %d at v" % (m, val_m),
-               "period.rows")
-        rows.append({"m": _s(m), "valuation": _s(val_m)})
+    """Every proper multiple of the class stays nonzero: valuations add,
+    so the m-fold first coordinate has valuation m * v(first) = m at v,
+    nonzero mod n for 0 < m < n."""
+    val = valuation(first, v)
+    _lemma(val == 1, "power 1 has valuation %d at v" % val, "period.rows")
     return {
         "claim": _s(target_n),
         "first_coordinate_valuation": "1",
-        "rows": rows,
+        "rows": [{"m": _s(m), "valuation": _s(m * val)} for m in range(1, target_n)],
         "shift_vanishing": _SHIFT_MARKER,
     }
 
@@ -982,12 +972,13 @@ def read_curve(block: dict, at: str) -> tuple:
         _read_point(level, read_field(block, "torsion_basis." + k, at), p + "torsion_basis." + k)
         for k in "ST"
     )
-    for k, P in (("S", S), ("T", T)):
-        if not cv.on_curve(P):
-            raise InputError("point is not " + given, p + "torsion_basis." + k, *model)
     try:
         basis = make_basis(cv, level, S, T)
     except (ValueError, ArithmeticError) as e:
+        # make_basis checks the points on the curve first; name the one off it
+        for k, P in (("S", S), ("T", T)):
+            if not cv.on_curve(P):
+                raise InputError("point is not " + given, p + "torsion_basis." + k, *model)
         raise InputError("%s, %s" % (e, given), p + "torsion_basis", *model)
     gens = []
     for i, raw in enumerate(read_field(block, "mw_generators", at, list)):
@@ -1141,11 +1132,12 @@ def _check(cert, path: str, trace: list):
         trace.append((_at(path, ""), "check failed: %s: %s" % (type(e).__name__, e)))
 
 
-def verify_certificate(cert) -> tuple:
+def verify_certificate(cert, path: str = "") -> tuple:
     """(ok, trace).  Parses the inputs the certificate records, derives
     the certificate they determine with the constructor's own derivation,
     and compares field by field.  The trace lists (path, message) pairs
-    for everything that failed."""
+    for everything that failed, named as inside a certificate at path
+    (the root when empty)."""
     trace = []
-    _check(cert, "", trace)
+    _check(cert, path, trace)
     return not trace, trace

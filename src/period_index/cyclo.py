@@ -2,7 +2,8 @@
 
 Elements are stored on the power basis 1, zeta, ..., zeta^(phi(n)-1) as
 integer coordinates over one common positive denominator, so every
-operation here is exact; inverses go through the norm.  Scope: n is a prime
+operation here is exact; inverses go through the norm.  The conjugate
+sigma_t(x), zeta -> zeta^t, is galois_apply(x, t).  Scope: n is a prime
 power in SUPPORTED_LEVELS.  The arithmetic works at every one of them.  At
 n in NORM_LEVELS = {2, 3, 4}, of degree at most 2, norm_shell lists the
 elements x ≡ 1 mod m of Z[zeta_n] whose norm lies in a range, read off
@@ -12,7 +13,6 @@ the norm form; the sieve finds its prime generators among them.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -93,18 +93,6 @@ class GlobalContext:
         return "GlobalContext(n=%d)" % self.n
 
 
-@dataclass(frozen=True)
-class GaloisAuto:
-    """The automorphism zeta -> zeta^t for a unit t mod n."""
-
-    n: int
-    t: int
-
-    def __post_init__(self):
-        if gcd(self.t, self.n) != 1:
-            raise ContextError("t=%d is not a unit mod %d" % (self.t, self.n))
-
-
 class CycloElem:
     """An element of Q(zeta_n) on the power basis: integer numerators over
     one positive denominator, in lowest terms (gcd(num..., den) = 1), so
@@ -157,9 +145,6 @@ class CycloElem:
         if not self.is_rational():
             raise ValueError("element is not rational: %r" % (self,))
         return Fraction(self.num[0], self.den)
-
-    def denominator(self) -> int:
-        return self.den
 
     # --- ring ops -----------------------------------------------------
     def _check(self, other: "CycloElem") -> None:
@@ -319,11 +304,12 @@ def embed_level(x: CycloElem, new_n: int) -> CycloElem:
 # --- Galois action and norms ------------------------------------------
 
 
-def galois_apply(auto: GaloisAuto, x: CycloElem) -> CycloElem:
-    """Apply zeta -> zeta^t coordinate-wise and re-reduce."""
-    if auto.n != x.n:
-        raise ContextError("automorphism level %d vs element level %d" % (auto.n, x.n))
-    return _spread(x, x.n, auto.t)
+def galois_apply(x: CycloElem, t: int) -> CycloElem:
+    """sigma_t(x): apply zeta -> zeta^t, t a unit mod x.n, coordinate-wise
+    and re-reduce."""
+    if gcd(t, x.n) != 1:
+        raise ContextError("t=%d is not a unit mod %d" % (t, x.n))
+    return _spread(x, x.n, t)
 
 
 def _conjugate_product(x: CycloElem) -> CycloElem:
@@ -359,19 +345,6 @@ def is_totally_positive(x: CycloElem) -> bool:
 # --- integral residue machinery ---------------------------------------
 
 
-def evaluate_mod(x: CycloElem, root: int, modulus: int) -> int:
-    """Evaluate the coordinate polynomial at `root` modulo `modulus`.
-
-    Denominators must be invertible mod `modulus`.
-    """
-    if gcd(x.den, modulus) != 1:
-        raise ValueError("denominator %d not invertible mod %d" % (x.den, modulus))
-    acc = 0
-    for c in reversed(x.num):
-        acc = (acc * root + c) % modulus
-    return acc * pow(x.den, -1, modulus) % modulus
-
-
 def phi_roots_mod_p(n: int, p: int) -> list[int]:
     """All roots of Phi_n mod p, ascending.  Requires p ≡ 1 mod n, p prime.
 
@@ -391,8 +364,14 @@ def phi_roots_mod_p(n: int, p: int) -> list[int]:
 
 
 def reduce_at(x: CycloElem, p: int, omega: int) -> int:
-    """Residue of x at the place (p, omega), i.e. image under zeta -> omega."""
-    return evaluate_mod(x, omega, p)
+    """Residue of x at the place (p, omega), i.e. image under zeta -> omega;
+    the denominator must be prime to p."""
+    if gcd(x.den, p) != 1:
+        raise ValueError("denominator %d not invertible mod %d" % (x.den, p))
+    acc = 0
+    for c in reversed(x.num):
+        acc = (acc * omega + c) % p
+    return acc * pow(x.den, -1, p) % p
 
 
 @lru_cache(maxsize=None)

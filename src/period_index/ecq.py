@@ -80,7 +80,7 @@ class CurveL:
         good reduction at all of them.  The norm's numerator serves,
         since a prime of its denominator divides a coefficient
         denominator."""
-        dens = prod(a.denominator() for a in self.coefficient_list())
+        dens = prod(a.den for a in self.coefficient_list())
         return abs(self.n * field_norm(self.discriminant()).numerator * dens)
 
     # --- point predicates ------------------------------------------------
@@ -202,7 +202,7 @@ def reduce_point(cv: CurveL, P: LPoint, place: Place) -> FpPoint:
         return None
     residues = []
     for c in P:
-        if c.denominator() % place.p:
+        if c.den % place.p:
             residues.append(reduce_at(c, place.p, place.omega))
             continue
         v, u = valuation_and_unit(c, place)

@@ -24,7 +24,6 @@ from math import gcd
 
 from .cyclo import (
     CycloElem,
-    GaloisAuto,
     context,
     embed_level,
     galois_apply,
@@ -119,7 +118,7 @@ def galois_matrix(basis: TorsionBasis, t: int) -> tuple[tuple[int, int], tuple[i
     cv, n, place = basis.cv, basis.n, basis.place
     if not cv.is_rational_model():
         raise RepresentationError("Galois action needs a model with rational coefficients")
-    omega_t = reduce_at(galois_apply(GaloisAuto(n, t), CycloElem.zeta(n)), place.p, place.omega)
+    omega_t = reduce_at(galois_apply(CycloElem.zeta(n), t), place.p, place.omega)
     conj = Place(n, place.p, omega_t)
     i, k = basis.combos[reduce_point(cv, basis.S, conj)]
     j, l = basis.combos[reduce_point(cv, basis.T, conj)]
@@ -243,8 +242,8 @@ def twisted_norm(rep: dict[int, tuple], a: CycloElem, b: CycloElem) -> NormFacto
         if gcd(det, n) != 1:
             raise RepresentationError("matrix for sigma_%d is not invertible mod %d" % (t, n))
         dinv = pow(det, -1, n)
-        sa = galois_apply(GaloisAuto(n, t), a)
-        sb = galois_apply(GaloisAuto(n, t), b)
+        sa = galois_apply(a, t)
+        sb = galois_apply(b, t)
         ea_first = i * dinv % n
         eb_first = j * dinv % n
         ea_second = k * dinv % n
@@ -263,7 +262,7 @@ def twisted_sigma_image(rep_matrix, t: int, a: CycloElem, b: CycloElem):
     (i, j), (k, l) = rep_matrix
     det = (i * l - j * k) % n
     dinv = pow(det, -1, n)
-    sa = galois_apply(GaloisAuto(n, t), a)
-    sb = galois_apply(GaloisAuto(n, t), b)
+    sa = galois_apply(a, t)
+    sb = galois_apply(b, t)
     return (sa ** (i * dinv % n) * sb ** (j * dinv % n),
             sa ** (k * dinv % n) * sb ** (l * dinv % n))

@@ -8,7 +8,6 @@ uniformizer.  All invariants land in (1/n)Z/Z, stored as Fractions in [0, 1).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -210,11 +209,11 @@ def is_one_mod(x: CycloElem, modulus: int) -> bool:
 # ------------------------------------------------------------ factoring
 
 
-def _pollard_rho(m: int, seed: int) -> int:
-    rng = random.Random(seed)
-    while True:
-        c = rng.randrange(1, m)
-        x = y = rng.randrange(2, m)
+def _pollard_rho(m: int) -> int:
+    """A proper factor of a composite m, from the walks x -> x^2 + c,
+    x0 = 2, for c = 1, 2, ... in turn."""
+    for c in range(1, m):
+        x = y = 2
         d = 1
         while d == 1:
             x = (x * x + c) % m
@@ -223,6 +222,7 @@ def _pollard_rho(m: int, seed: int) -> int:
             d = gcd(abs(x - y), m)
         if d != m:
             return d
+    raise ArithmeticError("no walk x -> x^2 + c splits %d" % m)
 
 
 def factorint(m: int) -> dict[int, int]:
@@ -244,7 +244,7 @@ def factorint(m: int) -> dict[int, int]:
         if is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _pollard_rho(m, seed=m & 0xFFFFFFFF)
+        d = _pollard_rho(m)
         stack.extend([d, m // d])
     return out
 

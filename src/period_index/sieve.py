@@ -73,7 +73,6 @@ from typing import Iterator, Optional
 
 from .cyclo import (
     CycloElem,
-    GaloisAuto,
     context,
     galois_apply,
     is_probable_prime,
@@ -215,7 +214,7 @@ def _pinned(n: int, p: int, z: tuple) -> PrimeCandidate:
     omega = -a * pow(b, -1, p) % p  # a + b*omega ≡ 0
     inverse = pow(omega, n - 1, p)  # where the conjugate a + b*zeta^-1 vanishes
     if inverse < omega:
-        pi, omega = galois_apply(GaloisAuto(n, n - 1), pi), inverse
+        pi, omega = galois_apply(pi, n - 1), inverse
     return PrimeCandidate(p, pi, Place(n, p, omega))
 
 

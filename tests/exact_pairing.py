@@ -4,7 +4,7 @@ auxiliary-point pool, the discrete log of a root of unity, the
 coordinate-wise Galois action on points, and the basis, table and Galois
 matrices built from them.  Slow, and independent of the F_p code."""
 
-from period_index.cyclo import CycloElem, GaloisAuto, context, galois_apply
+from period_index.cyclo import CycloElem, context, galois_apply
 from period_index.ecq import torsion_pool
 
 
@@ -79,8 +79,7 @@ def zeta_dlog(value: CycloElem, n: int) -> int:
 def galois_point(cv, t: int, P):
     """sigma_t applied coordinate-wise; the model must be rational."""
     assert cv.is_rational_model()
-    auto = GaloisAuto(cv.n, t)
-    return None if P is None else (galois_apply(auto, P[0]), galois_apply(auto, P[1]))
+    return None if P is None else (galois_apply(P[0], t), galois_apply(P[1], t))
 
 
 def reference_basis(cv, n: int, S, T) -> tuple:

@@ -664,8 +664,13 @@ def test_verify_work_budget(monkeypatch):
     # recorded certificate equals the derived one.  Each valuation took a
     # norm before it read residues at doubling precision (26-31 norms),
     # the singularity check computed the discriminant again, and the diff
-    # walked every node (241-305 calls)
+    # walked every node (241-305 calls).  Each basis point and each
+    # generator is checked on the curve once (the basis was checked twice,
+    # by read_curve and make_basis), and the period rows take no power of
+    # the first coordinate (one per row, each read for its valuation)
     calls = Counter()
+    in_period = []
+    construct_period, cyclo_pow = construct._period, cyclo.CycloElem.__pow__
 
     def counted(key, fn):
         def wrapper(*args):
@@ -673,19 +678,37 @@ def test_verify_work_budget(monkeypatch):
             return fn(*args)
         return wrapper
 
+    def period(*args):
+        in_period.append(True)
+        try:
+            return construct_period(*args)
+        finally:
+            in_period.pop()
+
+    def power(*args):
+        calls["__pow__ in _period"] += bool(in_period)
+        return cyclo_pow(*args)
+
     norm = counted("field_norm", cyclo.field_norm)
     for mod in (cyclo, construct, ecq, kummer, localfield, sieve):
         if getattr(mod, "field_norm", None) is cyclo.field_norm:
             monkeypatch.setattr(mod, "field_norm", norm)
     monkeypatch.setattr(ecq.CurveL, "discriminant", counted("discriminant", ecq.CurveL.discriminant))
+    monkeypatch.setattr(ecq.CurveL, "on_curve", counted("on_curve", ecq.CurveL.on_curve))
     monkeypatch.setattr(construct, "_diff", counted("_diff", construct._diff))
-    for name, curves in (("2-1", 1), ("2-2", 1), ("3-1", 1), ("3-3", 1), ("composite", 2)):
+    monkeypatch.setattr(construct, "_period", period)
+    monkeypatch.setattr(cyclo.CycloElem, "__pow__", power)
+    for name in ("2-1", "2-2", "3-1", "3-3", "composite"):
         calls.clear()
         cert = json.loads(_perfbench_workloads().cert_path(name).read_text())
+        parts = cert["parts"] if name == "composite" else [cert]
+        points = sum(2 + len(part["inputs"]["curve"]["mw_generators"]) for part in parts)
         assert construct.verify_certificate(cert) == (True, [])
-        assert calls["field_norm"] <= 5 * curves, (name, calls)
-        assert calls["discriminant"] == curves, (name, calls)
+        assert calls["field_norm"] <= 5 * len(parts), (name, calls)
+        assert calls["discriminant"] == len(parts), (name, calls)
         assert calls["_diff"] == 0, (name, calls)
+        assert calls["on_curve"] == points, (name, calls)
+        assert calls["__pow__ in _period"] == 0, (name, calls)
 
 
 @pytest.mark.parametrize("name", ["2-1", "2-2", "3-1", "3-3", "composite"])
@@ -796,6 +819,71 @@ def test_compose_rejects_a_part_with_period_zero(cert_paths, tmp_path, capsys):
     assert (code, written) == (1, False)
     err = capsys.readouterr().err
     assert "parts[0].summary.period:" in err and "share a factor" not in err
+
+
+def test_compose_traces_a_part_as_verify_does(tmp_path, capsys):
+    # compose verifies each part as verify does inside the composite, so
+    # its trace lines are verify's: a coefficient edit of parts[1] with its
+    # digest recomputed names the model as parts[1].inputs.curve.coefficients,
+    # and a diff of parts[0] names the inputs it reads inside parts[0]
+    cert = json.loads(_perfbench_workloads().cert_path("composite").read_text())
+    part = cert["parts"][1]
+    part["inputs"]["curve"]["coefficients"][0][0] = "1"
+    part["inputs"]["digest"] = content_digest(part["inputs"]["curve"])
+    cert["parts"][0]["obstruction"]["local_rows"][0]["invariant"] = "3/4"
+    paths = []
+    for name, value in (("composite", cert), ("left", cert["parts"][0]), ("right", part)):
+        paths.append(tmp_path / ("%s.json" % name))
+        paths[-1].write_text(json.dumps(value))
+    assert main(["verify", str(paths[0])]) == 1
+    verified = capsys.readouterr().err.splitlines()
+    assert main(["compose", str(paths[1]), str(paths[2]), "--allow-different-jacobians"]) == 1
+    composed = capsys.readouterr().err.splitlines()
+    assert composed == verified
+    assert any(line.endswith("given by parts[1].inputs.curve.coefficients") for line in composed)
+    assert any(line.startswith("parts[0].obstruction.local_rows[0].invariant: ")
+               and " from parts[0].context.n, " in line for line in composed)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", ["sieve", "construct", "compose", "verify"])
+def test_json_constants_are_rejected_like_floats(cert_paths, tmp_path, capsys, command, constant):
+    # json reads NaN and Infinity as floats; like a float literal they
+    # make the file invalid JSON (exit 2), never a run that ignores them
+    c3, c2 = cert_paths
+    base = json.loads(c2.read_text()) if command in ("compose", "verify") else CONFIG_QUADRATIC
+    target = tmp_path / "constant.json"
+    target.write_text(json.dumps(dict(base, note=0)).replace('"note": 0', '"note": ' + constant))
+    argv = {
+        "sieve": ["sieve", "--config", str(target)],
+        "construct": ["construct", "--config", str(target), "--out", str(tmp_path / "c.json")],
+        "compose": ["compose", str(c3), str(target), "--allow-different-jacobians"],
+        "verify": ["verify", str(target)],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: %s is not valid JSON: " % target)
+    assert constant in captured.err and captured.out == ""
+
+
+def test_a_certificate_on_stdout_is_the_whole_of_stdout(cert_paths, tmp_path, capsys):
+    # without a path the claims line goes to stderr, so stdout parses as
+    # the certificate and verifies
+    cfg = _write_config(tmp_path, CONFIG_QUADRATIC)
+    runs = [
+        (["construct", "--config", cfg], "period=2 index=2 places=(17, 41)\n"),
+        (["compose", *map(str, cert_paths), "--allow-different-jacobians"],
+         "period=6 index=18 places=(757, 13879, 17, 41)\n"),
+    ]
+    for argv, claims in runs:
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == claims
+        target = tmp_path / "stdout.json"
+        target.write_text(captured.out)
+        assert json.loads(captured.out)["summary"]["period"] == claims[7]
+        assert main(["verify", str(target)]) == 0
+        assert capsys.readouterr().out == "certificate ok\n"
 
 
 # edits of a leaf to another JSON type or to an out-of-range number

@@ -7,13 +7,15 @@ import pytest
 from period_index.cli import main
 from period_index.cyclo import CycloElem
 from period_index.ecq import curve_over, point_over
-from period_index.kummer import KummerClass, make_basis
+from period_index.kummer import make_basis
 from period_index.construct import (
+    _IDENTITY_REP,
     InputError,
+    _class,
     _diff,
     _same,
-    build_xi,
     canonical_json,
+    elem_coeffs,
     certify_mode_A,
     certify_mode_B,
     compose_coprime,
@@ -73,42 +75,41 @@ def _roundtrip(cert):
     return json.loads(canonical_json(cert))
 
 
-# ---------------------------------------------------------------- build_xi
+# ------------------------------------------------------------ class seed
 
 
-def test_build_xi_full_target_keeps_the_pair():
+def _seed_pair(a, b, ell):
+    """The seed pair the class section records for generators a, b."""
+    seed = _class(_IDENTITY_REP, a, b, ell)[0]["seed_pair"]
+    return seed["first"], seed["second"], seed["power_exponent"]
+
+
+def test_class_seed_keeps_the_pair_at_full_target():
     a = CycloElem.rational(3, 4) + CycloElem.zeta(3)
     b = CycloElem.rational(3, 2) + 5 * CycloElem.zeta(3)
-    xi = build_xi(a, b, 3, 3)
-    assert isinstance(xi, KummerClass)
-    assert xi.a == a and xi.b == b
+    assert _seed_pair(a, b, 3) == (elem_coeffs(a), elem_coeffs(b), "1")
 
 
-def test_build_xi_target_one_powers_the_second_coordinate():
+def test_class_seed_powers_the_second_coordinate_at_target_one():
     a = CycloElem.rational(3, 4) + CycloElem.zeta(3)
     b = CycloElem.rational(3, 2) + 5 * CycloElem.zeta(3)
-    xi = build_xi(a, b, 3, 1)
-    assert xi.b == b**3
+    assert _seed_pair(a, b, 1) == (elem_coeffs(a), elem_coeffs(b**3), "3")
 
 
-def test_build_xi_intermediate_target():
+def test_class_seed_at_an_intermediate_target():
     i = CycloElem.zeta(4)
     a = 3 + 2 * i
     b = 1 + 4 * i
-    assert build_xi(a, b, 4, 2).b == b * b
+    assert _seed_pair(a, b, 2) == (elem_coeffs(a), elem_coeffs(b * b), "2")
 
 
-def test_build_xi_rejects_non_divisor_targets():
-    a = CycloElem.rational(3, 2)
-    with pytest.raises(InputError):
-        build_xi(a, a, 3, 2)
-    with pytest.raises(InputError):
-        build_xi(a, a, 3, 0)
-
-
-def test_build_xi_rejects_level_mismatch():
-    with pytest.raises(InputError):
-        build_xi(CycloElem.rational(3, 2), CycloElem.rational(4, 2), 3, 3)
+def test_direct_route_rejects_a_symbol_target_off_the_level():
+    # _preconditions checks ell | n before the class seed pi'^(n/ell) is formed
+    cv, basis, gens = _cubic()
+    for certify in (certify_mode_A, certify_mode_B):
+        for ell in (2, 0):
+            with pytest.raises(InputError, match="does not divide the level 3"):
+                certify(cv, basis, ell, gens, BOUND)
 
 
 # ---------------------------------------------------------- lichtenbaum

@@ -15,7 +15,7 @@ imports at module level only, never inside a function or class body, so
 its imports show every dependency, cycles included.  Every name a
 module imports is read in that module: the dead-code check counts an
 import as a reference, so an unused import would keep alive what it
-names."""
+names.  And no module imports random: the program has no randomness."""
 
 import ast
 from collections import Counter
@@ -192,3 +192,18 @@ def _unread_imports() -> list:
 
 def test_every_imported_name_is_read():
     assert _unread_imports() == []
+
+
+def _random_imports() -> list:
+    """module:line for every import of random in a module of src."""
+    return [
+        "%s:%d" % (path.stem, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "random" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "random"
+    ]
+
+
+def test_no_module_imports_random():
+    assert _random_imports() == []

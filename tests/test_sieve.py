@@ -11,7 +11,6 @@ from period_index.cyclo import (
     SUPPORTED_LEVELS,
     ContextError,
     CycloElem,
-    GaloisAuto,
     context,
     field_norm,
     galois_apply,
@@ -186,7 +185,7 @@ def _ref_attach_generator(n, p, place):
     x0 = solve_norm_equation(place)
     m = wild_modulus(n)
     for t in context(n).units:
-        xt = galois_apply(GaloisAuto(n, t), x0)
+        xt = galois_apply(x0, t)
         if reduce_at(xt, p, place.omega):
             continue
         for rows in map(_multiplication_rows, _torsion_units(n)):
@@ -334,7 +333,7 @@ def _ref_residue_order_profile(pi2, place):
     main = residue_power_order(reduce_at(pi2, p, place.omega), n, p)
     conj = []
     for t in context(n).units[1:]:
-        rt = reduce_at(galois_apply(GaloisAuto(n, t), pi2), p, place.omega)
+        rt = reduce_at(galois_apply(pi2, t), p, place.omega)
         conj.append((t, residue_power_order(rt, n, p)))
     return main, tuple(conj)
 

@@ -7,7 +7,7 @@ bounds v(y) at any place over p, so one evaluation modulo p^(vmax + 1)
 decides it.  It shares the lifted root with the code under test, not
 the precision rule."""
 
-from period_index.cyclo import CycloElem, evaluate_mod, field_norm, lifted_root
+from period_index.cyclo import CycloElem, field_norm, lifted_root
 from period_index.localfield import Place, _p_adic_split
 
 
@@ -16,11 +16,12 @@ def valuation_and_unit(x: CycloElem, place: Place) -> tuple:
     if x.is_zero():
         raise ZeroDivisionError("valuation of zero")
     p = place.p
-    d = x.denominator()
+    d = x.den
     y = x * d
     vmax, _ = _p_adic_split(int(field_norm(y).numerator), p)
+    modulus = p ** (vmax + 1)
     root = lifted_root(x.n, p, place.omega, vmax + 1)
-    e = evaluate_mod(y, root, p ** (vmax + 1))
+    e = sum(c * pow(root, i, modulus) for i, c in enumerate(y.num)) % modulus
     if e == 0:
         raise ArithmeticError("valuation exceeded its norm bound")
     vy, _ = _p_adic_split(e, p)
