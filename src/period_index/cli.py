@@ -115,7 +115,7 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise InputError("configuration root of %s must be an object" % path)
 
-        self.curve, self.basis, self.mw_gens = read_curve(read_field(raw, "curve"), "curve")
+        self.curve, self.basis, self.mw_gens = read_curve(read_field(raw, "curve"), "curve", "curve")
         level = self.curve.n
 
         self.n = read_positive(read_field(raw, "parameters.n"), "parameters.n")

@@ -7,7 +7,7 @@ carried by the class with Kummer seed (pi, pi'^(n/ell)):
   period claim   the class has order exactly n: for every 0 < m < n the
                  first Kummer coordinate of the m-fold class has valuation
                  m at v (m times the valuation 1 of the first coordinate,
-                 read once), nonzero mod n, while the divisibility
+                 read from the v-row), nonzero mod n, while the divisibility
                  witnesses at v kill every possible shift by a rational
                  point (the Tate term vanishes there).
   index claim    the index equals n*ell: the invariant of the normed pair
@@ -435,12 +435,6 @@ def _pair(
 def _class(rep: dict, pi: CycloElem, pi_prime: CycloElem, ell_sym: int) -> tuple:
     """The class section, its four norm factors and the normed pair."""
     N = pi.n
-    # the determinant of every matrix must embody the root-of-unity
-    # action, since the pairing of the basis is pinned
-    for t, M in rep.items():
-        det = (M[0][0] * M[1][1] - M[0][1] * M[1][0]) % N
-        _lemma(det == t % N, "matrix determinant %d at t=%d is off" % (det, t),
-               "class.representation")
     # the Kummer seed of symbol target ell_sym; _preconditions checked ell_sym | N
     a, b = pi, pi_prime ** (N // ell_sym)
     nf = twisted_norm(rep, a, b)
@@ -610,16 +604,15 @@ def _obstruction(
     return section, target_invs[p] if rational else inv_v
 
 
-def _period(first: CycloElem, v: Place, target_n: int) -> dict:
-    """Every proper multiple of the class stays nonzero: valuations add,
-    so the m-fold first coordinate has valuation m * v(first) = m at v,
-    nonzero mod n for 0 < m < n."""
-    val = valuation(first, v)
-    _lemma(val == 1, "power 1 has valuation %d at v" % val, "period.rows")
+def _period(target_n: int) -> dict:
+    """Every proper multiple of the class stays nonzero: the first
+    coordinate c*c' has valuation 1 at v, as _obstruction pins v(c) = 1 and
+    v(c') = 0, and valuations add, so the m-fold first coordinate has
+    valuation m at v, nonzero mod n for 0 < m < n."""
     return {
         "claim": _s(target_n),
         "first_coordinate_valuation": "1",
-        "rows": [{"m": _s(m), "valuation": _s(m * val)} for m in range(1, target_n)],
+        "rows": [{"m": _s(m), "valuation": _s(m)} for m in range(1, target_n)],
         "shift_vanishing": _SHIFT_MARKER,
     }
 
@@ -676,7 +669,7 @@ def _certificate(
         "pair": pair,
         "class": cls,
         "obstruction": obstruction,
-        "period": _period(normed[0], v, target_n),
+        "period": _period(target_n),
         "index_upper": _index_upper(target_n, target_ell),
         "index_lower": _index_lower(inv_target_v, target_n, target_ell),
         "lichtenbaum_ok": True,
@@ -948,11 +941,11 @@ def _read_fp_point(value, path: str):
     raise InputError('expected a residue point ([x, y] or "infinity")', path)
 
 
-def read_curve(block: dict, at: str) -> tuple:
+def read_curve(block: dict, at: str, shown: str) -> tuple:
     """(curve, torsion basis, Mordell-Weil generators) of the curve block
-    at path at: a level that can certify (NORM_LEVELS), the model at it,
-    the basis and the generators checked on it, and the declared stable
-    subgroup order against the level."""
+    at path at, which messages show as shown: a level that can certify
+    (NORM_LEVELS), the model at it, the basis and the generators checked
+    on it, and the declared stable subgroup order against the level."""
     p = at + "."
     level = read_int(read_field(block, "level", at), p + "level")
     if level not in NORM_LEVELS:
@@ -965,7 +958,7 @@ def read_curve(block: dict, at: str) -> tuple:
         cv = curve_over(level, parsed)
     except CurveError as e:
         raise InputError(str(e), p + "coefficients")
-    given = "on the curve given by %scoefficients" % p
+    given = "on the curve given by %s.coefficients" % shown
     # a failed point check also names the model and the level its coordinates are read at
     model = (p + "coefficients", p + "level")
     S, T = (
@@ -1011,9 +1004,9 @@ def _field_set(obj: dict, expected, rel: str):
     return msg, [rel] + [_at(rel, key) for key in missing + extra]
 
 
-def _rederive(cert: dict) -> dict:
-    """Read the inputs a prime-power certificate records and derive the
-    certificate they determine."""
+def _rederive(cert: dict, path: str) -> dict:
+    """Read the inputs the prime-power certificate at path records and
+    derive the certificate they determine."""
     n = read_positive(read_field(cert, "context.n"), "context.n")
     ell = read_positive(read_field(cert, "context.ell"), "context.ell")
     mode = read_field(cert, "context.mode")
@@ -1026,12 +1019,16 @@ def _rederive(cert: dict) -> dict:
         raise InputError(
             "stored digest does not match the curve block", "inputs.digest", "inputs.curve"
         )
-    cv, basis, gens = read_curve(curve, "inputs.curve")
-    # construct records T after make_basis rescales it, so a T that
-    # make_basis rescales again was recorded beside another S or T
+    cv, basis, gens = read_curve(curve, "inputs.curve", _at(path, "inputs.curve"))
+    # construct records the basis make_basis pins, so a basis that
+    # make_basis moves again was recorded unpinned
     at = "inputs.curve.torsion_basis"
-    if _read_point(cv.n, read_field(curve, "torsion_basis.T"), at + ".T") != basis.T:
-        raise InputError("the Weil pairing of S and T is not zeta: the basis is not normalized", at)
+    recorded = [_read_point(cv.n, read_field(curve, "torsion_basis." + k), at + "." + k)
+                for k in "ST"]
+    if recorded != [basis.S, basis.T]:
+        raise InputError("the basis is not normalized: the Weil pairing of S and T must be "
+                         "zeta, and at level 2 S and T the points of order 2 of larger x, "
+                         "ascending", at)
 
     pi = read_elem(cv.n, read_field(cert, "pair.first.pi"), "pair.first.pi")
     pi_prime = read_elem(cv.n, read_field(cert, "pair.second.pi"), "pair.second.pi")
@@ -1088,18 +1085,6 @@ def _diff(recorded, derived, rel: str, path: str, trace: list, sections: dict):
         trace.append((_at(path, rel), prefix + msg))
 
 
-def _qualified(msg: str, path: str, rels: tuple) -> str:
-    """msg with each dotted path of rels that it names qualified by path,
-    as _at qualifies them (a one-word path such as kind reads as a word).
-    The longest path that matches at a place wins, so a path another one
-    starts with is not prefixed twice."""
-    rels = sorted((r for r in rels if "." in r), key=len, reverse=True)
-    if not path or not rels:
-        return msg
-    named = r"(?<![\w.\]])(?:%s)(?!\w)" % "|".join(map(re.escape, rels))
-    return re.sub(named, lambda hit: _at(path, hit.group()), msg)
-
-
 def _check(cert, path: str, trace: list):
     """Append (path, message) to trace for every failure in the
     certificate at path (empty for the root); never raises."""
@@ -1108,7 +1093,7 @@ def _check(cert, path: str, trace: list):
             raise InputError("certificate must be an object", "")
         kind = cert.get("kind")
         if kind == "prime-power":
-            derived = _rederive(cert)
+            derived = _rederive(cert, path)
         elif kind == "composite":
             parts = read_field(cert, "parts", kind=list)
             if len(parts) != 2:
@@ -1126,8 +1111,7 @@ def _check(cert, path: str, trace: list):
         if not _same(cert, derived):
             _diff(cert, derived, "", path, trace, _SECTIONS if kind == "prime-power" else {})
     except (InputError, LemmaFailure) as e:
-        msg = _qualified(str(e), path, e.paths)
-        trace.extend((_at(path, rel), msg) for rel in e.paths or ("",))
+        trace.extend((_at(path, rel), str(e)) for rel in e.paths or ("",))
     except Exception as e:  # any certificate gets a verdict, never a traceback
         trace.append((_at(path, ""), "check failed: %s: %s" % (type(e).__name__, e)))
 

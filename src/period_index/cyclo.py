@@ -368,10 +368,7 @@ def reduce_at(x: CycloElem, p: int, omega: int) -> int:
     the denominator must be prime to p."""
     if gcd(x.den, p) != 1:
         raise ValueError("denominator %d not invertible mod %d" % (x.den, p))
-    acc = 0
-    for c in reversed(x.num):
-        acc = (acc * omega + c) % p
-    return acc * pow(x.den, -1, p) % p
+    return horner(x.num, omega, p) * pow(x.den, -1, p) % p
 
 
 @lru_cache(maxsize=None)
@@ -387,13 +384,15 @@ def lifted_root(n: int, p: int, omega: int, precision: int) -> int:
     root = omega % p
     while modulus < p ** precision:
         modulus = min(modulus * modulus, p ** precision)
-        f = _int_poly_eval(phi, root, modulus)
-        fp = _int_poly_eval(dphi, root, modulus)
+        f = horner(phi, root, modulus)
+        fp = horner(dphi, root, modulus)
         root = (root - f * pow(fp, -1, modulus)) % modulus
     return root
 
 
-def _int_poly_eval(coeffs: Sequence[int], x: int, modulus: int) -> int:
+def horner(coeffs: Sequence[int], x: int, modulus: int) -> int:
+    """The integer polynomial with the given coefficients, constant term
+    first, at x mod modulus."""
     acc = 0
     for c in reversed(coeffs):
         acc = (acc * x + c) % modulus

@@ -4,10 +4,11 @@ A class is carried by a pair (a, b) of nonzero field elements: the Kummer
 coordinates with respect to a pinned basis (S, T) of E[n] normalized so that
 the Weil pairing e_n(S, T) is the pinned root zeta.  The basis is checked
 exactly in L only for what the certificate records (S and T on the curve,
-nS = nT = O, T rescaled); its independence, its pairing and the Galois
-matrices on it are read at one auxiliary split prime q, the least prime to
-the curve's bad_modulus, through the curve layer's reduce_curve and
-reduce_point: there reduction is injective on E[n].  Its obstruction is
+nS = nT = O, T rescaled, at n = 2 their order); its independence, its
+pairing and the Galois matrices on it are read at one auxiliary split
+prime q, the least prime to the curve's bad_modulus, through the curve
+layer's reduce_curve and reduce_point: there reduction is injective on
+E[n].  Its obstruction is
 read locally through tame symbols of the pair: at a split place v the
 invariant is <a, b>_v, and level shifts act by explicit operations on the
 pair:
@@ -80,7 +81,9 @@ def make_basis(cv: CurveL, n: int, S: LPoint, T: LPoint) -> TorsionBasis:
     AEC III.8), so e_n(S, T) = zeta^u for u the log to the base omega of
     the pairing of the reductions, read at R = 2S + T: for n >= 3, R and
     T + R lie outside <S>, and -R and S - R outside <T>.  T is replaced
-    by u^-1 * T, so the pairing is zeta itself."""
+    by u^-1 * T, so the pairing is zeta itself.  At n = 2, where every
+    basis has pairing -1, (S, T) is pinned as the two points of order 2
+    with the larger x, ascending; the third is S + T."""
     if cv.n != n:
         raise BasisError("curve level %d vs basis level %d" % (cv.n, n))
     for P in (S, T):
@@ -88,6 +91,9 @@ def make_basis(cv: CurveL, n: int, S: LPoint, T: LPoint) -> TorsionBasis:
             raise BasisError("basis point not on the curve")
     if cv.mul(n, S) is not None or cv.mul(n, T) is not None:
         raise BasisError("basis point does not have exact order %d" % n)
+    third = cv.add(S, T) if n == 2 else None
+    if third is not None and None not in (S, T):
+        S, T = sorted((S, T, third), key=lambda P: P[0].rational_value())[1:]
     place = _auxiliary_place(cv)
     cfp = reduce_curve(cv, place)
     Sq, Tq = (reduce_point(cv, P, place) for P in (S, T))

@@ -15,6 +15,7 @@ from math import gcd
 from .cyclo import (
     CycloElem,
     context,
+    horner,
     is_probable_prime,
     lifted_root,
     phi_roots_mod_p,
@@ -109,9 +110,7 @@ def valuation_and_unit(x: CycloElem, place: Place) -> tuple[int, int]:
     e = 0
     while not e:
         k *= 2
-        modulus, root = p**k, lifted_root(n, p, omega, k)
-        for c in reversed(x.num):
-            e = (e * root + c) % modulus
+        e = horner(x.num, lifted_root(n, p, omega, k), p**k)
     vy, u_y = _p_adic_split(e, p)
     dk, du = _p_adic_split(x.den, p)
     return vy - dk, u_y * pow(du, -1, p) % p

@@ -667,14 +667,21 @@ def test_verify_work_budget(monkeypatch):
     # walked every node (241-305 calls).  Each basis point and each
     # generator is checked on the curve once (the basis was checked twice,
     # by read_curve and make_basis), and the period rows take no power of
-    # the first coordinate (one per row, each read for its valuation)
+    # the first coordinate (one per row, each read for its valuation) and
+    # read no valuation: the v-row pins v(first) = 1
     calls = Counter()
     in_period = []
-    construct_period, cyclo_pow = construct._period, cyclo.CycloElem.__pow__
+    construct_period = construct._period
 
     def counted(key, fn):
         def wrapper(*args):
             calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    def counted_in_period(key, fn):
+        def wrapper(*args):
+            calls[key] += bool(in_period)
             return fn(*args)
         return wrapper
 
@@ -685,10 +692,8 @@ def test_verify_work_budget(monkeypatch):
         finally:
             in_period.pop()
 
-    def power(*args):
-        calls["__pow__ in _period"] += bool(in_period)
-        return cyclo_pow(*args)
-
+    power = counted_in_period("__pow__ in _period", cyclo.CycloElem.__pow__)
+    unit = counted_in_period("valuation_and_unit in _period", localfield.valuation_and_unit)
     norm = counted("field_norm", cyclo.field_norm)
     for mod in (cyclo, construct, ecq, kummer, localfield, sieve):
         if getattr(mod, "field_norm", None) is cyclo.field_norm:
@@ -698,6 +703,7 @@ def test_verify_work_budget(monkeypatch):
     monkeypatch.setattr(construct, "_diff", counted("_diff", construct._diff))
     monkeypatch.setattr(construct, "_period", period)
     monkeypatch.setattr(cyclo.CycloElem, "__pow__", power)
+    monkeypatch.setattr(localfield, "valuation_and_unit", unit)
     for name in ("2-1", "2-2", "3-1", "3-3", "composite"):
         calls.clear()
         cert = json.loads(_perfbench_workloads().cert_path(name).read_text())
@@ -709,6 +715,7 @@ def test_verify_work_budget(monkeypatch):
         assert calls["_diff"] == 0, (name, calls)
         assert calls["on_curve"] == points, (name, calls)
         assert calls["__pow__ in _period"] == 0, (name, calls)
+        assert calls["valuation_and_unit in _period"] == 0, (name, calls)
 
 
 @pytest.mark.parametrize("name", ["2-1", "2-2", "3-1", "3-3", "composite"])
@@ -978,7 +985,7 @@ def test_verify_names_every_edited_torsion_basis_leaf(tmp_path, capsys):
     # order) in the four prime-power acceptance certificates and in both
     # parts of the composite, under the tamper gate's edit and each type
     # edit, with the digest recomputed: exit 1 with a trace naming the
-    # field or an object enclosing it
+    # field or an object enclosing it, and none verifies
     wl = _perfbench_workloads()
     tried, missed, accepted = 0, [], []
     for name in wl.CERTS:
@@ -1007,13 +1014,10 @@ def test_verify_names_every_edited_torsion_basis_leaf(tmp_path, capsys):
                         missed.append((name, path, value))
     assert tried > 1000
     assert missed == []
-    # the known hole: at level 2 every basis of E[2] gives the same
-    # certificate, so moving S or T of (2, 1) to the third point of order
-    # 2, (-1, 0), still verifies.  Pinned here so that closing it shows.
-    assert accepted == [
-        ("2-1", "inputs.curve.torsion_basis.S.x[0]", "-1"),
-        ("2-1", "inputs.curve.torsion_basis.T.x[0]", "-1"),
-    ]
+    # at level 2 every basis of E[2] gives the same derived sections, so
+    # moving S or T of (2, 1) to the third point of order 2, (-1, 0),
+    # verified until make_basis pinned the order of the points
+    assert accepted == []
 
 
 def test_verify_names_every_edited_leaf_of_the_cubic(cert_paths, tmp_path, capsys):
@@ -1081,6 +1085,53 @@ def test_composite_messages_name_qualified_inputs():
             unqualified += [(path, value, msg) for _, msg in trace if _UNQUALIFIED.search(msg)]
     assert tried > 300
     assert unqualified == []
+
+
+def _is_field(cert, path: str) -> bool:
+    """Whether path, dotted with [i] indices, names a node of cert."""
+    node = cert
+    for token in re.findall(r"[^.\[\]]+|\[\d+\]", path):
+        if token.startswith("["):
+            if not (isinstance(node, list) and int(token[1:-1]) < len(node)):
+                return False
+            node = node[int(token[1:-1])]
+        elif isinstance(node, dict) and token in node:
+            node = node[token]
+        else:
+            return False
+    return True
+
+
+def test_every_path_a_trace_names_is_a_certificate_field(monkeypatch):
+    # the field each hard check derives and the indexed inputs it reads,
+    # while verify checks the four prime-power acceptance certificates,
+    # and the inputs of every section in _SECTIONS are fields of those
+    # certificates: a renamed section or field cannot leave a trace line
+    # that names a field that does not exist
+    wl = _perfbench_workloads()
+    certs = {name: json.loads(wl.cert_path(name).read_text()) for name in wl.CERTS}
+    prime_power = [name for name, cert in certs.items() if cert["kind"] == "prime-power"]
+    named, checking = {}, []  # path -> the certificates it must be a field of
+    lemma = construct._lemma
+
+    def recorded(holds, msg, field, *indexed):
+        for path in (field,) + indexed:
+            named.setdefault(path, set()).add(checking[-1])
+        return lemma(holds, msg, field, *indexed)
+
+    monkeypatch.setattr(construct, "_lemma", recorded)
+    for name in prime_power:
+        checking.append(name)
+        assert construct.verify_certificate(certs[name]) == (True, [])
+    for _, reads in construct._SECTIONS.values():
+        for path in reads:
+            named.setdefault(path, set()).update(prime_power)
+    missing = [
+        (path, name) for path, names in sorted(named.items()) for name in sorted(names)
+        if not _is_field(certs[name], path)
+    ]
+    assert len(named) > 30
+    assert missing == []
 
 
 def _objects(obj, path=""):

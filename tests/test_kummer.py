@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -309,6 +310,18 @@ def test_make_basis_names_the_failed_check():
     assert make_basis(cv2, 2, point_over(2, (0, 0)), point_over(2, (5, 0))).combos
     with pytest.raises(BasisError, match="exact order 2"):
         make_basis(cv2, 2, point_over(2, (0, 0)), point_over(2, (-4, 6)))
+
+
+def test_make_basis_pins_the_order_of_the_points_of_order_2():
+    # every basis of E[2] has pairing -1, so make_basis pins one: the two
+    # points of order 2 with the larger x, ascending, from each of the six
+    # ordered pairs of distinct points
+    for a4, xs in ((-1, (-1, 0, 1)), (-25, (-5, 0, 5))):
+        cv = curve_over(2, [0, 0, 0, a4, 0])
+        points = [point_over(2, (x, 0)) for x in xs]
+        for S, T in itertools.permutations(points, 2):
+            basis = make_basis(cv, 2, S, T)
+            assert (basis.S, basis.T) == (points[1], points[2]), (a4, S, T)
 
 
 def test_galois_representation_reads_the_basis_table(monkeypatch):
