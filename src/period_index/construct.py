@@ -643,12 +643,14 @@ def _summary(target_n: int, target_ell: int, p: int, pp: int) -> dict:
 def _certificate(
     cv: CurveL, basis: TorsionBasis, rep: dict, mw_gens: list,
     pi: CycloElem, pi_prime: CycloElem, witnesses: tuple, *,
-    mode: str, doubled: bool, target_n: int, target_ell: int,
+    mode: str, doubled: bool, target_n: int, target_ell: int, recorded=None,
 ) -> dict:
     """The prime-power certificate of a pair of generators, one section at
     a time.  Runs every hard check of the claims algebra; a failure raises
     LemmaFailure naming the derived field and the inputs its section
-    reads."""
+    reads.  recorded is verify's (curve block, digest), the digest already
+    checked against the block: a derived block the same as it has that
+    digest, so it is not hashed again."""
     ell_sym = 2 * target_ell if doubled else target_ell
     rational = doubled or mode == "B" or context(cv.n).degree == 1
     pair, v, vp = _pair(cv, mw_gens, pi, pi_prime, witnesses, target_n)
@@ -660,12 +662,16 @@ def _certificate(
     )
     ctx, route = _route(basis, mode, doubled, rational, target_n, target_ell, ell_sym)
     curve = _curve_block(cv, basis, mw_gens)
+    if recorded and _same(curve, recorded[0]):
+        digest = recorded[1]
+    else:
+        digest = content_digest(curve)
     return {
         "schema": SCHEMA,
         "kind": "prime-power",
         "context": ctx,
         "route": route,
-        "inputs": {"curve": curve, "digest": content_digest(curve)},
+        "inputs": {"curve": curve, "digest": digest},
         "pair": pair,
         "class": cls,
         "obstruction": obstruction,
@@ -1015,7 +1021,8 @@ def _rederive(cert: dict, path: str) -> dict:
         raise InputError("unknown route kind %r" % (kind,), "route.kind")
 
     curve = read_field(cert, "inputs.curve", kind=dict)
-    if content_digest(curve) != read_field(cert, "inputs.digest"):
+    digest = content_digest(curve)
+    if digest != read_field(cert, "inputs.digest"):
         raise InputError(
             "stored digest does not match the curve block", "inputs.digest", "inputs.curve"
         )
@@ -1041,7 +1048,8 @@ def _rederive(cert: dict, path: str) -> dict:
 
     route = dict(mode=mode, doubled=kind == "doubled", target_n=n, target_ell=ell)
     rep = _preconditions(cv, basis, gens, **route)
-    return _certificate(cv, basis, rep, gens, pi, pi_prime, tuple(witnesses), **route)
+    return _certificate(cv, basis, rep, gens, pi, pi_prime, tuple(witnesses), **route,
+                        recorded=(curve, digest))
 
 
 def _same(recorded, derived) -> bool:

@@ -93,7 +93,22 @@ class GlobalContext:
         return "GlobalContext(n=%d)" % self.n
 
 
-class CycloElem:
+class Record:
+    """An immutable record: a subclass names its fields in __slots__, and
+    Record.__init__ sets them from its arguments, in that order.
+    Assigning to a field afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class CycloElem(Record):
     """An element of Q(zeta_n) on the power basis: integer numerators over
     one positive denominator, in lowest terms (gcd(num..., den) = 1), so
     equal elements have equal fields."""
@@ -110,9 +125,6 @@ class CycloElem:
             num = _reduce(ctx, num)
         num += [0] * (ctx.degree - len(num))
         _set(self, n, num, den)
-
-    def __setattr__(self, *a):  # immutable by convention
-        raise AttributeError("CycloElem is immutable")
 
     @property
     def coeffs(self) -> tuple:

@@ -24,13 +24,12 @@ Legendre sum over F_p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, repeat
 from math import gcd, isqrt, prod
 from typing import Iterable, Optional
 
-from .cyclo import CycloElem, field_norm, reduce_at
+from .cyclo import CycloElem, Record, field_norm, reduce_at
 from .localfield import Place, factorint, valuation_and_unit
 
 
@@ -42,16 +41,15 @@ class CurveError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CurveL:
+class CurveL(Record):
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q(zeta_n)."""
 
-    n: int
-    a1: CycloElem
-    a2: CycloElem
-    a3: CycloElem
-    a4: CycloElem
-    a6: CycloElem
+    # __dict__ holds the value bad_modulus caches
+    __slots__ = ("n", "a1", "a2", "a3", "a4", "a6", "__dict__")
+
+    def __init__(self, n: int, a1: CycloElem, a2: CycloElem, a3: CycloElem, a4: CycloElem,
+                 a6: CycloElem):
+        super().__init__(n, a1, a2, a3, a4, a6)
 
     # --- invariants -----------------------------------------------------
     def b_invariants(self):
@@ -217,24 +215,17 @@ def reduce_point(cv: CurveL, P: LPoint, place: Place) -> FpPoint:
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class CurveFp:
+class CurveFp(Record):
     """Long Weierstrass curve over F_p, p an odd prime."""
 
-    p: int
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
+    __slots__ = ("p", "a1", "a2", "a3", "a4", "a6")
 
-    def __post_init__(self):
-        if self.p < 3:
+    def __init__(self, p: int, a1: int, a2: int, a3: int, a4: int, a6: int):
+        if p < 3:
             raise CurveError("p must be an odd prime")
-        for f in ("a1", "a2", "a3", "a4", "a6"):
-            object.__setattr__(self, f, getattr(self, f) % self.p)
+        super().__init__(p, a1 % p, a2 % p, a3 % p, a4 % p, a6 % p)
         if self.discriminant() == 0:
-            raise CurveError("singular reduction mod %d" % self.p)
+            raise CurveError("singular reduction mod %d" % p)
 
     def b_invariants(self) -> tuple:
         p = self.p
@@ -469,18 +460,17 @@ def _merge_orders(cfp, P, op, Q, oq):
     return acc, g
 
 
-@dataclass(frozen=True)
-class GroupStructure:
+class GroupStructure(Record):
     """E(F_p) = Z/d1 x Z/d2 with d1 | d2, plus certifying generators.
 
     g2 has exact order d2; for d1 > 1, g1 has exact order d1 and the cyclic
     groups <g1>, <g2> intersect trivially -- so |<g1> + <g2>| = d1*d2 = N
     and the decomposition is proven, not heuristic."""
 
-    d1: int
-    d2: int
-    g1: FpPoint
-    g2: FpPoint
+    __slots__ = ("d1", "d2", "g1", "g2")
+
+    def __init__(self, d1: int, d2: int, g1: FpPoint, g2: FpPoint):
+        super().__init__(d1, d2, g1, g2)
 
 
 def _pinned_order(cfp: CurveFp, lam: int) -> Optional[int]:

@@ -19,12 +19,12 @@ pair:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from .cyclo import (
     CycloElem,
+    Record,
     context,
     embed_level,
     galois_apply,
@@ -43,18 +43,20 @@ class RepresentationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TorsionBasis:
+class TorsionBasis(Record):
     """A pinned basis (S, T) of E[n] with e_n(S, T) = zeta_n exactly, the
     auxiliary place it is read at, and its table of E[n] there: the
-    reduction of i*S + j*T -> (i, j), n^2 entries."""
+    reduction of i*S + j*T -> (i, j), n^2 entries.  Two bases are equal
+    when they have the same curve object, level and points."""
 
-    cv: CurveL
-    n: int
-    S: LPoint
-    T: LPoint
-    place: Place = field(repr=False, compare=False)
-    combos: dict = field(repr=False, compare=False)
+    __slots__ = ("cv", "n", "S", "T", "place", "combos")
+
+    def __init__(self, cv: CurveL, n: int, S: LPoint, T: LPoint, place: Place, combos: dict):
+        super().__init__(cv, n, S, T, place, combos)
+
+    def __eq__(self, other):
+        return isinstance(other, TorsionBasis) and (self.cv, self.n, self.S, self.T) == (
+            other.cv, other.n, other.S, other.T)
 
 
 def _auxiliary_place(cv: CurveL) -> Place:
@@ -161,19 +163,17 @@ def is_upper_triangular(rep: dict[int, tuple]) -> bool:
 # ---------------------------------------------------------------- classes
 
 
-@dataclass(frozen=True)
-class KummerClass:
+class KummerClass(Record):
     """Kummer coordinates (a, b) of a class at level n (mod n-th powers)."""
 
-    n: int
-    a: CycloElem
-    b: CycloElem
+    __slots__ = ("n", "a", "b")
 
-    def __post_init__(self):
-        if self.a.n != self.n or self.b.n != self.n:
+    def __init__(self, n: int, a: CycloElem, b: CycloElem):
+        if a.n != n or b.n != n:
             raise ValueError("coordinate level mismatch")
-        if self.a.is_zero() or self.b.is_zero():
+        if a.is_zero() or b.is_zero():
             raise ZeroDivisionError("Kummer coordinates must be nonzero")
+        super().__init__(n, a, b)
 
 
 def local_invariant(kc: KummerClass, place: Place) -> Fraction:
@@ -205,8 +205,7 @@ def multiplied_invariant(kc: KummerClass, m: int, place: Place) -> Fraction:
 # ---------------------------------------------------------------- norms
 
 
-@dataclass(frozen=True)
-class NormFactors:
+class NormFactors(Record):
     """The four monomial factors of the twisted norm of a seed pair.
 
     For the norm over Gal(L/Q) with matrices M_t = ((i, j), (k, l)) and
@@ -221,12 +220,12 @@ class NormFactors:
     with exponents taken mod n.  d = 1 identically iff the representation
     is upper triangular."""
 
-    n: int
-    c: CycloElem
-    cprime: CycloElem
-    d: CycloElem
-    dprime: CycloElem
-    exponents: tuple  # ((t, det_inv, (ea_first, eb_first, ea_second, eb_second)), ...)
+    __slots__ = ("n", "c", "cprime", "d", "dprime", "exponents")
+
+    # exponents: ((t, det_inv, (ea_first, eb_first, ea_second, eb_second)), ...)
+    def __init__(self, n: int, c: CycloElem, cprime: CycloElem, d: CycloElem,
+                 dprime: CycloElem, exponents: tuple):
+        super().__init__(n, c, cprime, d, dprime, exponents)
 
     def first(self) -> CycloElem:
         return self.c * self.cprime

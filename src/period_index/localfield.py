@@ -8,12 +8,12 @@ uniformizer.  All invariants land in (1/n)Z/Z, stored as Fractions in [0, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .cyclo import (
     CycloElem,
+    Record,
     context,
     horner,
     is_probable_prime,
@@ -26,24 +26,29 @@ class WildPlaceError(ValueError):
     """Raised when a tame-only computation meets a place over a prime of n."""
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(Record):
     """A split finite place of Q(zeta_n), pinned by its residue root."""
 
-    n: int
-    p: int
-    omega: int
+    __slots__ = ("n", "p", "omega")
 
-    def __post_init__(self):
-        if gcd(self.p, self.n) != 1:
-            raise WildPlaceError("p=%d divides n=%d" % (self.p, self.n))
-        if (self.p - 1) % self.n != 0:
-            raise ValueError("p=%d is not 1 mod %d; place is not split" % (self.p, self.n))
-        if pow(self.omega, self.n, self.p) != 1:
-            raise ValueError("omega=%d is not an n-th root of 1 mod %d" % (self.omega, self.p))
-        q = context(self.n).prime
-        if self.n > 1 and pow(self.omega, self.n // q, self.p) == 1:
-            raise ValueError("omega=%d has order below n=%d" % (self.omega, self.n))
+    def __init__(self, n: int, p: int, omega: int):
+        if gcd(p, n) != 1:
+            raise WildPlaceError("p=%d divides n=%d" % (p, n))
+        if (p - 1) % n != 0:
+            raise ValueError("p=%d is not 1 mod %d; place is not split" % (p, n))
+        if pow(omega, n, p) != 1:
+            raise ValueError("omega=%d is not an n-th root of 1 mod %d" % (omega, p))
+        q = context(n).prime
+        if n > 1 and pow(omega, n // q, p) == 1:
+            raise ValueError("omega=%d has order below n=%d" % (omega, n))
+        super().__init__(n, p, omega)
+
+    def __eq__(self, other):
+        return isinstance(other, Place) and (self.n, self.p, self.omega) == (
+            other.n, other.p, other.omega)
+
+    def __hash__(self):
+        return hash((self.n, self.p, self.omega))
 
 
 def distinguished_place(n: int, p: int) -> Place:

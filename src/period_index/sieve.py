@@ -66,13 +66,13 @@ at or above _SIEVE_LIMIT^2 goes to is_probable_prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, compress
 from math import isqrt
 from typing import Iterator, Optional
 
 from .cyclo import (
     CycloElem,
+    Record,
     context,
     galois_apply,
     is_probable_prime,
@@ -104,18 +104,16 @@ class SieveExhausted(RuntimeError):
         self.stats = stats
 
 
-@dataclass
 class SieveStats:
     """Per-condition counts of one scan, each prime counted once; the
-    histogram a run prints."""
+    histogram a run prints.  Every count starts at 0."""
 
-    scanned: int = 0
-    no_generator: int = 0
-    divisibility_checked: int = 0
-    divisibility_hits: int = 0
-    pairs_tried: int = 0
-    order_rejected: int = 0
-    conjugate_rejected: int = 0
+    __slots__ = ("scanned", "no_generator", "divisibility_checked", "divisibility_hits",
+                 "pairs_tried", "order_rejected", "conjugate_rejected")
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def summary(self) -> str:
         return (
@@ -134,25 +132,26 @@ class SieveStats:
         )
 
 
-@dataclass(frozen=True)
-class PrimeCandidate:
+class PrimeCandidate(Record):
     """A split prime with its pinned, congruence-adjusted generator."""
 
-    p: int
-    pi: CycloElem
-    place: Place
+    __slots__ = ("p", "pi", "place")
+
+    def __init__(self, p: int, pi: CycloElem, place: Place):
+        super().__init__(p, pi, place)
 
 
-@dataclass(frozen=True)
-class SievePair:
-    first: PrimeCandidate
-    second: PrimeCandidate
-    residue_order: int            # order of second.pi at first.place, must be n
-    conjugate_orders: tuple       # (t, order) for t != 1; all orders must be 1
-    # one (index, W) per declared generator, as divisibility_data gives
-    # them at first.place
-    witnesses: tuple
-    stats: SieveStats
+class SievePair(Record):
+    """The pair a scan finds.  residue_order is the order of second.pi at
+    first.place, which must be n; conjugate_orders holds (t, order) for
+    t != 1, each order 1; witnesses holds one (index, W) per declared
+    generator, as divisibility_data gives them at first.place."""
+
+    __slots__ = ("first", "second", "residue_order", "conjugate_orders", "witnesses", "stats")
+
+    def __init__(self, first: PrimeCandidate, second: PrimeCandidate, residue_order: int,
+                 conjugate_orders: tuple, witnesses: tuple, stats: SieveStats):
+        super().__init__(first, second, residue_order, conjugate_orders, witnesses, stats)
 
 
 def _primes_upto(n: int) -> list[int]:

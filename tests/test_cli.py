@@ -2,7 +2,10 @@ import argparse
 import copy
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -597,6 +600,18 @@ def test_acceptance_certificates_are_byte_identical(tmp_path, capsys):
         assert built == wl.cert_path(name).read_bytes(), name
 
 
+def test_a_fresh_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every call starts a new process: dataclasses pulls in inspect, ast,
+    # dis and tokenize, about 7 ms and 1 MB before any work (-S keeps
+    # site's .pth hooks out of the count)
+    src = str(Path(construct.__file__).resolve().parent.parent)
+    code = "import period_index.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # ------------------------------------------------------ verify and compose
 
 
@@ -668,7 +683,9 @@ def test_verify_work_budget(monkeypatch):
     # generator is checked on the curve once (the basis was checked twice,
     # by read_curve and make_basis), and the period rows take no power of
     # the first coordinate (one per row, each read for its valuation) and
-    # read no valuation: the v-row pins v(first) = 1
+    # read no valuation: the v-row pins v(first) = 1.  The curve block is
+    # hashed once, for the stored digest: the derived block is the same, so
+    # its digest is the one already checked (it was hashed again)
     calls = Counter()
     in_period = []
     construct_period = construct._period
@@ -701,6 +718,7 @@ def test_verify_work_budget(monkeypatch):
     monkeypatch.setattr(ecq.CurveL, "discriminant", counted("discriminant", ecq.CurveL.discriminant))
     monkeypatch.setattr(ecq.CurveL, "on_curve", counted("on_curve", ecq.CurveL.on_curve))
     monkeypatch.setattr(construct, "_diff", counted("_diff", construct._diff))
+    monkeypatch.setattr(construct, "content_digest", counted("content_digest", construct.content_digest))
     monkeypatch.setattr(construct, "_period", period)
     monkeypatch.setattr(cyclo.CycloElem, "__pow__", power)
     monkeypatch.setattr(localfield, "valuation_and_unit", unit)
@@ -716,6 +734,7 @@ def test_verify_work_budget(monkeypatch):
         assert calls["on_curve"] == points, (name, calls)
         assert calls["__pow__ in _period"] == 0, (name, calls)
         assert calls["valuation_and_unit in _period"] == 0, (name, calls)
+        assert calls["content_digest"] == len(parts), (name, calls)
 
 
 @pytest.mark.parametrize("name", ["2-1", "2-2", "3-1", "3-3", "composite"])

@@ -61,6 +61,16 @@ def test_bad_set_and_modulus_frozen():
     assert set(factorint(curve_over(4, E_PYTH).bad_modulus)) == {2, 3, 5}
 
 
+def test_bad_modulus_is_computed_once_per_curve(monkeypatch):
+    # curve_over reads it to reject a singular model; later reads are cached
+    norms = []
+    norm = ecq.field_norm
+    monkeypatch.setattr(ecq, "field_norm", lambda x: norms.append(x) or norm(x))
+    cv = curve_over(3, E_CUBE)
+    assert [cv.bad_modulus, cv.bad_modulus] == [2187, 2187] and len(norms) == 1
+    assert curve_over(3, E_CUBE).bad_modulus == 2187 and len(norms) == 2
+
+
 def _good_by_valuations(cv, place) -> bool:
     """The reference rule: at the place every coefficient is integral and
     the discriminant is a unit."""

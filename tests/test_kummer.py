@@ -61,6 +61,15 @@ def test_make_basis_degree4_already_normalized():
     assert e == CycloElem.zeta(4)
 
 
+def test_basis_equality_ignores_the_place_and_the_table():
+    cv, S, T = _fixture4()
+    basis = make_basis(cv, 4, S, T)
+    elsewhere = TorsionBasis(cv, 4, basis.S, basis.T, distinguished_place(4, 17), {})
+    assert elsewhere.place != basis.place and elsewhere.combos != basis.combos
+    assert elsewhere == basis
+    assert TorsionBasis(cv, 4, basis.T, basis.S, basis.place, basis.combos) != basis
+
+
 def test_make_basis_degree3_rescales_T():
     cv, S, T = _fixture3()
     basis = make_basis(cv, 3, S, T)

@@ -7,15 +7,18 @@ attribute or by import), or be imported by tests/test_acceptance.py,
 which calls the public API the acceptance gate names.  Every method of a
 class there, dunders aside (the language calls them), must be reached as
 an attribute somewhere in src/ outside its own body, and so must every
-field of a dataclass outside its class body.  A helper that only tests
-still call, or a field that only tests read, is dead code and belongs in
-the test that needs it.  A module of src/period_index imports no
+field a class lists in __slots__ outside its class body.  A helper that
+only tests still call, or a field that only tests read, is dead code and
+belongs in the test that needs it.  A module of src/period_index imports no
 underscore name from another: what two modules share is public.  And it
 imports at module level only, never inside a function or class body, so
 its imports show every dependency, cycles included.  Every name a
 module imports is read in that module: the dead-code check counts an
 import as a reference, so an unused import would keep alive what it
-names.  And no module imports random: the program has no randomness."""
+names.  And no module imports random: the program has no randomness.
+Nor dataclasses: its import pulls in inspect, ast and tokenize, and
+each decorated class is built by exec at start-up, so a record is a
+plain __slots__ class instead."""
 
 import ast
 from collections import Counter
@@ -102,26 +105,30 @@ def test_every_method_is_reached_as_an_attribute():
     assert unreached == []
 
 
-def _is_dataclass(cls) -> bool:
-    return any(
-        isinstance(d, ast.Name) and d.id == "dataclass"
-        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
-        for d in cls.decorator_list
-    )
+def _slot_fields(cls) -> list:
+    """The fields a class body lists in __slots__, dunders (__dict__)
+    aside."""
+    return [
+        elt.value
+        for node in cls.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+        for elt in node.value.elts
+        if not elt.value.startswith("__")
+    ]
 
 
 def _unread_fields() -> tuple:
-    """(count of dataclass fields, Class.field for those no attribute of
+    """(count of __slots__ fields, Class.field for those no attribute of
     src outside their class body names; matched by name, as methods are)"""
     trees = _trees()
     refs = sum((_attributes(tree) for tree in trees), Counter())
     fields = [
-        (cls, node.target.id)
+        (cls, name)
         for tree in trees
         for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
-        for node in cls.body
-        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        if isinstance(cls, ast.ClassDef)
+        for name in _slot_fields(cls)
     ]
     unread = [
         "%s.%s" % (cls.name, name)
@@ -194,16 +201,21 @@ def test_every_imported_name_is_read():
     assert _unread_imports() == []
 
 
-def _random_imports() -> list:
-    """module:line for every import of random in a module of src."""
+def _imports_of(module: str) -> list:
+    """module:line for every import of the named module in a module of
+    src."""
     return [
         "%s:%d" % (path.stem, node.lineno)
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "random" for a in node.names)
-        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "random"
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == module for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == module
     ]
 
 
 def test_no_module_imports_random():
-    assert _random_imports() == []
+    assert _imports_of("random") == []
+
+
+def test_no_module_imports_dataclasses():
+    assert _imports_of("dataclasses") == []

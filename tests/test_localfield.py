@@ -86,6 +86,15 @@ def test_places_over_and_distinguished():
     assert distinguished_place(2, 7).omega == 6  # -1 mod 7
 
 
+def test_equal_places_hash_equal_and_key_one_entry():
+    a, b = distinguished_place(4, 13), Place(4, 13, 5)
+    assert a is not b and a == b and hash(a) == hash(b)
+    table = {a: "v"}
+    assert table[b] == "v"
+    assert len({a, b, *places_over(4, 13)}) == 2
+    assert a != Place(4, 13, 8) and a != Place(2, 13, 12) and a != (4, 13, 5)
+
+
 def test_refine_place():
     base = distinguished_place(2, 13)  # omega = 12
     up = refine_place(base, 2)

@@ -20,7 +20,7 @@ from period_index.cyclo import (
 )
 from period_index import ecq, sieve
 from period_index.construct import LemmaFailure, certify_mode_A, even_adjust
-from period_index.kummer import make_basis
+from period_index.kummer import KummerClass, make_basis, twisted_norm
 from period_index.ecq import curve_over, point_over, reduce_curve, reduce_point
 from period_index.localfield import (
     Place,
@@ -429,13 +429,13 @@ def test_doubled_find_pair_builds_a_place_only_at_a_generator(monkeypatch):
     # scan built the distinguished place of each prime to solve its norm
     # equation there)
     places = []
-    check = Place.__post_init__
+    init = Place.__init__
 
-    def counted(self):
-        places.append(self.p)
-        check(self)
+    def counted(self, n, p, omega):
+        places.append(p)
+        init(self, n, p, omega)
 
-    monkeypatch.setattr(Place, "__post_init__", counted)
+    monkeypatch.setattr(Place, "__init__", counted)
     cv4, gens4 = _fix4()
     pair = find_pair(cv4, 10**5, gens4, 2, _basis(4))
     monkeypatch.undo()
@@ -565,3 +565,50 @@ def test_sieve_exhausted_partner_histogram_covers_the_whole_search():
         "no admissible partner below 10000 (scanned=70 no_generator=62 generators=8 "
         "divisibility=1/1 pairs_tried=7 order_rejected=3 conjugate_rejected=4)"
     )
+
+
+def test_sieve_stats_start_at_zero_and_count():
+    stats = SieveStats()
+    assert stats.summary() == (
+        "scanned=0 no_generator=0 generators=0 divisibility=0/0 "
+        "pairs_tried=0 order_rejected=0 conjugate_rejected=0"
+    )
+    stats.scanned += 3
+    stats.no_generator += 1
+    stats.divisibility_checked += 2
+    assert stats.summary().startswith("scanned=3 no_generator=1 generators=2 divisibility=0/2 ")
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One of each immutable record, from the level-2 fixture's pair."""
+    cv, gens = _fix2()
+    pair = find_pair(cv, 10**4, gens, 2, _basis(2))
+    first, second = pair.first, pair.second
+    cfp = reduce_curve(cv, first.place)
+    return {
+        "CycloElem": first.pi,
+        "Place": first.place,
+        "CurveL": cv,
+        "CurveFp": cfp,
+        "GroupStructure": ecq.group_structure(cfp),
+        "TorsionBasis": make_basis(cv, 2, *_basis(2)),
+        "KummerClass": KummerClass(2, first.pi, second.pi),
+        "NormFactors": twisted_norm({1: ((1, 0), (0, 1))}, first.pi, second.pi),
+        "PrimeCandidate": first,
+        "SievePair": pair,
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "CycloElem", "Place", "CurveL", "CurveFp", "GroupStructure", "TorsionBasis",
+    "KummerClass", "NormFactors", "PrimeCandidate", "SievePair",
+])
+def test_every_record_refuses_assignment(records, name):
+    record = records[name]
+    assert type(record).__name__ == name
+    for field in type(record).__slots__:
+        before = getattr(record, field)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(record, field, None)
+        assert getattr(record, field) is before
