@@ -45,11 +45,20 @@ invariants as "k/n".
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from fractions import Fraction
 from math import gcd, lcm
+
+# hashlib loads OpenSSL's libcrypto, about 3.5 MB and 3 ms per process;
+# the interpreter's built-in SHA-256 gives the same digest without it
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .cyclo import (
     NORM_LEVELS,
@@ -161,7 +170,7 @@ def canonical_json(obj) -> str:
 
 
 def content_digest(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
+    return sha256(canonical_json(obj).encode()).hexdigest()
 
 
 # =====================================================================
@@ -926,7 +935,7 @@ def read_elem(level: int, value, path: str) -> CycloElem:
         raise InputError("expected a rational or at most %d exact coordinates" % deg, path)
     expected = 'an exact rational such as "-3/2"'
     coeffs = [_exact(c, _COEFF_RE, Fraction, at, expected) for at, c in entries]
-    return CycloElem(level, coeffs + [Fraction(0)] * (deg - len(coeffs)))
+    return CycloElem(level, coeffs)
 
 
 def _read_point(level: int, value, path: str) -> LPoint:

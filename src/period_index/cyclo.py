@@ -117,7 +117,7 @@ class CycloElem(Record):
 
     def __init__(self, n: int, coeffs: Iterable):
         ctx = context(n)
-        cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
         num = [c.numerator * (den // c.denominator) for c in cs]
         if len(num) > ctx.degree:

@@ -612,6 +612,19 @@ def test_a_fresh_cli_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout == "[]\n"
 
 
+@pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+                    reason="the interpreter was built without its own SHA-256")
+def test_a_fresh_cli_import_loads_no_openssl():
+    # hashlib loads _hashlib and with it OpenSSL's libcrypto, about 3.5 MB
+    # and 3 ms per process; construct hashes with the built-in SHA-256
+    src = str(Path(construct.__file__).resolve().parent.parent)
+    code = "import period_index.cli, sys; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # ------------------------------------------------------ verify and compose
 
 

@@ -1,6 +1,10 @@
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,7 @@ from period_index.construct import (
     even_adjust,
     lichtenbaum_check,
     make_trivial_certificate,
+    sha256,
     verify_certificate,
 )
 from test_acceptance import _leaf_paths, _set_path
@@ -353,6 +358,47 @@ def test_digest_pins_the_curve_block(cert33):
     assert not ok
     assert any(path == "inputs.digest" for path, _ in trace)
     assert content_digest(cert33["inputs"]["curve"]) == cert33["inputs"]["digest"]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+INPUTS = ROOT / "perfbench" / "inputs"
+
+
+def _curve_blocks() -> list:
+    """The curve block of every acceptance certificate, parts included."""
+    blocks = []
+    for path in sorted(INPUTS.glob("cert-*.json")):
+        cert = json.loads(path.read_text())
+        blocks += [part["inputs"]["curve"] for part in cert.get("parts", [cert])]
+    return blocks
+
+
+def test_builtin_sha256_agrees_with_hashlib():
+    # every length across the 55/56/63/64/65-byte padding boundaries
+    data = bytes(range(200))
+    for k in range(201):
+        assert sha256(data[:k]).hexdigest() == hashlib.sha256(data[:k]).hexdigest(), k
+    blocks = _curve_blocks()
+    assert len(blocks) == 6
+    for curve in blocks:
+        assert content_digest(curve) == hashlib.sha256(canonical_json(curve).encode()).hexdigest()
+
+
+def test_digest_falls_back_to_hashlib_without_the_builtin():
+    # a build without the interpreter's own SHA-256 hashes through hashlib,
+    # to the same recorded digest
+    path = INPUTS / "cert-2-1.json"
+    code = (
+        "import json, pathlib, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from period_index import construct\n"
+        "cert = json.loads(pathlib.Path(sys.argv[1]).read_text())\n"
+        "print(construct.content_digest(cert['inputs']['curve']), '_hashlib' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(path)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "%s True\n" % json.loads(path.read_text())["inputs"]["digest"]
 
 
 def _diff_lines(recorded, derived) -> list:
