@@ -131,12 +131,6 @@ def _s(v: int) -> str:
     return str(int(v))
 
 
-def _coeff_str(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
-
-
 def inv_str(fr: Fraction, level: int) -> str:
     k = fr * level
     if k.denominator != 1:
@@ -145,7 +139,12 @@ def inv_str(fr: Fraction, level: int) -> str:
 
 
 def elem_coeffs(x: CycloElem) -> list:
-    return [_coeff_str(c) for c in x.coeffs]
+    """Each coordinate in lowest terms, "a" or "a/b"."""
+    out = []
+    for c in x.num:
+        g = gcd(c, x.den)
+        out.append("%d" % (c // g) if g == x.den else "%d/%d" % (c // g, x.den // g))
+    return out
 
 
 def point_obj(P: LPoint):
@@ -900,10 +899,10 @@ def read_field(obj: dict, rel: str, at: str = "", kind=None):
 
 
 def _exact(value, pattern, convert, path: str, expected: str):
-    """convert of a JSON integer, or of a string that matches pattern
-    once stripped."""
+    """A JSON integer, or convert of a string that matches pattern once
+    stripped."""
     if isinstance(value, int) and not isinstance(value, bool):
-        return convert(value)
+        return value
     if isinstance(value, str) and pattern.fullmatch(value.strip()):
         try:
             return convert(value.strip())
@@ -923,6 +922,12 @@ def read_positive(value, path: str) -> int:
     return k
 
 
+def _rational(text: str):
+    """A matched coordinate: an int, or a Fraction for "a/b"."""
+    num, slash, den = text.partition("/")
+    return Fraction(int(num), int(den)) if slash else int(num)
+
+
 def read_elem(level: int, value, path: str) -> CycloElem:
     """A rational, or at most the degree's coordinates in the power basis,
     the missing ones zero."""
@@ -934,7 +939,7 @@ def read_elem(level: int, value, path: str) -> CycloElem:
     else:
         raise InputError("expected a rational or at most %d exact coordinates" % deg, path)
     expected = 'an exact rational such as "-3/2"'
-    coeffs = [_exact(c, _COEFF_RE, Fraction, at, expected) for at, c in entries]
+    coeffs = [_exact(c, _COEFF_RE, _rational, at, expected) for at, c in entries]
     return CycloElem(level, coeffs)
 
 
@@ -1064,7 +1069,11 @@ def _rederive(cert: dict, path: str) -> dict:
 def _same(recorded, derived) -> bool:
     """Whether _diff would find no difference: the same JSON types all the
     way down (so true and 1 differ, and so do "1" and 1), the same key
-    sets and list lengths, and equal leaves.  It builds no paths."""
+    sets and list lengths, and equal leaves.  It builds no paths.  An
+    object is the same as itself: a composite's derived parts are the
+    recorded ones, already checked."""
+    if recorded is derived:
+        return True
     if type(recorded) is not type(derived):
         return False
     if isinstance(recorded, dict):

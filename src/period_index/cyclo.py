@@ -2,12 +2,14 @@
 
 Elements are stored on the power basis 1, zeta, ..., zeta^(phi(n)-1) as
 integer coordinates over one common positive denominator, so every
-operation here is exact; inverses go through the norm.  The conjugate
-sigma_t(x), zeta -> zeta^t, is galois_apply(x, t).  Scope: n is a prime
-power in SUPPORTED_LEVELS.  The arithmetic works at every one of them.  At
-n in NORM_LEVELS = {2, 3, 4}, of degree at most 2, norm_shell lists the
-elements x ≡ 1 mod m of Z[zeta_n] whose norm lies in a range, read off
-the norm form; the sieve finds its prime generators among them.
+operation here is exact; inverses go through the norm.  At degree at most
+2 (n = 2, 3, 4, the levels of every certificate) a product is written out
+in closed form; the convolution folded by _reduce serves n = 5, 8, 9.  The
+conjugate sigma_t(x), zeta -> zeta^t, is galois_apply(x, t).  Scope: n is
+a prime power in SUPPORTED_LEVELS.  The arithmetic works at every one of
+them.  At n in NORM_LEVELS = {2, 3, 4}, of degree at most 2, norm_shell
+lists the elements x ≡ 1 mod m of Z[zeta_n] whose norm lies in a range,
+read off the norm form; the sieve finds its prime generators among them.
 """
 
 from __future__ import annotations
@@ -187,13 +189,21 @@ class CycloElem(Record):
         if not isinstance(other, CycloElem) and isinstance(other, (int, Fraction)):
             return _elem(self.n, [a * other.numerator for a in self.num], self.den * other.denominator)
         self._check(other)
+        den = self.den * other.den
         d = len(self.num)
+        if d == 2:  # (a0 + a1 z)(b0 + b1 z), with z^2 = f0 + f1 z
+            (a0, a1), (b0, b1) = self.num, other.num
+            f0, f1 = context(self.n)._power_rows[0]
+            top = a1 * b1
+            return _elem(self.n, [a0 * b0 + top * f0, a0 * b1 + a1 * b0 + top * f1], den)
+        if d == 1:
+            return _elem(self.n, [self.num[0] * other.num[0]], den)
         raw = [0] * (2 * d - 1)
         for i, a in enumerate(self.num):
             if a:
                 for j, b in enumerate(other.num, i):
                     raw[j] += a * b
-        return _elem(self.n, _reduce(context(self.n), raw), self.den * other.den)
+        return _elem(self.n, _reduce(context(self.n), raw), den)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -225,14 +235,13 @@ class CycloElem(Record):
     def __pow__(self, exp: int):
         if exp < 0:
             return self.invert() ** (-exp)
-        acc = CycloElem.rational(self.n, 1)
-        base = self
-        e = exp
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
+        if exp == 0:
+            return CycloElem.rational(self.n, 1)
+        acc = self  # the leading bit; square and multiply for the rest
+        for bit in bin(exp)[3:]:
+            acc = acc * acc
+            if bit == "1":
+                acc = acc * self
         return acc
 
     # --- misc ---------------------------------------------------------
@@ -270,10 +279,14 @@ def _set(x: CycloElem, n: int, num: list[int], den: int) -> CycloElem:
         if g != 1:
             num = [c // g for c in num]
             den //= g
-    object.__setattr__(x, "n", n)
-    object.__setattr__(x, "num", tuple(num))
-    object.__setattr__(x, "den", den)
+    _set_n(x, n)
+    _set_num(x, tuple(num))
+    _set_den(x, den)
     return x
+
+
+# the slot descriptors' own setters, past the immutable __setattr__
+_set_n, _set_num, _set_den = (CycloElem.__dict__[k].__set__ for k in CycloElem.__slots__)
 
 
 def _elem(n: int, num: list[int], den: int) -> CycloElem:

@@ -2,12 +2,16 @@ import copy
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from period_index import cyclo
 from period_index.cli import main
 from period_index.cyclo import CycloElem
 from period_index.ecq import curve_over, point_over
@@ -27,6 +31,7 @@ from period_index.construct import (
     even_adjust,
     lichtenbaum_check,
     make_trivial_certificate,
+    read_elem,
     sha256,
     verify_certificate,
 )
@@ -399,6 +404,68 @@ def test_digest_falls_back_to_hashlib_without_the_builtin():
                           text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "%s True\n" % json.loads(path.read_text())["inputs"]["digest"]
+
+
+def test_verify_arithmetic_budget(monkeypatch):
+    # verify of the five acceptance certificates: folding every product
+    # through _reduce cost 729 calls, and 746 products were made, with
+    # __pow__ starting from 1 and squaring once past its last bit; written
+    # out at degree <= 2, products leave _reduce to the Galois spreads (67),
+    # and a power loop from the base makes 632 products
+    calls = Counter()
+    reduce, mul = cyclo._reduce, CycloElem.__mul__
+
+    def counted_reduce(*args):
+        calls["reduce"] += 1
+        return reduce(*args)
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(cyclo, "_reduce", counted_reduce)
+    monkeypatch.setattr(CycloElem, "__mul__", counted_mul)
+    monkeypatch.setattr(CycloElem, "__rmul__", counted_mul)
+    paths = sorted(INPUTS.glob("cert-*.json"))
+    assert len(paths) == 5
+    for path in paths:
+        assert verify_certificate(json.loads(path.read_text())) == (True, []), path.name
+    assert calls["reduce"] <= 100
+    assert calls["mul"] <= 650
+
+
+def test_elem_coeffs_matches_the_fraction_spelling():
+    # "a" or "a/b" in lowest terms, as str of the Fraction coordinate spells
+    # it, for negative, zero and reducible coordinates at every level
+    rng = random.Random(2828)
+    for n in cyclo.SUPPORTED_LEVELS:
+        d = cyclo.context(n).degree
+        for _ in range(40):
+            den = rng.choice((1, 2, 4, 6, 9, 12, 35))
+            coords = [Fraction(rng.randint(-40, 40) * rng.choice((1, 2, 3)), den) for _ in range(d)]
+            assert elem_coeffs(CycloElem(n, coords)) == [str(c) for c in coords]
+
+
+@pytest.mark.parametrize("value", [7, -12, 0, "7", " -3/2 ", "007", "-0", "4/6", "-0/5", "10/4"])
+def test_read_elem_matches_fraction(value):
+    # every accepted spelling reads as Fraction reads it, as a scalar and
+    # as a coordinate
+    want = Fraction(value)
+    for level in (2, 3, 4, 9):
+        assert read_elem(level, value, "x") == CycloElem(level, [want])
+    assert read_elem(3, [1, value], "x") == CycloElem(3, [1, want])
+
+
+@pytest.mark.parametrize("text", ["7" * 4301, "-" + "7" * 4301, "7/" + "7" * 4301, "7" * 4301 + "/7"])
+def test_read_elem_names_a_coordinate_past_the_digit_limit(text):
+    # the interpreter's own message, the one Fraction(text) raises, at the
+    # coordinate's path
+    with pytest.raises(ValueError) as want:
+        Fraction(text)
+    with pytest.raises(InputError) as got:
+        read_elem(3, ["1", text], "pair.first.pi")
+    assert str(got.value) == str(want.value)
+    assert got.value.paths == ("pair.first.pi[1]",)
 
 
 def _diff_lines(recorded, derived) -> list:
