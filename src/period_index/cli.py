@@ -46,11 +46,9 @@ from .construct import (
     InputError,
     LemmaFailure,
     canonical_json,
-    certify_mode_A,
-    certify_mode_B,
+    certify,
     compose_coprime,
     elem_coeffs,
-    even_adjust,
     read_curve,
     read_field,
     read_positive,
@@ -220,13 +218,8 @@ def _config_field(path: str) -> str:
 def cmd_construct(args) -> int:
     cfg = RunConfig(args.config)
     try:
-        if cfg.doubled:
-            cert = even_adjust(
-                cfg.curve, cfg.basis, cfg.n, cfg.ell, cfg.mw_gens, cfg.prime_bound, mode=cfg.mode
-            )
-        else:
-            certify = certify_mode_A if cfg.mode == "A" else certify_mode_B
-            cert = certify(cfg.curve, cfg.basis, cfg.ell, cfg.mw_gens, cfg.prime_bound)
+        cert = certify(cfg.curve, cfg.basis, cfg.mw_gens, cfg.prime_bound, mode=cfg.mode,
+                       doubled=cfg.doubled, target_n=cfg.n, target_ell=cfg.ell)
     except InputError as e:
         # a route hypothesis names certificate paths; blame the first one's
         # configuration field

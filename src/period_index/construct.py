@@ -16,7 +16,8 @@ carried by the class with Kummer seed (pi, pi'^(n/ell)):
                  the shifted invariant ell'*inv stays nonzero at v, which
                  rules out every smaller index of the form n*ell'.
 
-Three construction routes share one assembly path:
+Three construction routes share one entry, certify, and one assembly
+path:
 
   direct, n odd        the obstruction is literally the tame symbol of
                        the normed pair (odd levels carry no two-torsion
@@ -34,7 +35,7 @@ Three construction routes share one assembly path:
 Each certificate section has its own derivation (_route, _pair, _class,
 _obstruction, _period, _index_upper, _index_lower, _summary) that runs
 its hard checks of the claims algebra, and _SECTIONS declares the inputs
-each section reads.  construct feeds them the pair the sieve finds;
+each section reads.  certify feeds them the pair the sieve finds;
 verify_certificate reads the inputs a certificate records, with the
 readers a run configuration is read with, feeds them to the same
 derivations and diffs the recorded certificate against the result path
@@ -294,10 +295,10 @@ def _curve_block(cv: CurveL, basis: TorsionBasis, mw_gens: list) -> dict:
 def _preconditions(
     cv: CurveL, basis: TorsionBasis, mw_gens: list, *,
     mode: str, doubled: bool, target_n: int, target_ell: int,
-) -> dict:
+) -> tuple:
     """Check a route's hypotheses on the curve data and return the Galois
-    action the claims use.  Errors name the certificate fields that
-    record each hypothesis."""
+    action the claims use and whether the claims are made over Q.  Errors
+    name the certificate fields that record each hypothesis."""
     N = cv.n
     if mode not in ("A", "B"):
         raise InputError("mode must be A or B", "context.mode")
@@ -328,17 +329,18 @@ def _preconditions(
             "the %s route requires curve data at level %d, got level %d"
             % ("doubled" if doubled else "direct", level, N), "context.n", "inputs.curve.level",
         )
-    if doubled or mode == "B" or context(N).degree == 1:
+    rational = doubled or mode == "B" or context(N).degree == 1
+    if rational:
         _require_rational_data(cv, mw_gens)
     if mode == "A" and not doubled:
-        return dict(_IDENTITY_REP)
+        return dict(_IDENTITY_REP), rational
     rep = galois_representation(basis)
     if not is_upper_triangular(rep):
         raise InputError(
             "the route needs a stable subgroup: the basis action must be upper triangular",
             "inputs.curve.torsion_basis",
         )
-    return rep
+    return rep, rational
 
 
 # =====================================================================
@@ -441,14 +443,15 @@ def _pair(
 
 
 def _class(rep: dict, pi: CycloElem, pi_prime: CycloElem, ell_sym: int) -> tuple:
-    """The class section, its four norm factors and the normed pair."""
+    """The class section, its four norm factors and the normed pair, under
+    the upper triangular action _preconditions admits."""
     N = pi.n
     # the Kummer seed of symbol target ell_sym; _preconditions checked ell_sym | N
     a, b = pi, pi_prime ** (N // ell_sym)
     nf = twisted_norm(rep, a, b)
     normed = nf.first(), nf.second()
     factors = {"c": nf.c, "cprime": nf.cprime, "d": nf.d, "dprime": nf.dprime}
-    _lemma(nf.d == CycloElem.rational(N, 1) or not is_upper_triangular(rep),
+    _lemma(nf.d == CycloElem.rational(N, 1),
            "norm factor d differs from 1 under a triangular action", "class.norm_factors.d")
     section = {
         "seed_pair": {
@@ -457,7 +460,7 @@ def _class(rep: dict, pi: CycloElem, pi_prime: CycloElem, ell_sym: int) -> tuple
             "power_exponent": _s(N // ell_sym),
         },
         "representation": _rep_obj(rep),
-        "upper_triangular": is_upper_triangular(rep),
+        "upper_triangular": True,
         "norm_factors": {
             **{k: elem_coeffs(x) for k, x in factors.items()},
             "exponents": [[_s(t), _s(dinv), [_s(e) for e in es]] for t, dinv, es in nf.exponents],
@@ -504,14 +507,16 @@ def _obstruction(
             if (q, w.omega) not in local:
                 local[(q, w.omega)] = (w, tame_invariant(first, second, w))
 
-    if doubled or (N % 2 == 0 and N > 2):
+    # even levels above 2 read symbols only up to two-torsion unless the
+    # claims were doubled, so places and reciprocity compare doubles there
+    ambiguous = not doubled and N % 2 == 0 and N > 2
+    if doubled or ambiguous:
         consistency = "doubles-equal"
     elif mode == "A" and N > 2:
         consistency = "independent"
     else:
         consistency = "equal"
 
-    descended = []
     target_invs = {}
     for q, w0 in ((p, v), (pp, vp)):
         invs = [inv for (qq, _), (_, inv) in local.items() if qq == q]
@@ -528,18 +533,7 @@ def _obstruction(
         raw = local[(q, w0.omega)][1]
         t_inv = (2 * raw) % 1 if doubled else raw
         target_invs[q] = t_inv
-        if rational:
-            descended.append(
-                {
-                    "p": _s(q),
-                    "invariant": inv_str(t_inv, target_n),
-                    "order": _s(invariant_order(t_inv)),
-                }
-            )
 
-    # even levels above 2 read symbols only up to two-torsion unless the
-    # claims were doubled, so reciprocity is asserted on exact data only
-    ambiguous = not doubled and N % 2 == 0 and N > 2
     if rational:
         check = (
             sum(((2 * i) % 1 for i in target_invs.values()))
@@ -608,7 +602,10 @@ def _obstruction(
         "reciprocity_sum": "0/1",
     }
     if rational:
-        section["descended_rows"] = descended
+        section["descended_rows"] = [
+            {"p": _s(q), "invariant": inv_str(i, target_n), "order": _s(invariant_order(i))}
+            for q, i in target_invs.items()
+        ]
     return section, target_invs[p] if rational else inv_v
 
 
@@ -649,7 +646,7 @@ def _summary(target_n: int, target_ell: int, p: int, pp: int) -> dict:
 
 
 def _certificate(
-    cv: CurveL, basis: TorsionBasis, rep: dict, mw_gens: list,
+    cv: CurveL, basis: TorsionBasis, rep: dict, rational: bool, mw_gens: list,
     pi: CycloElem, pi_prime: CycloElem, witnesses: tuple, *,
     mode: str, doubled: bool, target_n: int, target_ell: int, recorded=None,
 ) -> dict:
@@ -660,7 +657,6 @@ def _certificate(
     checked against the block: a derived block the same as it has that
     digest, so it is not hashed again."""
     ell_sym = 2 * target_ell if doubled else target_ell
-    rational = doubled or mode == "B" or context(cv.n).degree == 1
     pair, v, vp = _pair(cv, mw_gens, pi, pi_prime, witnesses, target_n)
     cls, factors, normed = _class(rep, pi, pi_prime, ell_sym)
     obstruction, inv_target_v = _obstruction(
@@ -696,18 +692,20 @@ def _certificate(
 # =====================================================================
 
 
-def _construct(
-    cv: CurveL,
-    basis: TorsionBasis,
-    mw_gens: list,
-    prime_bound: int,
-    **route,
+def certify(
+    cv: CurveL, basis: TorsionBasis, mw_gens: list, prime_bound: int, *,
+    mode: str, doubled: bool, target_n: int, target_ell: int,
 ) -> dict:
-    rep = _preconditions(cv, basis, mw_gens, **route)
+    """The certificate of a route: the direct route at level target_n, or
+    the doubled one from data at level 2 * target_n.  The pair is the
+    first the sieve finds below prime_bound; the curve data and that bound
+    fix the whole search."""
+    route = dict(mode=mode, doubled=doubled, target_n=target_n, target_ell=target_ell)
+    rep, rational = _preconditions(cv, basis, mw_gens, **route)
     # the only search in the pipeline
-    pair = find_pair(cv, prime_bound, mw_gens, route["target_n"], (basis.S, basis.T))
+    pair = find_pair(cv, prime_bound, mw_gens, target_n, (basis.S, basis.T))
     return _certificate(
-        cv, basis, rep, mw_gens, pair.first.pi, pair.second.pi, pair.witnesses, **route
+        cv, basis, rep, rational, mw_gens, pair.first.pi, pair.second.pi, pair.witnesses, **route
     )
 
 
@@ -725,11 +723,9 @@ def certify_mode_A(
     exact; even levels above 2 carry a two-torsion ambiguity and are only
     admitted when the symbol target is a multiple of 4, where the
     ambiguity cannot move the claims — otherwise the caller must provide
-    doubled-level data and route through even_adjust.
-
-    The pair is the first the sieve finds below prime_bound; the curve
-    data and that bound fix the whole search."""
-    return _construct(
+    doubled-level data and route through even_adjust.  The pair search is
+    certify's."""
+    return certify(
         cv, basis, mw_gens, prime_bound, mode="A", doubled=False, target_n=cv.n, target_ell=ell
     )
 
@@ -745,9 +741,8 @@ def certify_mode_B(
 
     Requires a stable subgroup: the action on the pinned basis must be
     upper triangular (the trivial action at level 2 qualifies).  The pair
-    search is fixed by the curve data and prime_bound, as in
-    certify_mode_A."""
-    return _construct(
+    search is certify's."""
+    return certify(
         cv, basis, mw_gens, prime_bound, mode="B", doubled=False, target_n=cv.n, target_ell=ell
     )
 
@@ -770,7 +765,7 @@ def even_adjust(
     order-ell one.  Only ell in {1, 2} needs this: targets divisible by
     4 are immune to the ambiguity and stay with the direct modes.  The
     sieve runs at level 2n with target level n, below prime_bound."""
-    return _construct(
+    return certify(
         cv, basis, mw_gens, prime_bound, mode=mode, doubled=True, target_n=n, target_ell=ell
     )
 
@@ -780,25 +775,10 @@ def even_adjust(
 # =====================================================================
 
 
-def make_trivial_certificate() -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "trivial",
-        "summary": {"period": "1", "index": "1", "places": []},
-        "lichtenbaum_ok": True,
-    }
-
-
 def _leaf_digests(cert: dict) -> list:
-    kind = cert.get("kind")
-    if kind == "prime-power":
+    if cert["kind"] == "prime-power":
         return [cert["inputs"]["digest"]]
-    if kind == "composite":
-        out = []
-        for part in cert["parts"]:
-            out.extend(_leaf_digests(part))
-        return out
-    return []
+    return [d for part in cert["parts"] for d in _leaf_digests(part)]
 
 
 def compose_coprime(left: dict, right: dict, allow_different_jacobians: bool = False) -> dict:
@@ -808,16 +788,8 @@ def compose_coprime(left: dict, right: dict, allow_different_jacobians: bool = F
     flag lets callers combine data across jacobians explicitly, which is
     recorded in the result."""
     for side, name in ((left, "left"), (right, "right")):
-        if not isinstance(side, dict) or side.get("kind") not in (
-            "prime-power",
-            "composite",
-            "trivial",
-        ):
+        if not isinstance(side, dict) or side.get("kind") not in ("prime-power", "composite"):
             raise InputError("%s input is not a certificate" % name)
-    if left["kind"] == "trivial":
-        return right
-    if right["kind"] == "trivial":
-        return left
     p1, i1 = int(left["summary"]["period"]), int(left["summary"]["index"])
     p2, i2 = int(right["summary"]["period"]), int(right["summary"]["index"])
     if gcd(p1, p2) != 1:
@@ -831,8 +803,8 @@ def compose_coprime(left: dict, right: dict, allow_different_jacobians: bool = F
     match = len(digests) == 1
     if not match and not allow_different_jacobians:
         raise InputError(
-            "certificates concern different curves; pass "
-            "allow_different_jacobians to combine them anyway"
+            "certificates concern different curves; pass --allow-different-jacobians "
+            "to combine them anyway"
         )
     period, index = p1 * p2, i1 * i2
     if not lichtenbaum_check(period, index):
@@ -1061,8 +1033,8 @@ def _rederive(cert: dict, path: str) -> dict:
         witnesses.append((i, _read_fp_point(entry[1], wp + "[1]")))
 
     route = dict(mode=mode, doubled=kind == "doubled", target_n=n, target_ell=ell)
-    rep = _preconditions(cv, basis, gens, **route)
-    return _certificate(cv, basis, rep, gens, pi, pi_prime, tuple(witnesses), **route,
+    rep, rational = _preconditions(cv, basis, gens, **route)
+    return _certificate(cv, basis, rep, rational, gens, pi, pi_prime, tuple(witnesses), **route,
                         recorded=(curve, digest))
 
 
@@ -1130,8 +1102,6 @@ def _check(cert, path: str, trace: list):
             if len(trace) > mark:
                 return
             derived = compose_coprime(*parts, allow_different_jacobians=True)
-        elif kind == "trivial":
-            derived = make_trivial_certificate()
         else:
             raise InputError("unknown certificate kind %r" % (kind,), "kind")
         if not _same(cert, derived):

@@ -812,7 +812,11 @@ def test_compose_needs_the_jacobian_flag(cert_paths, tmp_path, capsys):
     c3, c2 = cert_paths
     out = tmp_path / "comp.json"
     assert main(["compose", str(c3), str(c2), "--out", str(out)]) == 2
-    assert "different curves" in capsys.readouterr().err
+    # the refusal names the flag, not the keyword of compose_coprime
+    assert capsys.readouterr().err == (
+        "error: certificates concern different curves; pass --allow-different-jacobians "
+        "to combine them anyway\n"
+    )
     assert (
         main(
             [
@@ -882,6 +886,41 @@ def test_compose_traces_a_part_as_verify_does(tmp_path, capsys):
     assert any(line.endswith("given by parts[1].inputs.curve.coefficients") for line in composed)
     assert any(line.startswith("parts[0].obstruction.local_rows[0].invariant: ")
                and " from parts[0].context.n, " in line for line in composed)
+
+
+# a certificate body that names no curve, of a kind the program no longer has
+NO_CURVE = {
+    "schema": construct.SCHEMA,
+    "kind": "trivial",
+    "summary": {"period": "1", "index": "1", "places": []},
+    "lichtenbaum_ok": True,
+}
+
+
+def test_a_certificate_that_names_no_curve_never_verifies(tmp_path, capsys):
+    # a certificate proves a claim about the curve it names: a body that
+    # names none is rejected at its kind, on its own, written over each
+    # acceptance certificate, as a composite's part and as a compose input
+    wl = _perfbench_workloads()
+    unknown = "unknown certificate kind 'trivial'\n"
+    for name in ("no-curve",) + wl.CERTS:
+        target = tmp_path / ("cert-%s.json" % name)
+        target.write_text(json.dumps(NO_CURVE))
+        assert main(["verify", str(target)]) == 1
+        assert capsys.readouterr().err == "kind: " + unknown
+    composite = json.loads(wl.cert_path("composite").read_text())
+    composite["parts"][1] = NO_CURVE
+    target = tmp_path / "composite.json"
+    target.write_text(json.dumps(composite))
+    assert main(["verify", str(target)]) == 1
+    assert capsys.readouterr().err == "parts[1].kind: " + unknown
+    out = tmp_path / "composed.json"
+    for i in (0, 1):
+        pair = [str(wl.cert_path("3-3"))] * 2
+        pair[i] = str(tmp_path / "cert-no-curve.json")
+        assert main(["compose", *pair, "--out", str(out), "--allow-different-jacobians"]) == 1
+        assert capsys.readouterr().err == "parts[%d].kind: " % i + unknown
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])

@@ -30,7 +30,6 @@ from period_index.construct import (
     content_digest,
     even_adjust,
     lichtenbaum_check,
-    make_trivial_certificate,
     read_elem,
     sha256,
     verify_certificate,
@@ -289,14 +288,6 @@ def test_compose_requires_matching_curves_by_default(cert22, cert33):
 def test_compose_rejects_shared_period_factors(cert33, cert31):
     with pytest.raises(InputError, match="share a factor"):
         compose_coprime(cert33, cert31)
-
-
-def test_trivial_certificate_is_identity(cert33):
-    triv = make_trivial_certificate()
-    ok, trace = verify_certificate(triv)
-    assert ok, trace
-    assert compose_coprime(triv, cert33) is cert33
-    assert compose_coprime(cert33, triv) is cert33
 
 
 def test_compose_rejects_non_certificates(cert33):
