@@ -49,6 +49,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 
 # hashlib loads OpenSSL's libcrypto, about 3.5 MB and 3 ms per process;
@@ -165,8 +166,41 @@ def place_obj(place: Place) -> dict:
 
 
 def canonical_json(obj) -> str:
-    """One byte stream per certificate: sorted keys, fixed separators."""
-    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    """One byte stream per certificate: json.dumps(obj, sort_keys=True,
+    indent=2, separators=(",", ": ")) and a newline, written directly,
+    since an indent sends json.dumps to its pure-Python encoder."""
+    out = []
+    _write_json(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(x, nl: str, put) -> None:
+    """Pass x's JSON to put, each line of its body after nl (a newline
+    and the indent); strings through json's own C escaper."""
+    if isinstance(x, str):
+        return put(encode_basestring_ascii(x))
+    if isinstance(x, dict):
+        if not x:
+            return put("{}")
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(x):
+            put(sep + encode_basestring_ascii(k) + ": ")
+            _write_json(x[k], inner, put)
+            sep = "," + inner
+        return put(nl + "}")
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return put("[]")
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in x:
+            put(sep)
+            _write_json(v, inner, put)
+            sep = "," + inner
+        return put(nl + "]")
+    put(json.dumps(x))
 
 
 def content_digest(obj) -> str:
@@ -775,10 +809,21 @@ def even_adjust(
 # =====================================================================
 
 
-def _leaf_digests(cert: dict) -> list:
-    if cert["kind"] == "prime-power":
-        return [cert["inputs"]["digest"]]
-    return [d for part in cert["parts"] for d in _leaf_digests(part)]
+def _leaf_digests(cert: dict, at: str) -> list:
+    """The input digests of the prime-power certificates in cert, the
+    certificate at path at; errors name the missing or mistyped field."""
+    if read_field(cert, "kind", at) == "prime-power":
+        return [read_field(cert, "inputs.digest", at, str)]
+    parts = read_field(cert, "parts", at, list)
+    return [d for i, part in enumerate(parts) for d in _leaf_digests(part, _at(at, "parts[%d]" % i))]
+
+
+def _claims(cert: dict, at: str) -> tuple:
+    """(period, index, places) from the summary of the certificate at at."""
+    sm = read_field(cert, "summary", at, dict)
+    at = _at(at, "summary")
+    p, i = (read_positive(read_field(sm, k, at), _at(at, k)) for k in ("period", "index"))
+    return p, i, read_field(sm, "places", at, list)
 
 
 def compose_coprime(left: dict, right: dict, allow_different_jacobians: bool = False) -> dict:
@@ -786,12 +831,13 @@ def compose_coprime(left: dict, right: dict, allow_different_jacobians: bool = F
 
     The parts must concern the same curve (matching input digests); the
     flag lets callers combine data across jacobians explicitly, which is
-    recorded in the result."""
+    recorded in the result.  A malformed part raises InputError naming
+    the field, as parts[0] or parts[1] of the composite."""
     for side, name in ((left, "left"), (right, "right")):
         if not isinstance(side, dict) or side.get("kind") not in ("prime-power", "composite"):
             raise InputError("%s input is not a certificate" % name)
-    p1, i1 = int(left["summary"]["period"]), int(left["summary"]["index"])
-    p2, i2 = int(right["summary"]["period"]), int(right["summary"]["index"])
+    p1, i1, places1 = _claims(left, "parts[0]")
+    p2, i2, places2 = _claims(right, "parts[1]")
     if gcd(p1, p2) != 1:
         raise InputError(
             "periods %d and %d share a factor" % (p1, p2),
@@ -799,7 +845,7 @@ def compose_coprime(left: dict, right: dict, allow_different_jacobians: bool = F
             "parts[0].summary.period",
             "parts[1].summary.period",
         )
-    digests = set(_leaf_digests(left)) | set(_leaf_digests(right))
+    digests = set(_leaf_digests(left, "parts[0]")) | set(_leaf_digests(right, "parts[1]"))
     match = len(digests) == 1
     if not match and not allow_different_jacobians:
         raise InputError(
@@ -818,7 +864,7 @@ def compose_coprime(left: dict, right: dict, allow_different_jacobians: bool = F
         "summary": {
             "period": _s(period),
             "index": _s(index),
-            "places": list(left["summary"]["places"]) + list(right["summary"]["places"]),
+            "places": places1 + places2,
         },
         "lichtenbaum_ok": True,
     }

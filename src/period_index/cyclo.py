@@ -338,9 +338,12 @@ def galois_apply(x: CycloElem, t: int) -> CycloElem:
 
 
 def _conjugate_product(x: CycloElem) -> CycloElem:
-    """The product of sigma_t(x) over the units t != 1."""
-    acc = CycloElem.rational(x.n, 1)
-    for t in context(x.n).units[1:]:
+    """The product of sigma_t(x) over the units t != 1; 1 over Q."""
+    units = context(x.n).units
+    if len(units) < 2:
+        return CycloElem.rational(x.n, 1)
+    acc = _spread(x, x.n, units[1])
+    for t in units[2:]:
         acc = acc * _spread(x, x.n, t)
     return acc
 

@@ -551,19 +551,28 @@ def _complement(cfp, roots, W, lam, d1) -> Optional[tuple]:
     """The first T in sorted order, (o/d1)*P for a point P of order o
     divisible by d1, with <T> & <W> = 0; None as soon as a point's order
     does not divide lam.  Raises when every order divides lam (so lam is
-    the exponent) and no T is found.  Orders are read against lam's
-    factorisation, which also tells whether they divide lam.
+    the exponent) and no T is found.  Each point is filtered before its
+    order is read: per prime q | d1, with q^a || d1 and q^e || lam, let
+    c = q^(e-a+1) and R = (lam/c)*P.  Then c*R = lam*P, and when that is
+    O, q^a divides the order exactly when R != O.  Only a point that
+    passes for every q has its order read against lam's factorisation.
     (d1/q)*T, q | d1 prime, has order q: it lies in <W> exactly when it
     lies in <(lam/q)*W>."""
-    subgroups = {q: set(_multiples(cfp, cfp.mul(lam // q, W), q)) for q in factorint(d1)}
-    fac = factorint(lam)
+    fac, dfac = factorint(lam), factorint(d1)
+    subgroups = {q: set(_multiples(cfp, cfp.mul(lam // q, W), q)) for q in dfac}
+    cuts = [q ** (fac[q] - a + 1) for q, a in dfac.items()]
+    prev_x = None
     for P in _affine_points(cfp, roots):
-        o = _order_dividing(cfp, P, lam, fac)
-        if o is None:
-            return None
-        if o % d1 != 0:
+        # -P follows P, with the same order, and would give -T
+        if P[0] == prev_x:
             continue
-        T = cfp.mul(o // d1, P)
+        prev_x = P[0]
+        R = cfp.mul(lam // cuts[0], P)
+        if cfp.mul(cuts[0], R) is not None:
+            return None
+        if R is None or any(cfp.mul(lam // c, P) is None for c in cuts[1:]):
+            continue
+        T = cfp.mul(_order_dividing(cfp, P, lam, fac) // d1, P)
         if all(cfp.mul(d1 // q, T) not in sub for q, sub in subgroups.items()):
             return T
     raise CurveError("no independent generator found; group order miscounted?")

@@ -238,8 +238,7 @@ def twisted_norm(rep: dict[int, tuple], a: CycloElem, b: CycloElem) -> NormFacto
     n = a.n
     if b.n != n:
         raise ValueError("mixed levels in norm seed")
-    one = CycloElem.rational(n, 1)
-    c = cp = d = dp = one
+    products = [None] * 4  # c, cprime, d, dprime; None while empty
     trace = []
     for t in sorted(rep):
         (i, j), (k, l) = rep[t]
@@ -249,15 +248,13 @@ def twisted_norm(rep: dict[int, tuple], a: CycloElem, b: CycloElem) -> NormFacto
         dinv = pow(det, -1, n)
         sa = galois_apply(a, t)
         sb = galois_apply(b, t)
-        ea_first = i * dinv % n
-        eb_first = j * dinv % n
-        ea_second = k * dinv % n
-        eb_second = l * dinv % n
-        c = c * sa ** ea_first
-        cp = cp * sb ** eb_first
-        d = d * sa ** ea_second
-        dp = dp * sb ** eb_second
-        trace.append((t, dinv, (ea_first, eb_first, ea_second, eb_second)))
+        exps = (i * dinv % n, j * dinv % n, k * dinv % n, l * dinv % n)
+        for slot, (x, e) in enumerate(zip((sa, sb, sa, sb), exps)):
+            if e:
+                acc = products[slot]
+                products[slot] = x ** e if acc is None else acc * x ** e
+        trace.append((t, dinv, exps))
+    c, cp, d, dp = (CycloElem.rational(n, 1) if f is None else f for f in products)
     return NormFactors(n, c, cp, d, dp, tuple(trace))
 
 
