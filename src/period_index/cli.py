@@ -205,7 +205,6 @@ _CONFIG_FIELDS = {
     "context.n": "parameters.n",
     "context.ell": "parameters.ell",
     "context.mode": "parameters.mode",
-    "route.kind": "parameters.mode",
 }
 
 

@@ -16,7 +16,7 @@ carried by the class with Kummer seed (pi, pi'^(n/ell)):
                  the shifted invariant ell'*inv stays nonzero at v, which
                  rules out every smaller index of the form n*ell'.
 
-Three construction routes share one entry, certify, and one assembly
+Four construction routes share one entry, certify, and one assembly
 path:
 
   direct, n odd        the obstruction is literally the tame symbol of
@@ -25,6 +25,9 @@ path:
   direct, n = 2        the obstruction is the quaternion symbol (a, b):
                        the classical identification is exact at level 2,
                        so the same bookkeeping applies verbatim.
+  direct, n = 4        mode B with 4 | ell only: symbols are read up to
+                       two-torsion, so conjugate places agree after
+                       doubling.  Mode A is refused there.
   doubled, n even      all claims are made for the double of a level-2n
                        class.  Doubling kills the two-torsion ambiguity:
                        the target-level invariant is exactly twice the
@@ -65,6 +68,7 @@ except ImportError:
 from .cyclo import (
     NORM_LEVELS,
     CycloElem,
+    Record,
     context,
     field_norm,
     is_probable_prime,
@@ -326,16 +330,29 @@ def _curve_block(cv: CurveL, basis: TorsionBasis, mw_gens: list) -> dict:
 # =====================================================================
 
 
+class Route(Record):
+    """Every fact of a certification route, decided once by _preconditions:
+    the target n and ell, the mode, whether the claims are doubled, the
+    construction level, the symbol order ell_sym read at v, the Galois
+    action rep, whether the claims are made over Q, a direct route's
+    symbol exactness (None when doubled) and the place-consistency rule."""
+
+    __slots__ = ("n", "ell", "mode", "doubled", "level", "ell_sym", "rep", "rational",
+                 "exactness", "consistency")
+
+
 def _preconditions(
     cv: CurveL, basis: TorsionBasis, mw_gens: list, *,
     mode: str, doubled: bool, target_n: int, target_ell: int,
-) -> tuple:
-    """Check a route's hypotheses on the curve data and return the Galois
-    action the claims use and whether the claims are made over Q.  Errors
-    name the certificate fields that record each hypothesis."""
+) -> Route:
+    """Check a route's hypotheses on the curve data and decide its facts.
+    Errors name the certificate fields that record each hypothesis."""
     N = cv.n
     if mode not in ("A", "B"):
         raise InputError("mode must be A or B", "context.mode")
+    # an even level above 2 reads symbols only up to two-torsion unless
+    # the claims are doubled, so places and reciprocity compare doubles
+    ambiguous = target_n % 2 == 0 and target_n > 2
     if doubled:
         if target_n < 2 or target_n & (target_n - 1):
             raise InputError(
@@ -346,17 +363,29 @@ def _preconditions(
                 "symbol target %d is handled by the direct modes; doubling is only needed "
                 "for targets 1 and 2" % target_ell, "context.ell", "route.kind",
             )
+        exactness, consistency = None, "doubles-equal"
     elif target_ell < 1 or target_n % target_ell:
         raise InputError(
             "symbol target %d does not divide the level %d" % (target_ell, target_n),
             "context.ell", "context.n",
         )
-    elif target_n % 2 == 0 and target_n > 2 and target_ell % 4:
+    elif ambiguous and target_ell % 4:
         raise InputError(
             "even level %d with symbol target %d needs doubled data: construct at level %d "
             "and route through even_adjust" % (target_n, target_ell, 2 * target_n),
             "context.ell", "context.n", "route.kind",
         )
+    elif ambiguous and mode == "A":
+        # the seed pair's doubled invariant is 1/2 at v and 0 at the other places over p
+        raise InputError(
+            "mode A cannot certify at the even level %d: the seed pair breaks the "
+            "doubles-equal rule at every pair; use mode B" % target_n, "context.mode", "context.n",
+        )
+    elif ambiguous:
+        exactness, consistency = "two-torsion-ambiguous", "doubles-equal"
+    else:
+        exactness = "odd-level" if target_n % 2 else "quaternion"
+        consistency = "independent" if mode == "A" and target_n > 2 else "equal"
     level = 2 * target_n if doubled else target_n
     if N != level:
         raise InputError(
@@ -366,15 +395,15 @@ def _preconditions(
     rational = doubled or mode == "B" or context(N).degree == 1
     if rational:
         _require_rational_data(cv, mw_gens)
-    if mode == "A" and not doubled:
-        return dict(_IDENTITY_REP), rational
-    rep = galois_representation(basis)
+    # direct mode A reads the seed pair itself: the norm step is the identity
+    rep = dict(_IDENTITY_REP) if mode == "A" and not doubled else galois_representation(basis)
     if not is_upper_triangular(rep):
         raise InputError(
             "the route needs a stable subgroup: the basis action must be upper triangular",
             "inputs.curve.torsion_basis",
         )
-    return rep, rational
+    return Route(target_n, target_ell, mode, doubled, N, 2 * target_ell if doubled else target_ell,
+                 rep, rational, exactness, consistency)
 
 
 # =====================================================================
@@ -410,32 +439,28 @@ def _pair_member(pi: CycloElem, level: int, path: str) -> tuple:
                    "conditions": conditions}
 
 
-def _route(
-    basis: TorsionBasis, mode: str, doubled: bool, rational: bool, target_n: int,
-    target_ell: int, ell_sym: int,
-) -> tuple:
+def _route(basis: TorsionBasis, route: Route) -> tuple:
     """The context and route sections."""
-    N = basis.n
     ctx = {
-        "n": _s(target_n),
-        "ell": _s(target_ell),
-        "mode": mode,
+        "n": _s(route.n),
+        "ell": _s(route.ell),
+        "mode": route.mode,
         "zeta_pairing_power": "1",
-        "claims_field": "rational" if rational else "cyclotomic",
+        "claims_field": "rational" if route.rational else "cyclotomic",
     }
-    if doubled:
+    if route.doubled:
         return ctx, {
             "kind": "doubled",
-            "construction_level": _s(N),
-            "target_level": _s(target_n),
-            "raw_symbol_order_at_v": _s(ell_sym),
+            "construction_level": _s(route.level),
+            "target_level": _s(route.n),
+            "raw_symbol_order_at_v": _s(route.ell_sym),
             "stable_generator_rational": bool(
                 basis.S[0].is_rational() and basis.S[1].is_rational()
             ),
             "doubling_law": _DOUBLING_LAW,
         }
-    exactness = "odd-level" if N % 2 else ("quaternion" if N == 2 else "two-torsion-ambiguous")
-    return ctx, {"kind": "direct", "construction_level": _s(N), "symbol_exactness": exactness}
+    return ctx, {"kind": "direct", "construction_level": _s(route.level),
+                 "symbol_exactness": route.exactness}
 
 
 def _pair(
@@ -504,10 +529,7 @@ def _class(rep: dict, pi: CycloElem, pi_prime: CycloElem, ell_sym: int) -> tuple
     return section, factors, normed
 
 
-def _obstruction(
-    factors: dict, normed: tuple, v: Place, vp: Place, *,
-    mode: str, doubled: bool, rational: bool, target_n: int, target_ell: int, ell_sym: int,
-) -> tuple:
+def _obstruction(factors: dict, normed: tuple, v: Place, vp: Place, route: Route) -> tuple:
     """The obstruction section, and the target-level invariant at v that
     the index rows shift: the v-row and its sub-symbols, the local rows at
     every place over the pair and their consistency rule, the descended
@@ -519,9 +541,9 @@ def _obstruction(
     _lemma(list(vals.values()) == [1, 0, 0, 0], "valuations at v are not (1, 0, 0, 0): %r" % vals,
            "obstruction.v_row.valuations")
     inv_v = tame_invariant(first, second, v)
-    _lemma(invariant_order(inv_v) == ell_sym,
+    _lemma(invariant_order(inv_v) == route.ell_sym,
            "v-invariant has order %d, expected the symbol target %d"
-           % (invariant_order(inv_v), ell_sym), "obstruction.v_row.order")
+           % (invariant_order(inv_v), route.ell_sym), "obstruction.v_row.order")
     subs = {
         "%s_%s" % (a, b): tame_invariant(factors[a], factors[b], v)
         for a in ("c", "cprime")
@@ -541,17 +563,7 @@ def _obstruction(
             if (q, w.omega) not in local:
                 local[(q, w.omega)] = (w, tame_invariant(first, second, w))
 
-    # even levels above 2 read symbols only up to two-torsion unless the
-    # claims were doubled, so places and reciprocity compare doubles there
-    ambiguous = not doubled and N % 2 == 0 and N > 2
-    if doubled or ambiguous:
-        consistency = "doubles-equal"
-    elif mode == "A" and N > 2:
-        consistency = "independent"
-    else:
-        consistency = "equal"
-
-    target_invs = {}
+    consistency, target_invs = route.consistency, {}
     for q, w0 in ((p, v), (pp, vp)):
         invs = [inv for (qq, _), (_, inv) in local.items() if qq == q]
         if consistency == "equal":
@@ -565,22 +577,18 @@ def _obstruction(
         _lemma(agree, "conjugate places over %d break the %s rule" % (q, consistency),
                "obstruction.local_rows")
         raw = local[(q, w0.omega)][1]
-        t_inv = (2 * raw) % 1 if doubled else raw
-        target_invs[q] = t_inv
+        target_invs[q] = (2 * raw) % 1 if route.doubled else raw
 
-    if rational:
-        check = (
-            sum(((2 * i) % 1 for i in target_invs.values()))
-            if ambiguous
-            else sum(target_invs.values())
-        )
-        _lemma(check % 1 == 0, "descended rows break the product formula",
-               "obstruction.reciprocity_sum")
+    if route.rational:
+        # a two-torsion-ambiguous reading pins only the doubles
+        scale = 2 if route.exactness == "two-torsion-ambiguous" else 1
+        _lemma(scale * sum(target_invs.values()) % 1 == 0,
+               "descended rows break the product formula", "obstruction.reciprocity_sum")
         global_order = lcm(*(invariant_order(i) for i in target_invs.values()))
     else:
         global_order = lcm(*(invariant_order(i) for _, (_, i) in local.items()))
-    _lemma(global_order == target_ell,
-           "global obstruction order %d differs from the target %d" % (global_order, target_ell),
+    _lemma(global_order == route.ell,
+           "global obstruction order %d differs from the target %d" % (global_order, route.ell),
            "obstruction.global_order")
 
     # --- places away from the pair ---
@@ -635,12 +643,12 @@ def _obstruction(
         "global_order": _s(global_order),
         "reciprocity_sum": "0/1",
     }
-    if rational:
+    if route.rational:
         section["descended_rows"] = [
-            {"p": _s(q), "invariant": inv_str(i, target_n), "order": _s(invariant_order(i))}
+            {"p": _s(q), "invariant": inv_str(i, route.n), "order": _s(invariant_order(i))}
             for q, i in target_invs.items()
         ]
-    return section, target_invs[p] if rational else inv_v
+    return section, target_invs[p] if route.rational else inv_v
 
 
 def _period(target_n: int) -> dict:
@@ -680,25 +688,19 @@ def _summary(target_n: int, target_ell: int, p: int, pp: int) -> dict:
 
 
 def _certificate(
-    cv: CurveL, basis: TorsionBasis, rep: dict, rational: bool, mw_gens: list,
-    pi: CycloElem, pi_prime: CycloElem, witnesses: tuple, *,
-    mode: str, doubled: bool, target_n: int, target_ell: int, recorded=None,
+    cv: CurveL, basis: TorsionBasis, mw_gens: list, pi: CycloElem, pi_prime: CycloElem,
+    witnesses: tuple, route: Route, recorded=None,
 ) -> dict:
-    """The prime-power certificate of a pair of generators, one section at
-    a time.  Runs every hard check of the claims algebra; a failure raises
-    LemmaFailure naming the derived field and the inputs its section
-    reads.  recorded is verify's (curve block, digest), the digest already
-    checked against the block: a derived block the same as it has that
-    digest, so it is not hashed again."""
-    ell_sym = 2 * target_ell if doubled else target_ell
-    pair, v, vp = _pair(cv, mw_gens, pi, pi_prime, witnesses, target_n)
-    cls, factors, normed = _class(rep, pi, pi_prime, ell_sym)
-    obstruction, inv_target_v = _obstruction(
-        factors, normed, v, vp,
-        mode=mode, doubled=doubled, rational=rational, target_n=target_n, target_ell=target_ell,
-        ell_sym=ell_sym,
-    )
-    ctx, route = _route(basis, mode, doubled, rational, target_n, target_ell, ell_sym)
+    """The prime-power certificate of a pair of generators on a route, one
+    section at a time.  Runs every hard check of the claims algebra; a
+    failure raises LemmaFailure naming the derived field and the inputs its
+    section reads.  recorded is verify's (curve block, digest), the digest
+    already checked against the block: a derived block the same as it has
+    that digest, so it is not hashed again."""
+    pair, v, vp = _pair(cv, mw_gens, pi, pi_prime, witnesses, route.n)
+    cls, factors, normed = _class(route.rep, pi, pi_prime, route.ell_sym)
+    obstruction, inv_target_v = _obstruction(factors, normed, v, vp, route)
+    ctx, route_section = _route(basis, route)
     curve = _curve_block(cv, basis, mw_gens)
     if recorded and _same(curve, recorded[0]):
         digest = recorded[1]
@@ -708,16 +710,16 @@ def _certificate(
         "schema": SCHEMA,
         "kind": "prime-power",
         "context": ctx,
-        "route": route,
+        "route": route_section,
         "inputs": {"curve": curve, "digest": digest},
         "pair": pair,
         "class": cls,
         "obstruction": obstruction,
-        "period": _period(target_n),
-        "index_upper": _index_upper(target_n, target_ell),
-        "index_lower": _index_lower(inv_target_v, target_n, target_ell),
+        "period": _period(route.n),
+        "index_upper": _index_upper(route.n, route.ell),
+        "index_lower": _index_lower(inv_target_v, route.n, route.ell),
         "lichtenbaum_ok": True,
-        "summary": _summary(target_n, target_ell, v.p, vp.p),
+        "summary": _summary(route.n, route.ell, v.p, vp.p),
     }
 
 
@@ -734,13 +736,11 @@ def certify(
     the doubled one from data at level 2 * target_n.  The pair is the
     first the sieve finds below prime_bound; the curve data and that bound
     fix the whole search."""
-    route = dict(mode=mode, doubled=doubled, target_n=target_n, target_ell=target_ell)
-    rep, rational = _preconditions(cv, basis, mw_gens, **route)
+    route = _preconditions(cv, basis, mw_gens, mode=mode, doubled=doubled, target_n=target_n,
+                           target_ell=target_ell)
     # the only search in the pipeline
     pair = find_pair(cv, prime_bound, mw_gens, target_n, (basis.S, basis.T))
-    return _certificate(
-        cv, basis, rep, rational, mw_gens, pair.first.pi, pair.second.pi, pair.witnesses, **route
-    )
+    return _certificate(cv, basis, mw_gens, pair.first.pi, pair.second.pi, pair.witnesses, route)
 
 
 def certify_mode_A(
@@ -754,11 +754,11 @@ def certify_mode_A(
 
     The norm step degenerates to the identity, so the seed pair itself is
     read locally.  Level 2 is exact (quaternion symbols); odd levels are
-    exact; even levels above 2 carry a two-torsion ambiguity and are only
-    admitted when the symbol target is a multiple of 4, where the
-    ambiguity cannot move the claims — otherwise the caller must provide
-    doubled-level data and route through even_adjust.  The pair search is
-    certify's."""
+    exact.  Even levels above 2 are refused: there the seed pair's
+    invariant has order 4 at v and is 0 at the other places over p, so
+    the doubles-equal rule fails at every pair.  Use certify_mode_B with
+    4 | ell, or doubled-level data through even_adjust.  The pair search
+    is certify's."""
     return certify(
         cv, basis, mw_gens, prime_bound, mode="A", doubled=False, target_n=cv.n, target_ell=ell
     )
@@ -797,7 +797,7 @@ def even_adjust(
     Doubling both kills the two-torsion ambiguity of even-level symbol
     readings and turns the order-2*ell raw invariant into an exact
     order-ell one.  Only ell in {1, 2} needs this: targets divisible by
-    4 are immune to the ambiguity and stay with the direct modes.  The
+    4 are immune to the ambiguity and stay with direct mode B.  The
     sieve runs at level 2n with target level n, below prime_bound."""
     return certify(
         cv, basis, mw_gens, prime_bound, mode=mode, doubled=True, target_n=n, target_ell=ell
@@ -1078,9 +1078,9 @@ def _rederive(cert: dict, path: str) -> dict:
             raise InputError("expected [index, point]", wp)
         witnesses.append((i, _read_fp_point(entry[1], wp + "[1]")))
 
-    route = dict(mode=mode, doubled=kind == "doubled", target_n=n, target_ell=ell)
-    rep, rational = _preconditions(cv, basis, gens, **route)
-    return _certificate(cv, basis, rep, rational, gens, pi, pi_prime, tuple(witnesses), **route,
+    route = _preconditions(cv, basis, gens, mode=mode, doubled=kind == "doubled", target_n=n,
+                           target_ell=ell)
+    return _certificate(cv, basis, gens, pi, pi_prime, tuple(witnesses), route,
                         recorded=(curve, digest))
 
 

@@ -217,8 +217,7 @@ class CycloElem(Record):
         x^-1 = y / N(x)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % self.n)
-        y = _conjugate_product(self)
-        nrm = self * y
+        y, nrm = _norm_parts(self)
         if not nrm.is_rational():
             raise ArithmeticError("norm of %r did not land in Q" % (self,))
         a, b = nrm.num[0], nrm.den
@@ -337,20 +336,21 @@ def galois_apply(x: CycloElem, t: int) -> CycloElem:
     return _spread(x, x.n, t)
 
 
-def _conjugate_product(x: CycloElem) -> CycloElem:
-    """The product of sigma_t(x) over the units t != 1; 1 over Q."""
+def _norm_parts(x: CycloElem) -> tuple:
+    """(y, x * y) for y the product of sigma_t(x) over the units t != 1,
+    so x * y = N(x); over Q, y is 1 and x * y is x, with no product."""
     units = context(x.n).units
     if len(units) < 2:
-        return CycloElem.rational(x.n, 1)
-    acc = _spread(x, x.n, units[1])
+        return CycloElem.rational(x.n, 1), x
+    y = _spread(x, x.n, units[1])
     for t in units[2:]:
-        acc = acc * _spread(x, x.n, t)
-    return acc
+        y = y * _spread(x, x.n, t)
+    return y, x * y
 
 
 def field_norm(x: CycloElem) -> Fraction:
     """Norm to Q: product over all Galois conjugates."""
-    acc = x * _conjugate_product(x)
+    acc = _norm_parts(x)[1]
     if not acc.is_rational():
         raise ArithmeticError("norm did not land in Q: %r" % (acc,))
     return acc.rational_value()

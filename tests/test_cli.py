@@ -484,6 +484,70 @@ def test_construct_level_mismatch(tmp_path, capsys):
     assert "neither" in capsys.readouterr().err
 
 
+# every (n, ell, mode) with ell up to 2n on the acceptance curves: the
+# cubic at n = 3, the quadratic at n = 2, and the quartic at n = 2
+# (doubled) and n = 4 (direct)
+_ROUTE_TABLE = [
+    (name, base, n, ell, mode)
+    for name, base, levels in (("cubic", CONFIG_CUBIC, (3,)), ("quadratic", CONFIG_QUADRATIC, (2,)),
+                               ("quartic", CONFIG_QUARTIC, (2, 4)))
+    for n in levels
+    for ell in range(1, 2 * n + 1)
+    for mode in "AB"
+]
+# the entries that certify: README's routes
+_CERTIFIED = {
+    (name, n, ell, mode)
+    for name, n, targets in (("cubic", 3, (1, 3)), ("quadratic", 2, (1, 2)), ("quartic", 2, (1, 2)))
+    for ell in targets
+    for mode in "AB"
+} | {("quartic", 4, 4, "B")}
+
+
+def test_every_route_on_the_acceptance_curves_certifies_or_names_a_field(tmp_path, capsys):
+    # each entry exits 0 with a certificate that verifies, or exits 2
+    # naming a field of its configuration; none exits 3 or 4.  Mode A at
+    # the direct level 4 exited 4: no pair keeps the doubles-equal rule
+    assert len(_ROUTE_TABLE) == 44
+    certified, refused = set(), {}
+    for name, base, n, ell, mode in _ROUTE_TABLE:
+        entry = (name, n, ell, mode)
+        cfg = json.loads(json.dumps(base))
+        cfg["parameters"] = {"n": str(n), "ell": str(ell), "mode": mode}
+        path, out = tmp_path / "route.json", tmp_path / "cert.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["construct", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        if code == 0:
+            assert main(["verify", str(out)]) == 0, entry
+            capsys.readouterr()
+            certified.add(entry)
+            continue
+        field = re.match(r"error: ([^\s:]+): ", err)
+        assert code == 2 and field, (entry, code, err)
+        assert any(_covers(field.group(1), leaf) for leaf, _ in _leaf_paths(cfg)), (entry, err)
+        refused[entry] = field.group(1)
+    assert certified == _CERTIFIED
+    assert refused[("quartic", 4, 4, "A")] == "parameters.mode"
+
+
+def test_verify_refuses_mode_a_at_the_direct_level_4(tmp_path, capsys):
+    # the (4, 4) certificate of mode B with its mode edited to A: the route
+    # decision refuses it at context.mode, as construct refuses the
+    # configuration, before a place is read
+    cfg = _write_config(tmp_path, CONFIG_QUARTIC, parameters={"n": "4", "ell": "4", "mode": "B"})
+    out = tmp_path / "cert-4-4.json"
+    assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    cert["context"]["mode"] = "A"
+    out.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(": ", 1)[0] for line in lines] == ["context.mode", "context.n"]
+    assert "mode A cannot certify at the even level 4" in lines[0]
+
+
 def test_sieve_prints_the_pair_and_its_histogram(tmp_path, capsys):
     cfg = _write_config(tmp_path, CONFIG_CUBIC)
     assert main(["sieve", "--config", cfg]) == 0

@@ -214,6 +214,16 @@ def test_even_direct_mode_demands_doubled_data():
         certify_mode_B(cv, basis, 1, gens, BOUND)
 
 
+def test_mode_a_is_refused_at_the_direct_level_4():
+    # the seed pair's invariant has order 4 at v and is 0 at the other
+    # places over p, so no pair keeps the doubles-equal rule: refused
+    # before the sieve, naming the mode and the level
+    cv, basis, gens = _quartic()
+    with pytest.raises(InputError, match="mode A cannot certify at the even level 4") as e:
+        certify_mode_A(cv, basis, 4, gens, BOUND)
+    assert e.value.paths == ("context.mode", "context.n")
+
+
 def test_even_adjust_rejects_direct_targets():
     cv, basis, gens = _quartic()
     with pytest.raises(InputError, match="direct modes"):
@@ -429,7 +439,8 @@ def test_verify_arithmetic_budget(monkeypatch):
     # out at degree <= 2, products leave _reduce to the Galois spreads (67),
     # and a power loop from the base makes 632 products; 69 of those
     # multiplied by exactly 1, from twisted_norm and the conjugate product
-    # starting at 1, and without them 563 remain
+    # starting at 1, and without them 563 remain; 6 more multiplied by the
+    # conjugate product 1 at level 2, in field_norm and invert: 557
     calls = Counter()
     reduce, mul = cyclo._reduce, CycloElem.__mul__
 
@@ -449,7 +460,7 @@ def test_verify_arithmetic_budget(monkeypatch):
     for path in paths:
         assert verify_certificate(json.loads(path.read_text())) == (True, []), path.name
     assert calls["reduce"] <= 100
-    assert calls["mul"] <= 563
+    assert calls["mul"] <= 557
 
 
 def test_elem_coeffs_matches_the_fraction_spelling():
@@ -563,6 +574,33 @@ def test_certificates_match_golden_bytes(cert31, cert33, cert22):
         for name, cert in certs.items()
     }
     assert digests == GOLDEN
+
+
+# the routes outside the acceptance gate, kept out of perfbench/inputs:
+# cyclotomic claims in mode A at level 3, and the direct level 4 in mode B
+GOLDEN_OFF_GATE = {
+    "cert31A": "e76ce2da04b506e028989ec89797a3046801d10caf12fb171fe999bf32a7722f",
+    "cert33A": "7fdf5b877ec5cfef3529bf0f03b5633efc56f9f6d2ca038f4f677df2cc4b9979",
+    "cert44B": "baf83a9c08e7c2d8fcc503f425af227933dd210ffbe05afbcc6aa6ca94f47a5f",
+}
+
+
+def test_off_gate_certificates_match_golden_bytes():
+    cv, basis, gens = _cubic()
+    certs = {"cert3%dA" % ell: certify_mode_A(cv, basis, ell, gens, BOUND) for ell in (1, 3)}
+    cv, basis, gens = _quartic()
+    certs["cert44B"] = certify_mode_B(cv, basis, 4, gens, BOUND)
+    digests = {
+        name: hashlib.sha256(canonical_json(cert).encode()).hexdigest()
+        for name, cert in certs.items()
+    }
+    assert digests == GOLDEN_OFF_GATE
+    for cert in certs.values():
+        assert verify_certificate(_roundtrip(cert)) == (True, [])
+    assert [certs[name]["obstruction"]["place_consistency"] for name in sorted(certs)] == [
+        "independent", "independent", "doubles-equal"
+    ]
+    assert certs["cert44B"]["route"]["symbol_exactness"] == "two-torsion-ambiguous"
 
 
 def _dumps_canonical(x) -> str:
