@@ -1,9 +1,8 @@
 """Command-line front end.
 
-Four subcommands make the certificate pipeline: the prime search on its
-own with its histogram (sieve), full certification (construct),
-combination of coprime claims (compose), and independent re-checking
-(verify).
+Three subcommands make the certificate pipeline: full certification
+(construct), combination of coprime claims (compose), and independent
+re-checking (verify).
 
 Run configurations are JSON with every number exact: decimal integer
 strings (plain integers are accepted too) and fraction strings such as
@@ -16,11 +15,13 @@ one search limit, bounds.prime_bound; output is optional and any other
 field is ignored.
 curve.level is 2, 3 or 4, the levels that can certify
 (cyclo.NORM_LEVELS), for configurations and certificates alike
-(construct.read_curve).  RunConfig decides the route once: direct when
-curve.level is parameters.n, doubled when it is twice an even
-parameters.n.  Certificates are written atomically and canonically, so
-reruns with an equal configuration produce byte-identical files; one
-written to stdout is all of stdout, its claims going to stderr.
+(construct.read_curve).  RunConfig infers only the route kind: direct
+when curve.level is parameters.n, doubled when it is twice an even
+parameters.n.  construct._preconditions decides the rest of the route
+before any prime is scanned.  Certificates are written atomically and
+canonically, so reruns with an equal configuration produce
+byte-identical files; one written to stdout is all of stdout, its
+claims going to stderr.
 
 Exit codes: 0 success; 1 verification failure; 2 malformed input or
 unmet hypotheses; 3 search bounds exhausted (histogram on stderr);
@@ -40,15 +41,14 @@ from contextlib import suppress
 from itertools import accumulate
 from typing import Optional
 
-from .cyclo import PRIME_PROOF_LIMIT, CycloElem
-from .sieve import SieveExhausted, find_pair
+from .cyclo import PRIME_PROOF_LIMIT
+from .sieve import SieveExhausted
 from .construct import (
     InputError,
     LemmaFailure,
     canonical_json,
     certify,
     compose_coprime,
-    elem_coeffs,
     read_curve,
     read_field,
     read_positive,
@@ -104,8 +104,8 @@ def _load_json(path: str):
 
 
 class RunConfig:
-    """Parsed, validated configuration for sieve/construct runs.  doubled
-    is the route: False for curve data at level parameters.n, True for
+    """Parsed, validated configuration for construct runs.  doubled is
+    the route kind: False for curve data at level parameters.n, True for
     data at level 2 * parameters.n, n even."""
 
     def __init__(self, path: str):
@@ -119,8 +119,6 @@ class RunConfig:
         self.n = read_positive(read_field(raw, "parameters.n"), "parameters.n")
         self.ell = read_positive(read_field(raw, "parameters.ell"), "parameters.ell")
         self.mode = read_field(raw, "parameters.mode", kind=str)
-        if self.mode not in ("A", "B"):
-            raise InputError('must be "A" or "B"', "parameters.mode")
         if level != self.n and (self.n % 2 or level != 2 * self.n):
             raise InputError(
                 "curve data at level %d fits neither a direct level-%d run nor a doubled "
@@ -161,10 +159,6 @@ def _write_atomic(path: str, text: str, field: str):
         raise InputError("cannot write %s: %s" % (path, e.strerror or e), field)
 
 
-def _fmt_elem(x: CycloElem) -> str:
-    return "[" + ", ".join(elem_coeffs(x)) + "]"
-
-
 def _emit(cert: dict, path: Optional[str], field: str) -> int:
     """Write the certificate to path, named by field, and print its claims;
     without a path the certificate is the whole of stdout and the claims
@@ -183,20 +177,6 @@ def _emit(cert: dict, path: Optional[str], field: str) -> int:
 # =====================================================================
 # Subcommands
 # =====================================================================
-
-
-def cmd_sieve(args) -> int:
-    cfg = RunConfig(args.config)
-    pair = find_pair(cfg.curve, cfg.prime_bound, cfg.mw_gens, cfg.n, (cfg.basis.S, cfg.basis.T))
-    print("first  p=%d pi=%s" % (pair.first.p, _fmt_elem(pair.first.pi)))
-    print(
-        "second p=%d pi=%s residue_order=%d"
-        % (pair.second.p, _fmt_elem(pair.second.pi), pair.residue_order)
-    )
-    for t, o in pair.conjugate_orders:
-        print("conjugate t=%d order=%d" % (t, o))
-    print("histogram: " + pair.stats.summary())
-    return 0
 
 
 # the configuration field each certificate path of a route hypothesis
@@ -271,10 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct and verify period/index certificates for genus-one classes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    ps = sub.add_parser("sieve", help="search the admissible prime pair only")
-    ps.add_argument("--config", required=True)
-    ps.set_defaults(func=cmd_sieve)
 
     pc = sub.add_parser("construct", help="build and write a certificate")
     pc.add_argument("--config", required=True)

@@ -142,16 +142,15 @@ class PrimeCandidate(Record):
 
 
 class SievePair(Record):
-    """The pair a scan finds.  residue_order is the order of second.pi at
-    first.place, which must be n; conjugate_orders holds (t, order) for
-    t != 1, each order 1; witnesses holds one (index, W) per declared
-    generator, as divisibility_data gives them at first.place."""
+    """The pair a scan finds.  witnesses holds one (index, W) per declared
+    generator, as divisibility_data gives them at first.place; stats is
+    the histogram of the whole scan."""
 
-    __slots__ = ("first", "second", "residue_order", "conjugate_orders", "witnesses", "stats")
+    __slots__ = ("first", "second", "witnesses", "stats")
 
-    def __init__(self, first: PrimeCandidate, second: PrimeCandidate, residue_order: int,
-                 conjugate_orders: tuple, witnesses: tuple, stats: SieveStats):
-        super().__init__(first, second, residue_order, conjugate_orders, witnesses, stats)
+    def __init__(self, first: PrimeCandidate, second: PrimeCandidate, witnesses: tuple,
+                 stats: SieveStats):
+        super().__init__(first, second, witnesses, stats)
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -317,5 +316,5 @@ def find_pair(
         if any(o != 1 for _, o in conj):
             stats.conjugate_rejected += 1
             continue
-        return SievePair(first, second, main, conj, witnesses, stats)
+        return SievePair(first, second, witnesses, stats)
     raise SieveExhausted("no admissible partner below %d" % bound, stats)

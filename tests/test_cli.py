@@ -92,7 +92,7 @@ def test_config_rejects_floats(tmp_path, capsys):
     assert "exact" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["construct", "sieve"])
+@pytest.mark.parametrize("command", ["construct"])
 def test_config_root_that_is_not_an_object_names_the_file(tmp_path, capsys, command):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")
@@ -101,10 +101,15 @@ def test_config_root_that_is_not_an_object_names_the_file(tmp_path, capsys, comm
     assert err == "error: configuration root of %s must be an object\n" % path
 
 
-def test_config_diagnostic_names_the_field(tmp_path, capsys):
+def test_config_diagnostic_names_the_field(tmp_path, capsys, monkeypatch):
+    # the route decision checks the mode once, before a prime is scanned
+    def no_scan(*args):
+        raise AssertionError("split_prime_stream entered with mode C")
+
+    monkeypatch.setattr(sieve, "split_prime_stream", no_scan)
     cfg = _write_config(tmp_path, CONFIG_CUBIC, parameters__mode="C")
     assert main(["construct", "--config", cfg]) == 2
-    assert "parameters.mode" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: parameters.mode: mode must be A or B\n"
 
 
 @pytest.mark.parametrize(
@@ -120,9 +125,8 @@ def test_config_blames_an_unsupported_level_on_the_level(tmp_path, capsys, monke
 
     monkeypatch.setattr(sieve, "split_prime_stream", no_scan)
     cfg = _write_config(tmp_path, CONFIG_CUBIC, curve__level=level, parameters__n=n)
-    for command in ("construct", "sieve"):
-        assert main([command, "--config", cfg]) == 2
-        assert capsys.readouterr().err.startswith("error: curve.level:")
+    assert main(["construct", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: curve.level:")
 
 
 @pytest.mark.parametrize(
@@ -258,11 +262,12 @@ def _subcommands() -> set:
 def test_the_retired_diagnostics_are_unknown_subcommands(tmp_path, capsys):
     # the CLI is the certificate pipeline; local symbols and norm factors
     # are recorded and checked inside every certificate
-    assert _subcommands() == {"sieve", "construct", "compose", "verify"}
+    assert _subcommands() == {"construct", "compose", "verify"}
     cfg = _write_config(tmp_path, CONFIG_CUBIC)
     for argv in (
         ["hilbert", "--n", "2", "-a", "2", "-b", "3"],
         ["norm-twist", "--config", cfg, "-a", "28,27", "-b", "82,135"],
+        ["sieve", "--config", cfg],
     ):
         assert main(argv) == 2
         assert "invalid choice: '%s'" % argv[0] in capsys.readouterr().err
@@ -290,7 +295,6 @@ def test_json_nested_past_the_recursion_limit_names_the_file(cert_paths, tmp_pat
         ["verify", str(deep)],
         ["compose", str(c2), str(deep)],
         ["construct", "--config", str(deep)],
-        ["sieve", "--config", str(deep)],
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err == "error: %s is not valid JSON: nesting too deep\n" % deep
@@ -309,13 +313,13 @@ def _deeper(frames: int, argv) -> int:
 
 @pytest.mark.parametrize("depth", [MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1, 990])
 def test_json_nesting_is_decided_by_the_file(cert_paths, tmp_path, capsys, depth):
-    # the four subcommands give one answer for a file, however deep the
+    # the three subcommands give one answer for a file, however deep the
     # stack they read it from: past MAX_NESTING exit 2 with "nesting too
     # deep", at or below it the file parses (verify and compose reject
-    # the extra key with exit 1, and construct and sieve, reading a
-    # certificate as a configuration, miss the curve with exit 2).  At
-    # 990 the parser's own limit let verify read the file and not
-    # construct, one frame deeper.
+    # the extra key with exit 1, and construct, reading a certificate as
+    # a configuration, misses the curve with exit 2).  At 990 the
+    # parser's own limit let verify read the file and not construct, one
+    # frame deeper.
     _, c2 = cert_paths
     deep = tmp_path / "deep.json"
     deep.write_text(_nested(c2.read_text(), depth))
@@ -324,7 +328,6 @@ def test_json_nesting_is_decided_by_the_file(cert_paths, tmp_path, capsys, depth
         (["verify", str(deep)], 1),
         (["compose", str(c2), str(deep)], 1),
         (["construct", "--config", str(deep)], 2),
-        (["sieve", "--config", str(deep)], 2),
     ):
         for frames in (0, 300):
             code, err = _deeper(frames, argv), capsys.readouterr().err
@@ -424,10 +427,6 @@ def test_construct_and_verify_any_exact_model(tmp_path, capsys, model):
         curve__torsion_basis=basis, curve__mw_generators=[], curve__stable_subgroup_order=level,
         parameters__n=n, parameters__ell=ell, bounds__prime_bound="1000" if n == "2" else BOUND,
     )
-    assert main(["sieve", "--config", cfg]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("first  p=%d " % places[0])
-    assert lines[1].startswith("second p=%d " % places[1])
     out = tmp_path / "cert.json"
     assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
     assert capsys.readouterr().out == "%s places=%s\n" % (claims, places)
@@ -481,7 +480,8 @@ def test_construct_exits_4_when_the_pairing_and_the_group_disagree(tmp_path, cap
 def test_construct_level_mismatch(tmp_path, capsys):
     cfg = _write_config(tmp_path, CONFIG_CUBIC, parameters__n="9")
     assert main(["construct", "--config", cfg]) == 2
-    assert "neither" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: parameters.n:") and "neither" in err
 
 
 # every (n, ell, mode) with ell up to 2n on the acceptance curves: the
@@ -504,10 +504,20 @@ _CERTIFIED = {
 } | {("quartic", 4, 4, "B")}
 
 
-def test_every_route_on_the_acceptance_curves_certifies_or_names_a_field(tmp_path, capsys):
+def test_every_route_on_the_acceptance_curves_certifies_or_names_a_field(
+    tmp_path, capsys, monkeypatch
+):
     # each entry exits 0 with a certificate that verifies, or exits 2
     # naming a field of its configuration; none exits 3 or 4.  Mode A at
-    # the direct level 4 exited 4: no pair keeps the doubles-equal rule
+    # the direct level 4 exited 4: no pair keeps the doubles-equal rule.
+    # The route is decided before the search: a refused entry scans no prime
+    stream, scans = sieve.split_prime_stream, [0]
+
+    def counted(*args):
+        scans[0] += 1
+        return stream(*args)
+
+    monkeypatch.setattr(sieve, "split_prime_stream", counted)
     assert len(_ROUTE_TABLE) == 44
     certified, refused = set(), {}
     for name, base, n, ell, mode in _ROUTE_TABLE:
@@ -516,19 +526,23 @@ def test_every_route_on_the_acceptance_curves_certifies_or_names_a_field(tmp_pat
         cfg["parameters"] = {"n": str(n), "ell": str(ell), "mode": mode}
         path, out = tmp_path / "route.json", tmp_path / "cert.json"
         path.write_text(json.dumps(cfg))
+        scans[0] = 0
         code = main(["construct", "--config", str(path), "--out", str(out)])
         err = capsys.readouterr().err
         if code == 0:
             assert main(["verify", str(out)]) == 0, entry
             capsys.readouterr()
+            assert scans[0] == 1, entry
             certified.add(entry)
             continue
         field = re.match(r"error: ([^\s:]+): ", err)
         assert code == 2 and field, (entry, code, err)
         assert any(_covers(field.group(1), leaf) for leaf, _ in _leaf_paths(cfg)), (entry, err)
+        assert scans[0] == 0, entry
         refused[entry] = field.group(1)
     assert certified == _CERTIFIED
     assert refused[("quartic", 4, 4, "A")] == "parameters.mode"
+    assert refused[("cubic", 3, 2, "A")] == "parameters.ell"
 
 
 def test_verify_refuses_mode_a_at_the_direct_level_4(tmp_path, capsys):
@@ -546,29 +560,6 @@ def test_verify_refuses_mode_a_at_the_direct_level_4(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert [line.split(": ", 1)[0] for line in lines] == ["context.mode", "context.n"]
     assert "mode A cannot certify at the even level 4" in lines[0]
-
-
-def test_sieve_prints_the_pair_and_its_histogram(tmp_path, capsys):
-    cfg = _write_config(tmp_path, CONFIG_CUBIC)
-    assert main(["sieve", "--config", cfg]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("first  p=757 ")
-    assert lines[1].startswith("second p=13879 ") and lines[1].endswith(" residue_order=3")
-    assert lines[2] == "conjugate t=2 order=1"
-    # one scan: each prime up to the partner is counted once
-    assert lines[3] == (
-        "histogram: scanned=92 no_generator=83 generators=9 divisibility=1/1 "
-        "pairs_tried=8 order_rejected=3 conjugate_rejected=4"
-    )
-    assert len(lines) == 4
-
-
-def test_sieve_level_mismatch(tmp_path, capsys):
-    # sieve and construct share the route decision
-    cfg = _write_config(tmp_path, CONFIG_CUBIC, parameters__n="1")
-    assert main(["sieve", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: parameters.n:") and "neither" in err
 
 
 # edits of a configuration leaf to another JSON type or an out-of-range number
@@ -988,7 +979,7 @@ def test_a_certificate_that_names_no_curve_never_verifies(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
-@pytest.mark.parametrize("command", ["sieve", "construct", "compose", "verify"])
+@pytest.mark.parametrize("command", ["construct", "compose", "verify"])
 def test_json_constants_are_rejected_like_floats(cert_paths, tmp_path, capsys, command, constant):
     # json reads NaN and Infinity as floats; like a float literal they
     # make the file invalid JSON (exit 2), never a run that ignores them
@@ -997,7 +988,6 @@ def test_json_constants_are_rejected_like_floats(cert_paths, tmp_path, capsys, c
     target = tmp_path / "constant.json"
     target.write_text(json.dumps(dict(base, note=0)).replace('"note": 0', '"note": ' + constant))
     argv = {
-        "sieve": ["sieve", "--config", str(target)],
         "construct": ["construct", "--config", str(target), "--out", str(tmp_path / "c.json")],
         "compose": ["compose", str(c3), str(target), "--allow-different-jacobians"],
         "verify": ["verify", str(target)],

@@ -383,11 +383,16 @@ def test_find_vprime_frozen():
     cv2, gens2 = _fix2()
     pair = find_pair(cv2, 10**4, gens2, 2, _basis(2))
     assert (pair.second.p, pair.second.pi) == (41, CycloElem.rational(2, 41))
-    assert pair.residue_order == 2 and pair.conjugate_orders == ()
+    assert residue_order_profile(pair.second.pi, pair.first.place) == (2, ())
     cv3, gens3 = _fix3()
     pair = find_pair(cv3, 2 * 10**4, gens3, 3, _basis(3))
     assert (pair.second.p, pair.second.pi) == (13879, CycloElem(3, [82, 135]))
-    assert pair.residue_order == 3 and pair.conjugate_orders == ((2, 1),)
+    assert residue_order_profile(pair.second.pi, pair.first.place) == (3, ((2, 1),))
+    # one scan: each prime up to the partner is counted once
+    assert pair.stats.summary() == (
+        "scanned=92 no_generator=83 generators=9 divisibility=1/1 "
+        "pairs_tried=8 order_rejected=3 conjugate_rejected=4"
+    )
     cv4, gens4 = _fix4()
     pair = find_pair(cv4, 10**5, gens4, 2, _basis(4))
     assert (pair.second.p, pair.second.pi) == (25601, CycloElem(4, [1, 160]))
