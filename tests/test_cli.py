@@ -562,6 +562,33 @@ def test_verify_refuses_mode_a_at_the_direct_level_4(tmp_path, capsys):
     assert "mode A cannot certify at the even level 4" in lines[0]
 
 
+def test_sieve_prints_the_pair_and_its_histogram(tmp_path, capsys):
+    # construct prints the pair the search finds; with the bound one short
+    # of the partner it prints the histogram of every prime scanned before
+    # it (find_pair's own stats at the partner count it too: scanned=92)
+    cfg = _write_config(tmp_path, CONFIG_CUBIC)
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path / "c.json")]) == 0
+    assert capsys.readouterr().out == "period=3 index=9 places=(757, 13879)\n"
+    cfg = _write_config(tmp_path, CONFIG_CUBIC, bounds__prime_bound="13878")
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 3
+    assert capsys.readouterr().err == (
+        "search exhausted: no admissible partner below 13878 (scanned=91 no_generator=83 "
+        "generators=8 divisibility=1/1 pairs_tried=7 order_rejected=3 conjugate_rejected=4)\n"
+    )
+
+
+def test_sieve_level_mismatch(tmp_path, capsys, monkeypatch):
+    # the route decision refuses a level mismatch before the prime search
+    def no_scan(*args):
+        raise AssertionError("split_prime_stream entered with n=1")
+
+    monkeypatch.setattr(sieve, "split_prime_stream", no_scan)
+    cfg = _write_config(tmp_path, CONFIG_CUBIC, parameters__n="1")
+    assert main(["construct", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parameters.n:") and "neither" in err
+
+
 # edits of a configuration leaf to another JSON type or an out-of-range number
 CONFIG_EDITS = ("-5", "0", "1/2", "x", [], {}, None, 7, "12345678901234567890")
 
