@@ -1087,18 +1087,21 @@ def _rederive(cert: dict, path: str) -> dict:
 def _same(recorded, derived) -> bool:
     """Whether _diff would find no difference: the same JSON types all the
     way down (so true and 1 differ, and so do "1" and 1), the same key
-    sets and list lengths, and equal leaves.  It builds no paths.  An
-    object is the same as itself: a composite's derived parts are the
-    recorded ones, already checked."""
+    sets and list lengths, and equal leaves.  It builds no paths.  The
+    derived containers are plain dicts and lists, and the exact type check
+    comes first, so the dispatch on type(derived) misses none.  An object
+    is the same as itself: a composite's derived parts are the recorded
+    ones, already checked."""
     if recorded is derived:
         return True
-    if type(recorded) is not type(derived):
+    kind = type(derived)
+    if type(recorded) is not kind:
         return False
-    if isinstance(recorded, dict):
+    if kind is dict:
         return recorded.keys() == derived.keys() and all(
-            _same(value, derived[key]) for key, value in recorded.items()
+            map(_same, map(recorded.__getitem__, derived), derived.values())
         )
-    if isinstance(recorded, list):
+    if kind is list:
         return len(recorded) == len(derived) and all(map(_same, recorded, derived))
     return recorded == derived
 
@@ -1107,20 +1110,25 @@ def _diff(recorded, derived, rel: str, path: str, trace: list, sections: dict):
     """Append a trace line wherever the recorded certificate at path
     differs from the derived one below rel.  Values of different JSON
     types differ, so true and 1 do not match.  A value line also names the
-    inputs of its section in sections."""
+    inputs of its section in sections.  The walk descends only into the
+    children that _same finds different: a subtree it finds the same
+    would add no line, so the lines and their order are those of a walk
+    over every node."""
     if isinstance(recorded, dict) and isinstance(derived, dict):
         mismatch = _field_set(recorded, derived, rel)
         if mismatch:
             trace.extend((_at(path, r), mismatch[0]) for r in mismatch[1])
         for key in sorted(set(derived) & set(recorded)):
-            _diff(recorded[key], derived[key], _at(rel, key), path, trace, sections)
+            if not _same(recorded[key], derived[key]):
+                _diff(recorded[key], derived[key], _at(rel, key), path, trace, sections)
     elif (
         isinstance(recorded, list)
         and isinstance(derived, list)
         and len(recorded) == len(derived)
     ):
         for i, (r, d) in enumerate(zip(recorded, derived)):
-            _diff(r, d, _at(rel, "[%d]" % i), path, trace, sections)
+            if not _same(r, d):
+                _diff(r, d, _at(rel, "[%d]" % i), path, trace, sections)
     elif type(recorded) is not type(derived) or recorded != derived:
         msg = "recorded %s, recomputed %s" % (_show(recorded), _show(derived))
         prefix, reads = sections.get(rel.split(".")[0], ("", ()))

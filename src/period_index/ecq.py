@@ -338,7 +338,9 @@ class CurveFp(Record):
 class _RootsOnDemand:
     """Square roots mod p, one query at a time (Tonelli-Shanks): roots[g]
     is the root of g in [0, p/2), or -1 when g is not a square.  No O(p)
-    table for a walk that stops after a few points."""
+    table for a walk that stops after a few points.  Each answer is kept,
+    so group_structure's walk and its complement scan, which share one
+    instance, solve each value once."""
 
     def __init__(self, p: int):
         self.p = p
@@ -349,11 +351,16 @@ class _RootsOnDemand:
         while pow(z, (p - 1) // 2, p) != p - 1:
             z += 1
         self.c0 = pow(z, self.odd, p)
+        self.known = {0: 0}
 
     def __getitem__(self, g: int) -> int:
+        root = self.known.get(g)
+        if root is None:
+            root = self.known[g] = self._root(g)
+        return root
+
+    def _root(self, g: int) -> int:
         p = self.p
-        if g == 0:
-            return 0
         if pow(g, (p - 1) // 2, p) != 1:
             return -1
         k, c = self.twos, self.c0

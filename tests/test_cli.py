@@ -832,6 +832,31 @@ def test_verify_work_budget(monkeypatch):
         assert calls["content_digest"] == len(parts), (name, calls)
 
 
+@pytest.mark.parametrize("name, path, value, walked", [
+    ("3-3", "obstruction.unit_rows[0].place.root", "657", 6),
+    ("3-3", "class.normed_pair.first[1]", "-20438", 5),
+    ("composite", "parts[1].summary.index", "10", 3),
+])
+def test_verify_diff_walks_only_the_edited_path(monkeypatch, name, path, value, walked):
+    # a single-leaf edit is diffed down its own path and nowhere else: one
+    # _diff call per object on the way, the root of the certificate (for
+    # the composite, of its edited part) to the leaf.  The diff walked
+    # every node, 290 calls on each mutant of cert-3-3
+    calls = Counter()
+    diff = construct._diff
+
+    def counted(*args):
+        calls["_diff"] += 1
+        return diff(*args)
+
+    monkeypatch.setattr(construct, "_diff", counted)
+    cert = json.loads(_perfbench_workloads().cert_path(name).read_text())
+    _set_path(cert, path, value)
+    ok, trace = construct.verify_certificate(cert)
+    assert not ok and [line[0] for line in trace] == [path]
+    assert calls["_diff"] == walked
+
+
 @pytest.mark.parametrize("name", ["2-1", "2-2", "3-1", "3-3", "composite"])
 def test_verify_rejects_true_written_as_1(tmp_path, capsys, name):
     # true and the JSON integer 1 are equal in Python, not in a

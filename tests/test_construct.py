@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from period_index import cyclo
+from period_index import construct, cyclo
 from period_index.cli import main
 from period_index.cyclo import CycloElem
 from period_index.ecq import curve_over, point_over
@@ -34,6 +34,7 @@ from period_index.construct import (
     sha256,
     verify_certificate,
 )
+from diff_oracle import full_diff
 from test_acceptance import _leaf_paths, _set_path
 
 BOUND = 10**5
@@ -526,9 +527,16 @@ _SAME_CASES = [
     ([["1", {"x": []}]], [["1", {"x": {}}]], False),
     ([["1", {"x": []}]], [["1", {"x": []}]], True),
 ]
+# and for the exact-type dispatch of _same: a float is not a bool, a
+# tuple is not a list, an integer key is not its decimal string
+_SAME_TYPE_CASES = [
+    (1.0, True, False),
+    (("1",), ["1"], False),
+    ({1: "a"}, {"1": "a"}, False),
+]
 
 
-@pytest.mark.parametrize("recorded, derived, same", _SAME_CASES)
+@pytest.mark.parametrize("recorded, derived, same", _SAME_CASES + _SAME_TYPE_CASES)
 def test_same_agrees_with_diff(recorded, derived, same):
     # verify runs the diff only when _same is false, so _same must be
     # false exactly when the diff writes a line
@@ -551,6 +559,67 @@ def test_same_agrees_with_diff_on_every_leaf_edit(cert33):
             assert not _same(mutant, cert) and _diff_lines(mutant, cert), (path, new)
             edits += 1
     assert edits > 1000
+
+
+def test_diff_writes_the_full_walk_lines_on_every_leaf_edit(cert33):
+    # the edits of test_same_agrees_with_diff_on_every_leaf_edit, diffed as
+    # verify diffs a part of a composite: the walk that descends only where
+    # _same finds a difference writes the lines of the walk over every
+    # node, section suffixes included, in the same order
+    cert = _roundtrip(cert33)
+    mutant = _roundtrip(cert33)
+    edits = 0
+    for path, old in _leaf_paths(cert):
+        for new in ("tampered", "1", 1, 0, True, False, None, [], {}, [old], {"k": old}):
+            if type(new) is type(old) and new == old:
+                continue
+            _set_path(mutant, path, new)
+            got, want = [], []
+            _diff(mutant, cert, "", "parts[1]", got, construct._SECTIONS)
+            full_diff(mutant, cert, "", "parts[1]", want, construct._SECTIONS)
+            assert got and got == want, (path, new)
+            _set_path(mutant, path, old)
+            edits += 1
+    assert edits > 1000
+
+
+def _edited(cert, edits: dict):
+    out = _roundtrip(cert)
+    for path, value in edits.items():
+        _set_path(out, path, value)
+    return out
+
+
+_MULTI_EDITS = {
+    "two sections": {"class.normed_pair.first[1]": "-20438",
+                     "obstruction.unit_rows[0].place.root": "657"},
+    "field set and value": {"summary.extra": "1", "summary.index": "27"},
+    "list lengths": {"summary.places": ["757"], "class.normed_pair.first": ["757", "-20439", "0"]},
+    "list and object swapped": {"obstruction.unit_rows": {}, "summary": []},
+}
+
+
+@pytest.mark.parametrize("edits", list(_MULTI_EDITS.values()), ids=list(_MULTI_EDITS))
+def test_verify_trace_is_the_full_walk_trace_on_multiple_edits(cert33, monkeypatch, edits):
+    mutant = _edited(cert33, edits)
+    ok, trace = verify_certificate(mutant)
+    monkeypatch.setattr(construct, "_diff", full_diff)
+    assert not ok and len(trace) >= 2
+    assert verify_certificate(mutant) == (ok, trace)
+
+
+def test_verify_trace_is_the_full_walk_trace_on_a_composite(cert22, cert33, monkeypatch):
+    # both parts edited, so each part writes its own lines; and a composite
+    # field edited over unedited parts, whose derived parts are the
+    # recorded ones and are not walked
+    comp = compose_coprime(cert22, cert33, allow_different_jacobians=True)
+    both = _edited(comp, {"parts[0].summary.index": "5", "parts[1].class.normed_pair.first[1]": "-20438"})
+    top = _edited(comp, {"summary.index": "35", "coprimality.gcd": "2"})
+    got = [verify_certificate(both), verify_certificate(top)]
+    monkeypatch.setattr(construct, "_diff", full_diff)
+    assert got == [verify_certificate(both), verify_certificate(top)]
+    assert {path.split(".")[0] for path, _ in got[0][1]} == {"parts[0]", "parts[1]"}
+    assert [path for path, _ in got[1][1]] == ["coprimality.gcd", "summary.index"]
 
 
 # SHA-256 of the canonical bytes of each acceptance certificate

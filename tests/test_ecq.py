@@ -612,6 +612,24 @@ def test_group_structure_addition_budget(monkeypatch):
     assert calls[0] <= 1_246
 
 
+def test_group_structure_takes_each_square_root_once(monkeypatch):
+    # E(F_13441) = Z/8 x Z/1704: the walk and the complement scan share
+    # one _RootsOnDemand and ask it 47 times, 4 of them for 0.  Only 27
+    # nonzero values are distinct, and each is solved once: it was 43
+    # Tonelli-Shanks runs
+    runs = []
+    root = ecq._RootsOnDemand._root
+
+    def counted(self, g):
+        runs.append(g)
+        return root(self, g)
+
+    monkeypatch.setattr(ecq._RootsOnDemand, "_root", counted)
+    st = group_structure(CurveFp(13441, 0, 7, 0, 13297, 0))
+    assert (st.d1, st.d2) == (8, 1704)
+    assert len(runs) == len(set(runs)) == 27 and 0 not in runs
+
+
 def test_divisibility_witness_addition_budget(monkeypatch):
     # the doubled route's two witnesses at p = 13441: walking the image
     # 2*E(F_p) to them cost 5,788 additions, baby-step giant-step 217
