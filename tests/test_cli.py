@@ -7,14 +7,17 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 
 from period_index import construct, cyclo, ecq, kummer, localfield, sieve
 from period_index.cli import MAX_NESTING, build_parser, main
-from period_index.construct import content_digest
+from period_index.construct import content_digest, lichtenbaum_check
 from test_acceptance import _covers, _leaf_paths, _perturb, _set_path, _trace_names
+from verify_scan import _off_gate
 
 BOUND = "100000"
 # past the interpreter's 4,300-digit limit on converting a string to int
@@ -504,6 +507,23 @@ _CERTIFIED = {
 } | {("quartic", 4, 4, "B")}
 
 
+def _assert_unchecked_facts(cert: dict, entry) -> None:
+    """The claim facts the derivation records without a check of their own,
+    re-derived from the certificate: the lcm of the recorded orders (the
+    descended rows for rational claims, every local row for cyclotomic
+    ones) is ell and the global order, every shift of the index rows is
+    nonzero, and the claims keep the duality bound."""
+    ob = cert["obstruction"]
+    rational = cert["context"]["claims_field"] == "rational"
+    rows = ob["descended_rows"] if rational else ob["local_rows"]
+    orders = lcm(*(int(row["order"]) for row in rows))
+    assert orders == int(cert["context"]["ell"]) == int(ob["global_order"]), entry
+    for row in cert["index_lower"]["rows"]:
+        assert Fraction(row["shifted_invariant"]) != 0, entry
+    summary = cert["summary"]
+    assert lichtenbaum_check(int(summary["period"]), int(summary["index"])), entry
+
+
 def test_every_route_on_the_acceptance_curves_certifies_or_names_a_field(
     tmp_path, capsys, monkeypatch
 ):
@@ -533,6 +553,7 @@ def test_every_route_on_the_acceptance_curves_certifies_or_names_a_field(
             assert main(["verify", str(out)]) == 0, entry
             capsys.readouterr()
             assert scans[0] == 1, entry
+            _assert_unchecked_facts(json.loads(out.read_text()), entry)
             certified.add(entry)
             continue
         field = re.match(r"error: ([^\s:]+): ", err)
@@ -1162,11 +1183,14 @@ def test_verify_names_every_edited_torsion_basis_leaf(tmp_path, capsys):
     # order) in the four prime-power acceptance certificates and in both
     # parts of the composite, under the tamper gate's edit and each type
     # edit, with the digest recomputed: exit 1 with a trace naming the
-    # field or an object enclosing it, and none verifies
+    # field or an object enclosing it, and none verifies.  The same edits
+    # of the three certificates off the acceptance gate, built in process
+    # as tests/verify_scan.py builds them: 549 more
     wl = _perfbench_workloads()
+    certs = {name: json.loads(wl.cert_path(name).read_text()) for name in wl.CERTS}
+    certs.update(_off_gate(wl, construct))
     tried, missed, accepted = 0, [], []
-    for name in wl.CERTS:
-        cert = json.loads(wl.cert_path(name).read_text())
+    for name, cert in certs.items():
         prefixes = ["parts[0].", "parts[1]."] if cert["kind"] == "composite" else [""]
         for prefix in prefixes:
             inputs = dict(_leaf_paths(cert))
@@ -1189,7 +1213,7 @@ def test_verify_names_every_edited_torsion_basis_leaf(tmp_path, capsys):
                         accepted.append((name, path, value))
                     elif not (code == 1 and _trace_names(err, path)):
                         missed.append((name, path, value))
-    assert tried > 1000
+    assert tried == 1036 + 549
     assert missed == []
     # at level 2 every basis of E[2] gives the same derived sections, so
     # moving S or T of (2, 1) to the third point of order 2, (-1, 0),

@@ -433,6 +433,33 @@ def test_digest_falls_back_to_hashlib_without_the_builtin():
     assert proc.stdout == "%s True\n" % json.loads(path.read_text())["inputs"]["digest"]
 
 
+# keys and values JSON text cannot spell, which a Python caller can pass:
+# each edit of cert-3-3 updates the object at holder
+@pytest.mark.parametrize(
+    "holder, edit, paths",
+    [
+        ("summary", {1: "a"}, ["summary", "summary.1"]),
+        ("summary", {1: "a", "z": "b"}, ["summary", "summary.z", "summary.1"]),
+        ("inputs.curve", {5: "x"}, ["inputs.curve", "inputs.curve.5"]),
+        ("summary", {"places": {1: "a", "z": "b"}}, ["summary.places"]),
+    ],
+    ids=["int-key", "mixed-keys", "curve-block-key", "mixed-keys-value"],
+)
+def test_verify_names_what_json_text_cannot_spell(holder, edit, paths):
+    # each answered "check failed": the diff read an int key as a path
+    # and sorted mixed keys, the curve block's digest sorted them, and a
+    # recorded value was shown by json.dumps with its keys sorted
+    cert = json.loads((INPUTS / "cert-3-3.json").read_text())
+    obj = cert
+    for key in holder.split("."):
+        obj = obj[key]
+    obj.update(edit)
+    ok, trace = verify_certificate(cert)
+    assert not ok
+    assert [path for path, _ in trace] == paths
+    assert not any(msg.startswith("check failed") for _, msg in trace)
+
+
 def test_verify_arithmetic_budget(monkeypatch):
     # verify of the five acceptance certificates: folding every product
     # through _reduce cost 729 calls, and 746 products were made, with

@@ -22,7 +22,12 @@ For each set it prints the number of inputs and one SHA-256 over the
 verify and of those that fail without naming the edited field (as
 workloads.trace_names reads a trace).  Run it on a `git archive` of the
 parent commit and on the change: equal digests mean that verify answers
-every input of a set identically.  pytest does not collect this file.
+every input of a set identically.
+
+After each set's two lines it prints a tally of construct._lemma, the
+checks of the claims algebra: one line per lemma field (indices
+stripped), with the number of the set's inputs whose verify reached it
+and the number that failed there.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import copy
 import hashlib
 import importlib.util
 import json
+import re
 import sys
 from itertools import chain
 from pathlib import Path
@@ -98,6 +104,16 @@ def main(argv) -> None:
     if Path(construct.__file__).resolve().parents[1] != root / "src":
         raise SystemExit("imported period_index from %s, not %s/src" % (construct.__file__, root))
     wl = _workloads(root)
+    # every lemma site an input reaches, and the one it fails at
+    lemma, reached, failed = construct._lemma, set(), set()
+
+    def tallied(holds, msg, field, *indexed):
+        site = re.sub(r"\[\d+\]", "", field)
+        reached.add(site)
+        if not holds:
+            failed.add(site)
+        return lemma(holds, msg, field, *indexed)
+
     certs = {name: json.loads(wl.cert_path(name).read_text()) for name in wl.CERTS}
     off_gate = _off_gate(wl, construct)
     sets = (
@@ -106,10 +122,18 @@ def main(argv) -> None:
         ("off-gate", chain(((None, c) for c in off_gate.values()), _leaf_edits(wl, off_gate),
                            _curve_block_edits(wl, construct.content_digest, off_gate))),
     )
+    construct._lemma = tallied
     for label, inputs in sets:
         h, count, verified, unnamed = hashlib.sha256(), 0, 0, 0
+        tally = {}
         for path, cert in inputs:
+            reached.clear()
+            failed.clear()
             ok, trace = construct.verify_certificate(cert)
+            for site in reached:
+                tally.setdefault(site, [0, 0])[0] += 1
+            for site in failed:
+                tally[site][1] += 1
             h.update(json.dumps((ok, trace)).encode() + b"\n")
             count += 1
             if path is not None and ok:
@@ -118,6 +142,8 @@ def main(argv) -> None:
                 unnamed += 1
         print("%s %d %s" % (label, count, h.hexdigest()))
         print("%s edits: %d verify, %d fail without naming the field" % (label, verified, unnamed))
+        for site, (hits, fails) in sorted(tally.items()):
+            print("%s lemma %s: %d reached, %d failed" % (label, site, hits, fails))
 
 
 if __name__ == "__main__":
