@@ -138,10 +138,12 @@ def _s(v: int) -> str:
 
 
 def inv_str(fr: Fraction, level: int) -> str:
-    k = fr * level
-    if k.denominator != 1:
+    """fr in Q/Z as "k/level", 0 <= k < level: fr = a/b in lowest terms
+    is a multiple of 1/level exactly when b | level, and then k is
+    a * (level / b) mod level."""
+    if level % fr.denominator:
         raise LemmaFailure("invariant %s is not a multiple of 1/%d" % (fr, level))
-    return "%d/%d" % (int(k) % level, level)
+    return "%d/%d" % (fr.numerator * (level // fr.denominator) % level, level)
 
 
 def elem_coeffs(x: CycloElem) -> list:
@@ -601,16 +603,17 @@ def _obstruction(factors: dict, normed: tuple, v: Place, vp: Place, route: Route
     else:
         arch = {"kind": "complex", "invariant": inv_str(Fraction(0), N)}
     # spot checks at the first two split primes past the pair: both
-    # coordinates are units there, so the invariants must vanish
-    unit_rows, q = [], max(p, pp)
+    # coordinates are units there, so the invariants must vanish.  q steps
+    # through 1 mod N from the least such q past the pair
+    top = max(p, pp)
+    unit_rows, q = [], top + 1 + -top % N
     while len(unit_rows) < 2:
-        q += 1
-        if q % N != 1 or not is_probable_prime(q):
-            continue
-        w = distinguished_place(N, q)
-        inv = tame_invariant(first, second, w)
-        _lemma(inv == 0, "unit-unit invariant at %d is nonzero" % q, "obstruction.unit_rows")
-        unit_rows.append(_row(w, inv))
+        if is_probable_prime(q):
+            w = distinguished_place(N, q)
+            inv = tame_invariant(first, second, w)
+            _lemma(inv == 0, "unit-unit invariant at %d is nonzero" % q, "obstruction.unit_rows")
+            unit_rows.append(_row(w, inv))
+        q += N
 
     section = {
         "local_rows": [_row(w, inv) for w, inv in sorted(local, key=lambda row: row[0].p)],
@@ -974,11 +977,14 @@ def _read_fp_point(value, path: str):
     raise InputError('expected a residue point ([x, y] or "infinity")', path)
 
 
-def read_curve(block: dict, at: str, shown: str) -> tuple:
+def read_curve(block: dict, at: str, shown: str, pinned: bool = False) -> tuple:
     """(curve, torsion basis, Mordell-Weil generators) of the curve block
     at path at, which messages show as shown: a level that can certify
     (NORM_LEVELS), the model at it, the basis and the generators checked
-    on it, and the declared stable subgroup order against the level."""
+    on it, and the declared stable subgroup order against the level.
+    When pinned, the recorded basis must be the one make_basis pins:
+    construct records that basis, so one that make_basis moves again was
+    recorded unpinned."""
     p = at + "."
     level = read_int(read_field(block, "level", at), p + "level")
     if level not in NORM_LEVELS:
@@ -1018,6 +1024,10 @@ def read_curve(block: dict, at: str, shown: str) -> tuple:
             "declared stable subgroup order %d differs from the level %d" % (order, level),
             p + "stable_subgroup_order",
         )
+    if pinned and (S, T) != (basis.S, basis.T):
+        raise InputError("the basis is not normalized: the Weil pairing of S and T must be "
+                         "zeta, and at level 2 S and T the points of order 2 of larger x, "
+                         "ascending", p + "torsion_basis")
     return cv, basis, gens
 
 
@@ -1058,16 +1068,7 @@ def _rederive(cert: dict, path: str) -> dict:
         raise InputError(
             "stored digest does not match the curve block", "inputs.digest", "inputs.curve"
         )
-    cv, basis, gens = read_curve(curve, "inputs.curve", _at(path, "inputs.curve"))
-    # construct records the basis make_basis pins, so a basis that
-    # make_basis moves again was recorded unpinned
-    at = "inputs.curve.torsion_basis"
-    recorded = [_read_point(cv.n, read_field(curve, "torsion_basis." + k), at + "." + k)
-                for k in "ST"]
-    if recorded != [basis.S, basis.T]:
-        raise InputError("the basis is not normalized: the Weil pairing of S and T must be "
-                         "zeta, and at level 2 S and T the points of order 2 of larger x, "
-                         "ascending", at)
+    cv, basis, gens = read_curve(curve, "inputs.curve", _at(path, "inputs.curve"), pinned=True)
 
     pi = read_elem(cv.n, read_field(cert, "pair.first.pi"), "pair.first.pi")
     pi_prime = read_elem(cv.n, read_field(cert, "pair.second.pi"), "pair.second.pi")

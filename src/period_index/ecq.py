@@ -1,18 +1,25 @@
 """Elliptic curves in long Weierstrass form, over Q(zeta_n) and over F_p.
 
 Two parallel implementations of the group law: an exact one with CycloElem
-coordinates (used to check and rescale torsion bases), from the chord
-through two points, and one over ints modulo p (used by the sieve on
-reductions, and for the table of E[n], the Weil pairing and the Galois
-action at one auxiliary prime), whose add and mul write the slope and the
+coordinates (used for the rescaled T of a torsion basis, and at n = 2
+for its third point), from the chord through two points, and one over
+ints modulo p (used by the sieve on reductions, and for the table of
+E[n], the Weil pairing and the Galois action at one auxiliary prime), whose add and mul write the slope and the
 sum out inline; its chord and _third serve the lines of Miller's loop.
 Affine points are (x, y) pairs; None is the point at infinity throughout.
+
+The exact checks read a rational model's coefficients as ints (Fractions
+where one has a denominator), not as CycloElems: the b-invariants and
+Delta are computed once per curve in that ring, a point is tested on the
+curve in Horner form, and n*P = O is decided by the division polynomial
+psi_n at P (CurveL.in_torsion), with no inversion in L.  A model with a
+cyclotomic coefficient takes the same formulas over CycloElem.
 
 One rule decides good reduction, for any exact model: a prime p is good
 when it does not divide CurveL.bad_modulus = n * N(Delta) * (coefficient
 denominators).  Then at every place over p the coefficients are integral
 and Delta is a unit.  It is computed once per curve, and no discriminant
-is factored.
+is factored; for a rational model N(Delta) = Delta^[L:Q] is taken over Z.
 
 The group structure of E(F_p) is built without an O(p) pass when it can
 be: Hasse's bound puts #E(F_p) in an interval of some 4 sqrt(p) integers,
@@ -24,12 +31,13 @@ Legendre sum over F_p.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
 from math import gcd, isqrt, prod
 from typing import Iterable, Optional
 
-from .cyclo import CycloElem, Record, field_norm, reduce_at
+from .cyclo import CycloElem, Record, context, field_norm, reduce_at
 from .localfield import Place, factorint, valuation_and_unit
 
 
@@ -41,10 +49,30 @@ class CurveError(ValueError):
     pass
 
 
+def _invariants(a1, a2, a3, a4, a6) -> tuple:
+    """(b2, b4, b6, b8, Delta) of the model (Silverman, AEC III.1), in the
+    ring the coefficients lie in: ints, Fractions or CycloElems."""
+    b2 = a1 * a1 + a2 * 4
+    b4 = a4 * 2 + a1 * a3
+    b6 = a3 * a3 + a6 * 4
+    b8 = a1 * a1 * a6 + a2 * a6 * 4 - a1 * a3 * a4 + a2 * (a3 * a3) - a4 * a4
+    return b2, b4, b6, b8, -(b2 * b2) * b8 - b4 ** 3 * 8 - b6 * b6 * 27 + b2 * b4 * b6 * 9
+
+
+def _horner(x: CycloElem, coeffs: tuple) -> CycloElem:
+    """The polynomial with the given coefficients, leading first and
+    nonzero, at x, in Horner form; a zero coefficient adds nothing, and a
+    leading 1 multiplies nothing."""
+    acc = x if coeffs[0] == 1 else x * coeffs[0]
+    for c in coeffs[1:-1]:
+        acc = (acc + c if c else acc) * x
+    return acc + coeffs[-1] if coeffs[-1] else acc
+
+
 class CurveL(Record):
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q(zeta_n)."""
 
-    # __dict__ holds the value bad_modulus caches
+    # __dict__ holds the values model, invariants and bad_modulus cache
     __slots__ = ("n", "a1", "a2", "a3", "a4", "a6", "__dict__")
 
     def __init__(self, n: int, a1: CycloElem, a2: CycloElem, a3: CycloElem, a4: CycloElem,
@@ -52,17 +80,24 @@ class CurveL(Record):
         super().__init__(n, a1, a2, a3, a4, a6)
 
     # --- invariants -----------------------------------------------------
-    def b_invariants(self):
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * (a3 * a3) - a4 * a4
-        return b2, b4, b6, b8
+    @cached_property
+    def model(self) -> tuple:
+        """(a1, a2, a3, a4, a6) in the ring the arithmetic reads them in:
+        for a rational model ints, or Fractions where a coefficient has a
+        denominator; otherwise the CycloElems."""
+        cs = self.coefficient_list()
+        if not self.is_rational_model():
+            return tuple(cs)
+        return tuple(a.num[0] if a.den == 1 else Fraction(a.num[0], a.den) for a in cs)
+
+    @cached_property
+    def invariants(self) -> tuple:
+        """(b2, b4, b6, b8, Delta), in the ring of model, computed once."""
+        return _invariants(*self.model)
 
     def discriminant(self) -> CycloElem:
-        b2, b4, b6, b8 = self.b_invariants()
-        return -(b2 * b2) * b8 - 8 * (b4 ** 3) - 27 * (b6 * b6) + 9 * b2 * b4 * b6
+        delta = self.invariants[4]
+        return delta if isinstance(delta, CycloElem) else CycloElem.rational(self.n, delta)
 
     def is_rational_model(self) -> bool:
         return all(a.is_rational() for a in (self.a1, self.a2, self.a3, self.a4, self.a6))
@@ -77,18 +112,70 @@ class CurveL(Record):
         every coefficient is integral and Delta is a unit: the model has
         good reduction at all of them.  The norm's numerator serves,
         since a prime of its denominator divides a coefficient
-        denominator."""
+        denominator.  For a rational model Delta is rational, and its
+        norm is Delta^[L:Q], taken over Z."""
+        delta = self.invariants[4]
+        if isinstance(delta, CycloElem):
+            norm = field_norm(delta)
+        else:
+            norm = delta ** context(self.n).degree
         dens = prod(a.den for a in self.coefficient_list())
-        return abs(self.n * field_norm(self.discriminant()).numerator * dens)
+        return abs(self.n * norm.numerator * dens)
 
     # --- point predicates ------------------------------------------------
     def on_curve(self, P: LPoint) -> bool:
         if P is None:
             return True
         x, y = P
-        lhs = y * y + self.a1 * x * y + self.a3 * y
-        rhs = x ** 3 + self.a2 * x * x + self.a4 * x + self.a6
-        return lhs == rhs
+        _, a2, _, a4, a6 = self.model
+        return self._y_part(x, y) * y == _horner(x, (1, a2, a4, a6))
+
+    def _y_part(self, x: CycloElem, y: CycloElem) -> CycloElem:
+        """y + a1 x + a3: times y it is the left side of the model, and y
+        plus it is psi_2."""
+        a1, _, a3, _, _ = self.model
+        w = y + a3 if a3 else y
+        return w + x * a1 if a1 else w
+
+    def in_torsion(self, n: int, P: LPoint) -> bool:
+        """Whether n*P = O, for P on the curve, read from the division
+        polynomial psi_n at P (Silverman, AEC Ex. 3.7), with no inversion:
+        psi_n vanishes exactly at the points of E[n] other than O.  For
+        odd n, psi_n = f_n(x); for even n, psi_n = psi_2 * f_n(x), with
+        psi_2 = 2y + a1 x + a3.  Here f_1 = f_2 = 1,
+
+          f_3 = 3x^4 + b2 x^3 + 3b4 x^2 + 3b6 x + b8,
+          f_4 = 2x^6 + b2 x^5 + 5b4 x^4 + 10b6 x^3 + 10b8 x^2
+                + (b2 b8 - b4 b6) x + (b4 b8 - b6^2),
+
+        and past 4, with F = psi_2^2 = 4x^3 + b2 x^2 + 2b4 x + b6,
+
+          f_2m = f_m (f_(m+2) f_(m-1)^2 - f_(m-2) f_(m+1)^2),
+          f_2m+1 = F^2 f_(m+2) f_m^3 - f_(m-1) f_(m+1)^3    (m even),
+          f_2m+1 = f_(m+2) f_m^3 - F^2 f_(m-1) f_(m+1)^3    (m odd)."""
+        if P is None:
+            return True
+        x, y = P
+        if n % 2 == 0 and (y + self._y_part(x, y)).is_zero():
+            return True
+        b2, b4, b6, b8, _ = self.invariants
+        f = [0, 1, 1]
+        if n >= 3:
+            f.append(_horner(x, (3, b2, 3 * b4, 3 * b6, b8)))
+        if n >= 4:
+            f.append(_horner(x, (2, b2, 5 * b4, 10 * b6, 10 * b8, b2 * b8 - b4 * b6,
+                                 b4 * b8 - b6 * b6)))
+        if n >= 5:
+            F2 = _horner(x, (4, b2, 2 * b4, b6)) ** 2
+        for k in range(5, n + 1):
+            m = k // 2
+            if k % 2 == 0:
+                f.append(f[m] * (f[m + 2] * f[m - 1] ** 2 - f[m - 2] * f[m + 1] ** 2))
+            elif m % 2 == 0:
+                f.append(F2 * f[m + 2] * f[m] ** 3 - f[m - 1] * f[m + 1] ** 3)
+            else:
+                f.append(f[m + 2] * f[m] ** 3 - F2 * f[m - 1] * f[m + 1] ** 3)
+        return n > 2 and f[n].is_zero()
 
     # --- group law --------------------------------------------------------
     def neg(self, P: LPoint) -> LPoint:

@@ -4,14 +4,13 @@ A class is carried by a pair (a, b) of nonzero field elements: the Kummer
 coordinates with respect to a pinned basis (S, T) of E[n] normalized so that
 the Weil pairing e_n(S, T) is the pinned root zeta.  The basis is checked
 exactly in L only for what the certificate records (S and T on the curve,
-nS = nT = O, T rescaled, at n = 2 their order); its independence, its
-pairing and the Galois matrices on it are read at one auxiliary split
-prime q, the least prime to the curve's bad_modulus, through the curve
-layer's reduce_curve and reduce_point: there reduction is injective on
-E[n].  Its obstruction is
-read locally through tame symbols of the pair: at a split place v the
-invariant is <a, b>_v, and level shifts act by explicit operations on the
-pair:
+nS = nT = O by the division polynomial, T rescaled, at n = 2 their
+order); its independence, its pairing and the Galois matrices on it are
+read at one auxiliary split prime q, the least prime to the curve's
+bad_modulus, through the curve layer's reduce_curve and reduce_point:
+there reduction is injective on E[n].  Its obstruction is read locally
+through tame symbols of the pair: at a split place v the invariant is
+<a, b>_v, and level shifts act by explicit operations on the pair:
 
   raising level by m:   (a, b) -> (a^m, b^m)      (invariants scale by m)
   multiplication by m:  representatives unchanged  (read m * level-mn value)
@@ -75,23 +74,26 @@ def _auxiliary_place(cv: CurveL) -> Place:
 def make_basis(cv: CurveL, n: int, S: LPoint, T: LPoint) -> TorsionBasis:
     """Validate and normalize a candidate torsion basis.
 
-    In L: S and T lie on the curve and nS = nT = O.  The rest is read at
-    the auxiliary place over q, where E[n] reduces injectively: the n^2
-    reductions iS + jT are distinct exactly when S and T are independent
-    of exact order n, and they are the basis's table of E[n].  Reduction
-    sends zeta to omega and commutes with the Weil pairing (Silverman,
-    AEC III.8), so e_n(S, T) = zeta^u for u the log to the base omega of
-    the pairing of the reductions, read at R = 2S + T: for n >= 3, R and
-    T + R lie outside <S>, and -R and S - R outside <T>.  T is replaced
-    by u^-1 * T, so the pairing is zeta itself.  At n = 2, where every
-    basis has pairing -1, (S, T) is pinned as the two points of order 2
-    with the larger x, ascending; the third is S + T."""
+    In L: S and T lie on the curve and nS = nT = O, decided by the
+    division polynomial psi_n at each point (CurveL.in_torsion), with no
+    inversion.  The rest is read at the auxiliary place over q, where
+    E[n] reduces injectively: the n^2 reductions iS + jT are distinct
+    exactly when S and T are independent of exact order n, and they are
+    the basis's table of E[n].  Reduction sends zeta to omega and
+    commutes with the Weil pairing (Silverman, AEC III.8), so
+    e_n(S, T) = zeta^u for u the log to the base omega of the pairing of
+    the reductions, read at R = 2S + T: for n >= 3, R and T + R lie
+    outside <S>, and -R and S - R outside <T>.  T is replaced by
+    u^-1 * T, so the pairing is zeta itself; as nT = O, that is
+    (u^-1 - n) * T, which is -T at n = 3 and 4.  At n = 2,
+    where every basis has pairing -1, (S, T) is pinned as the two points
+    of order 2 with the larger x, ascending; the third is S + T."""
     if cv.n != n:
         raise BasisError("curve level %d vs basis level %d" % (cv.n, n))
     for P in (S, T):
         if not cv.on_curve(P):
             raise BasisError("basis point not on the curve")
-    if cv.mul(n, S) is not None or cv.mul(n, T) is not None:
+    if not (cv.in_torsion(n, S) and cv.in_torsion(n, T)):
         raise BasisError("basis point does not have exact order %d" % n)
     third = cv.add(S, T) if n == 2 else None
     if third is not None and None not in (S, T):
@@ -109,7 +111,7 @@ def make_basis(cv: CurveL, n: int, S: LPoint, T: LPoint) -> TorsionBasis:
     u = dlog_in_mu_n(e, place)
     if u != 1:
         # T = u*T', so i*S + j*T = i*S + (j*u)*T'
-        T = cv.mul(pow(u, -1, n), T)
+        T = cv.mul(pow(u, -1, n) - n, T)
         combos = {P: (i, j * u % n) for P, (i, j) in combos.items()}
     return TorsionBasis(cv, n, S, T, place, combos)
 

@@ -152,8 +152,8 @@ def tame_invariant(a: CycloElem, b: CycloElem, place: Place) -> Fraction:
 
 
 def invariant_order(inv: Fraction) -> int:
-    """Order of an invariant in Q/Z."""
-    inv = inv - int(inv)  # normalize into [0,1)
+    """Order of an invariant in Q/Z: its reduced denominator, which no
+    integer shift changes."""
     return inv.denominator
 
 

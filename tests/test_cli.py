@@ -789,9 +789,10 @@ def test_verify_computes_each_local_invariant_once(monkeypatch):
 
 
 def test_verify_work_budget(monkeypatch):
-    # per prime-power certificate: five field norms (the curve's bad
-    # modulus, the norms of pi and pi', and the support of the normed
-    # pair), one discriminant per curve, and no diff walk when the
+    # per prime-power certificate: four field norms (the norms of pi and
+    # pi', and the support of the normed pair; the curve's bad modulus
+    # took a fifth, and for a rational model N(Delta) is now taken over
+    # Z), one discriminant per curve, and no diff walk when the
     # recorded certificate equals the derived one.  Each valuation took a
     # norm before it read residues at doubling precision (26-31 norms),
     # the singularity check computed the discriminant again, and the diff
@@ -827,11 +828,12 @@ def test_verify_work_budget(monkeypatch):
 
     power = counted_in_period("__pow__ in _period", cyclo.CycloElem.__pow__)
     unit = counted_in_period("valuation_and_unit in _period", localfield.valuation_and_unit)
-    norm = counted("field_norm", cyclo.field_norm)
+    field_norm = cyclo.field_norm
+    norm = counted("field_norm", field_norm)
     for mod in (cyclo, construct, ecq, kummer, localfield, sieve):
-        if getattr(mod, "field_norm", None) is cyclo.field_norm:
+        if getattr(mod, "field_norm", None) is field_norm:
             monkeypatch.setattr(mod, "field_norm", norm)
-    monkeypatch.setattr(ecq.CurveL, "discriminant", counted("discriminant", ecq.CurveL.discriminant))
+    monkeypatch.setattr(ecq, "_invariants", counted("discriminant", ecq._invariants))
     monkeypatch.setattr(ecq.CurveL, "on_curve", counted("on_curve", ecq.CurveL.on_curve))
     monkeypatch.setattr(construct, "_diff", counted("_diff", construct._diff))
     monkeypatch.setattr(construct, "content_digest", counted("content_digest", construct.content_digest))
@@ -844,13 +846,37 @@ def test_verify_work_budget(monkeypatch):
         parts = cert["parts"] if name == "composite" else [cert]
         points = sum(2 + len(part["inputs"]["curve"]["mw_generators"]) for part in parts)
         assert construct.verify_certificate(cert) == (True, [])
-        assert calls["field_norm"] <= 5 * len(parts), (name, calls)
+        assert calls["field_norm"] <= 4 * len(parts), (name, calls)
         assert calls["discriminant"] == len(parts), (name, calls)
         assert calls["_diff"] == 0, (name, calls)
         assert calls["on_curve"] == points, (name, calls)
         assert calls["__pow__ in _period"] == 0, (name, calls)
         assert calls["valuation_and_unit in _period"] == 0, (name, calls)
         assert calls["content_digest"] == len(parts), (name, calls)
+
+
+def test_read_curve_inverts_nothing_at_levels_3_and_4(monkeypatch):
+    # n*S = O and n*T = O are read from the division polynomial, and a
+    # rescaled T is -T: reading an acceptance curve block at level 3 or 4
+    # takes no inversion in L (two, for n*S and n*T by double and add)
+    calls = Counter()
+    invert = cyclo.CycloElem.invert
+
+    def counted(self):
+        calls["invert"] += 1
+        return invert(self)
+
+    monkeypatch.setattr(cyclo.CycloElem, "invert", counted)
+    levels = []
+    for name in ("2-1", "2-2", "3-1", "3-3", "composite"):
+        cert = json.loads(_perfbench_workloads().cert_path(name).read_text())
+        for part in cert["parts"] if name == "composite" else [cert]:
+            calls.clear()
+            block = part["inputs"]["curve"]
+            cv, _, _ = construct.read_curve(block, "inputs.curve", "inputs.curve", pinned=True)
+            levels.append(cv.n)
+            assert calls["invert"] == 0 or cv.n == 2, (name, cv.n, calls)
+    assert sorted(set(levels)) == [2, 3, 4]
 
 
 @pytest.mark.parametrize("name, path, value, walked", [

@@ -19,6 +19,7 @@ from period_index.kummer import make_basis
 from period_index.construct import (
     _IDENTITY_REP,
     InputError,
+    LemmaFailure,
     _class,
     _diff,
     _same,
@@ -29,6 +30,7 @@ from period_index.construct import (
     compose_coprime,
     content_digest,
     even_adjust,
+    inv_str,
     lichtenbaum_check,
     read_elem,
     sha256,
@@ -139,6 +141,33 @@ def test_lichtenbaum_rejects_nonpositive():
         lichtenbaum_check(0, 1)
     with pytest.raises(InputError):
         lichtenbaum_check(2, -4)
+
+
+def _product_inv_str(fr, level):
+    """inv_str as it read fr * level."""
+    k = fr * level
+    if k.denominator != 1:
+        raise LemmaFailure("invariant %s is not a multiple of 1/%d" % (fr, level))
+    return "%d/%d" % (int(k) % level, level)
+
+
+def test_inv_str_matches_the_product_formula():
+    # inv_str reads the numerator and the denominator; every k/N, negative
+    # and past 1 too, gives the string or the message fr * level gave
+    def answer(fn, fr, level):
+        try:
+            return fn(fr, level)
+        except LemmaFailure as e:
+            return "LemmaFailure: %s" % e
+
+    failures = 0
+    for N in range(1, 13):
+        for k in range(-2 * N, 2 * N + 1):
+            for level in range(1, 5):
+                want = answer(_product_inv_str, Fraction(k, N), level)
+                assert answer(inv_str, Fraction(k, N), level) == want, (k, N, level)
+                failures += want.startswith("LemmaFailure")
+    assert failures > 0
 
 
 # ------------------------------------------------------------ direct runs

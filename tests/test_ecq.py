@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import exact_pairing as exact
-from period_index.cyclo import CycloElem, galois_apply, is_probable_prime, reduce_at
+from period_index.cyclo import CycloElem, field_norm, galois_apply, is_probable_prime, reduce_at
 from period_index.kummer import make_basis
 from period_index.localfield import (
     Place,
@@ -62,13 +62,33 @@ def test_bad_set_and_modulus_frozen():
 
 
 def test_bad_modulus_is_computed_once_per_curve(monkeypatch):
-    # curve_over reads it to reject a singular model; later reads are cached
-    norms = []
-    norm = ecq.field_norm
+    # curve_over reads it to reject a singular model; later reads are
+    # cached.  Delta is computed once per curve; a rational model takes its
+    # norm over Z, with no field norm, and a cyclotomic one takes one
+    deltas, norms = [], []
+    invariants, norm = ecq._invariants, ecq.field_norm
+    monkeypatch.setattr(ecq, "_invariants", lambda *a: deltas.append(a) or invariants(*a))
     monkeypatch.setattr(ecq, "field_norm", lambda x: norms.append(x) or norm(x))
     cv = curve_over(3, E_CUBE)
-    assert [cv.bad_modulus, cv.bad_modulus] == [2187, 2187] and len(norms) == 1
-    assert curve_over(3, E_CUBE).bad_modulus == 2187 and len(norms) == 2
+    assert [cv.bad_modulus, cv.bad_modulus] == [2187, 2187] and len(deltas) == 1
+    assert curve_over(3, E_CUBE).bad_modulus == 2187 and len(deltas) == 2
+    assert norms == []
+    cv = curve_over(3, E_CUBE_PLUS_ZETA)
+    assert [cv.bad_modulus, cv.bad_modulus] == [369603, 369603]
+    assert len(deltas) == 3 and len(norms) == 1
+
+
+@pytest.mark.parametrize("n, coeffs", [
+    (2, E_MINUS_X), (3, E_CUBE), (4, E_PYTH), (2, E_FRAC), (3, E_FRAC), (4, E_MINUS_X_FIFTH),
+])
+def test_rational_norm_matches_the_field_norm(n, coeffs):
+    # N(Delta) = Delta^[L:Q] for a rational Delta: the bad modulus is the
+    # one the norm over L gives
+    cv = curve_over(n, coeffs)
+    dens = 1
+    for a in cv.coefficient_list():
+        dens *= a.den
+    assert cv.bad_modulus == abs(n * field_norm(cv.discriminant()).numerator * dens)
 
 
 def _good_by_valuations(cv, place) -> bool:
@@ -120,6 +140,89 @@ def test_bad_modulus_sees_a_bad_prime_by_any_part():
 def test_singular_model_rejected():
     with pytest.raises(CurveError):
         curve_over(2, [0, 0, 0, 0, 0])  # y^2 = x^3 is singular
+
+
+# ------------------------------------------------------------ n-torsion
+
+
+def _change(a, r, s, t) -> list:
+    """The coefficients a after x -> x + r, y -> y + s*x + t (Silverman,
+    AEC III.1, u = 1), in the ring of a, r, s and t: an isomorphism onto a
+    curve with a1 and a3 in play."""
+    a1, a2, a3, a4, a6 = a
+    return [
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1,
+    ]
+
+
+def _moved(cv, r, s, t):
+    """The model of cv moved by _change, and the map of points onto it."""
+    moved = curve_over(cv.n, _change(cv.coefficient_list(), r, s, t))
+    return moved, lambda P: None if P is None else (P[0] - r, P[1] - s * (P[0] - r) - t)
+
+
+def _torsion_cases():
+    """(curve, points): rational models at levels 2, 3 and 4, and models
+    with cyclotomic coefficients at 3 and 4, each with points of orders
+    2, 3, 4, 5, 6 or infinite order, small multiples and sums of them,
+    and O."""
+    z3, i = CycloElem.zeta(3), CycloElem.zeta(4)
+    rational = [
+        (2, E_MINUS_X, [(0, 0), (1, 0), (-1, 0)]),
+        (2, E_PYTH, [(0, 0), (9, 0), (-6, 30)]),
+        (2, E_FRAC, [(0, 0), ("1/4", 0)]),
+        (2, [0, -1, 1, -10, -20], [(5, 5)]),   # 11a1: order 5
+        (2, [0, 0, 0, 0, 1], [(2, 3)]),        # order 6
+        (2, [0, 0, 1, -1, 0], [(0, 0)]),       # 37a1: infinite order
+        (3, E_CUBE, [(0, 0), (-1, z3 * -1 - 1), (z3 * -1, z3 * -1 - 1)]),
+        (3, E_PYTH, [(0, 0), (-6, 30)]),
+        (3, E_MINUS_X_FIFTH, [("-1/5", 0), ("4/5", 0)]),
+        (4, E_MINUS_X, [(0, 0), (i, i - 1), (i * -1, i * -1 - 1)]),
+        (4, E_PYTH, [(0, 0), (4, i * -20), (-6, -30)]),
+        (4, E_CUBE, [(0, 0)]),
+        (4, [0, 0, 1, -1, 0], [(0, 0)]),
+    ]
+    cases = []
+    for n, coeffs, xys in rational:
+        cv = curve_over(n, coeffs)
+        cases.append((cv, [point_over(n, xy) for xy in xys]))
+    cases.append((curve_over(3, E_CUBE_ZETA), [
+        (z3 * -1 - 1, z3 * -1 - 1), (z3 * -2, z3 * -1 - 1), (z3 * -1, CycloElem.rational(3, -1)),
+    ]))
+    for k, (cv, points) in enumerate(list(cases)):
+        if cv.n > 2 and cv.is_rational_model():
+            r = CycloElem.zeta(cv.n)
+            moved, move = _moved(cv, r, r * (k % 2), r + 1)
+            cases.append((moved, [move(P) for P in points]))
+    out = []
+    for cv, points in cases:
+        more = [cv.mul(k, P) for P in points for k in (1, 2, 3)]
+        more += [cv.add(P, Q) for P in points for Q in points]
+        out.append((cv, more + [None]))
+    return out
+
+
+def test_in_torsion_matches_the_group_law():
+    # the division polynomial psi_n at P vanishes exactly when n*P = O:
+    # psi_2, psi_3 and psi_4 in closed form, psi_5 to psi_9 by the
+    # recursion; every model here has cyclotomic or rational coefficients
+    # and a1 or a3 nonzero in some model, and no point of E_CUBE_PLUS_ZETA
+    # of small height lies over Q(zeta_3)
+    seen = set()
+    cases = _torsion_cases()
+    assert sum(not cv.is_rational_model() for cv, _ in cases) >= 8
+    for cv, points in cases:
+        for P in points:
+            assert cv.on_curve(P)
+            for n in range(2, 10):
+                killed = cv.mul(n, P) is None
+                assert cv.in_torsion(n, P) == killed, (cv, P, n)
+                seen.add((n, killed))
+    assert seen == {(n, k) for n in range(2, 10) for k in (False, True)}
 
 
 # ------------------------------------------------------------ group law
@@ -857,19 +960,6 @@ def test_zeta_dlog():
 # ------------------------------------------------------- Tate pairing
 
 
-def _moved(p, a, r, s, t):
-    """Coefficients mod p after x -> x + r, y -> y + s*x + t, an
-    isomorphism onto a curve with a1 and a3 in play."""
-    a1, a2, a3, a4, a6 = a
-    return [c % p for c in (
-        a1 + 2 * s,
-        a2 - s * a1 + 3 * r - s * s,
-        a3 + r * a1 + 2 * t,
-        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
-        a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1,
-    )]
-
-
 def _full_torsion_curves(rng, m, count):
     """count random curves over primes 11 <= p < 250 with m | p - 1 and
     E[m] inside E(F_p), with their group structures."""
@@ -883,7 +973,8 @@ def _full_torsion_curves(rng, m, count):
             e1, e2, e3 = (rng.randrange(p) for _ in range(3))  # y^2 = (x-e1)(x-e2)(x-e3)
             base = [0, -(e1 + e2 + e3), 0, e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3]
         try:
-            cfp = CurveFp(p, *_moved(p, base, *(rng.randrange(p) for _ in range(3))))
+            r, s, t = (rng.randrange(p) for _ in range(3))
+            cfp = CurveFp(p, *(c % p for c in _change(base, r, s, t)))
         except CurveError:
             continue
         st = group_structure(cfp)

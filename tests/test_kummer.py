@@ -266,7 +266,9 @@ def test_make_basis_inversion_budget(monkeypatch):
     # the benchmark's cubic and quartic bases: with the exact Weil pairing
     # and table over L, make_basis made 27 and 19 inversions (253 and 119
     # before the Miller lines were shared); read at the auxiliary prime, the
-    # exact work left is n*S, n*T and u^-1 * T, 3 and 2 inversions
+    # exact work left was n*S, n*T and u^-1 * T, 3 and 2 inversions.  n*S
+    # and n*T are now read from the division polynomial, and u^-1 * T is
+    # -T at levels 3 and 4: no inversion
     calls = {"invert": 0}
     invert = CycloElem.invert
 
@@ -275,10 +277,10 @@ def test_make_basis_inversion_budget(monkeypatch):
         return invert(self)
 
     monkeypatch.setattr(CycloElem, "invert", counted_invert)
-    for (cv, S, T), n, budget in ((_fixture3(), 3, 3), (_fixture4(), 4, 2)):
+    for (cv, S, T), n in ((_fixture3(), 3), (_fixture4(), 4)):
         calls.update(invert=0)
         make_basis(cv, n, S, T)
-        assert calls["invert"] <= budget
+        assert calls["invert"] == 0
 
 
 def _fixture5():
