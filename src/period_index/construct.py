@@ -67,6 +67,7 @@ except ImportError:
 
 from .cyclo import (
     NORM_LEVELS,
+    PRIME_PROOF_LIMIT,
     CycloElem,
     Record,
     context,
@@ -86,12 +87,12 @@ from .kummer import (
 from .localfield import (
     Place,
     archimedean_invariant,
-    distinguished_place,
-    invariant_order,
     is_one_mod,
+    p_adic_split,
     places_over,
-    tame_invariant,
-    valuation,
+    split_places,
+    symbol_exponent,
+    valuation_and_unit,
     wild_modulus,
 )
 from .sieve import find_pair, residue_order_profile
@@ -159,12 +160,6 @@ def point_obj(P: LPoint):
     if P is None:
         return "infinity"
     return {"x": elem_coeffs(P[0]), "y": elem_coeffs(P[1])}
-
-
-def fp_point_obj(P):
-    if P is None:
-        return "infinity"
-    return [_s(P[0]), _s(P[1])]
 
 
 def place_obj(place: Place) -> dict:
@@ -291,22 +286,17 @@ def _factor_over(value: Fraction, primes) -> list:
            "obstruction.support")
     rest, out = abs(value.numerator), []
     for q in sorted(set(primes)):
-        e = 0
-        while rest % q == 0:
-            rest //= q
-            e += 1
+        e, rest = p_adic_split(rest, q)
         if e:
             out.append([_s(q), _s(e)])
     _lemma(rest == 1, "normed pair has support outside the sieved pair", "obstruction.support")
     return out
 
 
-def _row(place: Place, inv: Fraction) -> dict:
-    return {
-        "place": place_obj(place),
-        "invariant": inv_str(inv, place.n),
-        "order": _s(invariant_order(inv)),
-    }
+def _row(k: int, n: int, **at) -> dict:
+    """The row of the invariant k/n, 0 <= k < n, and its order in Q/Z, at
+    the place or prime that at names."""
+    return {**at, "invariant": "%d/%d" % (k, n), "order": _s(n // gcd(k, n))}
 
 
 def _rep_obj(rep: dict) -> list:
@@ -414,9 +404,10 @@ def _preconditions(
 
 
 def _pair_member(pi: CycloElem, level: int, path: str) -> tuple:
-    """The place and the object of a pair generator, after its pinned
-    conditions: a prime norm p, the wild congruence, total positivity, and
-    valuation one at the distinguished place over p."""
+    """The places over p and the object of a pair generator, after its
+    pinned conditions: a prime norm p, the wild congruence, total
+    positivity, and valuation one at the first place over p, the
+    distinguished one."""
     cond = path + ".conditions."
     nm = field_norm(pi)
     p, m = abs(nm.numerator), wild_modulus(level)
@@ -424,12 +415,14 @@ def _pair_member(pi: CycloElem, level: int, path: str) -> tuple:
         prime = nm.denominator == 1 and is_probable_prime(p)
     except ValueError:  # too large for the primality test to prove
         prime = False
-    _lemma(prime, "generator norm %s is not a proven prime" % nm, cond + "prime_norm")
+    # no norm past psi_12 is proven prime, and its digits may pass str's limit
+    _lemma(prime, "generator norm %s is not a proven prime"
+           % (nm if abs(nm) < PRIME_PROOF_LIMIT else "at or above psi_12"), cond + "prime_norm")
     _lemma(is_one_mod(pi, m), "generator is not congruent to 1 mod %d" % m,
            cond + "congruent_one_mod_wild")
     _lemma(is_totally_positive(pi), "generator is not totally positive", cond + "totally_positive")
-    place = distinguished_place(level, p)
-    _lemma(reduce_at(pi, p, place.omega) % p == 0, "generator is a unit at its own place",
+    places = places_over(level, p)
+    _lemma(reduce_at(pi, p, places[0].omega) % p == 0, "generator is a unit at its own place",
            cond + "vanishes_at_own_place")
     conditions = {
         "prime_norm": {"norm": _s(p)},
@@ -437,8 +430,8 @@ def _pair_member(pi: CycloElem, level: int, path: str) -> tuple:
         "totally_positive": True,
         "vanishes_at_own_place": True,
     }
-    return place, {"p": _s(p), "pi": elem_coeffs(pi), "place": place_obj(place),
-                   "conditions": conditions}
+    return places, {"p": _s(p), "pi": elem_coeffs(pi), "place": place_obj(places[0]),
+                    "conditions": conditions}
 
 
 def _route(basis: TorsionBasis, route: Route) -> tuple:
@@ -469,14 +462,15 @@ def _pair(
     cv: CurveL, mw_gens: list, pi: CycloElem, pi_prime: CycloElem, witnesses: tuple,
     target_n: int,
 ) -> tuple:
-    """The pair section and the place of each member: the pinned
-    conditions on both generators, the divisibility witnesses ((index,
-    point) per declared generator) at the first place, and the residue
-    orders of the second generator there."""
+    """The pair section and the places over each member's prime, its own
+    first: the pinned conditions on both generators, the divisibility
+    witnesses ((index, point) per declared generator) at the first place,
+    and the residue orders of the second generator there."""
     N = cv.n
-    v, first = _pair_member(pi, N, "pair.first")
-    vp, second = _pair_member(pi_prime, N, "pair.second")
-    _lemma(v.p != vp.p, "pair members sit over the same prime %d" % v.p, "pair.second.p")
+    places, first = _pair_member(pi, N, "pair.first")
+    places_p, second = _pair_member(pi_prime, N, "pair.second")
+    v = places[0]
+    _lemma(v.p != places_p[0].p, "pair members sit over the same prime %d" % v.p, "pair.second.p")
     _lemma(len(witnesses) == len(mw_gens), "need one witness per declared generator", _WITNESSES)
     try:
         cfp = reduce_curve(cv, v)
@@ -496,11 +490,11 @@ def _pair(
            sc + "conjugate_orders")
     first["conditions"]["generators_divisible"] = {
         "level": _s(target_n),
-        "witnesses": [[_s(i), fp_point_obj(w)] for i, w in witnesses],
+        "witnesses": [[_s(i), [_s(c) for c in w] if w else "infinity"] for i, w in witnesses],
     }
     second["conditions"]["residue_order_at_first_place"] = _s(residue_order)
     second["conditions"]["conjugate_orders"] = [[_s(t), _s(o)] for t, o in conjugate_orders]
-    return {"first": first, "second": second}, v, vp
+    return {"first": first, "second": second}, (places, places_p)
 
 
 def _class(rep: dict, pi: CycloElem, pi_prime: CycloElem, ell_sym: int) -> tuple:
@@ -531,59 +525,68 @@ def _class(rep: dict, pi: CycloElem, pi_prime: CycloElem, ell_sym: int) -> tuple
     return section, factors, normed
 
 
-def _obstruction(factors: dict, normed: tuple, v: Place, vp: Place, route: Route) -> tuple:
-    """The obstruction section, and the target-level invariant at v that
-    the index rows shift: the v-row and its sub-symbols, the local rows at
-    every place over the pair and their consistency rule, the descended
-    rows and reciprocity for rational claims, the global order, and the
-    places away from the pair.  The global order is ell with no check of
-    its own: the v-row check fixes the target order at v to ell, the
-    local_rows check gives v' that order, and the independent rule of
-    cyclotomic claims puts every other row at 0."""
+def _obstruction(factors: dict, normed: tuple, places: tuple, route: Route) -> tuple:
+    """The obstruction section, and the exponent over the target level of
+    the target invariant at v that the index rows shift: the v-row and its
+    sub-symbols, the local rows at every place over the pair and their
+    consistency rule, the descended rows and reciprocity for rational
+    claims, the global order, and the places away from the pair.  places
+    lists the places over p and over p', v and v' first.  An invariant is
+    the exponent k of k/n until it is written, and each element is read at
+    each place once.  The global order is ell with no check of its own: the
+    v-row check fixes the target order at v to ell, the local_rows check
+    gives v' that order, and the independent rule of cyclotomic claims puts
+    every other row at 0."""
     first, second = normed
-    p, pp, N = v.p, vp.p, v.n
-    vals = {k: valuation(x, v) for k, x in factors.items()}
+    (v, *_), (vp, *_) = places
+    p, pp, N, n = v.p, vp.p, v.n, route.n
+    at_v = {k: valuation_and_unit(x, v) for k, x in factors.items()}
+    vals = {k: r[0] for k, r in at_v.items()}
     _lemma(list(vals.values()) == [1, 0, 0, 0], "valuations at v are not (1, 0, 0, 0): %r" % vals,
            "obstruction.v_row.valuations")
-    inv_v = tame_invariant(first, second, v)
-    _lemma(invariant_order(inv_v) == route.ell_sym,
-           "v-invariant has order %d, expected the symbol target %d"
-           % (invariant_order(inv_v), route.ell_sym), "obstruction.v_row.order")
+
+    def symbol(w):  # the exponent of the normed pair at w
+        return symbol_exponent(valuation_and_unit(first, w), valuation_and_unit(second, w), w)
+
+    k_v = symbol(v)
+    order = N // gcd(k_v, N)
+    _lemma(order == route.ell_sym, "v-invariant has order %d, expected the symbol target %d"
+           % (order, route.ell_sym), "obstruction.v_row.order")
     subs = {
-        "%s_%s" % (a, b): tame_invariant(factors[a], factors[b], v)
+        "%s_%s" % (a, b): symbol_exponent(at_v[a], at_v[b], v)
         for a in ("c", "cprime")
         for b in ("d", "dprime")
     }
     # _class checked d = 1, so <c, d> = 0 needs no check
-    _lemma(sum(subs.values()) % 1 == inv_v,
+    _lemma(sum(subs.values()) % N == k_v,
            "sub-symbols at v do not add up to the invariant with <c, d> = 0",
            "obstruction.v_row.sub_symbols")
-    inv_vp = tame_invariant(first, second, vp)
-    _lemma(invariant_order(inv_vp) == invariant_order(inv_v),
+    k_vp = symbol(vp)
+    _lemma(gcd(k_vp, N) == gcd(k_v, N),
            "symbol order at v' differs from the order at v", "obstruction.local_rows")
 
-    # every place over the pair, one prime at a time: v and v' (each the
-    # first place over its prime) as computed, then their conjugates
-    consistency, local, target_invs = route.consistency, [], {}
-    for w0, raw in ((v, inv_v), (vp, inv_vp)):
-        conj = [(w, tame_invariant(first, second, w)) for w in places_over(N, w0.p)[1:]]
+    # every place over the pair, one prime at a time: v and v' as computed,
+    # then their conjugates; a doubled claim's target 2k/2n is k/n
+    consistency, local, targets = route.consistency, [], {}
+    for (w0, *others), raw in zip(places, (k_v, k_vp)):
+        conj = [(w, symbol(w)) for w in others]
         if consistency == "equal":
-            agree = all(inv == raw for _, inv in conj)
+            agree = all(k == raw for _, k in conj)
         elif consistency == "doubles-equal":
-            agree = all(2 * (inv - raw) % 1 == 0 for _, inv in conj)
+            agree = all(2 * (k - raw) % N == 0 for _, k in conj)
         else:
             # the seed pair is supported at the two pinned primes only, so
             # proper conjugate places see two units
-            agree = not any(inv for _, inv in conj)
+            agree = not any(k for _, k in conj)
         _lemma(agree, "conjugate places over %d break the %s rule" % (w0.p, consistency),
                "obstruction.local_rows")
         local += [(w0, raw)] + conj
-        target_invs[w0.p] = (2 * raw) % 1 if route.doubled else raw
+        targets[w0.p] = raw % n
 
     if route.rational:
         # a two-torsion-ambiguous reading pins only the doubles
         scale = 2 if route.exactness == "two-torsion-ambiguous" else 1
-        _lemma(scale * sum(target_invs.values()) % 1 == 0,
+        _lemma(scale * sum(targets.values()) % n == 0,
                "descended rows break the product formula", "obstruction.reciprocity_sum")
 
     # --- places away from the pair ---
@@ -601,27 +604,24 @@ def _obstruction(factors: dict, normed: tuple, v: Place, vp: Place, route: Route
             "invariant": inv_str(arch_inv, N),
         }
     else:
-        arch = {"kind": "complex", "invariant": inv_str(Fraction(0), N)}
+        arch = {"kind": "complex", "invariant": "0/%d" % N}
     # spot checks at the first two split primes past the pair: both
-    # coordinates are units there, so the invariants must vanish.  q steps
-    # through 1 mod N from the least such q past the pair
-    top = max(p, pp)
-    unit_rows, q = [], top + 1 + -top % N
-    while len(unit_rows) < 2:
-        if is_probable_prime(q):
-            w = distinguished_place(N, q)
-            inv = tame_invariant(first, second, w)
-            _lemma(inv == 0, "unit-unit invariant at %d is nonzero" % q, "obstruction.unit_rows")
-            unit_rows.append(_row(w, inv))
-        q += N
+    # coordinates are units there, so the invariants must vanish
+    unit_rows = []
+    for _, w in zip(range(2), split_places(N, max(p, pp))):
+        _lemma(symbol(w) == 0, "unit-unit invariant at %d is nonzero" % w.p,
+               "obstruction.unit_rows")
+        unit_rows.append(_row(0, N, place=place_obj(w)))
 
     section = {
-        "local_rows": [_row(w, inv) for w, inv in sorted(local, key=lambda row: row[0].p)],
+        "local_rows": [
+            _row(k, N, place=place_obj(w)) for w, k in sorted(local, key=lambda r: r[0].p)
+        ],
         "v_row": {
-            **_row(v, inv_v),
+            **_row(k_v, N, place=place_obj(v)),
             "valuations": {k: _s(val) for k, val in vals.items()},
             "d_is_one": True,
-            "sub_symbols": {k: inv_str(sv, N) for k, sv in subs.items()},
+            "sub_symbols": {k: "%d/%d" % (sk, N) for k, sk in subs.items()},
         },
         "support": {
             "first": _factor_over(field_norm(first), (p, pp)),
@@ -631,7 +631,7 @@ def _obstruction(factors: dict, normed: tuple, v: Place, vp: Place, route: Route
             "modulus": _s(m_wild),
             "first_congruent": True,
             "second_congruent": True,
-            "invariant": inv_str(Fraction(0), N),
+            "invariant": "0/%d" % N,
         },
         "archimedean": arch,
         "unit_rows": unit_rows,
@@ -641,10 +641,9 @@ def _obstruction(factors: dict, normed: tuple, v: Place, vp: Place, route: Route
     }
     if route.rational:
         section["descended_rows"] = [
-            {"p": _s(q), "invariant": inv_str(i, route.n), "order": _s(invariant_order(i))}
-            for q, i in target_invs.items()
+            _row(k, n, p=_s(q)) for q, k in targets.items()
         ]
-    return section, target_invs[p] if route.rational else inv_v
+    return section, targets[p]
 
 
 def _period(target_n: int) -> dict:
@@ -665,11 +664,11 @@ def _index_upper(target_n: int, target_ell: int) -> dict:
             "rule": _UPPER_RULE}
 
 
-def _index_lower(inv_target_v: Fraction, target_n: int, target_ell: int) -> dict:
+def _index_lower(k_v: int, target_n: int, target_ell: int) -> dict:
     """Shifts to every smaller candidate level: each is nonzero, as the
-    target invariant at v has exact order ell (_obstruction)."""
+    target invariant k_v/n at v has exact order ell (_obstruction)."""
     rows = [
-        {"ell_prime": _s(ellp), "shifted_invariant": inv_str(ellp * inv_target_v, target_n)}
+        {"ell_prime": _s(ellp), "shifted_invariant": "%d/%d" % (ellp * k_v % target_n, target_n)}
         for ellp in range(1, target_ell)
         if target_ell % ellp == 0
     ]
@@ -692,9 +691,9 @@ def _certificate(
     section reads.  recorded is verify's (curve block, digest), the digest
     already checked against the block: a derived block the same as it has
     that digest, so it is not hashed again."""
-    pair, v, vp = _pair(cv, mw_gens, pi, pi_prime, witnesses, route.n)
+    pair, places = _pair(cv, mw_gens, pi, pi_prime, witnesses, route.n)
     cls, factors, normed = _class(route.rep, pi, pi_prime, route.ell_sym)
-    obstruction, inv_target_v = _obstruction(factors, normed, v, vp, route)
+    obstruction, k_v = _obstruction(factors, normed, places, route)
     ctx, route_section = _route(basis, route)
     curve = _curve_block(cv, basis, mw_gens)
     if recorded and _same(curve, recorded[0]):
@@ -712,9 +711,9 @@ def _certificate(
         "obstruction": obstruction,
         "period": _period(route.n),
         "index_upper": _index_upper(route.n, route.ell),
-        "index_lower": _index_lower(inv_target_v, route.n, route.ell),
+        "index_lower": _index_lower(k_v, route.n, route.ell),
         "lichtenbaum_ok": True,
-        "summary": _summary(route.n, route.ell, v.p, vp.p),
+        "summary": _summary(route.n, route.ell, places[0][0].p, places[1][0].p),
     }
 
 
@@ -875,9 +874,9 @@ def compose_coprime(left: dict, right: dict, allow_different_jacobians: bool = F
 # the derived certificate writes each input it read back canonically, and
 # the diff rejects any other spelling at its field.
 
-# matched whole, ASCII digits only (\d takes every Unicode digit)
-_INT_RE = re.compile(r"-?[0-9]+")
-_COEFF_RE = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
+# a rational coordinate "a/b", matched whole; ASCII digits only (\d takes
+# every Unicode digit), and no denominator 0 or with a leading 0
+_FRACTION_RE = re.compile(r"-?[0-9]+/[1-9][0-9]*")
 _KINDS = {dict: "an object", list: "a list", str: "a string"}
 
 
@@ -914,21 +913,28 @@ def read_field(obj: dict, rel: str, at: str = "", kind=None):
     return obj
 
 
-def _exact(value, pattern, convert, path: str, expected: str):
-    """A JSON integer, or convert of a string that matches pattern once
-    stripped."""
+def _exact(value, path: str, expected: str, index=None, rational=False):
+    """A JSON integer, or a string that once stripped is ASCII digits
+    after at most one minus, read straight to an int; if rational, also
+    one that _FRACTION_RE matches, read to a Fraction.  A list entry's
+    path, path[index], is built for a refusal only."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str) and pattern.fullmatch(value.strip()):
-        try:
-            return convert(value.strip())
-        except ValueError as e:  # past the interpreter's digit limit
-            raise InputError(str(e), path)
-    raise InputError("expected %s, found %s" % (expected, _show(value)), path)
+    text = value.strip() if isinstance(value, str) else ""
+    digits = text.removeprefix("-")
+    try:
+        if digits.isdigit() and digits.isascii():
+            return int(text)
+        if rational and _FRACTION_RE.fullmatch(text):
+            return Fraction(text)
+        msg = "expected %s, found %s" % (expected, _show(value))
+    except ValueError as e:  # past the interpreter's digit limit
+        msg = str(e)
+    raise InputError(msg, path if index is None else "%s[%d]" % (path, index))
 
 
 def read_int(value, path: str) -> int:
-    return _exact(value, _INT_RE, int, path, "an exact integer")
+    return _exact(value, path, "an exact integer")
 
 
 def read_positive(value, path: str) -> int:
@@ -938,25 +944,18 @@ def read_positive(value, path: str) -> int:
     return k
 
 
-def _rational(text: str):
-    """A matched coordinate: an int, or a Fraction for "a/b"."""
-    num, slash, den = text.partition("/")
-    return Fraction(int(num), int(den)) if slash else int(num)
-
-
 def read_elem(level: int, value, path: str) -> CycloElem:
     """A rational, or at most the degree's coordinates in the power basis,
     the missing ones zero."""
     deg = context(level).degree
     if isinstance(value, list) and 1 <= len(value) <= deg:
-        entries = [("%s[%d]" % (path, i), c) for i, c in enumerate(value)]
+        index = range(len(value))
     elif isinstance(value, (int, str)):
-        entries = [(path, value)]
+        value, index = [value], [None]
     else:
         raise InputError("expected a rational or at most %d exact coordinates" % deg, path)
     expected = 'an exact rational such as "-3/2"'
-    coeffs = [_exact(c, _COEFF_RE, _rational, at, expected) for at, c in entries]
-    return CycloElem(level, coeffs)
+    return CycloElem(level, [_exact(c, path, expected, i, True) for c, i in zip(value, index)])
 
 
 def _read_point(level: int, value, path: str) -> LPoint:

@@ -119,9 +119,11 @@ class CycloElem(Record):
 
     def __init__(self, n: int, coeffs: Iterable):
         ctx = context(n)
-        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
-        num = [c.numerator * (den // c.denominator) for c in cs]
+        num, den = list(coeffs), 1
+        if not all(type(c) is int for c in num):
+            cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in num]
+            den = lcm(*(c.denominator for c in cs))
+            num = [c.numerator * (den // c.denominator) for c in cs]
         if len(num) > ctx.degree:
             # fold high powers down; lets callers pass raw polynomial data
             num = _reduce(ctx, num)
@@ -406,7 +408,7 @@ def lifted_root(n: int, p: int, omega: int, precision: int) -> int:
     Phi_n is separable mod p (p does not divide n here), so Newton steps
     converge quadratically and the lift is unique above omega.
     """
-    phi = cyclotomic_poly(n)
+    phi = context(n).phi_coeffs
     dphi = [i * c for i, c in enumerate(phi)][1:]
     modulus = p
     root = omega % p

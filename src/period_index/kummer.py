@@ -27,11 +27,10 @@ from .cyclo import (
     context,
     embed_level,
     galois_apply,
-    is_probable_prime,
     reduce_at,
 )
 from .ecq import CurveL, LPoint, reduce_curve, reduce_point, torsion_pool, weil_pairing
-from .localfield import Place, distinguished_place, dlog_in_mu_n, tame_invariant
+from .localfield import Place, dlog_in_mu_n, split_places, tame_invariant
 
 
 class BasisError(ValueError):
@@ -64,11 +63,7 @@ def _auxiliary_place(cv: CurveL) -> Place:
     place over q, so the coordinates of the points of E[n] are integral
     there (Silverman, AEC VII.3.4) and reduction is injective on E[n]
     (VII.3.1)."""
-    n = cv.n
-    q = n + 1
-    while cv.bad_modulus % q == 0 or not is_probable_prime(q):
-        q += n
-    return distinguished_place(n, q)
+    return next(w for w in split_places(cv.n, cv.n) if cv.bad_modulus % w.p)
 
 
 def make_basis(cv: CurveL, n: int, S: LPoint, T: LPoint) -> TorsionBasis:
@@ -87,7 +82,10 @@ def make_basis(cv: CurveL, n: int, S: LPoint, T: LPoint) -> TorsionBasis:
     u^-1 * T, so the pairing is zeta itself; as nT = O, that is
     (u^-1 - n) * T, which is -T at n = 3 and 4.  At n = 2,
     where every basis has pairing -1, (S, T) is pinned as the two points
-    of order 2 with the larger x, ascending; the third is S + T."""
+    of order 2 with the larger x, ascending.  The third, S + T, is written
+    out with no inversion: the x of the three are the roots of
+    4x^3 + b2 x^2 + 2b4 x + b6, which add up to -b2/4, and a point of
+    order 2 has y = -(a1 x + a3)/2."""
     if cv.n != n:
         raise BasisError("curve level %d vs basis level %d" % (cv.n, n))
     for P in (S, T):
@@ -95,8 +93,9 @@ def make_basis(cv: CurveL, n: int, S: LPoint, T: LPoint) -> TorsionBasis:
             raise BasisError("basis point not on the curve")
     if not (cv.in_torsion(n, S) and cv.in_torsion(n, T)):
         raise BasisError("basis point does not have exact order %d" % n)
-    third = cv.add(S, T) if n == 2 else None
-    if third is not None and None not in (S, T):
+    if n == 2 and None not in (S, T) and S != T:
+        x = -(S[0] + T[0]) - Fraction(cv.invariants[0], 4)
+        third = x, (cv.a1 * x + cv.a3) * Fraction(-1, 2)
         S, T = sorted((S, T, third), key=lambda P: P[0].rational_value())[1:]
     place = _auxiliary_place(cv)
     cfp = reduce_curve(cv, place)

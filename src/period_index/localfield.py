@@ -3,13 +3,15 @@
 A split place is pinned by a pair (p, omega): p a rational prime with
 p ≡ 1 mod n and p not dividing n, omega a root of Phi_n mod p.  The
 completion there is Q_p, the element zeta maps to omega, and p itself is a
-uniformizer.  All invariants land in (1/n)Z/Z, stored as Fractions in [0, 1).
+uniformizer.  All invariants land in (1/n)Z/Z: symbol_exponent gives the
+k of k/n as an integer in [0, n), and tame_invariant the Fraction k/n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import Iterator
 
 from .cyclo import (
     CycloElem,
@@ -65,6 +67,17 @@ def places_over(n: int, p: int) -> list[Place]:
     return [Place(n, p, w) for w in phi_roots_mod_p(n, p)]
 
 
+def split_places(n: int, past: int) -> Iterator[Place]:
+    """The first place over each prime q ≡ 1 mod n above past, ascending:
+    the distinguished place over q, read from the root list once
+    is_probable_prime has decided q."""
+    q = past + 1 + -past % n
+    while True:
+        if is_probable_prime(q):
+            yield Place(n, q, phi_roots_mod_p(n, q)[0])
+        q += n
+
+
 def refine_place(place: Place, m: int) -> Place:
     """Lift a level-n place to level m*n, compatibly: the new residue root x
     satisfies x^m = omega.  Requires p ≡ 1 mod m*n; among the m admissible
@@ -81,7 +94,7 @@ def refine_place(place: Place, m: int) -> Place:
 # ------------------------------------------------------------ valuations
 
 
-def _p_adic_split(m: int, p: int) -> tuple[int, int]:
+def p_adic_split(m: int, p: int) -> tuple[int, int]:
     """m = p^k * u with p not dividing u; returns (k, u).  m != 0."""
     k = 0
     while m % p == 0:
@@ -101,7 +114,9 @@ def valuation_and_unit(x: CycloElem, place: Place) -> tuple[int, int]:
     x / p^v there, a unit mod p.
 
     The integral y = d*x (d the denominator, so y's coordinates are x's
-    numerators) is evaluated at the Hensel-lifted root modulo p^k, for
+    numerators) is read at omega mod p first: a nonzero residue is y's
+    unit, with v(y) = 0, and most elements a symbol meets are units.
+    Otherwise y is evaluated at the Hensel-lifted root modulo p^k, for
     k = 2, 4, 8, ... until the residue is nonzero; v(y) and the unit are
     read from that residue.  The loop ends: the place has e = f = 1, so
     zeta -> the lifted root embeds Q(zeta_n) in Q_p, a nonzero x has a
@@ -111,13 +126,13 @@ def valuation_and_unit(x: CycloElem, place: Place) -> tuple[int, int]:
     if x.is_zero():
         raise ZeroDivisionError("valuation of zero")
     n, p, omega = x.n, place.p, place.omega
+    e = horner(x.num, omega, p)
     k = 1
-    e = 0
     while not e:
         k *= 2
         e = horner(x.num, lifted_root(n, p, omega, k), p**k)
-    vy, u_y = _p_adic_split(e, p)
-    dk, du = _p_adic_split(x.den, p)
+    vy, u_y = p_adic_split(e, p)
+    dk, du = p_adic_split(x.den, p)
     return vy - dk, u_y * pow(du, -1, p) % p
 
 
@@ -135,20 +150,26 @@ def dlog_in_mu_n(t: int, place: Place) -> int:
     raise ValueError("t=%d is not in the group generated by omega=%d mod %d" % (t, w, p))
 
 
-def tame_invariant(a: CycloElem, b: CycloElem, place: Place) -> Fraction:
-    """Local invariant of the degree-n tame symbol of (a, b) at the place.
+def symbol_exponent(ra: tuple[int, int], rb: tuple[int, int], place: Place) -> int:
+    """The exponent k in [0, n) of the degree-n tame symbol of (a, b) at
+    the place, from the readings ra = (v(a), u_a) and rb = (v(b), u_b) of
+    valuation_and_unit.
 
-    The tame symbol unit is r = (-1)^(v(a)v(b)) a^(v(b)) b^(-v(a)); the
-    invariant is dlog_omega(rbar^((p-1)/n)) / n, a Fraction in [0, 1).
-    """
+    The tame symbol unit is r = (-1)^(v(a)v(b)) a^(v(b)) b^(-v(a)), and
+    rbar^((p-1)/n) = omega^k: the invariant is k/n (Serre, Local Fields,
+    XIV; Neukirch, Algebraic Number Theory, V.3)."""
+    (va, ua), (vb, ub) = ra, rb
     n, p = place.n, place.p
-    va, ua = valuation_and_unit(a, place)
-    vb, ub = valuation_and_unit(b, place)
     sign = p - 1 if (va * vb) % 2 else 1
     r = sign * pow(ua, vb, p) * pow(ub, -va, p) % p
-    t = pow(r, (p - 1) // n, p)
-    k = dlog_in_mu_n(t, place)
-    return Fraction(k % n, n)
+    return dlog_in_mu_n(pow(r, (p - 1) // n, p), place)
+
+
+def tame_invariant(a: CycloElem, b: CycloElem, place: Place) -> Fraction:
+    """Local invariant of the degree-n tame symbol of (a, b) at the place,
+    k/n in [0, 1) for k the symbol_exponent of their readings there."""
+    k = symbol_exponent(valuation_and_unit(a, place), valuation_and_unit(b, place), place)
+    return Fraction(k, place.n)
 
 
 def invariant_order(inv: Fraction) -> int:

@@ -768,24 +768,52 @@ def test_verify_refuses_a_generator_of_unproven_prime_norm(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("pair.first.conditions.prime_norm: ")
 
 
+@pytest.mark.parametrize("digits", [2000, 3000, 5000])
+def test_verify_names_a_generator_coordinate_of_thousands_of_digits(tmp_path, capsys, digits):
+    # the norm of such a pi passes psi_12, so prime_norm fails and says so
+    # without its digits: at 3,000 they passed str's limit, and the
+    # catch-all answered "certificate: check failed"; past 4,300 digits
+    # the reader names the coordinate
+    cert = json.loads(_perfbench_workloads().cert_path("3-1").read_text())
+    cert["pair"]["first"]["pi"][0] = "9" * digits
+    target = tmp_path / "huge.json"
+    target.write_text(json.dumps(cert))
+    assert main(["verify", str(target)]) == 1
+    first = capsys.readouterr().err.splitlines()[0]
+    if digits < 4300:
+        assert first == ("pair.first.conditions.prime_norm: generator norm at or above psi_12 "
+                         "is not a proven prime")
+    else:
+        assert first.startswith("pair.first.pi[0]: Exceeds the limit (4300 digits)")
+
+
 def test_verify_computes_each_local_invariant_once(monkeypatch):
     # the v-row and the v'-order check read the local rows' invariants:
-    # 10/12/12/12/24 tame symbols when each was computed again
-    calls = [0]
-    tame = construct.tame_invariant
+    # 10/12/12/12/24 tame symbols when each was computed again.  Each
+    # (element, place) pair is read once: c, c', d, d' and the normed pair
+    # at v, the normed pair at v', at each conjugate place and at each
+    # unit-row place.  Each symbol read both of its entries, and the
+    # v-row's valuations were read apart: 20/24/24/24/48 readings
+    calls = Counter()
 
-    def counted(*args):
-        calls[0] += 1
-        return tame(*args)
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(construct, "tame_invariant", counted)
+    monkeypatch.setattr(construct, "symbol_exponent",
+                        counted("symbol", construct.symbol_exponent))
+    monkeypatch.setattr(construct, "valuation_and_unit",
+                        counted("read", construct.valuation_and_unit))
     counts = {}
     for name in ("2-1", "2-2", "3-1", "3-3", "composite"):
-        calls[0] = 0
+        calls.clear()
         cert = json.loads(_perfbench_workloads().cert_path(name).read_text())
         assert construct.verify_certificate(cert) == (True, [])
-        counts[name] = calls[0]
-    assert counts == {"2-1": 8, "2-2": 10, "3-1": 10, "3-3": 10, "composite": 20}
+        counts[name] = calls["symbol"], calls["read"]
+    assert counts == {"2-1": (8, 12), "2-2": (10, 16), "3-1": (10, 16), "3-3": (10, 16),
+                      "composite": (20, 32)}
 
 
 def test_verify_work_budget(monkeypatch):

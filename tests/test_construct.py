@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -33,6 +34,7 @@ from period_index.construct import (
     inv_str,
     lichtenbaum_check,
     read_elem,
+    read_int,
     sha256,
     verify_certificate,
 )
@@ -552,6 +554,77 @@ def test_read_elem_names_a_coordinate_past_the_digit_limit(text):
         read_elem(3, ["1", text], "pair.first.pi")
     assert str(got.value) == str(want.value)
     assert got.value.paths == ("pair.first.pi[1]",)
+
+
+# the reader as it was, one regex per kind of value, whole after strip
+_INT_SPELLING = re.compile(r"-?[0-9]+")
+_COEFF_SPELLING = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
+
+
+def _regex_exact(value, pattern, path: str, expected: str):
+    """A JSON integer, or the int or Fraction of a string pattern matches."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and pattern.fullmatch(value.strip()):
+        num, slash, den = value.strip().partition("/")
+        try:
+            return Fraction(int(num), int(den)) if slash else int(num)
+        except ValueError as e:
+            raise InputError(str(e), path)
+    raise InputError("expected %s, found %s" % (expected, construct._show(value)), path)
+
+
+def _regex_read_elem(level: int, value, path: str) -> CycloElem:
+    """read_elem as it was: every coordinate through _regex_exact, with its
+    path built up front, and the element built from Fractions."""
+    deg = cyclo.context(level).degree
+    if isinstance(value, list) and 1 <= len(value) <= deg:
+        entries = [("%s[%d]" % (path, i), c) for i, c in enumerate(value)]
+    elif isinstance(value, (int, str)):
+        entries = [(path, value)]
+    else:
+        raise InputError("expected a rational or at most %d exact coordinates" % deg, path)
+    expected = 'an exact rational such as "-3/2"'
+    return CycloElem(level, [Fraction(_regex_exact(c, _COEFF_SPELLING, at, expected))
+                             for at, c in entries])
+
+
+def _outcome(fn, *args):
+    """fn's value, or its InputError's message and paths."""
+    try:
+        return "value", fn(*args)
+    except InputError as e:
+        return "refused", str(e), e.paths
+
+
+_SPELLINGS = [
+    "0", "-0", "01", "+1", " 1", "1 ", "\t12\n", "0_0", "--1", "-", "", " ", "-+1", "1-",
+    "\u0663", "\uff13", "1\u0663", "\u00b2", "1 2", "1.5", "1e3", "0x10", "nan",
+    "1/2", " -3/6 ", "1/0", "1/02", "2/2", "1/-2", "-1/2", "1//2", "/2", "1/", "1/2/3",
+    "9" * 4299, "9" * 4300, "9" * 4301, "9" * 5000, "-" + "9" * 4300, "-" + "9" * 4301,
+    "9" * 4301 + "/7", "7/" + "9" * 4300, "7/" + "9" * 4301,
+    0, -5, 10**5000, True, False, None, 1.5, [], {},
+]
+
+
+def _spelling_id(value) -> str:
+    if isinstance(value, str) and len(value) > 12:
+        return "%s%d-digits%s" % ("-" if value[0] == "-" else "", len(value), "/" * ("/" in value))
+    if type(value) is int and abs(value) > 10**12:
+        return "int-past-the-digit-limit"
+    return repr(value)
+
+
+@pytest.mark.parametrize("value", _SPELLINGS, ids=_spelling_id)
+def test_reader_matches_the_regex_reader(value):
+    # read_int and read_elem read plain integer strings straight to an int
+    # and the rest through one regex: every spelling gives the value, or
+    # the message at the leaf, that the regex reader gave, as a scalar and
+    # as a coordinate of a list, at degree 1 and 2
+    assert _outcome(read_int, value, "f") == _outcome(
+        _regex_exact, value, _INT_SPELLING, "f", "an exact integer")
+    for level, raw in ((2, value), (3, value), (2, [value]), (3, [value, "1"]), (3, ["-2", value])):
+        assert _outcome(read_elem, level, raw, "x") == _outcome(_regex_read_elem, level, raw, "x")
 
 
 def _diff_lines(recorded, derived) -> list:

@@ -268,7 +268,8 @@ def test_make_basis_inversion_budget(monkeypatch):
     # before the Miller lines were shared); read at the auxiliary prime, the
     # exact work left was n*S, n*T and u^-1 * T, 3 and 2 inversions.  n*S
     # and n*T are now read from the division polynomial, and u^-1 * T is
-    # -T at levels 3 and 4: no inversion
+    # -T at levels 3 and 4: no inversion.  At level 2, the third point of
+    # order 2 took one, by the chord through S and T; it is written out
     calls = {"invert": 0}
     invert = CycloElem.invert
 
@@ -277,10 +278,11 @@ def test_make_basis_inversion_budget(monkeypatch):
         return invert(self)
 
     monkeypatch.setattr(CycloElem, "invert", counted_invert)
-    for (cv, S, T), n in ((_fixture3(), 3), (_fixture4(), 4)):
+    level2 = curve_over(2, [0, 0, 0, -25, 0]), point_over(2, (0, 0)), point_over(2, (5, 0))
+    for (cv, S, T), n in ((level2, 2), (_fixture3(), 3), (_fixture4(), 4)):
         calls.update(invert=0)
         make_basis(cv, n, S, T)
-        assert calls["invert"] == 0
+        assert calls["invert"] == 0, n
 
 
 def _fixture5():
@@ -333,6 +335,29 @@ def test_make_basis_pins_the_order_of_the_points_of_order_2():
         for S, T in itertools.permutations(points, 2):
             basis = make_basis(cv, 2, S, T)
             assert (basis.S, basis.T) == (points[1], points[2]), (a4, S, T)
+
+
+def test_make_basis_writes_out_the_third_point_of_order_2():
+    # y^2 = f(x) moved by y -> y + (a1 x + a3)/2, so a1 and a3 are nonzero
+    # and the points of order 2 are (e, -(a1 e + a3)/2) for the roots e of
+    # f: the pinned basis is the one the chord through S and T gives
+    for a1, a3, roots in ((2, 4, (0, 5, -5)), (1, 1, (0, 1, -1)), (Fraction(1, 3), -3, (2, -7, 4))):
+        e1, e2, e3 = roots
+        a2, a4, a6 = -(e1 + e2 + e3), e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3
+        cv = curve_over(2, [a1, a2 - Fraction(a1 * a1, 4), a3, a4 - Fraction(a1 * a3, 2),
+                            a6 - Fraction(a3 * a3, 4)])
+        points = [point_over(2, (e, -(a1 * e + a3) / Fraction(2))) for e in sorted(roots)]
+        assert all(cv.on_curve(P) and cv.in_torsion(2, P) for P in points)
+        for S, T in itertools.permutations(points, 2):
+            chord = sorted((S, T, cv.add(S, T)), key=lambda P: P[0].rational_value())[1:]
+            basis = make_basis(cv, 2, S, T)
+            assert [basis.S, basis.T] == chord == points[1:], (a1, a3, S, T)
+    # S = T and O keep the points as given; the table then finds them dependent
+    cv = curve_over(2, [0, 0, 0, -25, 0])
+    S = point_over(2, (5, 0))
+    for T in (S, None):
+        with pytest.raises(BasisError, match="not distinct"):
+            make_basis(cv, 2, S, T)
 
 
 def test_galois_representation_reads_the_basis_table(monkeypatch):

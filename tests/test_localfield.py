@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from period_index.localfield import (
     places_over,
     refine_place,
     residue_power_order,
+    symbol_exponent,
     tame_invariant,
     valuation,
     valuation_and_unit,
@@ -190,7 +192,77 @@ def test_valuation_of_the_acceptance_generators_matches_the_oracle():
                     assert valuation_and_unit(x, pl) == valuation_oracle.valuation_and_unit(x, pl)
 
 
+@pytest.mark.parametrize("n", sorted(_SPLIT_PRIMES))
+def test_unit_first_valuation_matches_the_norm_bounded_oracle(n, monkeypatch):
+    # the residue at omega mod p decides a unit with no Hensel lift; the
+    # rest is lifted.  At every place over each prime: units, elements
+    # whose residue is 0 mod p but not mod p^2 (the numerators have
+    # valuation 1 there), deeper ones, and each over a denominator
+    # divisible by p as well as over one prime to p, as far as the field
+    # allows.  A unit's numerators have a nonzero residue, and it takes no
+    # lifted root
+    lifts = [0]
+    lifted_root = localfield.lifted_root
+
+    def counted(*args):
+        lifts[0] += 1
+        return lifted_root(*args)
+
+    monkeypatch.setattr(localfield, "lifted_root", counted)
+    rng = random.Random(3600 + n)
+    deg = context(n).degree
+    for p in _SPLIT_PRIMES[n]:
+        for pl in places_over(n, p):
+            seen = set()
+            # a + b*zeta with a = -b*omega mod p has residue 0 at pl; at
+            # degree 1, p*a does
+            zeros = [CycloElem(n, [(-b * pl.omega) % p + p * t, b]) if deg == 2
+                     else CycloElem(n, [p * (b + 3 * t)]) for b in (1, 2, 3) for t in range(-2, 3)]
+            units = [_rand_nonzero(rng, n, span=5) for _ in range(12)]
+            cases = units + zeros + [z * z for z in zeros] + [z * p for z in zeros]
+            cases += [x * Fraction(rng.randint(1, 4), p * rng.randint(1, 4)) for x in cases]
+            for x in cases:
+                if x.is_zero():
+                    continue
+                lifts[0] = 0
+                got = valuation_and_unit(x, pl)
+                assert got == valuation_oracle.valuation_and_unit(x, pl), (x, pl)
+                v_num = got[0] + localfield.p_adic_split(x.den, p)[0]
+                assert (lifts[0] == 0) == (v_num == 0), (x, pl)
+                seen.add((min(v_num, 2), x.den % p == 0))
+            # over Q a p in the denominator cancels any p in the numerator
+            want = {(v, d) for v in (0, 1, 2) for d in (False, True) if deg == 2 or not v or not d}
+            assert seen == want, (pl, seen)
+
+
 # ------------------------------------------------------------ symbols
+
+
+def test_symbol_exponent_matches_tame_invariant():
+    # the integer kernel read from valuation_and_unit, against the public
+    # Fraction API and against the symbol taken by definition from the
+    # norm-bounded oracle's readings, with the power of omega found by a
+    # walk: small elements, times p and p^2 and over p, at every place over
+    # the first split primes
+    exponents = set()
+    for n, primes in sorted(_SPLIT_PRIMES.items()):
+        deg = context(n).degree
+        small = [CycloElem(n, c) for c in itertools.product(range(-2, 3), repeat=deg) if any(c)]
+        for p in primes[:2]:
+            elems = small + [x * p for x in small[:4]] + [x * p * p for x in small[:2]]
+            elems += [x * Fraction(1, p) for x in small[:3]]
+            for pl in places_over(n, p):
+                for a in elems:
+                    for b in elems[::2]:
+                        k = symbol_exponent(valuation_and_unit(a, pl), valuation_and_unit(b, pl), pl)
+                        assert 0 <= k < n
+                        assert Fraction(k, n) == tame_invariant(a, b, pl)
+                        (va, ua), (vb, ub) = (valuation_oracle.valuation_and_unit(x, pl) for x in (a, b))
+                        r = (-1) ** (va * vb % 2) * pow(ua, vb, p) * pow(ub, -va, p) % p
+                        t = pow(r, (p - 1) // n, p)
+                        assert pow(pl.omega, k, p) == t, (a, b, pl)
+                        exponents.add((n, k))
+    assert exponents == {(n, k) for n in _SPLIT_PRIMES for k in range(n)}
 
 
 def test_tame_invariant_frozen_degree2():

@@ -8,7 +8,7 @@ decides it.  It shares the lifted root with the code under test, not
 the precision rule."""
 
 from period_index.cyclo import CycloElem, field_norm, lifted_root
-from period_index.localfield import Place, _p_adic_split
+from period_index.localfield import Place, p_adic_split
 
 
 def valuation_and_unit(x: CycloElem, place: Place) -> tuple:
@@ -18,12 +18,12 @@ def valuation_and_unit(x: CycloElem, place: Place) -> tuple:
     p = place.p
     d = x.den
     y = x * d
-    vmax, _ = _p_adic_split(int(field_norm(y).numerator), p)
+    vmax, _ = p_adic_split(int(field_norm(y).numerator), p)
     modulus = p ** (vmax + 1)
     root = lifted_root(x.n, p, place.omega, vmax + 1)
     e = sum(c * pow(root, i, modulus) for i, c in enumerate(y.num)) % modulus
     if e == 0:
         raise ArithmeticError("valuation exceeded its norm bound")
-    vy, _ = _p_adic_split(e, p)
-    dk, du = _p_adic_split(d, p)
+    vy, _ = p_adic_split(e, p)
+    dk, du = p_adic_split(d, p)
     return vy - dk, (e // p**vy) % p * pow(du, -1, p) % p

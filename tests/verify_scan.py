@@ -24,10 +24,13 @@ workloads.trace_names reads a trace).  Run it on a `git archive` of the
 parent commit and on the change: equal digests mean that verify answers
 every input of a set identically.
 
-After each set's two lines it prints a tally of construct._lemma, the
-checks of the claims algebra: one line per lemma field (indices
-stripped), with the number of the set's inputs whose verify reached it
-and the number that failed there.  pytest does not collect this file.
+After each set's two lines it prints how many of the set's inputs reach
+the catch-all of construct._check, the `except Exception` that turns an
+error no check names into "check failed" at the certificate's root, and
+then a tally of construct._lemma, the checks of the claims algebra: one
+line per lemma field (indices stripped), with the number of the set's
+inputs whose verify reached it and the number that failed there.  pytest
+does not collect this file.
 """
 
 from __future__ import annotations
@@ -122,14 +125,27 @@ def main(argv) -> None:
         ("off-gate", chain(((None, c) for c in off_gate.values()), _leaf_edits(wl, off_gate),
                            _curve_block_edits(wl, construct.content_digest, off_gate))),
     )
+    # _check is wrapped as _lemma is: an input reaches the catch-all when a
+    # call, its own or a composite part's, ends with a line the catch-all
+    # wrote, the only ones that start with "check failed: "
+    check, caught = construct._check, []
+
+    def watched(cert, path, trace):
+        mark = len(trace)
+        check(cert, path, trace)
+        caught.extend(msg for _, msg in trace[mark:] if msg.startswith("check failed: "))
+
     construct._lemma = tallied
+    construct._check = watched
     for label, inputs in sets:
-        h, count, verified, unnamed = hashlib.sha256(), 0, 0, 0
+        h, count, verified, unnamed, uncaught = hashlib.sha256(), 0, 0, 0, 0
         tally = {}
         for path, cert in inputs:
             reached.clear()
             failed.clear()
+            caught.clear()
             ok, trace = construct.verify_certificate(cert)
+            uncaught += bool(caught)
             for site in reached:
                 tally.setdefault(site, [0, 0])[0] += 1
             for site in failed:
@@ -142,6 +158,7 @@ def main(argv) -> None:
                 unnamed += 1
         print("%s %d %s" % (label, count, h.hexdigest()))
         print("%s edits: %d verify, %d fail without naming the field" % (label, verified, unnamed))
+        print("%s catch-all: %d inputs reach it" % (label, uncaught))
         for site, (hits, fails) in sorted(tally.items()):
             print("%s lemma %s: %d reached, %d failed" % (label, site, hits, fails))
 
